@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.common.bits import hash_pc, mask
+from repro.common.bits import mask
 
 __all__ = ["GlobalHistory", "PathHistory", "FoldedHistory", "LocalHistoryTable"]
 
@@ -183,7 +183,9 @@ class LocalHistoryTable:
     too expensive for real hardware (Section 2.3.2).
     """
 
-    __slots__ = ("size", "history_bits", "_index_bits", "entries")
+    __slots__ = (
+        "size", "history_bits", "_index_bits", "index_mask", "history_mask", "entries",
+    )
 
     def __init__(self, size: int, history_bits: int) -> None:
         if size <= 0:
@@ -195,22 +197,30 @@ class LocalHistoryTable:
         self.size = size
         self.history_bits = history_bits
         self._index_bits = size.bit_length() - 1
+        self.index_mask = size - 1
+        self.history_mask = mask(history_bits)
         self.entries: List[int] = [0] * size
 
     def index(self, pc: int) -> int:
-        """Table index for a branch PC."""
-        return hash_pc(pc, self._index_bits)
+        """Table index for a branch PC (:func:`~repro.common.bits.hash_pc`)."""
+        width = self._index_bits
+        return (pc ^ (pc >> width) ^ (pc >> (2 * width))) & self.index_mask
 
     def read(self, pc: int) -> int:
         """Return the local history register associated with ``pc``."""
-        return self.entries[self.index(pc)]
+        width = self._index_bits
+        return self.entries[(pc ^ (pc >> width) ^ (pc >> (2 * width))) & self.index_mask]
 
     def update(self, pc: int, taken: bool) -> None:
         """Shift the outcome of ``pc`` into its local history."""
-        idx = self.index(pc)
-        self.entries[idx] = ((self.entries[idx] << 1) | int(taken)) & mask(
-            self.history_bits
-        )
+        self.advance(pc, 0, taken, 0)
+
+    def advance(self, pc: int, target: int, taken: bool, imli_count: int) -> None:
+        """:meth:`update` in the form a ``SharedState`` calls once per branch."""
+        width = self._index_bits
+        entries = self.entries
+        index = (pc ^ (pc >> width) ^ (pc >> (2 * width))) & self.index_mask
+        entries[index] = ((entries[index] << 1) | (1 if taken else 0)) & self.history_mask
 
     def reset(self) -> None:
         """Clear every local history."""

@@ -4,7 +4,8 @@
 * :mod:`repro.core.imli_sic` -- the IMLI-SIC (Same Iteration Correlation)
   prediction table.
 * :mod:`repro.core.imli_oh` -- the IMLI-OH (Outer History) component: IMLI
-  history table, PIPE vector and prediction table.
+  history table, PIPE vector (the trace-only :class:`OuterHistory`) and
+  prediction table.
 * :mod:`repro.core.component` -- the adder-tree component interface and the
   shared fetch-time state (histories, IMLI counter) these components plug
   into; the GEHL predictor and the TAGE-GSC statistical corrector in
@@ -13,9 +14,14 @@
   of the IMLI state (the practicality argument of the paper).
 """
 
-from repro.core.component import CounterSelection, NeuralComponent, SharedState
+from repro.core.component import (
+    CounterSelection,
+    IndexedComponent,
+    NeuralComponent,
+    SharedState,
+)
 from repro.core.imli import IMLIState
-from repro.core.imli_oh import IMLIOuterHistoryComponent
+from repro.core.imli_oh import IMLIOuterHistoryComponent, OuterHistory
 from repro.core.imli_sic import IMLISameIterationComponent
 from repro.core.speculative import (
     IMLICheckpoint,
@@ -29,7 +35,9 @@ __all__ = [
     "IMLIOuterHistoryComponent",
     "IMLISameIterationComponent",
     "IMLIState",
+    "IndexedComponent",
     "NeuralComponent",
+    "OuterHistory",
     "SharedState",
     "SpeculativeIMLITracker",
     "checkpoint_cost_bits",

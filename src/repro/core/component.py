@@ -9,26 +9,34 @@ predictor family (Figures 5 and 6).
 
 This module defines the plumbing that makes that composition possible:
 
-* :class:`SharedState` -- the per-predictor fetch-time state every component
-  may read: global branch history, global path history, per-table folded
-  histories, the IMLI counter, an optional local history table and the TAGE
-  prediction (for statistical-corrector bias tables).
+* :class:`SharedState` -- the fetch-time state every component may read:
+  global branch history, global path history, per-table folded histories,
+  the IMLI counter, the trace-only structures components register on it
+  (local-history tables, the IMLI-OH outer history) and the TAGE
+  prediction (for statistical-corrector bias tables).  Everything on it
+  except the TAGE prediction depends only on the branch stream, so one
+  state can serve every predictor of a shared-core group.
 * :class:`NeuralComponent` -- the interface of one adder-tree input: select
   counters at prediction time, train them at update time, and perform any
   private bookkeeping once the outcome is known.
+* :class:`IndexedComponent` -- a component whose counters sit at hashed
+  table indices named by a hashable
+  :meth:`~IndexedComponent.index_key`, so a shared-core group hashes each
+  distinct index once per branch and the heads only read and train
+  counters.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.counters import SignedCounterArray
 from repro.common.history import FoldedHistory, GlobalHistory, LocalHistoryTable, PathHistory
 from repro.core.imli import IMLIState
 from repro.trace.branch import BranchRecord
 
-__all__ = ["CounterSelection", "NeuralComponent", "SharedState"]
+__all__ = ["CounterSelection", "IndexedComponent", "NeuralComponent", "SharedState"]
 
 #: A reference to one selected counter: (table, index).
 CounterSelection = Tuple[SignedCounterArray, int]
@@ -45,7 +53,11 @@ class SharedState:
     Components that use folded global history must register their
     :class:`~repro.common.history.FoldedHistory` registers through
     :meth:`new_folded_history` so the shared state can keep them coherent
-    with the global history register.
+    with the global history register.  Components with other trace-only
+    structures (local histories, the IMLI-OH outer history) register them
+    through :meth:`trace_only`; the state advances each one once per
+    conditional branch.  Registrations are deduplicated by geometry, so
+    components with equal geometry over one state read one structure.
     """
 
     def __init__(
@@ -54,13 +66,13 @@ class SharedState:
         path_capacity: int = 32,
         path_bits_per_branch: int = 2,
         imli_counter_bits: int = 10,
-        local_history_table: Optional[LocalHistoryTable] = None,
     ) -> None:
         self.global_history = GlobalHistory(history_capacity)
         self.path_history = PathHistory(path_capacity, path_bits_per_branch)
         self.imli = IMLIState(imli_counter_bits)
-        self.local_histories = local_history_table
         self.tage_prediction: Optional[bool] = None
+        self._trace_only: Dict[tuple, Any] = {}
+        self._advances: List[Callable[[int, int, bool, int], None]] = []
         self._folded: List[FoldedHistory] = []
         # Hot mirror of ``_folded`` for the per-branch update loop: one
         # ``(register, dropped-bit mask, out-position mask, width, width
@@ -99,6 +111,31 @@ class SharedState:
             )
         return folded
 
+    def trace_only(self, key: tuple, factory: Callable[[], Any]) -> Any:
+        """Return the trace-only structure registered under ``key``.
+
+        The first request calls ``factory()`` and registers the result; a
+        later request with an equal key gets the same object.  ``key`` must
+        name everything the structure's evolution depends on (its kind and
+        geometry), because the structure must be a pure function of the
+        branch stream for sharing to be exact.  The object's
+        ``advance(pc, target, taken, imli_count)`` runs once per
+        conditional branch in :meth:`update_conditional_fields`, after every
+        component has read and trained for that branch and before the IMLI
+        count moves.
+        """
+        structure = self._trace_only.get(key)
+        if structure is None:
+            structure = self._trace_only[key] = factory()
+            self._advances.append(structure.advance)
+        return structure
+
+    def new_local_history(self, size: int, history_bits: int) -> LocalHistoryTable:
+        """The local-history table of geometry ``(size, history_bits)``."""
+        return self.trace_only(
+            ("local", size, history_bits), lambda: LocalHistoryTable(size, history_bits)
+        )
+
     def update_conditional(self, record: BranchRecord) -> None:
         """Advance all shared histories with a resolved conditional branch."""
         self.update_conditional_fields(record.pc, record.target, record.taken)
@@ -130,16 +167,17 @@ class SharedState:
             (path_history.bits << path_history.bits_per_branch)
             | (pc & path_history.branch_mask)
         ) & path_history.capacity_mask
+        imli = self.imli
+        # Registered structures read the IMLI count of this branch.
+        for advance in self._advances:
+            advance(pc, target, taken, imli.count)
         # IMLI heuristic for a conditional branch (backward means target < pc).
         if target < pc:
-            imli = self.imli
             if taken:
                 if imli.count < imli.maximum:
                     imli.count += 1
             else:
                 imli.count = 0
-        if self.local_histories is not None:
-            self.local_histories.update(pc, taken)
 
     def update_unconditional(self, record: BranchRecord) -> None:
         """Advance the path history with a non-conditional branch."""
@@ -150,12 +188,17 @@ class SharedState:
         self.path_history.push(pc)
 
     def storage_bits(self) -> int:
-        """State bits held by the shared registers (histories + IMLI)."""
+        """State bits held by the shared registers (histories + IMLI).
+
+        Local-history tables count here; the IMLI-OH outer history counts
+        in its component's :meth:`~NeuralComponent.storage_bits`.
+        """
         bits = self.global_history.capacity
         bits += self.path_history.capacity
         bits += self.imli.storage_bits()
-        if self.local_histories is not None:
-            bits += self.local_histories.storage_bits()
+        for structure in self._trace_only.values():
+            if isinstance(structure, LocalHistoryTable):
+                bits += structure.storage_bits()
         return bits
 
     def checkpoint_bits(self) -> int:
@@ -184,6 +227,16 @@ class NeuralComponent(ABC):
 
     #: Human-readable component name used in storage breakdowns.
     name: str = "component"
+
+    def bind(self, state: SharedState) -> None:
+        """Attach the component to the state of the predictor that owns it.
+
+        Called once by the owning predictor's
+        :class:`~repro.predictors.adder.AdderTree`.  Components with
+        trace-only structures register them on ``state`` here (see
+        :meth:`SharedState.trace_only`) and read them only after binding;
+        the default does nothing.
+        """
 
     @abstractmethod
     def select(self, pc: int, state: SharedState) -> List[CounterSelection]:
@@ -238,9 +291,10 @@ class NeuralComponent(ABC):
 
         Called after :meth:`train` and before the shared histories advance.
         Delegates to :meth:`on_outcome_fields`; components that maintain
-        private structures (for example the IMLI outer-history table)
-        override that method so the record-based and field-based call paths
-        share one implementation.
+        private, learned bookkeeping override that method so the
+        record-based and field-based call paths share one implementation.
+        Trace-only structures do not use this hook: they are registered on
+        the state (:meth:`SharedState.trace_only`), which advances them.
         """
         self.on_outcome_fields(record.pc, record.target, record.taken, state)
 
@@ -260,3 +314,43 @@ class NeuralComponent(ABC):
         reports its PIPE vector here (Section 4.3.2 of the paper).
         """
         return 0
+
+
+class IndexedComponent(NeuralComponent):
+    """A component reading counters at indices hashed from trace-only state.
+
+    Subclasses implement :meth:`compute_indices` (the hash: from the branch
+    PC and the :class:`SharedState` only) and :meth:`index_key`; the
+    default :meth:`select_sum_at` reads one counter per table of
+    ``counter_tables`` from a sequence of indices, and single-table
+    components override it to read a bare index.  :meth:`select` stays
+    the plain reference form of the same hash, which the tests pin the
+    split form to.
+
+    Two components with equal keys over one state compute equal indices
+    for every branch, so a shared-core group hashes each distinct key
+    once per branch and hands the indices to every head's
+    :meth:`select_sum_at`.  A key starts with the component's type, so a
+    subclass that hashes differently never shares with its parent.
+    """
+
+    counter_tables: Sequence[SignedCounterArray] = ()
+
+    @abstractmethod
+    def index_key(self) -> tuple:
+        """Hashable identity of the component's table indices."""
+
+    @abstractmethod
+    def compute_indices(self, pc: int, state: SharedState) -> Any:
+        """The hash half of :meth:`select_sum`, read by :meth:`select_sum_at`."""
+
+    def select_sum(self, pc: int, state: SharedState) -> tuple:
+        return self.select_sum_at(self.compute_indices(pc, state))
+
+    def select_sum_at(self, indices: Any) -> tuple:
+        """The read half of :meth:`select_sum`, over :meth:`compute_indices`."""
+        selections = list(zip(self.counter_tables, indices))
+        total = 0
+        for table, index in selections:
+            total += table.values[index]
+        return selections, 2 * total + len(selections)

@@ -24,6 +24,14 @@ The IMLI-OH prediction table (256 entries in the paper) is indexed with the
 PC hashed with the two recovered outcome bits and feeds the same adder tree
 as IMLI-SIC.
 
+The history table, the PIPE vector and the pending delayed writes are
+written from resolved outcomes only, so they form an :class:`OuterHistory`
+that depends on the branch stream alone.  A component bound to a
+predictor's :class:`~repro.core.component.SharedState` registers it there
+by geometry, and the state advances it once per branch; components with
+equal geometry over one state (the heads of a shared-core group) read one
+structure.
+
 Speculative state: only the 16-bit PIPE vector (plus the IMLI counter
 handled by the owning predictor) needs checkpointing.  Precise speculative
 management of the history table is not required; the paper validates this
@@ -34,16 +42,87 @@ reproduces through its ``update_delay`` parameter.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Tuple
+from typing import Deque, List, Optional, Tuple
 
-from repro.common.bits import hash_pc, log2_exact, mask, mix_hash3
+from repro.common.bits import log2_exact, mask, mix_hash, mix_hash3
 from repro.common.counters import SignedCounterArray
-from repro.core.component import CounterSelection, NeuralComponent, SharedState
+from repro.core.component import CounterSelection, IndexedComponent, SharedState
 
-__all__ = ["IMLIOuterHistoryComponent"]
+__all__ = ["IMLIOuterHistoryComponent", "OuterHistory"]
 
 
-class IMLIOuterHistoryComponent(NeuralComponent):
+class OuterHistory:
+    """The IMLI history table, the PIPE vector and the delayed writes.
+
+    Parameters are those of :class:`IMLIOuterHistoryComponent` of the same
+    names.  :meth:`advance` records one resolved conditional branch; the
+    structure never reads a prediction.
+    """
+
+    __slots__ = (
+        "tracked_branches", "iterations_per_branch", "update_delay",
+        "branch_index_bits", "branch_index_mask", "history", "pipe", "_pending", "_tick",
+    )
+
+    def __init__(
+        self, tracked_branches: int, iterations_per_branch: int, update_delay: int
+    ) -> None:
+        if update_delay < 0:
+            raise ValueError(f"update delay must be non-negative, got {update_delay}")
+        self.tracked_branches = tracked_branches
+        self.iterations_per_branch = iterations_per_branch
+        self.update_delay = update_delay
+        self.branch_index_bits = log2_exact(tracked_branches)
+        self.branch_index_mask = mask(self.branch_index_bits)
+        # One outcome bit per (branch slot, inner iteration number).
+        self.history = [0] * (tracked_branches * iterations_per_branch)
+        # PIPE vector: one staged bit per branch slot.
+        self.pipe = [0] * tracked_branches
+        # Pending history-table writes: (cell, outcome, due_tick).  The PIPE
+        # vector is always updated immediately -- it is speculative,
+        # checkpointed state, not a commit-time table (Section 4.3.2).
+        self._pending: Deque[Tuple[int, int, int]] = deque()
+        self._tick = 0
+
+    def slot(self, pc: int) -> int:
+        """Branch slot of ``pc`` (:func:`~repro.common.bits.hash_pc`)."""
+        width = self.branch_index_bits
+        return (pc ^ (pc >> width) ^ (pc >> (2 * width))) & self.branch_index_mask
+
+    def advance(self, pc: int, target: int, taken: bool, imli_count: int) -> None:
+        """Record the resolved outcome of one conditional branch.
+
+        Backward conditional branches (loop back-edges) are not recorded:
+        their outcomes are almost always "taken", they are already covered
+        by the loop predictor / IMLI-SIC, and recording them would only
+        pollute the rows of the loop-body branches IMLI-OH targets.  They
+        still advance the delayed-write clock.
+        """
+        self._tick += 1
+        pending = self._pending
+        if pending:
+            history = self.history
+            tick = self._tick
+            while pending and pending[0][2] <= tick:
+                cell, outcome, _ = pending.popleft()
+                history[cell] = outcome
+        if target < pc:
+            return
+        width = self.branch_index_bits
+        slot = (pc ^ (pc >> width) ^ (pc >> (2 * width))) & self.branch_index_mask
+        cell = slot * self.iterations_per_branch + (imli_count % self.iterations_per_branch)
+        # Stage the previous-outer-iteration outcome into the PIPE vector
+        # before the cell is overwritten with the current outcome.  This is
+        # the speculative, checkpointed part of the state and is never
+        # delayed.
+        self.pipe[slot] = self.history[cell]
+        if self.update_delay == 0:
+            self.history[cell] = 1 if taken else 0
+        else:
+            pending.append((cell, 1 if taken else 0, self._tick + self.update_delay))
+
+
+class IMLIOuterHistoryComponent(IndexedComponent):
     """IMLI outer-history tracking plus its prediction table.
 
     Parameters
@@ -64,6 +143,12 @@ class IMLIOuterHistoryComponent(NeuralComponent):
         write into the IMLI history table becomes visible.  ``0`` models
         immediate update; the paper's experiment uses 63 to model a very
         large instruction window (Section 4.3.2).
+
+    The component's :class:`OuterHistory` is trace-only state: :meth:`bind`
+    registers it on the owning predictor's shared state, which advances it
+    once per conditional branch, so the component only reads it (its
+    :meth:`on_outcome_fields` is the inherited no-op).  The history, the
+    PIPE vector and the predictions are available once bound.
     """
 
     name = "imli-oh"
@@ -78,30 +163,35 @@ class IMLIOuterHistoryComponent(NeuralComponent):
     ) -> None:
         if update_delay < 0:
             raise ValueError(f"update delay must be non-negative, got {update_delay}")
+        self.branch_index_bits = log2_exact(tracked_branches)
         self.prediction_index_bits = log2_exact(prediction_entries)
         self.prediction_index_mask = mask(self.prediction_index_bits)
-        self.branch_index_bits = log2_exact(tracked_branches)
-        self._branch_index_mask = mask(self.branch_index_bits)
-        self.iterations_per_branch = iterations_per_branch
-        self.tracked_branches = tracked_branches
         self.table = SignedCounterArray(prediction_entries, counter_bits)
-        # One outcome bit per (branch slot, inner iteration number).
-        self.history = [0] * (tracked_branches * iterations_per_branch)
-        # PIPE vector: one staged bit per branch slot.
-        self.pipe = [0] * tracked_branches
+        self.tracked_branches = tracked_branches
+        self.iterations_per_branch = iterations_per_branch
         self.update_delay = update_delay
-        # Pending history-table writes: (cell, outcome, due_tick).  The PIPE
-        # vector is always updated immediately -- it is speculative,
-        # checkpointed state, not a commit-time table (Section 4.3.2).
-        self._pending: Deque[Tuple[int, int, int]] = deque()
-        self._tick = 0
+        self.outer: Optional[OuterHistory] = None
+
+    def bind(self, state: SharedState) -> None:
+        geometry = (self.tracked_branches, self.iterations_per_branch, self.update_delay)
+        self.outer = state.trace_only(("imli-oh",) + geometry, lambda: OuterHistory(*geometry))
+
+    @property
+    def history(self) -> List[int]:
+        """The IMLI history table (one outcome bit per slot and iteration)."""
+        return self.outer.history
+
+    @property
+    def pipe(self) -> List[int]:
+        """The PIPE vector (one staged outcome bit per branch slot)."""
+        return self.outer.pipe
 
     # ------------------------------------------------------------------ #
     # Outer-history recovery
     # ------------------------------------------------------------------ #
 
     def _slot(self, pc: int) -> int:
-        return hash_pc(pc, self.branch_index_bits)
+        return self.outer.slot(pc)
 
     def _cell(self, slot: int, imli_count: int) -> int:
         return slot * self.iterations_per_branch + (imli_count % self.iterations_per_branch)
@@ -113,79 +203,40 @@ class IMLIOuterHistoryComponent(NeuralComponent):
         from the PIPE vector (see the module docstring for why).
         """
         slot = self._slot(pc)
-        previous_outer_same = self.history[self._cell(slot, imli_count)]
-        previous_outer_previous = self.pipe[slot]
-        return previous_outer_same, previous_outer_previous
+        return self.outer.history[self._cell(slot, imli_count)], self.outer.pipe[slot]
 
     # ------------------------------------------------------------------ #
-    # NeuralComponent interface
+    # IndexedComponent interface
     # ------------------------------------------------------------------ #
 
     def select(self, pc: int, state: SharedState) -> List[CounterSelection]:
-        slot = self._slot(pc)
-        same = self.history[
-            slot * self.iterations_per_branch
-            + (state.imli.count % self.iterations_per_branch)
-        ]
-        index = mix_hash3(pc, same, 2 * self.pipe[slot]) & self.prediction_index_mask
-        return [(self.table, index)]
+        same, previous = self.recovered_outcomes(pc, state.imli.count)
+        return [(self.table, mix_hash(pc, same, 2 * previous, width=self.prediction_index_bits))]
 
-    def select_sum(self, pc: int, state: SharedState) -> tuple:
-        width = self.branch_index_bits
-        slot = (pc ^ (pc >> width) ^ (pc >> (2 * width))) & self._branch_index_mask
-        same = self.history[
-            slot * self.iterations_per_branch
-            + (state.imli.count % self.iterations_per_branch)
-        ]
-        index = mix_hash3(pc, same, 2 * self.pipe[slot]) & self.prediction_index_mask
+    def index_key(self) -> tuple:
+        return (type(self), self.prediction_index_bits, self.outer)
+
+    def compute_indices(self, pc: int, state: SharedState) -> int:
+        outer = self.outer
+        width = outer.branch_index_bits
+        slot = (pc ^ (pc >> width) ^ (pc >> (2 * width))) & outer.branch_index_mask
+        iterations = self.iterations_per_branch
+        same = outer.history[slot * iterations + (state.imli.count % iterations)]
+        return mix_hash3(pc, same, 2 * outer.pipe[slot]) & self.prediction_index_mask
+
+    def select_sum_at(self, indices: int) -> tuple:
         table = self.table
-        return [(table, index)], 2 * table.values[index] + 1
-
-    def on_outcome_fields(
-        self, pc: int, target: int, taken: bool, state: SharedState
-    ) -> None:
-        """Record the resolved outcome in the outer-history structures.
-
-        Backward conditional branches (loop back-edges) are not recorded:
-        their outcomes are almost always "taken", they are already covered
-        by the loop predictor / IMLI-SIC, and recording them would only
-        pollute the rows of the loop-body branches IMLI-OH targets.
-        """
-        self._tick += 1
-        if self._pending:
-            self._drain_pending()
-        if target < pc:
-            return
-        width = self.branch_index_bits
-        slot = (pc ^ (pc >> width) ^ (pc >> (2 * width))) & self._branch_index_mask
-        cell = slot * self.iterations_per_branch + (
-            state.imli.count % self.iterations_per_branch
-        )
-        outcome = 1 if taken else 0
-        # Stage the previous-outer-iteration outcome into the PIPE vector
-        # before the cell is overwritten with the current outcome.  This is
-        # the speculative, checkpointed part of the state and is never
-        # delayed.
-        self.pipe[slot] = self.history[cell]
-        if self.update_delay == 0:
-            self.history[cell] = outcome
-        else:
-            self._pending.append((cell, outcome, self._tick + self.update_delay))
-
-    def _drain_pending(self) -> None:
-        while self._pending and self._pending[0][2] <= self._tick:
-            cell, outcome, _ = self._pending.popleft()
-            self.history[cell] = outcome
+        return [(table, indices)], 2 * table.values[indices] + 1
 
     def storage_bits(self) -> int:
         prediction_bits = self.table.storage_bits()
-        history_bits = len(self.history)
-        pipe_bits = len(self.pipe)
+        history_bits = self.tracked_branches * self.iterations_per_branch
+        pipe_bits = self.tracked_branches
         return prediction_bits + history_bits + pipe_bits
 
     def speculative_state_bits(self) -> int:
         """The PIPE vector is the only per-checkpoint state (16 bits)."""
-        return len(self.pipe)
+        return self.tracked_branches
 
     # ------------------------------------------------------------------ #
     # Checkpointing helpers used by repro.core.speculative
@@ -193,12 +244,13 @@ class IMLIOuterHistoryComponent(NeuralComponent):
 
     def snapshot_pipe(self) -> Tuple[int, ...]:
         """Return a copy of the PIPE vector for checkpointing."""
-        return tuple(self.pipe)
+        return tuple(self.outer.pipe)
 
     def restore_pipe(self, snapshot: Tuple[int, ...]) -> None:
         """Restore a PIPE vector saved by :meth:`snapshot_pipe`."""
-        if len(snapshot) != len(self.pipe):
+        pipe = self.outer.pipe
+        if len(snapshot) != len(pipe):
             raise ValueError(
-                f"PIPE snapshot has {len(snapshot)} bits, expected {len(self.pipe)}"
+                f"PIPE snapshot has {len(snapshot)} bits, expected {len(pipe)}"
             )
-        self.pipe = list(snapshot)
+        pipe[:] = snapshot

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.common.bits import log2_exact, mask, mix_hash2
+from repro.common.bits import log2_exact, mask, mix_hash, mix_hash2
 from repro.common.counters import SignedCounterArray
-from repro.core.component import CounterSelection, NeuralComponent, SharedState
+from repro.core.component import CounterSelection, IndexedComponent, SharedState
 
 __all__ = ["IMLISameIterationComponent"]
 
 
-class IMLISameIterationComponent(NeuralComponent):
+class IMLISameIterationComponent(IndexedComponent):
     """Prediction table indexed with ``hash(PC, IMLIcount)``.
 
     Parameters
@@ -44,12 +44,17 @@ class IMLISameIterationComponent(NeuralComponent):
         self.table = SignedCounterArray(entries, counter_bits)
 
     def select(self, pc: int, state: SharedState) -> List[CounterSelection]:
-        return [(self.table, mix_hash2(pc, state.imli.count) & self.index_mask)]
+        return [(self.table, mix_hash(pc, state.imli.count, width=self.index_bits))]
 
-    def select_sum(self, pc: int, state: SharedState) -> tuple:
+    def index_key(self) -> tuple:
+        return (type(self), self.index_bits)
+
+    def compute_indices(self, pc: int, state: SharedState) -> int:
+        return mix_hash2(pc, state.imli.count) & self.index_mask
+
+    def select_sum_at(self, indices: int) -> tuple:
         table = self.table
-        index = mix_hash2(pc, state.imli.count) & self.index_mask
-        return [(table, index)], 2 * table.values[index] + 1
+        return [(table, indices)], 2 * table.values[indices] + 1
 
     def storage_bits(self) -> int:
         return self.table.storage_bits()

@@ -71,7 +71,8 @@ class SpeculativeIMLITracker:
     directions, a checkpoint is associated with every in-flight branch, and
     when a branch resolves as mispredicted the checkpoint taken at its
     prediction is restored and the counter is advanced with the *correct*
-    outcome of the resolving branch.
+    outcome of the resolving branch.  An ``outer_history`` component must
+    be bound to a shared state before its PIPE vector is checkpointed.
     """
 
     def __init__(

@@ -17,7 +17,9 @@ Record schema (one line per completed cell)::
      "trace": "SPEC2K6-00",      # the cell's trace name
      "batch": 4,                 # cells sharing the recorded phase walls
      "phases": {"trace_load": 0.01, "simulate": 0.82,
-                "store_write": 0.002}}       # seconds, per phase
+                "store_write": 0.002},       # seconds, per phase
+     "cell_phases": {"trace_load": 0.0025, "simulate": 0.205,
+                     "store_write": 0.002}}  # this cell's share (batch > 1)
 
 Phase names by path:
 
@@ -32,6 +34,11 @@ Phase names by path:
 * **dist, worker side** (``component: worker``; only with a worker-local
   ``--store``): ``trace_load``, ``simulate`` and the measured ``upload``
   exchange.
+
+The phases a batch shares (:data:`SHARED_PHASES`) carry the whole batch's
+wall in ``phases``; ``cell_phases`` (written when ``batch > 1``) divides
+them by ``batch``, and every summary aggregates those per-cell shares, so a
+summed phase is the true wall however the cells were batched.
 
 Timing capture is on whenever a run has a store to anchor the artifact
 to, and off otherwise; ``REPRO_TIMINGS=0`` (or ``off``) disables it
@@ -53,6 +60,7 @@ from repro.common import diskguard
 from repro.obs.metrics import DEFAULT_TIME_BUCKETS, Histogram
 
 __all__ = [
+    "SHARED_PHASES",
     "TIMINGS_FILE",
     "TIMINGS_SUMMARY_FILE",
     "TimingLog",
@@ -64,6 +72,10 @@ __all__ = [
 #: File names written next to the result store root.
 TIMINGS_FILE = "timings.jsonl"
 TIMINGS_SUMMARY_FILE = "timings_summary.json"
+
+#: Phases whose recorded wall covers every cell of a batch (one traversal,
+#: one trace load); the other phases are measured per cell.
+SHARED_PHASES = frozenset({"trace_load", "simulate"})
 
 #: Environment variable gating timing capture: ``0``/``off`` disables.
 _TIMINGS_ENV = "REPRO_TIMINGS"
@@ -111,18 +123,22 @@ class TimingLog:
         }
         if not clean:
             return
+        batch = max(1, int(batch))
         record = {
             "ts": time.time(),
             "component": self.component,
             "backend": str(backend),
             "label": str(label),
             "trace": str(trace),
-            "batch": int(batch),
+            "batch": batch,
             "phases": clean,
         }
+        per_cell = _cell_phases(clean, batch)
+        if batch > 1:
+            record["cell_phases"] = per_cell
         line = (json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8")
         with self._lock:
-            for name, value in clean.items():
+            for name, value in per_cell.items():
                 histogram = self._histograms.get(name)
                 if histogram is None:
                     histogram = Histogram(
@@ -198,7 +214,9 @@ def summarize_timings(path: Union[str, Path]) -> Dict[str, Any]:
 
     Unlike :meth:`TimingLog.summary` (this process's records only), this
     reads the file back, so it covers every component that appended to
-    it.  Malformed lines are skipped and counted.
+    it.  Each record counts with its per-cell phase shares (``cell_phases``,
+    or the shared phases divided by ``batch`` for records written without
+    them).  Malformed lines are skipped and counted.
     """
     histograms: Dict[str, Histogram] = {}
     records = 0
@@ -220,7 +238,11 @@ def summarize_timings(path: Union[str, Path]) -> Dict[str, Any]:
             records += 1
             component = str(record.get("component", "?"))
             by_component[component] = by_component.get(component, 0) + 1
-            for name, value in phases.items():
+            cell_phases = record.get("cell_phases")
+            if not isinstance(cell_phases, dict):
+                batch = record.get("batch", 1)
+                cell_phases = _cell_phases(phases, batch if isinstance(batch, int) else 1)
+            for name, value in cell_phases.items():
                 if not isinstance(value, (int, float)):
                     continue
                 histogram = histograms.get(name)
@@ -238,6 +260,18 @@ def summarize_timings(path: Union[str, Path]) -> Dict[str, Any]:
             name: histogram.snapshot()
             for name, histogram in sorted(histograms.items())
         },
+    }
+
+
+def _cell_phases(phases: Mapping[str, Any], batch: int) -> Dict[str, Any]:
+    """One cell's share of ``phases``: shared phases divided by ``batch``."""
+    if batch <= 1:
+        return dict(phases)
+    return {
+        name: value / batch
+        if name in SHARED_PHASES and isinstance(value, (int, float))
+        else value
+        for name, value in phases.items()
     }
 
 

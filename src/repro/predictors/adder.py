@@ -14,7 +14,7 @@ thin layers on top of it.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.component import CounterSelection, NeuralComponent, SharedState
 from repro.trace.branch import BranchRecord
@@ -30,6 +30,9 @@ class AdderTree:
     components:
         The adder-tree inputs (global-history tables, bias tables, IMLI
         components, local-history tables ...).
+    state:
+        The owning predictor's shared state; every component is bound to
+        it (:meth:`~repro.core.component.NeuralComponent.bind`).
     initial_threshold:
         Starting value of the adaptive training/confidence threshold.
     threshold_counter_bits:
@@ -40,6 +43,7 @@ class AdderTree:
     def __init__(
         self,
         components: Sequence[NeuralComponent],
+        state: SharedState,
         initial_threshold: int = 8,
         threshold_counter_bits: int = 7,
     ) -> None:
@@ -50,6 +54,8 @@ class AdderTree:
                 f"initial threshold must be non-negative, got {initial_threshold}"
             )
         self.components: List[NeuralComponent] = list(components)
+        for component in self.components:
+            component.bind(state)
         # Components whose on_outcome hook actually does something; resolved
         # lazily (and re-resolved whenever the component list grows, since
         # callers may append components after construction).
@@ -88,25 +94,21 @@ class AdderTree:
         self,
         pc: int,
         state: SharedState,
-        shared_component: Optional[NeuralComponent],
-        shared_indices: Optional[List[int]],
+        reads: Sequence[Tuple[Callable, int]],
+        shared: Sequence,
     ) -> Tuple[int, List[List[CounterSelection]]]:
-        """:meth:`compute`, reusing precomputed indices for one component.
+        """:meth:`compute` over indices a shared-core group hashed once.
 
-        The shared-core batch executor hashes a
-        :class:`~repro.predictors.components.GlobalHistoryComponent`'s
-        table indices once per group of predictors and hands them to each
-        member's adder tree here; every other component computes as usual.
-        With ``shared_component=None`` this is exactly :meth:`compute`.
+        ``reads`` has one ``(read, slot)`` pair per component: ``read`` is
+        the component's
+        :meth:`~repro.core.component.IndexedComponent.select_sum_at` and
+        ``shared[slot]`` its precomputed indices.
         """
         total = 0
         all_selections: List[List[CounterSelection]] = []
         append = all_selections.append
-        for component in self.components:
-            if component is shared_component:
-                selections, contribution = component.select_sum_at(shared_indices)
-            else:
-                selections, contribution = component.select_sum(pc, state)
+        for read, slot in reads:
+            selections, contribution = read(shared[slot])
             total += contribution
             append(selections)
         return total, all_selections

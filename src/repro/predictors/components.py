@@ -21,7 +21,7 @@ predictors used in the paper:
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.common.bits import (
     MASK64,
@@ -37,8 +37,8 @@ from repro.common.bits import (
     mix_hash4,
 )
 from repro.common.counters import SignedCounterArray
-from repro.common.history import FoldedHistory
-from repro.core.component import CounterSelection, NeuralComponent, SharedState
+from repro.common.history import FoldedHistory, LocalHistoryTable
+from repro.core.component import CounterSelection, IndexedComponent, SharedState
 
 __all__ = [
     "BiasComponent",
@@ -77,7 +77,7 @@ def geometric_history_lengths(
     return lengths
 
 
-class BiasComponent(NeuralComponent):
+class BiasComponent(IndexedComponent):
     """Per-PC bias tables for an adder tree.
 
     One table is indexed with the hashed PC alone.  When
@@ -104,27 +104,35 @@ class BiasComponent(NeuralComponent):
         )
 
     def select(self, pc: int, state: SharedState) -> List[CounterSelection]:
-        index_mask = self.index_mask
         selections: List[CounterSelection] = [
-            (self.pc_table, mix_hash1(pc) & index_mask)
+            (self.pc_table, mix_hash(pc, width=self.index_bits))
         ]
         if self.tage_table is not None:
             tage_bit = 1 if state.tage_prediction else 0
             selections.append(
-                (self.tage_table, mix_hash2(pc, tage_bit) & index_mask)
+                (self.tage_table, mix_hash(pc, tage_bit, width=self.index_bits))
             )
         return selections
 
-    def select_sum(self, pc: int, state: SharedState) -> tuple:
+    def index_key(self) -> tuple:
+        # The TAGE bit comes from the shared state, like every other input.
+        return (type(self), self.index_bits, self.tage_table is not None)
+
+    def compute_indices(self, pc: int, state: SharedState) -> tuple:
         index_mask = self.index_mask
+        if self.tage_table is None:
+            return (mix_hash1(pc) & index_mask,)
+        tage_bit = 1 if state.tage_prediction else 0
+        return mix_hash1(pc) & index_mask, mix_hash2(pc, tage_bit) & index_mask
+
+    def select_sum_at(self, indices: tuple) -> tuple:
         pc_table = self.pc_table
-        pc_index = mix_hash1(pc) & index_mask
+        pc_index = indices[0]
         total = 2 * pc_table.values[pc_index] + 1
         tage_table = self.tage_table
         if tage_table is None:
             return [(pc_table, pc_index)], total
-        tage_bit = 1 if state.tage_prediction else 0
-        tage_index = mix_hash2(pc, tage_bit) & index_mask
+        tage_index = indices[1]
         total += 2 * tage_table.values[tage_index] + 1
         return [(pc_table, pc_index), (tage_table, tage_index)], total
 
@@ -135,7 +143,7 @@ class BiasComponent(NeuralComponent):
         return bits
 
 
-class GlobalHistoryComponent(NeuralComponent):
+class GlobalHistoryComponent(IndexedComponent):
     """Tables indexed with the PC hashed with folded global history.
 
     ``history_lengths`` gives one (possibly zero) history length per table;
@@ -163,19 +171,18 @@ class GlobalHistoryComponent(NeuralComponent):
         self.tables = [
             SignedCounterArray(entries, counter_bits) for _ in self.history_lengths
         ]
+        self.counter_tables = self.tables
         self.folded: List[FoldedHistory] = [
             state.new_folded_history(length, self.index_bits)
             for length in self.history_lengths
         ]
-        # Per-table hot rows: (table, folded register, path-history mask).
-        # The path hash consumes at most 16 path bits, clamped to the path
+        # Per-table hot rows: (folded register, path-history mask).  The
+        # path hash consumes at most 16 path bits, clamped to the path
         # register capacity exactly like PathHistory.value() does.
         path_capacity = state.path_history.capacity
         self._rows = [
-            (table, folded, mask(min(length, 16, path_capacity)))
-            for table, folded, length in zip(
-                self.tables, self.folded, self.history_lengths
-            )
+            (folded, mask(min(length, 16, path_capacity)))
+            for folded, length in zip(self.folded, self.history_lengths)
         ]
 
     def select(self, pc: int, state: SharedState) -> List[CounterSelection]:
@@ -183,10 +190,46 @@ class GlobalHistoryComponent(NeuralComponent):
         index_mask = self.index_mask
         return [
             (table, mix_hash3(pc, folded.fold, path_bits & path_mask) & index_mask)
-            for table, folded, path_mask in self._rows
+            for table, (folded, path_mask) in zip(self.tables, self._rows)
         ]
 
     def select_sum(self, pc: int, state: SharedState) -> tuple:
+        # compute_indices and select_sum_at in one loop (see
+        # compute_indices for the hash): the solo hot path, measurably
+        # faster than the inherited composition (docs/PERFORMANCE.md).
+        path_bits = state.path_history.bits if self.use_path_history else 0
+        index_mask = self.index_mask
+        mask64 = MASK64
+        multiplier = MIX_ROUND_MULTIPLIER
+        key1 = MIX_ROUND_KEY + 1
+        key2 = MIX_ROUND_KEY + 2
+        final_multiplier = MIX_FINAL_MULTIPLIER
+        acc0 = MIX_ROUND_KEY ^ ((pc + MIX_ROUND_KEY) & mask64)
+        acc0 = (acc0 * multiplier) & mask64
+        acc0 ^= acc0 >> 27
+        total = 0
+        selections = []
+        append = selections.append
+        for table, (folded, path_mask) in zip(self.tables, self._rows):
+            acc = acc0 ^ ((folded.fold + key1) & mask64)
+            acc = (acc * multiplier) & mask64
+            acc ^= acc >> 27
+            acc ^= ((path_bits & path_mask) + key2) & mask64
+            acc = (acc * multiplier) & mask64
+            acc ^= acc >> 27
+            acc = (acc * final_multiplier) & mask64
+            index = (acc ^ (acc >> 31)) & index_mask
+            append((table, index))
+            total += 2 * table.values[index] + 1
+        return selections, total
+
+    def index_key(self) -> tuple:
+        # Over one state, equal lengths and widths resolve to the *same*
+        # fold objects (shape-deduplicated) and the path masks derive from
+        # the same path register, so the geometry names the indices.
+        return (type(self), tuple(self.history_lengths), self.index_bits, self.use_path_history)
+
+    def compute_indices(self, pc: int, state: SharedState) -> List[int]:
         # The hottest hash site of the adder-tree predictors: the splitmix
         # rounds of ``mix_hash3(pc, fold, path)`` are inlined with the
         # PC-only first round hoisted out of the per-table loop (it is the
@@ -204,53 +247,9 @@ class GlobalHistoryComponent(NeuralComponent):
         acc0 = MIX_ROUND_KEY ^ ((pc + MIX_ROUND_KEY) & mask64)
         acc0 = (acc0 * multiplier) & mask64
         acc0 ^= acc0 >> 27
-        total = 0
-        selections = []
-        append = selections.append
-        for table, folded, path_mask in self._rows:
-            acc = acc0 ^ ((folded.fold + key1) & mask64)
-            acc = (acc * multiplier) & mask64
-            acc ^= acc >> 27
-            acc ^= ((path_bits & path_mask) + key2) & mask64
-            acc = (acc * multiplier) & mask64
-            acc ^= acc >> 27
-            acc = (acc * final_multiplier) & mask64
-            index = (acc ^ (acc >> 31)) & index_mask
-            append((table, index))
-            total += 2 * table.values[index] + 1
-        return selections, total
-
-    def shared_index_geometry(self) -> tuple:
-        """Hashable geometry key for cross-predictor index sharing.
-
-        Two components with equal keys whose owning predictors share one
-        :class:`SharedState` compute identical table indices for every
-        branch: the folded registers are shape-deduplicated on the state
-        (equal lengths and widths resolve to the *same* fold objects) and
-        the path masks derive from the same path register.  The shared-core
-        batch executor (:mod:`repro.predictors.shared_core`) uses this to
-        hash once per group instead of once per head.  Only exact
-        :class:`GlobalHistoryComponent` instances may share -- subclasses
-        mix extra fields into the index (see
-        :class:`IMLICountHashedGlobalComponent`).
-        """
-        return (tuple(self.history_lengths), self.index_bits, self.use_path_history)
-
-    def compute_indices(self, pc: int, state: SharedState) -> List[int]:
-        """Per-table indices only (the hash half of :meth:`select_sum`)."""
-        path_bits = state.path_history.bits if self.use_path_history else 0
-        index_mask = self.index_mask
-        mask64 = MASK64
-        multiplier = MIX_ROUND_MULTIPLIER
-        key1 = MIX_ROUND_KEY + 1
-        key2 = MIX_ROUND_KEY + 2
-        final_multiplier = MIX_FINAL_MULTIPLIER
-        acc0 = MIX_ROUND_KEY ^ ((pc + MIX_ROUND_KEY) & mask64)
-        acc0 = (acc0 * multiplier) & mask64
-        acc0 ^= acc0 >> 27
         indices = []
         append = indices.append
-        for _table, folded, path_mask in self._rows:
+        for folded, path_mask in self._rows:
             acc = acc0 ^ ((folded.fold + key1) & mask64)
             acc = (acc * multiplier) & mask64
             acc ^= acc >> 27
@@ -260,19 +259,6 @@ class GlobalHistoryComponent(NeuralComponent):
             acc = (acc * final_multiplier) & mask64
             append((acc ^ (acc >> 31)) & index_mask)
         return indices
-
-    def select_sum_at(self, indices: Sequence[int]) -> tuple:
-        """The read half of :meth:`select_sum`, over precomputed indices."""
-        total = 0
-        selections = []
-        append = selections.append
-        row = 0
-        for table, _folded, _path_mask in self._rows:
-            index = indices[row]
-            row += 1
-            append((table, index))
-            total += 2 * table.values[index] + 1
-        return selections, total
 
     def storage_bits(self) -> int:
         return sum(table.storage_bits() for table in self.tables)
@@ -299,22 +285,33 @@ class IMLICountHashedGlobalComponent(GlobalHistoryComponent):
                 mix_hash4(pc, folded.fold, path_bits & path_mask, imli_count)
                 & index_mask,
             )
-            for table, folded, path_mask in self._rows
+            for table, (folded, path_mask) in zip(self.tables, self._rows)
         ]
 
-    def select_sum(self, pc: int, state: SharedState) -> tuple:
-        # Do not inherit the parent's fused three-field hash -- this
-        # component mixes in the IMLI counter as a fourth field.
-        return NeuralComponent.select_sum(self, pc, state)
+    # Not the parent's fused three-field hash: the IMLI counter is a
+    # fourth field.
+    select_sum = IndexedComponent.select_sum
+
+    def compute_indices(self, pc: int, state: SharedState) -> List[int]:
+        path_bits = state.path_history.bits if self.use_path_history else 0
+        imli_count = state.imli.count
+        index_mask = self.index_mask
+        return [
+            mix_hash4(pc, folded.fold, path_bits & path_mask, imli_count) & index_mask
+            for folded, path_mask in self._rows
+        ]
 
 
-class LocalHistoryComponent(NeuralComponent):
+class LocalHistoryComponent(IndexedComponent):
     """Tables indexed with the PC hashed with the branch's local history.
 
-    Requires the owning predictor's :class:`SharedState` to carry a
-    :class:`~repro.common.history.LocalHistoryTable`.  ``history_lengths``
-    selects how many low-order local-history bits each table consumes, so a
-    small bank of tables can cover several local correlation distances.
+    ``history_lengths`` selects how many low-order local-history bits each
+    table consumes, so a small bank of tables can cover several local
+    correlation distances.  The local histories live in the
+    :class:`~repro.common.history.LocalHistoryTable` of geometry
+    ``table_geometry=(size, history_bits)``, which the component registers
+    on the state it is bound to (:meth:`bind`); that state advances it
+    once per branch.
     """
 
     name = "local"
@@ -322,30 +319,57 @@ class LocalHistoryComponent(NeuralComponent):
     def __init__(
         self,
         history_lengths: Sequence[int],
+        table_geometry: Tuple[int, int],
         entries: int = 1024,
         counter_bits: int = 6,
     ) -> None:
         if not history_lengths:
             raise ValueError("at least one local history length is required")
         self.index_bits = log2_exact(entries)
+        self.index_mask = mask(self.index_bits)
         self.history_lengths = list(history_lengths)
         self.tables = [
             SignedCounterArray(entries, counter_bits) for _ in self.history_lengths
         ]
+        self.counter_tables = self.tables
+        self._history_masks = [mask(length) for length in self.history_lengths]
+        self.table_geometry = tuple(table_geometry)
+        self.histories: Optional[LocalHistoryTable] = None
+
+    def bind(self, state: SharedState) -> None:
+        self.histories = state.new_local_history(*self.table_geometry)
 
     def select(self, pc: int, state: SharedState) -> List[CounterSelection]:
-        if state.local_histories is None:
-            raise RuntimeError(
-                "LocalHistoryComponent requires a SharedState with a local history table"
-            )
-        local_history = state.local_histories.read(pc)
-        selections: List[CounterSelection] = []
-        for table, length in zip(self.tables, self.history_lengths):
-            index = mix_hash(
-                pc, local_history & ((1 << length) - 1), width=self.index_bits
-            )
-            selections.append((table, index))
-        return selections
+        local_history = self.histories.read(pc)
+        return [
+            (table, mix_hash(pc, local_history & history_mask, width=self.index_bits))
+            for table, history_mask in zip(self.tables, self._history_masks)
+        ]
+
+    def index_key(self) -> tuple:
+        return (type(self), tuple(self.history_lengths), self.index_bits, self.histories)
+
+    def compute_indices(self, pc: int, state: SharedState) -> List[int]:
+        # ``mix_hash(pc, history, width=)`` per table, with the PC round
+        # hoisted out of the loop (see GlobalHistoryComponent.compute_indices).
+        local_history = self.histories.read(pc)
+        index_mask = self.index_mask
+        mask64 = MASK64
+        multiplier = MIX_ROUND_MULTIPLIER
+        key1 = MIX_ROUND_KEY + 1
+        final_multiplier = MIX_FINAL_MULTIPLIER
+        acc0 = MIX_ROUND_KEY ^ ((pc + MIX_ROUND_KEY) & mask64)
+        acc0 = (acc0 * multiplier) & mask64
+        acc0 ^= acc0 >> 27
+        indices = []
+        append = indices.append
+        for history_mask in self._history_masks:
+            acc = acc0 ^ (((local_history & history_mask) + key1) & mask64)
+            acc = (acc * multiplier) & mask64
+            acc ^= acc >> 27
+            acc = (acc * final_multiplier) & mask64
+            append((acc ^ (acc >> 31)) & index_mask)
+        return indices
 
     def storage_bits(self) -> int:
         return sum(table.storage_bits() for table in self.tables)

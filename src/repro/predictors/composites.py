@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from repro.common.history import LocalHistoryTable
 from repro.core.component import NeuralComponent
 from repro.core.imli_oh import IMLIOuterHistoryComponent
 from repro.core.imli_sic import IMLISameIterationComponent
@@ -328,25 +327,25 @@ class CompositeOptions:
 # Shared-core decomposition
 # --------------------------------------------------------------------------- #
 #
-# Every composite splits into a *core* -- the structures whose evolution
-# depends only on the branch stream -- and a *head* -- everything whose
-# behaviour depends on the configuration's corrector/sidecar knobs:
+# Every composite splits into a *core* -- its learned tables that evolve
+# independently of the configuration's corrector/sidecar knobs -- and a
+# *head* -- everything else that learns.  The :class:`SharedState` is
+# neither: it holds only trace-only structures (global/path history,
+# folded registers, the IMLI counter, local-history tables, the IMLI-OH
+# outer history), each registered by geometry and advanced once per
+# branch, so one state serves every member of a group whatever structures
+# their heads register on it.
 #
-# * ``tage-gsc`` core: the :class:`SharedState` (global/path history, folded
-#   registers, IMLI counter, optional local-history table) plus the
-#   :class:`TAGEEngine`.  The TAGE engine's training
+# * ``tage-gsc`` core: the :class:`TAGEEngine`.  Its training
 #   (``train_fields(pc, taken, ctx)``) never reads the corrector or the
-#   final prediction, and the shared state advances as a pure function of
-#   the branch fields, so N configurations with identical core geometry
-#   evolve byte-identical cores regardless of their heads.
-# * ``gehl`` core: the :class:`SharedState` only (the whole adder tree is
-#   head; sharing the state still dedupes the folded-history maintenance
-#   across heads, since registered folds are shape-deduplicated pure
-#   functions of the global history).
+#   final prediction, so N configurations with identical TAGE geometry
+#   evolve byte-identical engines regardless of their heads.
+# * ``gehl`` core: nothing learned; the whole adder tree is head.  Sharing
+#   the state still dedupes history upkeep and index hashing across heads.
 #
 # ``core_key_for`` captures exactly the knobs the core depends on;
-# everything else (IMLI-SIC/OH, ``oh_update_delay``, corrector sizing,
-# loop/wormhole sidecars, IMLI-hashed global tables) is head-only.
+# everything else (IMLI-SIC/OH, ``oh_update_delay``, ``local``, corrector
+# sizing, loop/wormhole sidecars, IMLI-hashed global tables) is head-only.
 # :mod:`repro.predictors.shared_core` uses this decomposition to drive one
 # core step and N head steps per branch for a batch of same-key specs.
 
@@ -372,31 +371,27 @@ def core_key_for(options: CompositeOptions, sizes: SizeProfile) -> tuple:
 
     Two specs whose keys compare equal evolve byte-identical cores over any
     branch stream, so a batch of them can compute that core once per branch.
-    The key covers the base kind, the full base-engine geometry
+    The key is the base kind and the full base-engine geometry
     (:class:`~repro.predictors.tage.TAGEConfig` /
     :class:`~repro.predictors.gehl.GEHLConfig`, both frozen all-scalar
-    dataclasses) and the local-history-table geometry (``None`` without
-    ``local`` -- a ``+l`` spec never shares a core with a global-only one,
-    since the local table lives in the shared state).  Head-only knobs
-    (``imli_sic``, ``imli_oh``, ``oh_update_delay``, ``loop``, ``wormhole``,
-    ``imli_global_tables``, corrector sizing) deliberately do not appear.
+    dataclasses; the latter also sizes the shared state's history
+    registers).  Head-only knobs (``imli_sic``, ``imli_oh``,
+    ``oh_update_delay``, ``local``, ``loop``, ``wormhole``,
+    ``imli_global_tables``, corrector sizing) deliberately do not appear:
+    the trace-only state they need is registered on the group's shared
+    state by geometry.
     """
-    local_geometry = (
-        (sizes.local_table_size, sizes.local_table_history_bits)
-        if options.local
-        else None
-    )
     if options.base == "tage-gsc":
-        return ("tage-gsc", sizes.tage, local_geometry)
+        return ("tage-gsc", sizes.tage)
     if options.base == "gehl":
-        return ("gehl", sizes.gehl, local_geometry)
+        return ("gehl", sizes.gehl)
     raise ValueError(f"unknown base predictor {options.base!r}")
 
 
 def _head_components(
     options: CompositeOptions, sizes: SizeProfile
 ) -> List[NeuralComponent]:
-    """Fresh extra adder-tree components for one head (no shared state yet)."""
+    """Fresh extra adder-tree components for one head (bound to a state later)."""
     extra_components: List[NeuralComponent] = []
     if options.imli_sic:
         extra_components.append(
@@ -414,6 +409,7 @@ def _head_components(
             LocalHistoryComponent(
                 history_lengths=list(sizes.local_history_lengths),
                 entries=sizes.local_entries,
+                table_geometry=(sizes.local_table_size, sizes.local_table_history_bits),
             )
         )
     return extra_components
@@ -433,15 +429,6 @@ def _imli_hashed_global(
         history_lengths=[9, 18][: options.imli_global_tables],
         entries=entries,
     )
-
-
-def _local_table(
-    options: CompositeOptions, sizes: SizeProfile
-) -> Optional[LocalHistoryTable]:
-    """The shared local-history table of a ``+l`` configuration (core state)."""
-    if not options.local:
-        return None
-    return LocalHistoryTable(sizes.local_table_size, sizes.local_table_history_bits)
 
 
 def _sidecar_parts(options: CompositeOptions, sizes: SizeProfile) -> Optional[tuple]:
@@ -479,14 +466,12 @@ def build(
         raise KeyError(f"unknown size profile {profile!r}; known: {sorted(_PROFILES)}")
 
     extra_components = _head_components(options, sizes)
-    local_table = _local_table(options, sizes)
 
     label = options.label()
     if options.base == "tage-gsc":
         main = TAGEGSCPredictor(
             config=TAGEGSCConfig(tage=sizes.tage, corrector=sizes.corrector),
             extra_sc_components=extra_components,
-            local_history_table=local_table,
             name=label,
         )
         if options.imli_global_tables:
@@ -499,7 +484,6 @@ def build(
         main = GEHLPredictor(
             config=sizes.gehl,
             extra_components=extra_components,
-            local_history_table=local_table,
             name=label,
         )
         if options.imli_global_tables:

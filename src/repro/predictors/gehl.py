@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from repro.common.history import LocalHistoryTable
 from repro.core.component import NeuralComponent, SharedState
 from repro.predictors.adder import AdderTree
 from repro.predictors.base import BranchPredictor
@@ -75,10 +74,6 @@ class GEHLPredictor(BranchPredictor):
     extra_components:
         Additional :class:`NeuralComponent` inputs (IMLI-SIC, IMLI-OH,
         local-history tables) appended to the adder tree.
-    local_history_table:
-        When local-history components are used, the shared local history
-        table they read; it becomes part of the predictor's shared state so
-        it is updated once per branch.
     name:
         Report name for this configuration (defaults to ``"gehl"``).
     """
@@ -87,7 +82,6 @@ class GEHLPredictor(BranchPredictor):
         self,
         config: Optional[GEHLConfig] = None,
         extra_components: Sequence[NeuralComponent] = (),
-        local_history_table: Optional[LocalHistoryTable] = None,
         name: str = "gehl",
     ) -> None:
         self.name = name
@@ -96,7 +90,6 @@ class GEHLPredictor(BranchPredictor):
             history_capacity=self.config.history_capacity,
             path_capacity=self.config.path_capacity,
             imli_counter_bits=self.config.imli_counter_bits,
-            local_history_table=local_history_table,
         )
         components: List[NeuralComponent] = [
             BiasComponent(
@@ -113,7 +106,7 @@ class GEHLPredictor(BranchPredictor):
         ]
         components.extend(extra_components)
         self.adder = AdderTree(
-            components, initial_threshold=self.config.initial_threshold
+            components, initial_threshold=self.config.initial_threshold, state=self.state
         )
         self._ctx = _GEHLContext()
 

@@ -1,25 +1,30 @@
 """Shared-core execution of a batch of composite predictors.
 
 Most sweep grids over the paper's configurations vary only corrector and
-sidecar knobs (``oh_update_delay``, IMLI components, loop/wormhole) around
-an identical TAGE or GEHL core.  PR 5's batched engine already traverses
-the trace once per batch, but still ran every member's full
-``predict_update`` per branch -- and on TAGE-class grids the core is ~98%
-of that work.
+sidecar knobs (``oh_update_delay``, IMLI components, local-history tables,
+loop/wormhole) around an identical TAGE or GEHL core.  The batched engine
+already traverses the trace once per batch, but running every member's
+full ``predict_update`` per branch would repeat the core -- on TAGE-class
+grids ~98% of that work -- once per member.
 
 This module executes such a batch with **one core step and N head steps
 per branch**:
 
-* ``tage-gsc`` groups share one :class:`~repro.core.component.SharedState`
-  and one :class:`~repro.predictors.tage.TAGEEngine`; each member becomes
-  a head consisting of a fresh
+* every group shares one :class:`~repro.core.component.SharedState`: the
+  global/path history, folded registers, IMLI count and every trace-only
+  structure a head registers on it (local-history tables, IMLI-OH outer
+  histories), each deduplicated by geometry and advanced once per branch;
+* ``tage-gsc`` groups also share one
+  :class:`~repro.predictors.tage.TAGEEngine`; each member becomes a head
+  consisting of a fresh
   :class:`~repro.predictors.statistical_corrector.StatisticalCorrector`
-  (with that member's extra components) plus its loop/wormhole sidecars.
-* ``gehl`` groups share one :class:`SharedState`; each member's whole
-  adder tree is its head.  Sharing the state still wins: the folded
-  history registers are shape-deduplicated pure functions of the global
-  history, so their per-branch maintenance is paid once per group instead
-  of once per member.
+  (with that member's extra components) plus its loop/wormhole sidecars;
+* ``gehl`` groups have no learned core; each member's whole adder tree is
+  its head;
+* every component names its table indices with a hashable
+  :meth:`~repro.core.component.IndexedComponent.index_key`, and the group
+  hashes each distinct key once per branch (:func:`_plan_shared_indices`),
+  so the heads only read and train counters.
 
 Results are bit-identical to solo execution *by construction*, not by
 tolerance:
@@ -28,6 +33,9 @@ tolerance:
   branch stream -- ``SharedState.update_conditional_fields`` and
   ``TAGEEngine.train_fields`` never read corrector or sidecar state, and
   the TAGE allocation RNG stream does not depend on the final prediction;
+* every index input (PC, histories, folds, IMLI count, local and outer
+  history, the TAGE prediction) is read from that state, so equal keys give
+  equal indices;
 * heads only *read* the shared state, which is frozen while the heads of
   one branch run, and write only their own tables;
 * ``TAGEEngine.train_fields`` and ``StatisticalCorrector.train_fields``
@@ -56,7 +64,6 @@ from repro.predictors.composites import (
     _MutableBranchView,
     _head_components,
     _imli_hashed_global,
-    _local_table,
     _sidecar_parts,
 )
 from repro.predictors.adder import AdderTree
@@ -153,38 +160,32 @@ def _sidecar_step(
     return prediction
 
 
-def _plan_shared_indices(heads, components_of):
-    """Plan cross-head sharing of global-history table indices.
+def _plan_shared_indices(adders: Sequence[AdderTree]) -> Tuple[list, list]:
+    """Plan the group's per-branch index hashing across its heads.
 
-    Over one shared state, every exact
-    :class:`~repro.predictors.components.GlobalHistoryComponent` with the
-    same geometry computes identical table indices for every branch (the
-    folded registers are deduplicated on the state), so the group hashes
-    them once per branch.  Returns ``(index_fns, assignments)``:
-    ``index_fns[gid]`` is a ``compute_indices(pc, state)`` callable per
-    distinct geometry, and ``assignments[i]`` is ``(component, gid)`` for
-    head ``i`` -- ``(None, -1)`` when the head has no shareable component.
+    Every head component is an
+    :class:`~repro.core.component.IndexedComponent`; components with equal
+    :meth:`~repro.core.component.IndexedComponent.index_key` over the
+    group's shared state compute equal indices for every branch, so each
+    distinct key is hashed once per branch.  Returns ``(index_fns,
+    reads)``: ``index_fns[slot]`` is the ``compute_indices(pc, state)`` of
+    one distinct key, and ``reads[h]`` is head ``h``'s ``(read, slot)``
+    list for :meth:`AdderTree.compute_with_shared`.
     """
     index_fns = []
-    slot_by_geometry: Dict[tuple, int] = {}
-    assignments = []
-    for head in heads:
-        found = None
-        gid = -1
-        for component in components_of(head):
-            # Exact type only: subclasses mix extra fields into the index.
-            if type(component) is GlobalHistoryComponent:
-                geometry = component.shared_index_geometry()
-                slot = slot_by_geometry.get(geometry)
-                if slot is None:
-                    slot = len(index_fns)
-                    slot_by_geometry[geometry] = slot
-                    index_fns.append(component.compute_indices)
-                found = component
-                gid = slot
-                break
-        assignments.append((found, gid))
-    return index_fns, assignments
+    slot_by_key: Dict[tuple, int] = {}
+    reads = []
+    for adder in adders:
+        head_reads = []
+        for component in adder.components:
+            key = component.index_key()
+            slot = slot_by_key.get(key)
+            if slot is None:
+                slot = slot_by_key[key] = len(index_fns)
+                index_fns.append(component.compute_indices)
+            head_reads.append((component.select_sum_at, slot))
+        reads.append(head_reads)
+    return index_fns, reads
 
 
 class _TageGscGroup:
@@ -204,7 +205,6 @@ class _TageGscGroup:
             history_capacity=history_capacity,
             path_capacity=config.path_capacity,
             imli_counter_bits=config.imli_counter_bits,
-            local_history_table=_local_table(first.options, first.sizes),
         )
         self.tage = TAGEEngine(self.state, config.tage)
         num_tables = config.tage.num_tables
@@ -225,25 +225,21 @@ class _TageGscGroup:
                 )
             _attach_sidecars(head, info)
             self.heads.append(head)
-        # Per-branch work is dominated by attribute chains and repeated
-        # hashing, so the head loop runs over prebound tuples, and the
-        # global-history table indices -- identical for every head of one
-        # geometry over the shared state -- are hashed once per branch by
-        # ``_plan_shared_indices`` and fanned into the heads.
-        self._index_fns, assignments = _plan_shared_indices(
-            self.heads, lambda head: head.corrector.adder.components
+        # Per-branch work is dominated by attribute chains and hashing, so
+        # the head loop runs over prebound tuples, and every distinct table
+        # index is hashed once per branch and fanned into the heads.
+        self._index_fns, reads = _plan_shared_indices(
+            [head.corrector.adder for head in self.heads]
         )
         self._head_steps = [
             (
                 head.corrector.predict_into_shared,
-                head.corrector.predict_into,
                 head.corrector.train_fields,
                 head.scratch,
                 head if (head.loop is not None or head.wormhole is not None) else None,
-                comp,
-                gid,
+                head_reads,
             )
-            for head, (comp, gid) in zip(self.heads, assignments)
+            for head, head_reads in zip(self.heads, reads)
         ]
         self._tage_predict = self.tage.predict_into
         self._tage_train = self.tage.train_fields
@@ -258,13 +254,8 @@ class _TageGscGroup:
         shared = [fn(pc, state) for fn in self._index_fns]
         counts = self.counts
         slot = 0
-        for predict_shared, predict, train_fields, scratch, sidecar, comp, gid in (
-            self._head_steps
-        ):
-            if comp is not None:
-                sc_ctx = predict_shared(pc, tage_prediction, scratch, comp, shared[gid])
-            else:
-                sc_ctx = predict(pc, tage_prediction, scratch)
+        for predict_shared, train_fields, scratch, sidecar, reads in self._head_steps:
+            sc_ctx = predict_shared(pc, tage_prediction, scratch, reads, shared)
             prediction = sc_ctx.final_prediction
             train_fields(pc, target, taken, sc_ctx)
             if sidecar is not None:
@@ -282,13 +273,8 @@ class _TageGscGroup:
         state.tage_prediction = tage_prediction
         shared = [fn(pc, state) for fn in self._index_fns]
         predictions: List[bool] = []
-        for predict_shared, predict, train_fields, scratch, sidecar, comp, gid in (
-            self._head_steps
-        ):
-            if comp is not None:
-                sc_ctx = predict_shared(pc, tage_prediction, scratch, comp, shared[gid])
-            else:
-                sc_ctx = predict(pc, tage_prediction, scratch)
+        for predict_shared, train_fields, scratch, sidecar, reads in self._head_steps:
+            sc_ctx = predict_shared(pc, tage_prediction, scratch, reads, shared)
             prediction = sc_ctx.final_prediction
             train_fields(pc, target, taken, sc_ctx)
             if sidecar is not None:
@@ -311,13 +297,11 @@ class _GehlGroup:
     def __init__(self, members: Sequence[Tuple[int, SharedCoreInfo]]) -> None:
         self.indices = [index for index, _ in members]
         self.counts = [0] * len(members)
-        first = members[0][1]
-        gehl = first.sizes.gehl
+        gehl = members[0][1].sizes.gehl
         self.state = SharedState(
             history_capacity=gehl.history_capacity,
             path_capacity=gehl.path_capacity,
             imli_counter_bits=gehl.imli_counter_bits,
-            local_history_table=_local_table(first.options, first.sizes),
         )
         self.heads: List[_Head] = []
         for _, info in members:
@@ -336,28 +320,25 @@ class _GehlGroup:
                 ),
             ]
             components.extend(_head_components(info.options, info.sizes))
-            if info.options.imli_global_tables:
-                components.append(
-                    _imli_hashed_global(info.options, info.sizes, self.state)
-                )
             head = _Head()
             head.adder = AdderTree(
-                components, initial_threshold=sizes.initial_threshold
+                components, initial_threshold=sizes.initial_threshold, state=self.state
             )
+            if info.options.imli_global_tables:
+                head.adder.components.append(
+                    _imli_hashed_global(info.options, info.sizes, self.state)
+                )
             _attach_sidecars(head, info)
             self.heads.append(head)
-        self._index_fns, assignments = _plan_shared_indices(
-            self.heads, lambda head: head.adder.components
-        )
+        self._index_fns, reads = _plan_shared_indices([head.adder for head in self.heads])
         self._head_steps = [
             (
                 head.adder.compute_with_shared,
                 head.adder.train_fields,
                 head if (head.loop is not None or head.wormhole is not None) else None,
-                comp,
-                gid,
+                head_reads,
             )
-            for head, (comp, gid) in zip(self.heads, assignments)
+            for head, head_reads in zip(self.heads, reads)
         ]
         self._state_update = self.state.update_conditional_fields
 
@@ -367,10 +348,8 @@ class _GehlGroup:
         shared = [fn(pc, state) for fn in self._index_fns]
         counts = self.counts
         slot = 0
-        for compute_shared, train_fields, sidecar, comp, gid in self._head_steps:
-            total, selections = compute_shared(
-                pc, state, comp, shared[gid] if comp is not None else None
-            )
+        for compute_shared, train_fields, sidecar, reads in self._head_steps:
+            total, selections = compute_shared(pc, state, reads, shared)
             train_fields(pc, target, taken, total, selections, state)
             prediction = total >= 0
             if sidecar is not None:
@@ -384,10 +363,8 @@ class _GehlGroup:
         state = self.state
         shared = [fn(pc, state) for fn in self._index_fns]
         predictions: List[bool] = []
-        for compute_shared, train_fields, sidecar, comp, gid in self._head_steps:
-            total, selections = compute_shared(
-                pc, state, comp, shared[gid] if comp is not None else None
-            )
+        for compute_shared, train_fields, sidecar, reads in self._head_steps:
+            total, selections = compute_shared(pc, state, reads, shared)
             train_fields(pc, target, taken, total, selections, state)
             prediction = total >= 0
             if sidecar is not None:

@@ -91,7 +91,7 @@ class StatisticalCorrector:
         ]
         components.extend(extra_components)
         self.adder = AdderTree(
-            components, initial_threshold=self.config.initial_threshold
+            components, initial_threshold=self.config.initial_threshold, state=state
         )
 
     def predict(self, pc: int, tage_prediction: bool) -> CorrectorContext:
@@ -115,20 +115,16 @@ class StatisticalCorrector:
         pc: int,
         tage_prediction: bool,
         context: CorrectorContext,
-        shared_component,
-        shared_indices,
+        reads,
+        shared,
     ) -> CorrectorContext:
-        """:meth:`predict_into` with one component's indices precomputed.
+        """:meth:`predict_into` over indices a shared-core group hashed once.
 
-        Used by the shared-core batch executor
-        (:mod:`repro.predictors.shared_core`): the global-history table
-        indices are identical for every corrector head over one shared
-        state, so the group hashes them once and each head only reads its
-        own counters.  Bit-identical to :meth:`predict_into`.
+        ``reads`` and ``shared`` are those of
+        :meth:`AdderTree.compute_with_shared`.  Bit-identical to
+        :meth:`predict_into`.
         """
-        total, selections = self.adder.compute_with_shared(
-            pc, self.state, shared_component, shared_indices
-        )
+        total, selections = self.adder.compute_with_shared(pc, self.state, reads, shared)
         return self._decide(total, selections, tage_prediction, context)
 
     def _decide(

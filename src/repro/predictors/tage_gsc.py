@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.common.history import LocalHistoryTable
 from repro.core.component import NeuralComponent, SharedState
 from repro.predictors.base import BranchPredictor
 from repro.predictors.statistical_corrector import (
@@ -48,9 +47,6 @@ class TAGEGSCPredictor(BranchPredictor):
     extra_sc_components:
         Extra adder-tree inputs for the statistical corrector: the
         IMLI-SIC / IMLI-OH components of the paper or local-history tables.
-    local_history_table:
-        Shared local history table, required when local-history components
-        are among ``extra_sc_components``.
     name:
         Report name of the configuration (defaults to ``"tage-gsc"``).
     """
@@ -59,7 +55,6 @@ class TAGEGSCPredictor(BranchPredictor):
         self,
         config: Optional[TAGEGSCConfig] = None,
         extra_sc_components: Sequence[NeuralComponent] = (),
-        local_history_table: Optional[LocalHistoryTable] = None,
         name: str = "tage-gsc",
     ) -> None:
         self.name = name
@@ -71,7 +66,6 @@ class TAGEGSCPredictor(BranchPredictor):
             history_capacity=history_capacity,
             path_capacity=self.config.path_capacity,
             imli_counter_bits=self.config.imli_counter_bits,
-            local_history_table=local_history_table,
         )
         self.tage = TAGEEngine(self.state, self.config.tage)
         self.corrector = StatisticalCorrector(

@@ -863,11 +863,19 @@ class SuiteRunner:
         results.  On the pool path the ceiling is additionally capped at
         a fair share of the pending cells, so a grid over few traces
         still keeps every worker busy instead of serialising into a few
-        giant tasks.
+        giant tasks.  A fair share never splits a trace, so while it
+        leaves fewer than two tasks per worker (say 3 traces of 4 cells
+        for 2 workers: 3 tasks, one worker doing two thirds of the work)
+        each round halves every task at the core-key boundary nearest
+        its middle -- never inside a same-key run, so no shared-core group
+        is broken, and at most one round past the target, so a trace
+        with many keys is not traversed once per key.  The tasks are
+        returned largest first for submission.
         """
         by_trace: Dict[int, List[str]] = {}
         for label, index in pending:
             by_trace.setdefault(index, []).append(label)
+        keys: Dict[str, str] = {}
         if specs is not None and sizes is not None:
             keys = {
                 label: core_schedule_key(specs[label], sizes[label])
@@ -877,13 +885,32 @@ class SuiteRunner:
             for labels in by_trace.values():
                 labels.sort(key=keys.__getitem__)
         limit = self._batch_limit()
-        if use_pool and self.max_workers:
+        pooled = use_pool and bool(self.max_workers)
+        if pooled:
             fair = -(-len(pending) // self.max_workers)  # ceil division
             limit = max(1, min(limit, fair))
         groups: List[Tuple[int, List[str]]] = []
         for index, labels in by_trace.items():
             for start in range(0, len(labels), limit):
                 groups.append((index, labels[start:start + limit]))
+        if not pooled:
+            return groups
+        while keys and len(groups) < 2 * self.max_workers:
+            halved: List[Tuple[int, List[str]]] = []
+            for index, labels in groups:
+                cuts = [
+                    cut for cut in range(1, len(labels))
+                    if keys[labels[cut]] != keys[labels[cut - 1]]
+                ]
+                if not cuts:
+                    halved.append((index, labels))
+                    continue
+                cut = min(cuts, key=lambda cut: abs(2 * cut - len(labels)))
+                halved += [(index, labels[:cut]), (index, labels[cut:])]
+            if len(halved) == len(groups):
+                break
+            groups = halved
+        groups.sort(key=lambda group: len(group[1]), reverse=True)
         return groups
 
     def _execute_pending(

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.common.history import LocalHistoryTable
 from repro.core.component import SharedState
+from repro.core.imli_oh import IMLIOuterHistoryComponent
 from repro.core.imli_sic import IMLISameIterationComponent
 from repro.predictors.adder import AdderTree
 from repro.predictors.components import (
@@ -113,15 +114,13 @@ class TestIMLICountHashedGlobalComponent:
 
 class TestLocalHistoryComponent:
     def test_requires_local_history_table(self):
-        state = SharedState()  # no local history table
-        component = LocalHistoryComponent(history_lengths=[8], entries=64)
-        with pytest.raises(RuntimeError):
-            component.select(0x99, state)
+        with pytest.raises(TypeError, match="table_geometry"):
+            LocalHistoryComponent(history_lengths=[8], entries=64)
 
     def test_index_changes_with_local_history(self):
-        table = LocalHistoryTable(64, 16)
-        state = SharedState(local_history_table=table)
-        component = LocalHistoryComponent(history_lengths=[8], entries=512)
+        state = SharedState()
+        component = LocalHistoryComponent(history_lengths=[8], table_geometry=(64, 16), entries=512)
+        component.bind(state)
         before = component.select(0x99, state)[0][1]
         for _ in range(5):
             state.update_conditional(conditional_branch(0x99, 0x120, taken=True))
@@ -129,19 +128,131 @@ class TestLocalHistoryComponent:
         assert before != after
 
     def test_storage(self):
-        component = LocalHistoryComponent(history_lengths=[6, 11, 16], entries=128, counter_bits=6)
+        component = LocalHistoryComponent(
+            history_lengths=[6, 11, 16], table_geometry=(64, 16), entries=128, counter_bits=6
+        )
         assert component.storage_bits() == 3 * 128 * 6
+
+    def test_bind_registers_one_table_per_geometry(self):
+        state = SharedState()
+        first = LocalHistoryComponent([6], entries=64, table_geometry=(64, 12))
+        second = LocalHistoryComponent([4, 9], entries=64, table_geometry=(64, 12))
+        other = LocalHistoryComponent([6], entries=64, table_geometry=(128, 12))
+        for component in (first, second, other):
+            component.bind(state)
+        assert first.histories is second.histories
+        assert other.histories is not first.histories
+        assert state.new_local_history(64, 12) is first.histories
+        assert state.storage_bits() == SharedState().storage_bits() + 64 * 12 + 128 * 12
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 16), min_size=1, max_size=4),
+        entries_bits=st.integers(4, 10),
+        branches=st.lists(
+            st.tuples(st.integers(0, 1 << 24), st.booleans()), min_size=1, max_size=40
+        ),
+    )
+    def test_fused_select_sum_matches_select(self, lengths, entries_bits, branches):
+        state = SharedState()
+        component = LocalHistoryComponent(
+            lengths, entries=1 << entries_bits, table_geometry=(64, 16)
+        )
+        component.bind(state)
+        for pc, taken in branches:
+            selections, total = component.select_sum(pc, state)
+            assert selections == component.select(pc, state)
+            assert total == sum(2 * table.values[index] + 1 for table, index in selections)
+            component.train(pc, taken, selections, state)
+            state.update_conditional_fields(pc, pc + 8, taken)
+
+
+def _index_components(state):
+    """One of each component kind, bound to ``state``."""
+    components = [
+        BiasComponent(entries=64),
+        BiasComponent(entries=64, use_tage_prediction=True),
+        GlobalHistoryComponent(state, [0, 3, 9, 20], entries=128),
+        IMLICountHashedGlobalComponent(state, [9, 18], entries=128),
+        LocalHistoryComponent([5, 10], entries=128, table_geometry=(64, 12)),
+        IMLISameIterationComponent(entries=128),
+        IMLIOuterHistoryComponent(prediction_entries=64, update_delay=2),
+    ]
+    for component in components:
+        component.bind(state)
+    return components
+
+
+_BRANCHES = st.lists(
+    st.tuples(st.integers(0, 1 << 12), st.integers(0, 1 << 12), st.booleans()),
+    min_size=1,
+    max_size=60,
+)
+
+
+class TestIndexSharing:
+    """``index_key`` / ``compute_indices`` / ``select_sum_at`` per component."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(branches=_BRANCHES)
+    def test_split_read_matches_select_sum(self, branches):
+        state = SharedState()
+        components = _index_components(state)
+        for pc, target, taken in branches:
+            state.tage_prediction = bool(pc & 1)
+            for component in components:
+                selections, total = component.select_sum(pc, state)
+                assert selections == component.select(pc, state)
+                assert component.select_sum_at(
+                    component.compute_indices(pc, state)
+                ) == (selections, total)
+                component.train(pc, taken, selections, state)
+            state.update_conditional_fields(pc, target, taken)
+
+    @settings(max_examples=40, deadline=None)
+    @given(branches=_BRANCHES)
+    def test_equal_keys_compute_equal_indices(self, branches):
+        # Two heads' components over one state: equal keys, equal indices,
+        # though each head trains its own counters.
+        state = SharedState()
+        ours, theirs = _index_components(state), _index_components(state)
+        for mine, other in zip(ours, theirs):
+            assert mine.index_key() == other.index_key()
+        for pc, target, taken in branches:
+            state.tage_prediction = not (pc & 2)
+            for mine, other in zip(ours, theirs):
+                assert mine.compute_indices(pc, state) == other.compute_indices(pc, state)
+                mine.train(pc, taken, mine.select(pc, state), state)
+            state.update_conditional_fields(pc, target, taken)
+
+    def test_keys_separate_what_hashes_differently(self):
+        state = SharedState()
+        keys = {component.index_key() for component in _index_components(state)}
+        assert len(keys) == 7
+        delayed = IMLIOuterHistoryComponent(prediction_entries=64, update_delay=5)
+        delayed.bind(state)
+        assert delayed.index_key() not in keys
+        # Components bound to different states read different trace-only
+        # structures: never shared.
+        for make in (
+            lambda: IMLIOuterHistoryComponent(prediction_entries=64, update_delay=2),
+            lambda: LocalHistoryComponent([5, 10], entries=128, table_geometry=(64, 12)),
+        ):
+            mine, theirs = make(), make()
+            mine.bind(state)
+            theirs.bind(SharedState())
+            assert mine.index_key() in keys and theirs.index_key() not in keys
 
 
 class TestAdderTree:
     def _make(self, extra=()):
         state = SharedState()
         components = [BiasComponent(entries=64), *extra]
-        return AdderTree(components, initial_threshold=4), state
+        return AdderTree(components, state, initial_threshold=4), state
 
     def test_requires_components(self):
         with pytest.raises(ValueError):
-            AdderTree([])
+            AdderTree([], SharedState())
 
     def test_sum_uses_centred_counters(self):
         adder, state = self._make()

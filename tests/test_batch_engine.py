@@ -10,6 +10,8 @@ for the persistent store's cell keys, which must not see batching at all.
 from __future__ import annotations
 
 import io
+import json
+import random
 
 import pytest
 
@@ -23,6 +25,8 @@ from repro.predictors.simple import AlwaysTakenPredictor, BimodalPredictor
 from repro.sim.engine import ENGINE_VERSION, simulate, simulate_many
 from repro.sim.runner import DEFAULT_BATCH_CELLS, SuiteRunner
 from repro.store import ResultStore
+from repro.trace.branch import BranchKind, BranchRecord
+from repro.trace.trace import Trace
 from repro.workloads.suites import generate_suite
 
 LENGTH = 150
@@ -210,9 +214,9 @@ def _oh_grid(count=8, profile="small"):
 class TestSharedCoreGrouping:
     """Shared-core batch grouping: formation rules and bit-identity.
 
-    ``oh_update_delay`` only moves the IMLI-OH head component, so an
-    ``oh_update_delay`` grid shares one TAGE+history core; ``local``
-    changes the shared state itself, so it must split the group.
+    ``oh_update_delay`` and ``local`` only move head components and the
+    trace-only structures they register on the shared state, so such grids
+    share one TAGE core; the TAGE/GEHL geometry (the profile) splits it.
     """
 
     def test_shared_grid_forms_one_group(self):
@@ -228,14 +232,23 @@ class TestSharedCoreGrouping:
         # A lone member never pays grouping overhead.
         assert plan_groups([_build("tage-gsc")]) is None
 
-    def test_core_mutating_override_must_not_group(self):
-        base = PredictorSpec.from_named("tage-gsc+oh", profile="small")
-        with_local = PredictorSpec.from_named(
-            "tage-gsc+oh", profile="small", local=True
-        )
-        built = [base.build(), with_local.build()]
-        assert built[0].shared_core.key != built[1].shared_core.key
-        assert plan_groups(built) is None
+    def test_local_override_groups_bit_identical(self, traces):
+        # The local-history table is trace-only state: a +l member joins
+        # the global-only member's group and both stay bit-identical.
+        specs = [
+            PredictorSpec.from_named("tage-gsc+oh", profile="small"),
+            PredictorSpec.from_named("tage-gsc+oh", profile="small", local=True),
+        ]
+        built = [spec.build() for spec in specs]
+        assert built[0].shared_core.key == built[1].shared_core.key
+        plan = plan_groups(built)
+        assert plan is not None
+        groups, solos = plan
+        assert solos == [] and len(groups) == 1
+        for trace in traces:
+            batched = simulate_many([spec.build() for spec in specs], trace)
+            for result, spec in zip(batched, specs):
+                _assert_identical(result, simulate(spec.build(), trace))
 
     def test_profile_mismatch_must_not_group(self):
         small = PredictorSpec.from_named("tage-gsc+oh", profile="small")
@@ -318,6 +331,195 @@ class TestSharedCoreGrouping:
         assert batched.keys() == per_cell.keys()
         assert len(batched) == len(specs) * len(traces)
         assert batched == per_cell
+
+
+def _mixed_kind(trace, seed):
+    """``trace`` with calls, returns, jumps and indirect branches inserted.
+
+    About 40 % of the conditional records get one non-conditional record
+    in front of them, from PC and target regions the generators never use.
+    """
+    rng = random.Random(seed)
+    kinds = [BranchKind.CALL, BranchKind.RETURN, BranchKind.UNCONDITIONAL, BranchKind.INDIRECT]
+    records = []
+    for record in trace:
+        if rng.random() < 0.4:
+            records.append(BranchRecord(
+                pc=0x400000 + 4 * rng.randrange(64),
+                target=0x500000 + 4 * rng.randrange(64),
+                taken=True,
+                kind=rng.choice(kinds),
+                instruction_gap=rng.randrange(8),
+            ))
+        records.append(record)
+    return Trace(f"{trace.name}-mixed", records)
+
+
+@pytest.fixture(scope="module")
+def mixed_traces():
+    base = generate_suite(
+        "cbp4like", target_conditional_branches=600, benchmarks=BENCHMARKS
+    )
+    return [_mixed_kind(trace, seed) for seed, trace in enumerate(base)]
+
+
+class TestMixedKindGrouping:
+    """Grouped heads over mixed-kind traces match the reference path.
+
+    ``{tage-gsc,gehl}+imli`` x ``local`` x ``oh_update_delay`` in {0, 63}
+    forms one group per base: the heads differ in the local-history tables
+    and IMLI-OH outer histories they register on the shared state, and in
+    the loop sidecar ``local`` activates.  The oracle is the record-based
+    reference path, one predictor at a time.
+    """
+
+    SPECS = [
+        PredictorSpec.from_named(
+            f"{base}+imli", profile="small", local=local, oh_update_delay=delay
+        )
+        for base in ("tage-gsc", "gehl")
+        for local in (False, True)
+        for delay in (0, 63)
+    ]
+
+    #: Reference-path mispredictions per spec and trace, recorded before the
+    #: trace-only state moved onto the shared state (the results must not
+    #: move: ENGINE_VERSION is unchanged).
+    PINNED = {
+        "tage-gsc+imli[local=False,oh_update_delay=0]": [210, 563],
+        "tage-gsc+imli[local=False,oh_update_delay=63]": [204, 565],
+        "tage-gsc+imli[local=True,oh_update_delay=0]": [218, 532],
+        "tage-gsc+imli[local=True,oh_update_delay=63]": [222, 536],
+        "gehl+imli[local=False,oh_update_delay=0]": [210, 559],
+        "gehl+imli[local=False,oh_update_delay=63]": [198, 564],
+        "gehl+imli[local=True,oh_update_delay=0]": [223, 524],
+        "gehl+imli[local=True,oh_update_delay=63]": [220, 528],
+    }
+
+    def test_reference_path_matches_pinned_counts(self, mixed_traces):
+        for spec in self.SPECS:
+            counts = [
+                simulate(spec.build(), trace, use_fast_path=False).mispredictions
+                for trace in mixed_traces
+            ]
+            assert counts == self.PINNED[spec.label], spec.label
+
+    def test_traces_hold_every_kind(self, mixed_traces):
+        for trace in mixed_traces:
+            assert {record.kind for record in trace} == set(BranchKind)
+
+    def test_one_group_per_base(self):
+        plan = plan_groups([spec.build() for spec in self.SPECS])
+        assert plan is not None
+        groups, solos = plan
+        assert solos == []
+        assert sorted((group.kind, len(group.indices)) for group in groups) == [
+            ("gehl", 4), ("tage-gsc", 4),
+        ]
+
+    @pytest.mark.parametrize("warmup,track", [(0.0, False), (0.25, True)])
+    def test_grouped_matches_reference(self, mixed_traces, warmup, track):
+        for trace in mixed_traces:
+            batched = simulate_many(
+                [spec.build() for spec in self.SPECS],
+                trace,
+                warmup_fraction=warmup,
+                track_per_pc=track,
+            )
+            for result, spec in zip(batched, self.SPECS):
+                reference = simulate(
+                    spec.build(),
+                    trace,
+                    warmup_fraction=warmup,
+                    track_per_pc=track,
+                    use_fast_path=False,
+                )
+                _assert_identical(result, reference)
+
+
+class TestPoolTaskLayout:
+    """``SuiteRunner._group_pending``: how missing cells become tasks."""
+
+    GRID = [
+        PredictorSpec.from_named("tage-gsc+imli", profile="small", base=base, local=local)
+        for base in ("tage-gsc", "gehl")
+        for local in (False, True)
+    ]
+
+    def _layout(self, jobs, use_pool, traces):
+        runner = SuiteRunner(traces, profile="small", max_workers=jobs)
+        specs = {spec.label: spec for spec in self.GRID}
+        sizes = {label: default_registry().resolve_profile("small") for label in specs}
+        pending = [(label, index) for index in range(len(traces)) for label in specs]
+        return runner._group_pending(pending, use_pool, specs, sizes), specs
+
+    def test_pool_splits_at_core_key_boundaries(self, traces):
+        # 3 traces x 4 cells for 2 workers: the fair share alone gives
+        # 3 tasks; split at core keys, every task is one whole group.
+        three = [traces[0], traces[1], traces[0]]
+        tasks, specs = self._layout(2, True, three)
+        assert len(tasks) == 6
+        for index, labels in tasks:
+            assert len(labels) == 2
+            keys = {specs[label].build().shared_core.key for label in labels}
+            assert len(keys) == 1
+        cells = sorted((label, index) for index, labels in tasks for label in labels)
+        assert cells == sorted((label, index) for index in range(3) for label in specs)
+
+    def test_pool_split_stops_near_two_tasks_per_worker(self, traces, monkeypatch):
+        # One trace of 8 cells with 8 distinct core keys for 2 workers:
+        # halving rounds stop at 4 tasks instead of traversing the trace
+        # once per key.
+        import repro.sim.runner as runner_module
+
+        monkeypatch.setattr(runner_module, "core_schedule_key", lambda spec, size: spec)
+        runner = SuiteRunner(traces, profile="small", max_workers=2)
+        labels = [f"cell{n}" for n in range(8)]
+        pending = [(label, 0) for label in labels]
+        tasks = runner._group_pending(pending, True, {label: label for label in labels}, {
+            label: None for label in labels
+        })
+        assert [(index, len(task)) for index, task in tasks] == [(0, 2)] * 4
+        assert sorted(label for _, task in tasks for label in task) == labels
+
+    def test_pool_submits_largest_task_first(self, traces):
+        runner = SuiteRunner(traces, profile="small", max_workers=2)
+        pending = [("a", 0), ("b", 1), ("c", 1), ("d", 1)]
+        tasks = runner._group_pending(pending, True)
+        assert [len(labels) for _, labels in tasks] == [2, 1, 1]
+
+    def test_serial_layout_unchanged(self, traces):
+        three = [traces[0], traces[1], traces[0]]
+        tasks, specs = self._layout(1, False, three)
+        assert [(index, len(labels)) for index, labels in tasks] == [(0, 4), (1, 4), (2, 4)]
+
+
+class TestBatchTimings:
+    def test_batched_cells_record_their_share_of_the_wall(self, traces, tmp_path):
+        # One 4-cell batch: every record keeps the group wall in phases,
+        # carries a quarter of it in cell_phases, and the summaries sum
+        # the shares back to one group wall instead of four.
+        from repro.obs.timings import summarize_timings
+
+        runner = SuiteRunner(traces[:1], profile="small", store=str(tmp_path / "store"))
+        runner.run_specs(_oh_grid(4))
+        runner.close()
+        lines = [
+            json.loads(line)
+            for line in (tmp_path / "store" / "timings.jsonl").read_text().splitlines()
+        ]
+        assert len(lines) == 4
+        wall = lines[0]["phases"]["simulate"]
+        for line in lines:
+            assert line["batch"] == 4
+            assert line["phases"]["simulate"] == wall
+            assert line["cell_phases"]["simulate"] == pytest.approx(wall / 4)
+            assert line["cell_phases"]["store_write"] == line["phases"]["store_write"]
+        offline = summarize_timings(tmp_path / "store" / "timings.jsonl")
+        assert offline["phases"]["simulate"]["count"] == 4
+        assert offline["phases"]["simulate"]["sum"] == pytest.approx(wall)
+        summary = json.loads((tmp_path / "store" / "timings_summary.json").read_text())
+        assert summary["phases"]["simulate"]["sum"] == pytest.approx(wall)
 
 
 class TestDistBatching:

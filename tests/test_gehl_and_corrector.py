@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from repro.common.history import LocalHistoryTable
 from repro.core.imli_sic import IMLISameIterationComponent
 from repro.predictors.components import LocalHistoryComponent
 from repro.predictors.gehl import GEHLConfig, GEHLPredictor
@@ -82,11 +81,13 @@ class TestGEHLPredictor:
         assert with_sic.mpki < base.mpki
 
     def test_local_component_requires_table_and_works(self, local_trace):
-        table = LocalHistoryTable(128, 12)
         predictor = GEHLPredictor(
             SMALL_GEHL,
-            extra_components=[LocalHistoryComponent(history_lengths=[6, 11], entries=256)],
-            local_history_table=table,
+            extra_components=[
+                LocalHistoryComponent(
+                    history_lengths=[6, 11], table_geometry=(128, 12), entries=256
+                )
+            ],
             name="gehl+l",
         )
         result = simulate(predictor, local_trace)

@@ -25,6 +25,8 @@ def _run_nested_loop(components, state, pattern_for, outer_iterations, trip, tar
     Returns the list of (prediction_correct, outer, inner) observations for
     the second half of the run (after warm-up).
     """
+    for component in components:
+        component.bind(state)
     observations = []
     back_pc = 0x2000
     for outer in range(outer_iterations):
@@ -110,6 +112,7 @@ class TestIMLIOuterHistoryComponent:
     def test_select_returns_single_counter(self):
         component = IMLIOuterHistoryComponent(prediction_entries=64)
         state = SharedState()
+        component.bind(state)
         selections = component.select(0x1234, state)
         assert len(selections) == 1
         assert 0 <= selections[0][1] < 64
@@ -125,26 +128,29 @@ class TestIMLIOuterHistoryComponent:
     def test_history_and_pipe_updates(self):
         component = IMLIOuterHistoryComponent()
         state = SharedState()
+        component.bind(state)
         record = _body_branch(0x1000, True)
         slot = component._slot(0x1000)
         cell = component._cell(slot, state.imli.count)
-        component.on_outcome(record, state)
+        state.update_conditional(record)
         assert component.history[cell] == 1
         assert component.pipe[slot] == 0  # the old history value was staged
-        component.on_outcome(_body_branch(0x1000, False), state)
+        state.update_conditional(_body_branch(0x1000, False))
         assert component.history[cell] == 0
         assert component.pipe[slot] == 1
 
     def test_backward_branches_are_not_recorded(self):
         component = IMLIOuterHistoryComponent()
         state = SharedState()
-        component.on_outcome(_loop_back(0x2000, True), state)
+        component.bind(state)
+        state.update_conditional(_loop_back(0x2000, True))
         assert all(bit == 0 for bit in component.history)
 
     def test_recovers_previous_outer_iteration_outcomes(self):
         """After a full outer iteration, recovered bits are Out[N-1][M] and Out[N-1][M-1]."""
         component = IMLIOuterHistoryComponent()
         state = SharedState()
+        component.bind(state)
         trip = 8
         rows = [
             [bool((outer + inner) % 3 == 0) for inner in range(trip)]
@@ -162,15 +168,10 @@ class TestIMLIOuterHistoryComponent:
                 if outer >= 2:
                     same, previous = component.recovered_outcomes(target_pc, state.imli.count)
                     recovered.append((outer, inner, same, previous))
-                component.on_outcome(_body_branch(target_pc, rows[outer][inner]), state)
                 state.update_conditional(_body_branch(target_pc, rows[outer][inner]))
-                back = _loop_back(back_pc, inner < trip - 1)
-                component.on_outcome(back, state)
-                state.update_conditional(back)
+                state.update_conditional(_loop_back(back_pc, inner < trip - 1))
             # The outer loop back edge.
-            outer_back = _loop_back(0x3000, outer < 3)
-            component.on_outcome(outer_back, state)
-            state.update_conditional(outer_back)
+            state.update_conditional(_loop_back(0x3000, outer < 3))
         for outer, inner, same, previous in recovered:
             assert bool(same) == rows[outer - 1][inner]
             if inner > 0:
@@ -200,26 +201,47 @@ class TestIMLIOuterHistoryComponent:
     def test_delayed_update_drains_eventually(self):
         component = IMLIOuterHistoryComponent(update_delay=3)
         state = SharedState()
+        component.bind(state)
         slot = component._slot(0x1000)
         cell = component._cell(slot, 0)
-        component.on_outcome(_body_branch(0x1000, True), state)
+        state.update_conditional(_body_branch(0x1000, True))
         assert component.history[cell] == 0  # not yet visible
         # Backward branches advance the delay clock without writing history.
         for _ in range(4):
-            component.on_outcome(_loop_back(0x2000, True), state)
+            state.update_conditional(_loop_back(0x2000, True))
         assert component.history[cell] == 1  # drained after the delay
 
     def test_pipe_snapshot_restore(self):
         component = IMLIOuterHistoryComponent()
         state = SharedState()
-        component.on_outcome(_body_branch(0x1000, True), state)
+        component.bind(state)
+        state.update_conditional(_body_branch(0x1000, True))
         snapshot = component.snapshot_pipe()
-        component.on_outcome(_body_branch(0x1000, False), state)
+        state.update_conditional(_body_branch(0x1000, False))
         component.restore_pipe(snapshot)
         assert component.snapshot_pipe() == snapshot
 
+    def test_bound_component_is_advanced_by_the_state(self):
+        # The outer history lives on the shared state: equal geometry
+        # shares one structure, the state records each outcome once, and
+        # the component's own outcome hook does not write.
+        state = SharedState()
+        first, second = IMLIOuterHistoryComponent(), IMLIOuterHistoryComponent()
+        delayed = IMLIOuterHistoryComponent(update_delay=3)
+        for component in (first, second, delayed):
+            component.bind(state)
+        assert first.outer is second.outer and delayed.outer is not first.outer
+        cell = first._cell(first._slot(0x1000), state.imli.count)
+        first.on_outcome(_body_branch(0x1000, True), state)
+        assert first.history[cell] == 0
+        state.update_conditional(_body_branch(0x1000, True))
+        assert first.history[cell] == 1 and second.history[cell] == 1
+        assert delayed.history[cell] == 0  # still pending
+        assert first.storage_bits() == IMLIOuterHistoryComponent().storage_bits()
+
     def test_pipe_restore_validates_length(self):
         component = IMLIOuterHistoryComponent()
+        component.bind(SharedState())
         with pytest.raises(ValueError):
             component.restore_pipe((0, 1))
 

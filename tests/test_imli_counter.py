@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.bits import fold_bits
-from repro.common.history import LocalHistoryTable
 from repro.core.component import SharedState
 from repro.core.imli import IMLIState
 from repro.trace.branch import BranchKind, BranchRecord, conditional_branch
@@ -113,12 +112,13 @@ class TestIMLIState:
 
 class TestSharedState:
     def test_conditional_update_advances_everything(self):
-        state = SharedState(local_history_table=LocalHistoryTable(64, 8))
+        state = SharedState()
+        local_histories = state.new_local_history(64, 8)
         record = BranchRecord(pc=0x300, target=0x200, taken=True)
         state.update_conditional(record)
         assert state.global_history.value(1) == 1
         assert state.imli.count == 1
-        assert state.local_histories.read(0x300) == 1
+        assert local_histories.read(0x300) == 1
 
     def test_unconditional_update_only_touches_path(self):
         state = SharedState()

@@ -6,6 +6,7 @@ import random
 
 from hypothesis import given, strategies as st
 
+from repro.core.component import SharedState
 from repro.core.imli import IMLIState
 from repro.core.imli_oh import IMLIOuterHistoryComponent
 from repro.core.speculative import (
@@ -48,6 +49,7 @@ class TestSpeculativeIMLITracker:
 
     def test_recovery_with_outer_history_restores_pipe(self):
         oh = IMLIOuterHistoryComponent()
+        oh.bind(SharedState())
         tracker = SpeculativeIMLITracker(outer_history=oh)
         checkpoint = tracker.checkpoint()
         oh.pipe[0] = 1  # wrong-path pollution
