@@ -31,7 +31,7 @@ from repro.analysis.tables import format_table
 from repro.api.registry import Registry
 from repro.api.specs import PredictorSpec
 from repro.sim.metrics import mpki_delta
-from repro.sim.runner import ConfigurationRun, SuiteRunner
+from repro.sim.runner import DEFAULT_BATCH_CELLS, ConfigurationRun, SuiteRunner
 from repro.store import ResultStore
 from repro.trace.chunked import ChunkedTrace, load_any_trace
 from repro.trace.trace import Trace
@@ -246,12 +246,12 @@ class Experiment:
         Optional ``(done, total)`` callable invoked per completed cell
         (e.g. a :class:`~repro.common.progress.ProgressPrinter`).
     batch:
-        Same-trace cell batching (see
-        :class:`~repro.sim.runner.SuiteRunner`): ``None``/``True``
-        (default) groups cells sharing a trace into one
-        :func:`~repro.sim.engine.simulate_many` traversal, an ``int``
-        caps the group size, ``False`` restores one simulation per cell.
-        Results, store keys and exported bytes are identical either way.
+        Ceiling on the same-trace cells one task covers (see
+        :class:`~repro.sim.runner.SuiteRunner`): a positive ``int``,
+        default :data:`~repro.sim.runner.DEFAULT_BATCH_CELLS`; each task
+        is one :func:`~repro.sim.engine.simulate_many` traversal, and
+        ``1`` runs one cell per task.  Results, store keys and exported
+        bytes are identical at any setting.
     timings:
         Per-cell timing capture (see ``docs/OBSERVABILITY.md``):
         ``None`` (default) writes ``timings.jsonl`` next to the result
@@ -273,7 +273,7 @@ class Experiment:
         store: Union["ResultStore", str, None, bool] = None,
         backend: Union[str, object, None] = None,
         progress=None,
-        batch: Union[bool, int, None] = None,
+        batch: int = DEFAULT_BATCH_CELLS,
         timings: Union[str, Path, None, bool] = None,
     ) -> None:
         self.specs = [

@@ -152,20 +152,16 @@ def _add_batch_arguments(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument(
         "--no-batch", action="store_true",
-        help="disable same-trace cell batching (one simulation per cell); "
+        help="one cell per task, the same as --batch 1; "
              "propagated by the printed resume command like --batch",
     )
 
 
-def _batch_option(args: argparse.Namespace):
-    """The ``batch=`` value for Experiment from ``--batch``/``--no-batch``."""
-    if getattr(args, "no_batch", False):
-        return False
-    return args.batch
+def _batch_cells(args: argparse.Namespace) -> int:
+    """Cells per task or lease grant from ``--batch``/``--no-batch``.
 
-
-def _grant_limit(args: argparse.Namespace) -> int:
-    """Cells per lease grant for serve/worker (1 disables batching)."""
+    ``--no-batch`` spells ``--batch 1``: one cell per task.
+    """
     from repro.sim.runner import DEFAULT_BATCH_CELLS
 
     if getattr(args, "no_batch", False):
@@ -684,7 +680,7 @@ def _command_simulate(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             store=store if store is not None else False,
             progress=ProgressPrinter("simulate") if args.progress else None,
-            batch=_batch_option(args),
+            batch=_batch_cells(args),
         )
         results = experiment.run()
     except (KeyError, TypeError, ValueError) as error:
@@ -775,7 +771,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             store=store if store is not None else False,
             progress=ProgressPrinter("sweep") if args.progress else None,
-            batch=_batch_option(args),
+            batch=_batch_cells(args),
         )
         results = experiment.run(baseline=base_spec)
     except (KeyError, TypeError, ValueError) as error:
@@ -904,7 +900,7 @@ def _command_serve(args: argparse.Namespace) -> int:
             port=args.port,
             store=store if store is not None else False,
             lease_timeout=args.lease_timeout,
-            batch=_grant_limit(args),
+            batch=_batch_cells(args),
             journal=journal_path,
             max_lease_losses=args.max_lease_losses,
             progress=ProgressPrinter("serve") if args.progress else None,
@@ -1009,7 +1005,7 @@ def _command_worker(args: argparse.Namespace) -> int:
             reconnect=(
                 args.reconnect if args.reconnect is not None else DEFAULT_RECONNECT
             ),
-            batch=_grant_limit(args),
+            batch=_batch_cells(args),
             log=_log_stderr,
         )
     except ValueError as error:

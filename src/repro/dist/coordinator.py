@@ -62,10 +62,15 @@ from repro.dist import protocol
 from repro.dist.journal import CoordinatorJournal
 from repro.dist.protocol import ProtocolError
 from repro.obs import default_registry, event_log_for, timing_log_for
-from repro.predictors.composites import CompositeOptions
 from repro.sim.engine import SimulationResult
-from repro.sim.runner import DEFAULT_BATCH_CELLS, ConfigurationRun, core_schedule_key
-from repro.store import ResultStore, profile_content, result_from_dict, result_to_dict
+from repro.sim.runner import (
+    DEFAULT_BATCH_CELLS,
+    ConfigurationRun,
+    core_schedule_key,
+    schedule_cells,
+    store_cell_keys,
+)
+from repro.store import ResultStore, result_from_dict, result_to_dict
 from repro.trace.chunked import ChunkedTrace, load_chunked_trace
 from repro.trace.trace import Trace
 
@@ -109,20 +114,6 @@ class _Cell:
             "track_per_pc": self.job.track_per_pc,
             "store_key": self.store_key,
         }
-
-
-def _core_key(spec: PredictorSpec, profile_payload: Dict[str, Any]) -> str:
-    """Shared-core scheduling key of one admitted spec (best-effort).
-
-    Degrades to ``""`` on any resolution problem -- admission order is a
-    scheduling hint, never a correctness input.
-    """
-    try:
-        return core_schedule_key(
-            spec, protocol.profile_from_payload(profile_payload)
-        )
-    except Exception:
-        return ""
 
 
 @dataclass
@@ -626,8 +617,13 @@ class Coordinator:
                 label = str(entry["label"])
                 spec_dict = entry["spec"]
                 spec = PredictorSpec.from_dict(spec_dict)  # validates
-                store_keys = self._store_keys(spec, entry["profile"], traces, job)
-                core_key = _core_key(spec, entry["profile"])
+                sizes = protocol.profile_from_payload(entry["profile"])
+                store_keys = (
+                    store_cell_keys(spec, sizes, traces, job.track_per_pc)
+                    if self.store is not None
+                    else None
+                )
+                core_key = core_schedule_key(spec, sizes)
                 for index, trace in enumerate(traces):
                     if wanted is not None and (label, index) not in wanted:
                         continue
@@ -649,14 +645,10 @@ class Coordinator:
                         prefilled.append((cell, stored))
                     else:
                         admitted.append((index, core_key, cell.cell_id))
-            # Enqueue trace-major, and within one trace ordered by
-            # shared-core key (stable: cell-id creation order breaks
-            # ties), so trace-affinity lease grants hand workers
-            # same-core cells that ``simulate_many`` can fan out of one
-            # core.  Pure scheduling hint: grant composition never
-            # changes results.
-            admitted.sort(key=lambda item: (item[0], item[1], item[2]))
-            self._pending.extend(cell_id for _, _, cell_id in admitted)
+            # Enqueue in scheduling order, so trace-affinity lease grants
+            # hand workers same-core cells that ``simulate_many`` can fan
+            # out of one core.
+            self._pending.extend(schedule_cells(admitted))
             self.log(
                 f"job {job.job_id}: {job.total} cell(s) over {len(labels)} spec(s) "
                 f"x {len(traces)} trace(s)"
@@ -675,26 +667,6 @@ class Coordinator:
                 self._complete_locked(cell, stored, persist=False)
             self._cond.notify_all()
             return job
-
-    def _store_keys(
-        self,
-        spec: PredictorSpec,
-        profile_payload: Dict[str, Any],
-        traces: Sequence[Trace],
-        job: SweepJob,
-    ) -> Optional[List[str]]:
-        """Per-trace store keys (``None`` without a store / identity)."""
-        if self.store is None or not isinstance(spec.base, CompositeOptions):
-            return None
-        sizes = protocol.profile_from_payload(profile_payload)
-        content = spec.content()
-        sizes_content = profile_content(sizes)
-        return [
-            ResultStore.cell_key(
-                content, sizes_content, trace.fingerprint(), job.track_per_pc
-            )
-            for trace in traces
-        ]
 
     # ----------------------------------------------------------------- #
     # Scheduler core (all under self._lock)

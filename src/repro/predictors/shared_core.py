@@ -388,8 +388,7 @@ def plan_groups(
 
     Returns ``(groups, solo_indices)`` where each group carries the batch
     ``indices`` of its members, or ``None`` when no group of at least two
-    members forms (the caller then keeps its flat per-predictor path,
-    paying no grouping overhead).
+    members forms (the engine then runs every member as a solo).
 
     A member joins a group only when it advertises a
     :class:`~repro.predictors.composites.SharedCoreInfo`, has never been

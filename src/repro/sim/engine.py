@@ -9,17 +9,24 @@ passed to the predictor so path-history-like structures can observe them.
 Accuracy is reported in MisPredictions per Kilo Instructions (MPKI), the
 metric used throughout the paper.
 
-Two execution strategies are provided behind one entry point:
+Every replay goes through :func:`simulate_many` (:func:`simulate` is a
+batch of one), which owns exactly four per-branch loops:
 
-* the *reference* path iterates :class:`~repro.trace.branch.BranchRecord`
-  views and drives the classic ``predict()`` / ``update()`` protocol;
-* the *fast* path iterates the trace's columnar storage directly and drives
-  the combined ``predict_update(pc, target, taken, kind, gap)`` /
-  ``observe_pc(pc)`` protocol for predictors that opt in (see
-  ``docs/PERFORMANCE.md``).
+* the *reference* loop iterates :class:`~repro.trace.branch.BranchRecord`
+  views and drives the classic ``predict()`` / ``update()`` protocol -- the
+  oracle, sharing no code with the others;
+* the column-block lane of a lone predictor with a
+  ``predict_update_block`` (the bimodal baseline) and no warm-up or
+  per-PC tracking;
+* the grouped hot loop and the grouped general loop (warm-up / per-PC)
+  iterate the trace's columnar storage and drive the combined
+  ``predict_update(pc, target, taken, kind, gap)`` / ``observe_pc(pc)``
+  protocol for predictors that opt in (see ``docs/PERFORMANCE.md``),
+  stepping each shared-core group once per branch and every other member
+  as a solo.
 
-Both paths produce bit-identical results; :func:`simulate` picks the fast
-path automatically whenever the predictor and the trace support it.
+All of them produce bit-identical results; the fast loops are picked
+automatically whenever the predictor and the trace support them.
 """
 
 from __future__ import annotations
@@ -135,6 +142,8 @@ def simulate(
 ) -> SimulationResult:
     """Replay ``trace`` through ``predictor`` and measure its accuracy.
 
+    A batch of one: ``simulate_many([predictor], ...)[0]``.
+
     Parameters
     ----------
     predictor:
@@ -156,39 +165,13 @@ def simulate(
         raises :class:`ValueError` when it is unsupported.  Both paths
         produce bit-identical results.
     """
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ValueError(
-            f"warmup fraction must be in [0, 1), got {warmup_fraction}"
-        )
-    fast_available = supports_fast_path(predictor, trace)
-    if use_fast_path is None:
-        use_fast_path = fast_available
-    elif use_fast_path and not fast_available:
-        raise ValueError(
-            f"predictor {predictor.name!r} does not support the fast-path "
-            "protocol (predict_update / observe_pc)"
-        )
-    total_conditional = trace.conditional_count
-    warmup_limit = int(total_conditional * warmup_fraction)
-
-    if use_fast_path:
-        mispredictions, measured_conditional, measured_instructions, per_pc = (
-            _simulate_columns(predictor, trace, warmup_limit, track_per_pc)
-        )
-    else:
-        mispredictions, measured_conditional, measured_instructions, per_pc = (
-            _simulate_records(predictor, trace, warmup_limit, track_per_pc)
-        )
-
-    return SimulationResult(
-        trace_name=trace.name,
-        predictor_name=predictor.name,
-        conditional_branches=measured_conditional,
-        mispredictions=mispredictions,
-        instructions=measured_instructions,
-        storage_bits=predictor.storage_bits(),
-        per_pc_mispredictions=per_pc,
-    )
+    return simulate_many(
+        [predictor],
+        trace,
+        warmup_fraction=warmup_fraction,
+        track_per_pc=track_per_pc,
+        use_fast_path=use_fast_path,
+    )[0]
 
 
 def _simulate_records(
@@ -225,79 +208,6 @@ def _simulate_records(
     return mispredictions, measured_conditional, measured_instructions, dict(per_pc)
 
 
-def _simulate_columns(
-    predictor: BranchPredictor,
-    trace: Trace,
-    warmup_limit: int,
-    track_per_pc: bool,
-) -> tuple:
-    """Fast path: columnar iteration and the combined-step protocol.
-
-    Iterates the trace's column blocks (one block for a monolithic trace,
-    one per chunk for a chunked trace) with all measurement state carried
-    across block boundaries, so streaming is bit-identical to a flat
-    traversal while peak memory stays bounded by the block size.
-    """
-    predict_update = predictor.predict_update
-    observe_pc = predictor.observe_pc
-    conditional_code = CONDITIONAL_CODE
-    mispredictions = 0
-
-    if warmup_limit == 0 and not track_per_pc:
-        block_step = getattr(predictor, "predict_update_block", None)
-        if block_step is not None:
-            # Column-block protocol: the predictor consumes whole column
-            # blocks and returns its misprediction count, eliminating the
-            # per-branch Python dispatch entirely (see
-            # ``BimodalPredictor.predict_update_block``).
-            for pcs, targets, takens, kinds, gaps in _column_blocks(trace):
-                mispredictions += block_step(pcs, targets, takens, kinds, gaps)
-            return (
-                mispredictions,
-                trace.conditional_count,
-                trace.instruction_count,
-                {},
-            )
-        # The hottest loop: no warm-up or per-PC bookkeeping, and the
-        # measured totals equal the trace's cached aggregates.
-        for pcs, targets, takens, kinds, gaps in _column_blocks(trace):
-            for pc, target, taken, kind, gap in zip(
-                pcs, targets, takens, kinds, gaps
-            ):
-                if kind != conditional_code:
-                    observe_pc(pc)
-                elif predict_update(pc, target, taken, kind, gap) != taken:
-                    mispredictions += 1
-        return mispredictions, trace.conditional_count, trace.instruction_count, {}
-
-    measured_conditional = 0
-    measured_instructions = 0
-    per_pc: Dict[int, int] = defaultdict(int)
-    seen_conditional = 0
-    for pcs, targets, takens, kinds, gaps in _column_blocks(trace):
-        for index in range(len(pcs)):
-            pc = pcs[index]
-            kind = kinds[index]
-            if kind != conditional_code:
-                observe_pc(pc)
-                if seen_conditional >= warmup_limit:
-                    measured_instructions += gaps[index] + 1
-                continue
-            taken = takens[index]
-            prediction = predict_update(pc, targets[index], taken, kind, gaps[index])
-            seen_conditional += 1
-            if seen_conditional <= warmup_limit:
-                continue
-            measured_conditional += 1
-            measured_instructions += gaps[index] + 1
-            if prediction != taken:
-                mispredictions += 1
-                if track_per_pc:
-                    per_pc[pc] += 1
-
-    return mispredictions, measured_conditional, measured_instructions, dict(per_pc)
-
-
 def simulate_many(
     predictors: Sequence[BranchPredictor],
     trace: Trace,
@@ -308,14 +218,15 @@ def simulate_many(
 ) -> List[SimulationResult]:
     """Replay ``trace`` through every predictor in one traversal.
 
-    Bit-identical to ``[simulate(p, trace, ...) for p in predictors]`` --
-    the predictors are independent instances, so driving them all from one
+    Bit-identical to replaying each predictor on its own -- the
+    predictors are independent instances, so driving them all from one
     pass over the columns changes nothing about what each one observes --
     but the columnar decode, Python-level iteration and branch-kind
     dispatch are paid once per *trace* instead of once per *(predictor,
-    trace)* cell.  This is the execution primitive of batched sweeps: the
-    suite runner, the process-pool path and the distributed workers all
-    group same-trace cells and drive them through here.
+    trace)* cell.  This is the one execution primitive: :func:`simulate`
+    is a batch of one, and the suite runner, the process-pool path and
+    the distributed workers all group same-trace cells and drive them
+    through here.
 
     On top of the shared traversal, batch members that advertise the same
     shared-core key (:mod:`repro.predictors.shared_core`) are executed as
@@ -326,28 +237,26 @@ def simulate_many(
     a grouped run; pass ``share_cores=False`` if you need that.
 
     Parameters match :func:`simulate` (``warmup_fraction`` and
-    ``track_per_pc`` apply to every predictor in the batch).  The batched
-    loop needs the fast-path protocol; with ``use_fast_path=None`` a batch
-    containing any predictor without it falls back to independent
-    :func:`simulate` calls (still bit-identical, each picking its own best
-    path), ``True`` requires the fast path for the whole batch, and
-    ``False`` forces the record-based reference path throughout.
+    ``track_per_pc`` apply to every predictor in the batch).  With
+    ``use_fast_path=None`` members without the fast-path protocol replay
+    the record-based reference loop one by one and the rest share the
+    columnar traversal; ``True`` requires the fast path for the whole
+    batch, and ``False`` forces the reference loop throughout.
     ``share_cores=None`` (default) groups same-core members automatically;
     ``False`` disables grouping and runs every member through its own
-    combined step, exactly as before this optimization existed.  Every
-    setting produces bit-identical results.
+    combined step.  Every setting produces bit-identical results.
     """
     predictors = list(predictors)
-    if not predictors:
-        return []
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError(
             f"warmup fraction must be in [0, 1), got {warmup_fraction}"
         )
-    fast_available = all(
-        supports_fast_path(predictor, trace) for predictor in predictors
-    )
-    if use_fast_path and not fast_available:
+    columnar = [
+        index
+        for index, predictor in enumerate(predictors)
+        if use_fast_path is not False and supports_fast_path(predictor, trace)
+    ]
+    if use_fast_path and len(columnar) < len(predictors):
         missing = next(
             predictor.name
             for predictor in predictors
@@ -357,46 +266,28 @@ def simulate_many(
             f"predictor {missing!r} does not support the fast-path "
             "protocol (predict_update / observe_pc)"
         )
-    batched = use_fast_path is not False and fast_available and len(predictors) > 1
-    if not batched:
-        # One predictor, a reference-path request, or a mixed batch:
-        # delegate to independent simulate() calls, each with the caller's
-        # path choice (``None`` lets every predictor pick its own best).
-        return [
-            simulate(
-                predictor,
-                trace,
-                warmup_fraction=warmup_fraction,
-                track_per_pc=track_per_pc,
-                use_fast_path=use_fast_path,
-            )
-            for predictor in predictors
-        ]
-
     warmup_limit = int(trace.conditional_count * warmup_fraction)
-    plan = None if share_cores is False else plan_groups(predictors)
-    if plan is not None:
-        groups, solos = plan
-        if warmup_limit == 0 and not track_per_pc:
-            counts = _simulate_columns_grouped_fast(predictors, trace, groups, solos)
-            measured_conditional = trace.conditional_count
-            measured_instructions = trace.instruction_count
-            per_pc_maps: List[Dict[int, int]] = [{} for _ in predictors]
-        else:
-            counts, measured_conditional, measured_instructions, per_pc_maps = (
-                _simulate_columns_grouped(
-                    predictors, trace, groups, solos, warmup_limit, track_per_pc
-                )
-            )
-    elif warmup_limit == 0 and not track_per_pc:
-        counts = _simulate_columns_batch_fast(predictors, trace)
-        measured_conditional = trace.conditional_count
-        measured_instructions = trace.instruction_count
-        per_pc_maps = [{} for _ in predictors]
-    else:
-        counts, measured_conditional, measured_instructions, per_pc_maps = (
-            _simulate_columns_batch(predictors, trace, warmup_limit, track_per_pc)
+    counts = [0] * len(predictors)
+    per_pc_maps: List[Dict[int, int]] = [{} for _ in predictors]
+    measured_conditional = trace.conditional_count
+    measured_instructions = trace.instruction_count
+    for index, predictor in enumerate(predictors):
+        if index not in columnar:
+            (
+                counts[index], measured_conditional, measured_instructions,
+                per_pc_maps[index],
+            ) = _simulate_records(predictor, trace, warmup_limit, track_per_pc)
+    if columnar:
+        (
+            member_counts, measured_conditional, measured_instructions,
+            member_per_pc,
+        ) = _simulate_columnar(
+            [predictors[index] for index in columnar],
+            trace, warmup_limit, track_per_pc, share_cores,
         )
+        for slot, index in enumerate(columnar):
+            counts[index] = member_counts[slot]
+            per_pc_maps[index] = member_per_pc[slot]
     return [
         SimulationResult(
             trace_name=trace.name,
@@ -411,89 +302,39 @@ def simulate_many(
     ]
 
 
-def _simulate_columns_batch_fast(
-    predictors: Sequence[BranchPredictor], trace: Trace
-) -> List[int]:
-    """Batched hot loop: no warm-up, no per-PC tracking.
-
-    The traversal state (tuple unpack, kind test) is shared across the
-    batch; per predictor and branch only the combined-step call and the
-    misprediction compare remain.  Chunked traces stream block by block
-    with the counters carried across boundaries.
-    """
-    steps = [predictor.predict_update for predictor in predictors]
-    observes = [predictor.observe_pc for predictor in predictors]
-    conditional_code = CONDITIONAL_CODE
-    counts = [0] * len(steps)
-    for pcs, targets, takens, kinds, gaps in _column_blocks(trace):
-        for pc, target, taken, kind, gap in zip(pcs, targets, takens, kinds, gaps):
-            if kind != conditional_code:
-                for observe in observes:
-                    observe(pc)
-            else:
-                index = 0
-                for step in steps:
-                    if step(pc, target, taken, kind, gap) != taken:
-                        counts[index] += 1
-                    index += 1
-    return counts
-
-
-def _simulate_columns_batch(
-    predictors: Sequence[BranchPredictor],
+def _simulate_columnar(
+    members: Sequence[BranchPredictor],
     trace: Trace,
     warmup_limit: int,
     track_per_pc: bool,
+    share_cores: Optional[bool],
 ) -> tuple:
-    """Batched general loop: warm-up and/or per-PC bookkeeping.
+    """Run the fast-path members over the trace's column blocks.
 
-    The warm-up window is a property of the trace position, so the
-    ``seen_conditional`` counter -- and therefore the measured totals --
-    are shared by every predictor in the batch, exactly as N independent
-    :func:`simulate` calls would each compute them.  The counter survives
-    block boundaries, so a warm-up window ending mid-chunk measures
-    exactly the same records as it would on the monolithic trace.
+    Returns per-member misprediction counts, the measured totals and
+    per-member per-PC maps, like :func:`_simulate_columns_grouped`.
+    Without grouping (``share_cores=False``, or no group of two forms)
+    every member is a solo of the grouped loops.
     """
-    steps = [predictor.predict_update for predictor in predictors]
-    observes = [predictor.observe_pc for predictor in predictors]
-    conditional_code = CONDITIONAL_CODE
-    counts = [0] * len(steps)
-    per_pc_maps: List[Dict[int, int]] = [defaultdict(int) for _ in steps]
-    measured_conditional = 0
-    measured_instructions = 0
-    seen_conditional = 0
-    for pcs, targets, takens, kinds, gaps in _column_blocks(trace):
-        for position in range(len(pcs)):
-            pc = pcs[position]
-            kind = kinds[position]
-            if kind != conditional_code:
-                for observe in observes:
-                    observe(pc)
-                if seen_conditional >= warmup_limit:
-                    measured_instructions += gaps[position] + 1
-                continue
-            taken = takens[position]
-            target = targets[position]
-            gap = gaps[position]
-            seen_conditional += 1
-            if seen_conditional <= warmup_limit:
-                for step in steps:
-                    step(pc, target, taken, kind, gap)
-                continue
-            measured_conditional += 1
-            measured_instructions += gap + 1
-            index = 0
-            for step in steps:
-                if step(pc, target, taken, kind, gap) != taken:
-                    counts[index] += 1
-                    if track_per_pc:
-                        per_pc_maps[index][pc] += 1
-                index += 1
-    return (
-        counts,
-        measured_conditional,
-        measured_instructions,
-        [dict(per_pc) for per_pc in per_pc_maps],
+    if warmup_limit == 0 and not track_per_pc and len(members) == 1:
+        block_step = getattr(members[0], "predict_update_block", None)
+        if block_step is not None:
+            # Column-block protocol: the predictor consumes whole column
+            # blocks and returns its misprediction count, eliminating the
+            # per-branch Python dispatch entirely (see
+            # ``BimodalPredictor.predict_update_block``).
+            count = sum(block_step(*block) for block in _column_blocks(trace))
+            return [count], trace.conditional_count, trace.instruction_count, [{}]
+    plan = None if share_cores is False else plan_groups(members)
+    groups, solos = plan or ([], list(range(len(members))))
+    if warmup_limit == 0 and not track_per_pc:
+        counts = _simulate_columns_grouped_fast(members, trace, groups, solos)
+        return (
+            counts, trace.conditional_count, trace.instruction_count,
+            [{} for _ in members],
+        )
+    return _simulate_columns_grouped(
+        members, trace, groups, solos, warmup_limit, track_per_pc
     )
 
 
@@ -543,9 +384,13 @@ def _simulate_columns_grouped(
 ) -> tuple:
     """Grouped general loop: warm-up and/or per-PC bookkeeping.
 
-    The warm-up window is shared across the batch exactly as in
-    :func:`_simulate_columns_batch`; groups return per-head predictions
-    through ``step_list`` so the measurement logic stays per member.
+    The warm-up window is a property of the trace position, so the
+    ``seen_conditional`` counter -- and therefore the measured totals --
+    are shared by every member, exactly as independent replays would each
+    compute them; the counter survives block boundaries, so a window
+    ending mid-chunk measures the same records as on the monolithic
+    trace.  Groups return per-head predictions through ``step_list`` so
+    the measurement logic stays per member.
     """
     solo_steps = [(index, predictors[index].predict_update) for index in solos]
     observes = [predictors[index].observe_pc for index in solos]

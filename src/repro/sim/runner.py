@@ -33,6 +33,7 @@ pickle by directory, so the pool backend works unchanged).
 from __future__ import annotations
 
 import hashlib
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -49,6 +50,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
     Union,
 )
 
@@ -71,7 +73,11 @@ __all__ = [
     "ExecutionBackend",
     "SuiteRunner",
     "core_schedule_key",
+    "schedule_cells",
+    "store_cell_keys",
 ]
+
+_Item = TypeVar("_Item")
 
 
 def core_schedule_key(spec: "PredictorSpec", sizes: SizeProfile) -> str:
@@ -97,6 +103,41 @@ def core_schedule_key(spec: "PredictorSpec", sizes: SizeProfile) -> str:
         return repr(core_key_for(options, sizes))
     except Exception:
         return ""
+
+
+def schedule_cells(cells: Iterable[Tuple[int, str, _Item]]) -> List[_Item]:
+    """Scheduling order of ``(trace index, core key, cell)`` triples.
+
+    Trace-major, so one task or lease grant covers one trace; within a
+    trace, cells with equal :func:`core_schedule_key` are adjacent, so
+    :func:`~repro.sim.engine.simulate_many` can fan them out of one core;
+    stable, so submission order breaks ties.  This is the one scheduling
+    policy of the suite runner's task planner and the dist coordinator's
+    admission queue -- a hint only, order never changes results.
+    """
+    return [cell for _, _, cell in sorted(cells, key=lambda item: item[:2])]
+
+
+def store_cell_keys(
+    resolved: "PredictorSpec",
+    sizes: SizeProfile,
+    traces: Sequence[Trace],
+    track_per_pc: bool,
+) -> Optional[List[str]]:
+    """Per-trace persistent-store cell keys of a resolved spec.
+
+    ``None`` when the spec did not resolve to explicit options:
+    builder-based specs have no content-addressed identity.
+    """
+    if not isinstance(resolved.base, CompositeOptions):
+        return None
+    content = resolved.content()
+    sizes_content = profile_content(sizes)
+    return [
+        ResultStore.cell_key(content, sizes_content, trace.fingerprint(), track_per_pc)
+        for trace in traces
+    ]
+
 
 PredictorFactory = Callable[[], BranchPredictor]
 
@@ -321,7 +362,8 @@ class SuiteRunner:
     max_workers:
         When greater than 1, registry-named configurations are simulated in
         a process pool with this many workers; ``None`` or 1 keeps
-        everything in-process.
+        everything in-process, unless ``backend="pool"`` asks for a pool,
+        which then has one worker per CPU.
     store:
         Persistent result store: a :class:`~repro.store.ResultStore`, a
         directory path, ``None`` (default -- honour ``REPRO_RESULT_STORE``)
@@ -345,12 +387,10 @@ class SuiteRunner:
         :class:`~repro.common.progress.ProgressPrinter` for live sweep
         output.
     batch:
-        Same-trace cell batching for the serial and pool execution paths
+        Ceiling on the same-trace cells one serial or pool task covers
         (:func:`~repro.sim.engine.simulate_many` drives every cell of a
-        group in one trace traversal).  ``None``/``True`` (default)
-        enables it with the :data:`DEFAULT_BATCH_CELLS` group ceiling, an
-        ``int`` caps group size explicitly, and ``False`` disables
-        batching entirely, restoring one simulation task per cell.
+        task in one trace traversal): a positive ``int``, default
+        :data:`DEFAULT_BATCH_CELLS`; ``1`` runs one cell per task.
         Batching never changes results, store cell keys or exported
         bytes -- it only changes how many cells one task covers.
     timings:
@@ -370,14 +410,19 @@ class SuiteRunner:
         store: Union[ResultStore, str, Path, None, bool] = None,
         backend: Union[str, "ExecutionBackend", None] = None,
         progress: Optional[Callable[[int, int], None]] = None,
-        batch: Union[bool, int, None] = None,
+        batch: int = DEFAULT_BATCH_CELLS,
         timings: Union[TimingLog, str, Path, None, bool] = None,
     ) -> None:
         if not traces:
             raise ValueError("the runner needs at least one trace")
         if max_workers is not None and max_workers < 1:
             raise ValueError(f"max_workers must be positive, got {max_workers}")
-        if isinstance(batch, int) and not isinstance(batch, bool) and batch < 1:
+        if isinstance(batch, bool) or not isinstance(batch, int):
+            raise TypeError(
+                f"batch must be a positive int (batch=1 runs one cell per "
+                f"task), got {batch!r}"
+            )
+        if batch < 1:
             raise ValueError(f"batch must be positive, got {batch}")
         if isinstance(backend, str):
             if backend not in ("serial", "pool"):
@@ -431,36 +476,9 @@ class SuiteRunner:
             digest.update(trace.fingerprint().encode("ascii"))
         return digest.hexdigest()
 
-    def _batch_enabled(self) -> bool:
-        """Whether same-trace cell batching is on (the default)."""
-        return self.batch is not False
-
-    def _batch_limit(self) -> int:
-        """Ceiling on cells per batched task."""
-        if isinstance(self.batch, int) and not isinstance(self.batch, bool):
-            return self.batch
-        return DEFAULT_BATCH_CELLS
-
-    def _use_batch(self, units: int) -> bool:
-        """Whether ``units`` independent cells go through the batch path.
-
-        The batch path fans cells over the configured backend: always for
-        an explicit backend object (a remote backend handles even one
-        cell), for more than one cell under ``backend="pool"``, when the
-        ``backend=None`` default has ``max_workers`` configure a pool, and
-        -- with cell batching enabled, its default -- for more than one
-        cell even in-process, so same-trace cells share one traversal.
-        ``backend="serial"`` with ``batch=False`` never batches.
-        """
-        if self.backend is None:
-            if self.max_workers is not None and self.max_workers > 1 and units > 1:
-                return True
-            return self._batch_enabled() and units > 1
-        if self.backend == "serial":
-            return self._batch_enabled() and units > 1
-        if self.backend == "pool":
-            return units > 1
-        return units >= 1
+    def _pool_size(self) -> int:
+        """Worker count of the local pool: ``max_workers``, else the CPUs."""
+        return self.max_workers or os.cpu_count() or 1
 
     # ----------------------------------------------------------------- #
     # Progress accounting
@@ -566,7 +584,7 @@ class SuiteRunner:
         no content-addressed identity), or its profile name does not
         resolve (the subsequent build will raise the real error).
         """
-        if self.store is None or not isinstance(resolved.base, CompositeOptions):
+        if self.store is None:
             return None
         if registry is None:
             from repro.api.registry import default_registry
@@ -576,14 +594,7 @@ class SuiteRunner:
             sizes = registry.resolve_profile(resolved.profile)
         except KeyError:
             return None
-        content = resolved.content()
-        sizes_content = profile_content(sizes)
-        return [
-            ResultStore.cell_key(
-                content, sizes_content, trace.fingerprint(), track_per_pc
-            )
-            for trace in self.traces
-        ]
+        return store_cell_keys(resolved, sizes, self.traces, track_per_pc)
 
     def _store_put(
         self,
@@ -637,11 +648,7 @@ class SuiteRunner:
         owned = self._progress_begin(len(self.traces))
         try:
             resolved = spec.resolve(registry)
-            if (
-                registry is None
-                and self._use_batch(len(self.traces))
-                and isinstance(resolved.base, CompositeOptions)
-            ):
+            if registry is None and isinstance(resolved.base, CompositeOptions):
                 run = self._run_batch_specs({spec.label: resolved}, track_per_pc)[
                     spec.label
                 ]
@@ -739,7 +746,7 @@ class SuiteRunner:
                     if isinstance(resolved.base, CompositeOptions):
                         batch[spec.label] = resolved
                         keys[spec.label] = key
-                if self._use_batch(len(batch) * len(self.traces)):
+                if batch:
                     for label, run in self._run_batch_specs(
                         batch, track_per_pc
                     ).items():
@@ -761,7 +768,7 @@ class SuiteRunner:
         at a time.
         """
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
+            self._pool = ProcessPoolExecutor(max_workers=self._pool_size())
         return self._pool
 
     def close(self) -> None:
@@ -853,49 +860,47 @@ class SuiteRunner:
     ) -> List[Tuple[int, List[str]]]:
         """Chunk missing cells into same-trace ``(trace index, labels)`` groups.
 
-        Cells sharing a trace share one traversal, so they are grouped by
-        trace index and chunked at the batch ceiling.  Within one trace
-        the labels are ordered by their shared-core key
-        (:func:`~repro.api.specs.core_schedule_key`, stable -- submission
-        order breaks ties) so that same-core cells land in the same chunk
-        and :func:`~repro.sim.engine.simulate_many` can fan them out of
-        one core; this is a scheduling hint only and never changes
-        results.  On the pool path the ceiling is additionally capped at
-        a fair share of the pending cells, so a grid over few traces
-        still keeps every worker busy instead of serialising into a few
-        giant tasks.  A fair share never splits a trace, so while it
-        leaves fewer than two tasks per worker (say 3 traces of 4 cells
-        for 2 workers: 3 tasks, one worker doing two thirds of the work)
-        each round halves every task at the core-key boundary nearest
-        its middle -- never inside a same-key run, so no shared-core group
-        is broken, and at most one round past the target, so a trace
-        with many keys is not traversed once per key.  The tasks are
-        returned largest first for submission.
+        Cells sharing a trace share one traversal, so they are put in
+        :func:`schedule_cells` order (trace-major, same-core cells
+        adjacent) and chunked per trace at the batch ceiling, so that
+        same-core cells land in the same chunk and
+        :func:`~repro.sim.engine.simulate_many` can fan them out of one
+        core; this is a scheduling hint only and never changes results.
+        On the pool path the ceiling is additionally capped at a fair
+        share of the pending cells for the pool's workers, so a grid over
+        few traces still keeps every worker busy instead of serialising
+        into a few giant tasks.  A fair share never splits a trace, so
+        while it leaves fewer than two tasks per worker (say 3 traces of
+        4 cells for 2 workers: 3 tasks, one worker doing two thirds of
+        the work) each round halves every task at the core-key boundary
+        nearest its middle -- never inside a same-key run, so no
+        shared-core group is broken, and at most one round past the
+        target, so a trace with many keys is not traversed once per key.
+        The tasks are returned largest first for submission.
         """
-        by_trace: Dict[int, List[str]] = {}
-        for label, index in pending:
-            by_trace.setdefault(index, []).append(label)
         keys: Dict[str, str] = {}
         if specs is not None and sizes is not None:
             keys = {
                 label: core_schedule_key(specs[label], sizes[label])
-                for labels in by_trace.values()
-                for label in labels
+                for label in dict.fromkeys(label for label, _ in pending)
             }
-            for labels in by_trace.values():
-                labels.sort(key=keys.__getitem__)
-        limit = self._batch_limit()
-        pooled = use_pool and bool(self.max_workers)
-        if pooled:
-            fair = -(-len(pending) // self.max_workers)  # ceil division
+        by_trace: Dict[int, List[str]] = {}
+        for label, index in schedule_cells(
+            (index, keys.get(label, ""), (label, index)) for label, index in pending
+        ):
+            by_trace.setdefault(index, []).append(label)
+        limit = self.batch
+        if use_pool:
+            workers = self._pool_size()
+            fair = -(-len(pending) // workers)  # ceil division
             limit = max(1, min(limit, fair))
         groups: List[Tuple[int, List[str]]] = []
         for index, labels in by_trace.items():
             for start in range(0, len(labels), limit):
                 groups.append((index, labels[start:start + limit]))
-        if not pooled:
+        if not use_pool:
             return groups
-        while keys and len(groups) < 2 * self.max_workers:
+        while keys and len(groups) < 2 * workers:
             halved: List[Tuple[int, List[str]]] = []
             for index, labels in groups:
                 cuts = [
@@ -923,10 +928,9 @@ class SuiteRunner:
         """Yield ``((label, index), result, timing)`` for every missing cell.
 
         Dispatches to the backend object when one is set; otherwise
-        same-trace cells are grouped into batched tasks (one
-        :func:`~repro.sim.engine.simulate_many` traversal per group) and
-        run in-process or across the local pool -- or, with ``batch``
-        disabled, one per-cell pool task each, the pre-batching layout.
+        same-trace cells are grouped into tasks of up to ``batch`` cells
+        (one :func:`~repro.sim.engine.simulate_many` traversal each) and
+        run in-process or, for more than one cell, across the local pool.
         Results are yielded as they become available so the caller
         persists completed cells incrementally (an interrupted sweep
         keeps what finished).
@@ -964,33 +968,10 @@ class SuiteRunner:
                     )
                 yield cell, result, None
             return
-        use_pool = self.backend == "pool" or (
-            self.backend is None
-            and self.max_workers is not None
-            and self.max_workers > 1
+        use_pool = len(pending) > 1 and (
+            self.backend == "pool"
+            or (self.backend is None and (self.max_workers or 1) > 1)
         )
-        if not self._batch_enabled():
-            pool = self._get_pool()
-            futures = {
-                pool.submit(
-                    _simulate_spec,
-                    specs[label].to_dict(),
-                    sizes[label],
-                    self.traces[index],
-                    track_per_pc,
-                ): (label, index, time.monotonic())
-                for label, index in pending
-            }
-            for future in as_completed(futures):
-                self._progress_advance()
-                label, index, submitted = futures[future]
-                timing = {
-                    "backend": "pool",
-                    "phases": {"simulate": time.monotonic() - submitted},
-                    "batch": 1,
-                }
-                yield (label, index), future.result(), timing
-            return
         groups = self._group_pending(pending, use_pool, specs, sizes)
         if use_pool:
             pool = self._get_pool()

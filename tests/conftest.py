@@ -7,6 +7,8 @@ run in seconds.  All traces are deterministic.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.trace.branch import BranchKind, BranchRecord, conditional_branch
@@ -26,6 +28,39 @@ def _trace_from_kernel(kernel, rounds: int, name: str) -> Trace:
     for _ in range(rounds):
         kernel.emit_round(emitter)
     return Trace(name=name, records=emitter.drain())
+
+
+def _mixed_kind(trace: Trace, seed: int) -> Trace:
+    """``trace`` with calls, returns, jumps and indirect branches inserted.
+
+    About 40 % of the conditional records get one non-conditional record
+    in front of them, from PC and target regions the generators never use.
+    """
+    rng = random.Random(seed)
+    kinds = [BranchKind.CALL, BranchKind.RETURN, BranchKind.UNCONDITIONAL, BranchKind.INDIRECT]
+    records = []
+    for record in trace:
+        if rng.random() < 0.4:
+            records.append(BranchRecord(
+                pc=0x400000 + 4 * rng.randrange(64),
+                target=0x500000 + 4 * rng.randrange(64),
+                taken=True,
+                kind=rng.choice(kinds),
+                instruction_gap=rng.randrange(8),
+            ))
+        records.append(record)
+    return Trace(f"{trace.name}-mixed", records)
+
+
+@pytest.fixture(scope="session")
+def mixed_kind():
+    """The ``mixed_kind(trace, seed)`` transform: every branch kind in a trace.
+
+    The synthetic suites are all conditional; this adds the calls,
+    returns, unconditional and indirect branches that drive
+    ``observe_pc`` and the path-history pushes.
+    """
+    return _mixed_kind
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import io
 import json
-import random
 
 import pytest
 
@@ -25,8 +24,7 @@ from repro.predictors.simple import AlwaysTakenPredictor, BimodalPredictor
 from repro.sim.engine import ENGINE_VERSION, simulate, simulate_many
 from repro.sim.runner import DEFAULT_BATCH_CELLS, SuiteRunner
 from repro.store import ResultStore
-from repro.trace.branch import BranchKind, BranchRecord
-from repro.trace.trace import Trace
+from repro.trace.branch import BranchKind
 from repro.workloads.suites import generate_suite
 
 LENGTH = 150
@@ -146,7 +144,7 @@ class TestBatchedSweepPath:
     def test_store_cells_identical_across_batch_modes(self, traces, tmp_path):
         specs = _sweep_specs()
         runs = {}
-        for mode, batch in (("batched", None), ("per-cell", False), ("pairs", 2)):
+        for mode, batch in (("batched", DEFAULT_BATCH_CELLS), ("per-cell", 1), ("pairs", 2)):
             store = tmp_path / mode
             runner = SuiteRunner(
                 traces, profile="small", store=str(store), batch=batch
@@ -167,7 +165,7 @@ class TestBatchedSweepPath:
     def test_experiment_exports_identical_across_batch_modes(self, traces):
         specs = _sweep_specs()
         outputs = []
-        for batch in (None, False, 3):
+        for batch in (DEFAULT_BATCH_CELLS, 1, 3):
             results = Experiment(
                 specs, traces=traces, profile="small", store=False, batch=batch
             ).run(baseline=specs[0])
@@ -201,6 +199,12 @@ class TestBatchedSweepPath:
     def test_batch_validation(self, traces):
         with pytest.raises(ValueError):
             SuiteRunner(traces, batch=0)
+
+    @pytest.mark.parametrize("batch", [True, False])
+    def test_bool_batch_rejected(self, traces, batch):
+        # bool is an int: without the check True would silently mean 1.
+        with pytest.raises(TypeError, match="batch=1"):
+            SuiteRunner(traces, batch=batch)
 
 
 def _oh_grid(count=8, profile="small"):
@@ -320,7 +324,7 @@ class TestSharedCoreGrouping:
                 "tage-gsc+oh", profile="small", label="oh-local", local=True
             ),
         ]
-        for mode, batch in (("batched", None), ("per-cell", False)):
+        for mode, batch in (("batched", DEFAULT_BATCH_CELLS), ("per-cell", 1)):
             runner = SuiteRunner(
                 traces, profile="small", store=str(tmp_path / mode), batch=batch
             )
@@ -333,34 +337,12 @@ class TestSharedCoreGrouping:
         assert batched == per_cell
 
 
-def _mixed_kind(trace, seed):
-    """``trace`` with calls, returns, jumps and indirect branches inserted.
-
-    About 40 % of the conditional records get one non-conditional record
-    in front of them, from PC and target regions the generators never use.
-    """
-    rng = random.Random(seed)
-    kinds = [BranchKind.CALL, BranchKind.RETURN, BranchKind.UNCONDITIONAL, BranchKind.INDIRECT]
-    records = []
-    for record in trace:
-        if rng.random() < 0.4:
-            records.append(BranchRecord(
-                pc=0x400000 + 4 * rng.randrange(64),
-                target=0x500000 + 4 * rng.randrange(64),
-                taken=True,
-                kind=rng.choice(kinds),
-                instruction_gap=rng.randrange(8),
-            ))
-        records.append(record)
-    return Trace(f"{trace.name}-mixed", records)
-
-
 @pytest.fixture(scope="module")
-def mixed_traces():
+def mixed_traces(mixed_kind):
     base = generate_suite(
         "cbp4like", target_conditional_branches=600, benchmarks=BENCHMARKS
     )
-    return [_mixed_kind(trace, seed) for seed, trace in enumerate(base)]
+    return [mixed_kind(trace, seed) for seed, trace in enumerate(base)]
 
 
 class TestMixedKindGrouping:
@@ -446,8 +428,8 @@ class TestPoolTaskLayout:
         for local in (False, True)
     ]
 
-    def _layout(self, jobs, use_pool, traces):
-        runner = SuiteRunner(traces, profile="small", max_workers=jobs)
+    def _layout(self, jobs, use_pool, traces, **options):
+        runner = SuiteRunner(traces, profile="small", max_workers=jobs, **options)
         specs = {spec.label: spec for spec in self.GRID}
         sizes = {label: default_registry().resolve_profile("small") for label in specs}
         pending = [(label, index) for index in range(len(traces)) for label in specs]
@@ -465,6 +447,24 @@ class TestPoolTaskLayout:
             assert len(keys) == 1
         cells = sorted((label, index) for index, labels in tasks for label in labels)
         assert cells == sorted((label, index) for index in range(3) for label in specs)
+
+    def test_pool_without_jobs_splits_for_the_cpu_count(self, traces, monkeypatch):
+        # backend="pool" without max_workers sizes the pool by the CPU
+        # count, and the fair-share split must use the same worker count.
+        import repro.sim.runner as runner_module
+
+        monkeypatch.setattr(runner_module.os, "cpu_count", lambda: 2)
+        three = [traces[0], traces[1], traces[0]]
+        tasks, _ = self._layout(None, True, three, backend="pool")
+        expected, _ = self._layout(2, True, three)
+        assert tasks == expected
+        assert len(tasks) == 6
+
+    def test_batch_of_one_gives_one_pool_task_per_cell(self, traces):
+        three = [traces[0], traces[1], traces[0]]
+        tasks, specs = self._layout(2, True, three, batch=1)
+        assert len(tasks) == 3 * len(specs)
+        assert all(len(labels) == 1 for _, labels in tasks)
 
     def test_pool_split_stops_near_two_tasks_per_worker(self, traces, monkeypatch):
         # One trace of 8 cells with 8 distinct core keys for 2 workers:
@@ -547,11 +547,12 @@ class TestDistBatching:
             coordinator.submit(interleaved, traces)
             state, cells = coordinator._lease(owner=1, max_cells=2)
             assert state == "work" and len(cells) == 2
-            from repro.dist.coordinator import _core_key
+            from repro.sim.runner import core_schedule_key
 
             keys = {
-                _core_key(
-                    PredictorSpec.from_dict(cell.spec_dict), cell.profile_payload
+                core_schedule_key(
+                    PredictorSpec.from_dict(cell.spec_dict),
+                    protocol.profile_from_payload(cell.profile_payload),
                 )
                 for cell in cells
             }

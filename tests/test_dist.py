@@ -514,15 +514,39 @@ class TestDistCli:
         assert "worker failed" in err
         assert "cannot reach coordinator" in err
 
-    def test_submit_unreachable_coordinator_fails_cleanly(self, capsys):
+    def test_submit_unreachable_coordinator_fails_cleanly(self, capsys, monkeypatch):
         from repro.cli import main
+        from repro.dist import client
 
+        class FakeClock:
+            """Retry sleeps advance ``monotonic`` instead of waiting."""
+
+            now = 0.0
+
+            def monotonic(self):
+                return self.now
+
+            def sleep(self, seconds):
+                self.now += seconds
+
+        attempts = []
+        connect = client.protocol.connect
+
+        def counting_connect(*args, **kwargs):
+            attempts.append(args)
+            return connect(*args, **kwargs)
+
+        monkeypatch.setattr(client, "time", FakeClock())
+        monkeypatch.setattr(client.protocol, "connect", counting_connect)
         exit_code = main([
             "submit", "--connect", "127.0.0.1:1", "--base", "tage-gsc",
             "--benchmarks", "SPEC2K6-00", "--length", "300", "--profile", "small",
         ])
         assert exit_code == 1
-        assert "submit failed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "submit failed" in err
+        assert "within 10s" in err
+        assert len(attempts) > 1
 
     def test_store_ls_json_output(self, specs, traces, tmp_path, capsys):
         from repro.cli import main

@@ -4,7 +4,9 @@ The engine promises that the fast path (columnar iteration driving the
 combined ``predict_update`` protocol) and the reference path (record views
 driving ``predict()`` / ``update()``) are bit-identical.  These tests pin
 that promise for every registered composite configuration on benchmarks
-from both synthetic suites, plus the protocol edge cases.
+from both synthetic suites and on a mixed-kind trace (calls, returns,
+unconditional and indirect branches, which the all-conditional suites
+never produce), plus the protocol edge cases.
 """
 
 from __future__ import annotations
@@ -17,21 +19,27 @@ from repro.predictors.simple import (
     BimodalPredictor,
 )
 from repro.sim.engine import simulate, supports_fast_path
+from repro.trace.branch import BranchKind
 from repro.workloads.suites import generate_benchmark, get_benchmark
 
 #: One deliberately hard benchmark per suite (they exercise IMLI, wormhole
 #: and noise kernels together, so every component sees real traffic).
 _BENCHMARKS = [("cbp4like", "SPEC2K6-12"), ("cbp3like", "MM07")]
 
+#: The first benchmark with every non-conditional branch kind mixed in.
+_MIXED = ("mixed", "SPEC2K6-12")
+
 
 @pytest.fixture(scope="module")
-def suite_traces():
-    return {
+def suite_traces(mixed_kind):
+    traces = {
         (suite, name): generate_benchmark(
             get_benchmark(suite, name), target_conditional_branches=400
         )
         for suite, name in _BENCHMARKS
     }
+    traces[_MIXED] = mixed_kind(traces[_BENCHMARKS[0]], seed=0)
+    return traces
 
 
 def _assert_identical(reference, fast):
@@ -43,7 +51,7 @@ def _assert_identical(reference, fast):
 
 
 @pytest.mark.parametrize("configuration", configuration_names())
-@pytest.mark.parametrize("suite,benchmark_name", _BENCHMARKS)
+@pytest.mark.parametrize("suite,benchmark_name", _BENCHMARKS + [_MIXED])
 class TestCompositeEquivalence:
     def test_fast_path_matches_reference(
         self, suite_traces, configuration, suite, benchmark_name
@@ -80,8 +88,9 @@ class TestFastPathProtocol:
         with pytest.raises(ValueError):
             simulate(predictor, trace, use_fast_path=True)
 
-    def test_warmup_and_per_pc_equivalence(self, suite_traces):
-        trace = next(iter(suite_traces.values()))
+    @pytest.mark.parametrize("key", [_BENCHMARKS[0], _MIXED], ids=["cbp4like", "mixed"])
+    def test_warmup_and_per_pc_equivalence(self, suite_traces, key):
+        trace = suite_traces[key]
         reference = simulate(
             build_named("tage-gsc+imli", profile="small"),
             trace,
@@ -99,12 +108,20 @@ class TestFastPathProtocol:
         _assert_identical(reference, fast)
         assert fast.per_pc_mispredictions  # misses actually got attributed
 
-    def test_bimodal_equivalence_with_per_pc(self, suite_traces):
-        trace = next(iter(suite_traces.values()))
+    @pytest.mark.parametrize("key", [_BENCHMARKS[0], _MIXED], ids=["cbp4like", "mixed"])
+    @pytest.mark.parametrize("track", [False, True])
+    def test_bimodal_equivalence(self, suite_traces, key, track):
+        # Without per-PC tracking a lone bimodal takes the column-block
+        # lane; with it, the grouped general loop.
+        trace = suite_traces[key]
         reference = simulate(
-            BimodalPredictor(), trace, track_per_pc=True, use_fast_path=False
+            BimodalPredictor(), trace, track_per_pc=track, use_fast_path=False
         )
         fast = simulate(
-            BimodalPredictor(), trace, track_per_pc=True, use_fast_path=True
+            BimodalPredictor(), trace, track_per_pc=track, use_fast_path=True
         )
         _assert_identical(reference, fast)
+
+    def test_mixed_trace_holds_every_kind(self, suite_traces):
+        kinds = {record.kind for record in suite_traces[_MIXED]}
+        assert kinds == set(BranchKind)
