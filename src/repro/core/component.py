@@ -319,19 +319,20 @@ class NeuralComponent(ABC):
 class IndexedComponent(NeuralComponent):
     """A component reading counters at indices hashed from trace-only state.
 
-    Subclasses implement :meth:`compute_indices` (the hash: from the branch
-    PC and the :class:`SharedState` only) and :meth:`index_key`; the
-    default :meth:`select_sum_at` reads one counter per table of
-    ``counter_tables`` from a sequence of indices, and single-table
-    components override it to read a bare index.  :meth:`select` stays
-    the plain reference form of the same hash, which the tests pin the
-    split form to.
+    Subclasses list their tables in ``counter_tables`` and implement
+    :meth:`compute_indices` (the hash: from the branch PC and the
+    :class:`SharedState` only; one index per table of ``counter_tables``,
+    in that order, always as a sequence) and :meth:`index_key`; the
+    default :meth:`select_sum_at` reads one counter per table at those
+    indices.  :meth:`select` stays the plain reference form of the same
+    hash, which the tests pin the split form to.
 
     Two components with equal keys over one state compute equal indices
     for every branch, so a shared-core group hashes each distinct key
-    once per branch and hands the indices to every head's
-    :meth:`select_sum_at`.  A key starts with the component's type, so a
-    subclass that hashes differently never shares with its parent.
+    once per branch into one flat index list and reads and trains every
+    head's ``counter_tables`` at those indices itself.  A key starts with
+    the component's type, so a subclass that hashes differently never
+    shares with its parent.
     """
 
     counter_tables: Sequence[SignedCounterArray] = ()
@@ -341,13 +342,13 @@ class IndexedComponent(NeuralComponent):
         """Hashable identity of the component's table indices."""
 
     @abstractmethod
-    def compute_indices(self, pc: int, state: SharedState) -> Any:
+    def compute_indices(self, pc: int, state: SharedState) -> Sequence[int]:
         """The hash half of :meth:`select_sum`, read by :meth:`select_sum_at`."""
 
     def select_sum(self, pc: int, state: SharedState) -> tuple:
         return self.select_sum_at(self.compute_indices(pc, state))
 
-    def select_sum_at(self, indices: Any) -> tuple:
+    def select_sum_at(self, indices: Sequence[int]) -> tuple:
         """The read half of :meth:`select_sum`, over :meth:`compute_indices`."""
         selections = list(zip(self.counter_tables, indices))
         total = 0

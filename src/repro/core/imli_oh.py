@@ -42,7 +42,7 @@ reproduces through its ``update_delay`` parameter.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.bits import log2_exact, mask, mix_hash, mix_hash3
 from repro.common.counters import SignedCounterArray
@@ -167,10 +167,14 @@ class IMLIOuterHistoryComponent(IndexedComponent):
         self.prediction_index_bits = log2_exact(prediction_entries)
         self.prediction_index_mask = mask(self.prediction_index_bits)
         self.table = SignedCounterArray(prediction_entries, counter_bits)
+        self.counter_tables = (self.table,)
         self.tracked_branches = tracked_branches
         self.iterations_per_branch = iterations_per_branch
         self.update_delay = update_delay
         self.outer: Optional[OuterHistory] = None
+        # compute_indices memo: PC -> (history-table slot, the PC's four
+        # index tuples by 2 * Out[N-1][M] + Out[N-1][M-1]).
+        self._indices_by_pc: Dict[int, Tuple[int, tuple]] = {}
 
     def bind(self, state: SharedState) -> None:
         geometry = (self.tracked_branches, self.iterations_per_branch, self.update_delay)
@@ -216,17 +220,30 @@ class IMLIOuterHistoryComponent(IndexedComponent):
     def index_key(self) -> tuple:
         return (type(self), self.prediction_index_bits, self.outer)
 
-    def compute_indices(self, pc: int, state: SharedState) -> int:
+    def compute_indices(self, pc: int, state: SharedState) -> Tuple[int]:
+        # The two recovered outcomes are single bits, so a PC has only four
+        # possible indices: hashed once per PC, then picked by the bits.
         outer = self.outer
-        width = outer.branch_index_bits
-        slot = (pc ^ (pc >> width) ^ (pc >> (2 * width))) & outer.branch_index_mask
+        entry = self._indices_by_pc.get(pc)
+        if entry is None:
+            index_mask = self.prediction_index_mask
+            entry = self._indices_by_pc[pc] = (
+                outer.slot(pc),
+                tuple(
+                    (mix_hash3(pc, same, 2 * previous) & index_mask,)
+                    for same in (0, 1)
+                    for previous in (0, 1)
+                ),
+            )
+        slot, choices = entry
         iterations = self.iterations_per_branch
         same = outer.history[slot * iterations + (state.imli.count % iterations)]
-        return mix_hash3(pc, same, 2 * outer.pipe[slot]) & self.prediction_index_mask
+        return choices[2 * same + outer.pipe[slot]]
 
-    def select_sum_at(self, indices: int) -> tuple:
+    def select_sum_at(self, indices: Sequence[int]) -> tuple:
         table = self.table
-        return [(table, indices)], 2 * table.values[indices] + 1
+        index = indices[0]
+        return [(table, index)], 2 * table.values[index] + 1
 
     def storage_bits(self) -> int:
         prediction_bits = self.table.storage_bits()

@@ -15,7 +15,7 @@ checkpointed by the owning predictor (a few tens of bits).
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence, Tuple
 
 from repro.common.bits import log2_exact, mask, mix_hash, mix_hash2
 from repro.common.counters import SignedCounterArray
@@ -42,6 +42,7 @@ class IMLISameIterationComponent(IndexedComponent):
         self.index_bits = log2_exact(entries)
         self.index_mask = mask(self.index_bits)
         self.table = SignedCounterArray(entries, counter_bits)
+        self.counter_tables = (self.table,)
 
     def select(self, pc: int, state: SharedState) -> List[CounterSelection]:
         return [(self.table, mix_hash(pc, state.imli.count, width=self.index_bits))]
@@ -49,12 +50,13 @@ class IMLISameIterationComponent(IndexedComponent):
     def index_key(self) -> tuple:
         return (type(self), self.index_bits)
 
-    def compute_indices(self, pc: int, state: SharedState) -> int:
-        return mix_hash2(pc, state.imli.count) & self.index_mask
+    def compute_indices(self, pc: int, state: SharedState) -> Tuple[int]:
+        return (mix_hash2(pc, state.imli.count) & self.index_mask,)
 
-    def select_sum_at(self, indices: int) -> tuple:
+    def select_sum_at(self, indices: Sequence[int]) -> tuple:
         table = self.table
-        return [(table, indices)], 2 * table.values[indices] + 1
+        index = indices[0]
+        return [(table, index)], 2 * table.values[index] + 1
 
     def storage_bits(self) -> int:
         return self.table.storage_bits()

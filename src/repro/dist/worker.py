@@ -71,7 +71,8 @@ from repro.sim.engine import SimulationResult
 from repro.sim.runner import (
     DEFAULT_BATCH_CELLS,
     BatchCellError,
-    _simulate_spec_batch,
+    _pool_phases,
+    _timed_spec_batch,
 )
 from repro.store import ResultStore, result_to_dict
 from repro.trace.chunked import ChunkedTrace, validate_manifest
@@ -178,7 +179,7 @@ def _simulate_batch_with_chaos(entries, trace, track_per_pc: bool):
     """
     chaos.kill_process("worker.simulate.kill")
     chaos.delay("worker.simulate.delay")
-    return _simulate_spec_batch(entries, trace, track_per_pc)
+    return _timed_spec_batch(entries, trace, track_per_pc)
 
 
 class Worker:
@@ -741,7 +742,7 @@ class Worker:
         while items:
             simulate_started = time.monotonic()
             try:
-                results = _simulate_batch_with_chaos(entries, trace, track_per_pc)
+                results, _ = _simulate_batch_with_chaos(entries, trace, track_per_pc)
             except BatchCellError as error:
                 self._report_failure(
                     rfile, wfile, items[error.index], error.original
@@ -825,15 +826,16 @@ class Worker:
             items, entries, trace, track_per_pc, meta = in_flight.pop(future)
             error = future.exception()
             if error is None:
-                # Pool "simulate" is submit-to-completion turnaround, so
-                # it includes any queue wait behind other grants.
+                # The pool task times its own traversal; the rest of the
+                # submit-to-completion turnaround is queue_wait.
+                results, simulate_seconds = future.result()
                 phases = {
                     "trace_load": meta.get("trace_load", 0.0),
-                    "simulate": time.monotonic() - meta.get(
-                        "submitted", time.monotonic()
+                    **_pool_phases(
+                        time.monotonic() - meta["submitted"], simulate_seconds
                     ),
                 }
-                for item, result in zip(items, future.result()):
+                for item, result in zip(items, results):
                     self._upload(
                         rfile, wfile, item, result,
                         phases=phases, batch=len(items),

@@ -25,15 +25,18 @@ Phase names by path:
 
 * **serial / pool** (``component: runner``): ``simulate`` and
   ``store_write``; batched groups share one ``simulate`` wall across
-  their ``batch`` cells, and pool records measure submit-to-completion
-  turnaround (queue wait included).
+  their ``batch`` cells.  Pool records split the task's
+  submit-to-completion turnaround into ``simulate`` (timed inside the
+  pool task) and ``queue_wait`` (the rest: waiting behind other tasks,
+  moving the task and its results between processes).
 * **dist, coordinator side** (``component: coordinator``): the worker's
   reported ``trace_load`` / ``simulate`` plus ``total`` (lease grant to
   accepted upload, so ``total - simulate - trace_load`` approximates
   wire + upload overhead).
 * **dist, worker side** (``component: worker``; only with a worker-local
   ``--store``): ``trace_load``, ``simulate`` and the measured ``upload``
-  exchange.
+  exchange, plus ``queue_wait`` when the worker simulates in a pool
+  (``--jobs`` > 1); the coordinator records the same worker phases.
 
 The phases a batch shares (:data:`SHARED_PHASES`) carry the whole batch's
 wall in ``phases``; ``cell_phases`` (written when ``batch > 1``) divides
@@ -75,7 +78,7 @@ TIMINGS_SUMMARY_FILE = "timings_summary.json"
 
 #: Phases whose recorded wall covers every cell of a batch (one traversal,
 #: one trace load); the other phases are measured per cell.
-SHARED_PHASES = frozenset({"trace_load", "simulate"})
+SHARED_PHASES = frozenset({"trace_load", "simulate", "queue_wait"})
 
 #: Environment variable gating timing capture: ``0``/``off`` disables.
 _TIMINGS_ENV = "REPRO_TIMINGS"

@@ -97,12 +97,19 @@ class AdderTree:
         reads: Sequence[Tuple[Callable, int]],
         shared: Sequence,
     ) -> Tuple[int, List[List[CounterSelection]]]:
-        """:meth:`compute` over indices a shared-core group hashed once.
+        """:meth:`compute` over indices hashed once for several adder trees.
 
         ``reads`` has one ``(read, slot)`` pair per component: ``read`` is
         the component's
         :meth:`~repro.core.component.IndexedComponent.select_sum_at` and
         ``shared[slot]`` its precomputed indices.
+
+        Per-component reference form only: shared-core groups read and
+        train their heads through the flat kernel
+        :func:`repro.predictors.shared_core._run_heads` and never call
+        this.  It stays because ``perfbench/layers.py`` wraps it (the
+        ``adder.compute`` layer); the benchmark change that wraps the
+        kernel instead can delete it.
         """
         total = 0
         all_selections: List[List[CounterSelection]] = []

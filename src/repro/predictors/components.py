@@ -102,6 +102,11 @@ class BiasComponent(IndexedComponent):
         self.tage_table = (
             SignedCounterArray(entries, counter_bits) if use_tage_prediction else None
         )
+        self.counter_tables = (
+            (self.pc_table,)
+            if self.tage_table is None
+            else (self.pc_table, self.tage_table)
+        )
 
     def select(self, pc: int, state: SharedState) -> List[CounterSelection]:
         selections: List[CounterSelection] = [

@@ -16,15 +16,16 @@ per branch**:
   histories), each deduplicated by geometry and advanced once per branch;
 * ``tage-gsc`` groups also share one
   :class:`~repro.predictors.tage.TAGEEngine`; each member becomes a head
-  consisting of a fresh
+  built from a fresh
   :class:`~repro.predictors.statistical_corrector.StatisticalCorrector`
   (with that member's extra components) plus its loop/wormhole sidecars;
 * ``gehl`` groups have no learned core; each member's whole adder tree is
   its head;
 * every component names its table indices with a hashable
-  :meth:`~repro.core.component.IndexedComponent.index_key`, and the group
-  hashes each distinct key once per branch (:func:`_plan_shared_indices`),
-  so the heads only read and train counters.
+  :meth:`~repro.core.component.IndexedComponent.index_key`; the group
+  hashes each distinct key once per branch into one flat index list
+  (:func:`_plan_heads`), and every head is a list of counter rows that one
+  kernel (:func:`_run_heads`) reads, decides on and trains inline.
 
 Results are bit-identical to solo execution *by construction*, not by
 tolerance:
@@ -38,9 +39,13 @@ tolerance:
   equal indices;
 * heads only *read* the shared state, which is frozen while the heads of
   one branch run, and write only their own tables;
-* ``TAGEEngine.train_fields`` and ``StatisticalCorrector.train_fields``
-  touch disjoint state, so running the N corrector trainings before the
-  single TAGE training is the same as interleaving them per member;
+* the head kernel applies the decision and threshold-training rules of
+  :class:`~repro.predictors.statistical_corrector.StatisticalCorrector`
+  and :class:`~repro.predictors.adder.AdderTree` to the same counters in
+  the same order, and keeps each head's threshold on its ``AdderTree``;
+* TAGE training and head training touch disjoint state, so running the
+  N head trainings before the single TAGE training is the same as
+  interleaving them per member;
 * the loop/wormhole sidecars never touch the shared state at all (they
   consume only branch fields and their own tables).
 
@@ -56,6 +61,7 @@ cores and heads.
 
 from __future__ import annotations
 
+from inspect import unwrap
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.predictors.base import BranchPredictor
@@ -68,10 +74,7 @@ from repro.predictors.composites import (
 )
 from repro.predictors.adder import AdderTree
 from repro.predictors.components import BiasComponent, GlobalHistoryComponent
-from repro.predictors.statistical_corrector import (
-    CorrectorContext,
-    StatisticalCorrector,
-)
+from repro.predictors.statistical_corrector import StatisticalCorrector
 from repro.predictors.tage import TAGEEngine, TAGEPrediction
 from repro.predictors.tage_gsc import TAGEGSCConfig
 from repro.core.component import NeuralComponent, SharedState
@@ -105,30 +108,25 @@ def is_pristine(predictor: BranchPredictor) -> bool:
         return False
 
 
-class _Head:
-    """One batch member's private (non-core) machinery over a shared state."""
+class _Sidecars:
+    """One head's loop/wormhole side predictors and their branch view."""
 
-    __slots__ = ("corrector", "adder", "scratch", "loop", "wormhole", "use_loop", "view")
+    __slots__ = ("loop", "wormhole", "use_loop", "view")
 
-    def __init__(self) -> None:
-        self.corrector: Optional[StatisticalCorrector] = None
-        self.adder: Optional[AdderTree] = None
-        self.scratch = CorrectorContext()
-        self.loop = None
-        self.wormhole = None
-        self.use_loop = False
+    def __init__(self, loop, wormhole, use_loop: bool) -> None:
+        self.loop = loop
+        self.wormhole = wormhole
+        self.use_loop = use_loop
         self.view = _MutableBranchView()
 
 
-def _attach_sidecars(head: _Head, info: SharedCoreInfo) -> None:
+def _sidecars_for(info: SharedCoreInfo) -> Optional[_Sidecars]:
     parts = _sidecar_parts(info.options, info.sizes)
-    if parts is None:
-        return
-    head.loop, head.wormhole, head.use_loop = parts
+    return None if parts is None else _Sidecars(*parts)
 
 
 def _sidecar_step(
-    head: _Head, pc: int, target: int, taken: bool, gap: int,
+    sidecars: _Sidecars, pc: int, target: int, taken: bool, gap: int,
     main_prediction: bool,
 ) -> bool:
     """Run a head's loop/wormhole sidecars; mirrors the solo fast path.
@@ -138,14 +136,14 @@ def _sidecar_step(
     :class:`~repro.predictors.composites.SidecarPredictor`.
     """
     prediction = main_prediction
-    view = head.view
+    view = sidecars.view
     view.pc = pc
     view.target = target
     view.taken = taken
     view.instruction_gap = gap
-    loop = head.loop
-    wormhole = head.wormhole
-    if loop is not None and head.use_loop:
+    loop = sidecars.loop
+    wormhole = sidecars.wormhole
+    if loop is not None and sidecars.use_loop:
         loop_prediction = loop.predict(view)
         if loop_prediction is not None:
             prediction = loop_prediction
@@ -160,150 +158,224 @@ def _sidecar_step(
     return prediction
 
 
-def _plan_shared_indices(adders: Sequence[AdderTree]) -> Tuple[list, list]:
-    """Plan the group's per-branch index hashing across its heads.
+#: Per-component hooks the head kernel replaces with its inline read and
+#: train; a component overriding one would be silently mis-executed.  A
+#: transparent wrapper around the inherited hook (``functools.wraps``, as a
+#: profiler installs) still counts as the inherited hook.
+_KERNEL_HOOKS = ("train", "on_outcome", "on_outcome_fields")
+
+
+def _plan_heads(adders: Sequence[AdderTree]) -> Tuple[list, List[list]]:
+    """Plan a group's flat per-branch index vector and every head's rows.
 
     Every head component is an
     :class:`~repro.core.component.IndexedComponent`; components with equal
     :meth:`~repro.core.component.IndexedComponent.index_key` over the
     group's shared state compute equal indices for every branch, so each
-    distinct key is hashed once per branch.  Returns ``(index_fns,
-    reads)``: ``index_fns[slot]`` is the ``compute_indices(pc, state)`` of
-    one distinct key, and ``reads[h]`` is head ``h``'s ``(read, slot)``
-    list for :meth:`AdderTree.compute_with_shared`.
+    distinct key is hashed once per branch and its indices are appended to
+    one flat list.  Returns ``(index_fns, rows)``: ``index_fns`` are the
+    ``compute_indices(pc, state)`` of the distinct keys in flat order, and
+    ``rows[h]`` lists head ``h``'s counters, one ``(values, flat position,
+    maximum, minimum)`` row per table of ``counter_tables``, in component
+    and table order.
+
+    Raises ``TypeError`` for a component that overrides a hook in
+    :data:`_KERNEL_HOOKS` (the check mirrors
+    :meth:`AdderTree._scan_outcome_components`).
     """
     index_fns = []
-    slot_by_key: Dict[tuple, int] = {}
-    reads = []
+    offsets: Dict[tuple, int] = {}
+    flat_size = 0
+    rows = []
     for adder in adders:
-        head_reads = []
+        head_rows = []
         for component in adder.components:
+            kind = type(component)
+            for hook in _KERNEL_HOOKS:
+                if unwrap(getattr(kind, hook)) is not getattr(NeuralComponent, hook):
+                    raise TypeError(
+                        f"{kind.__name__} overrides {hook}(), which the "
+                        "shared-core head kernel does not call"
+                    )
             key = component.index_key()
-            slot = slot_by_key.get(key)
-            if slot is None:
-                slot = slot_by_key[key] = len(index_fns)
+            offset = offsets.get(key)
+            if offset is None:
+                offset = offsets[key] = flat_size
                 index_fns.append(component.compute_indices)
-            head_reads.append((component.select_sum_at, slot))
-        reads.append(head_reads)
-    return index_fns, reads
+                flat_size += len(component.counter_tables)
+            head_rows.extend(
+                (table.values, position, table.maximum, table.minimum)
+                for position, table in enumerate(component.counter_tables, offset)
+            )
+        rows.append(head_rows)
+    return index_fns, rows
 
 
-class _TageGscGroup:
-    """One shared TAGE core fanned into N statistical-corrector heads."""
+def _run_heads(
+    heads: Sequence[tuple],
+    flat: Sequence[int],
+    pc: int,
+    target: int,
+    taken: bool,
+    gap: int,
+    tage_prediction: Optional[bool],
+) -> List[bool]:
+    """The head kernel: read, decide and train every head of one branch.
 
-    kind = "tage-gsc"
+    Per head, ``(rows, n, adder, revert_margin, sidecars)``: the centred
+    adder-tree sum ``2 * sum(values[flat[position]]) + n`` over its rows;
+    the decision -- the sum's sign for ``gehl`` (``tage_prediction`` is
+    ``None``), the corrector's revert-margin rule over ``tage_prediction``
+    otherwise; the threshold training of the same rows, forced when the
+    decision was wrong (as :meth:`StatisticalCorrector.train_fields` does;
+    a ``gehl`` decision is wrong exactly when the sum's sign is) and
+    followed by :meth:`AdderTree._adapt_threshold`; and finally the
+    sidecars.  Returns each head's final prediction.
+    """
+    predictions = []
+    append = predictions.append
+    for rows, count, adder, revert_margin, sidecars in heads:
+        total = 0
+        for values, position, _, _ in rows:
+            total += values[flat[position]]
+        total = 2 * total + count
+        magnitude = total if total >= 0 else -total
+        adder_prediction = total >= 0
+        mispredicted = adder_prediction != taken
+        if tage_prediction is None or (
+            adder_prediction != tage_prediction and magnitude >= revert_margin
+        ):
+            prediction = adder_prediction
+        else:
+            prediction = tage_prediction
+        if prediction != taken or mispredicted or magnitude <= adder.threshold:
+            if taken:
+                for values, position, maximum, _ in rows:
+                    index = flat[position]
+                    value = values[index]
+                    if value < maximum:
+                        values[index] = value + 1
+            else:
+                for values, position, _, minimum in rows:
+                    index = flat[position]
+                    value = values[index]
+                    if value > minimum:
+                        values[index] = value - 1
+            adder._adapt_threshold(mispredicted, total)
+        if sidecars is not None:
+            prediction = _sidecar_step(sidecars, pc, target, taken, gap, prediction)
+        append(prediction)
+    return predictions
 
-    def __init__(self, members: Sequence[Tuple[int, SharedCoreInfo]]) -> None:
+
+class _Group:
+    """One group's shared state (and TAGE core) fanned into flat heads.
+
+    ``heads`` holds one ``(adder, revert_margin, info)`` per member, in
+    member order; ``revert_margin`` is ignored without a TAGE core.
+    """
+
+    kind = ""
+    tage: Optional[TAGEEngine] = None
+
+    def __init__(
+        self,
+        members: Sequence[Tuple[int, SharedCoreInfo]],
+        state: SharedState,
+        heads: Sequence[Tuple[AdderTree, int, SharedCoreInfo]],
+    ) -> None:
         self.indices = [index for index, _ in members]
         self.counts = [0] * len(members)
-        first = members[0][1]
-        config = TAGEGSCConfig(tage=first.sizes.tage, corrector=first.sizes.corrector)
-        history_capacity = max(
-            config.history_capacity, config.tage.max_history + 1
-        )
-        self.state = SharedState(
-            history_capacity=history_capacity,
-            path_capacity=config.path_capacity,
-            imli_counter_bits=config.imli_counter_bits,
-        )
-        self.tage = TAGEEngine(self.state, config.tage)
-        num_tables = config.tage.num_tables
-        self._tage_scratch = TAGEPrediction(
-            indices=[0] * num_tables, tags=[0] * num_tables
-        )
-        self.heads: List[_Head] = []
-        for _, info in members:
-            head = _Head()
-            head.corrector = StatisticalCorrector(
-                self.state,
-                info.sizes.corrector,
-                extra_components=_head_components(info.options, info.sizes),
-            )
+        self.state = state
+        for adder, _, info in heads:
             if info.options.imli_global_tables:
-                head.corrector.adder.components.append(
-                    _imli_hashed_global(info.options, info.sizes, self.state)
-                )
-            _attach_sidecars(head, info)
-            self.heads.append(head)
-        # Per-branch work is dominated by attribute chains and hashing, so
-        # the head loop runs over prebound tuples, and every distinct table
-        # index is hashed once per branch and fanned into the heads.
-        self._index_fns, reads = _plan_shared_indices(
-            [head.corrector.adder for head in self.heads]
-        )
-        self._head_steps = [
-            (
-                head.corrector.predict_into_shared,
-                head.corrector.train_fields,
-                head.scratch,
-                head if (head.loop is not None or head.wormhole is not None) else None,
-                head_reads,
-            )
-            for head, head_reads in zip(self.heads, reads)
+                adder.components.append(_imli_hashed_global(info.options, info.sizes, state))
+        # Per-branch work is dominated by calls and attribute chains, so
+        # every head is one row list read and trained inline by
+        # _run_heads, over one flat vector of the distinct indices.
+        self._index_fns, rows = _plan_heads([adder for adder, _, _ in heads])
+        self._heads = [
+            (head_rows, len(head_rows), adder, revert_margin, _sidecars_for(info))
+            for head_rows, (adder, revert_margin, info) in zip(rows, heads)
         ]
-        self._tage_predict = self.tage.predict_into
-        self._tage_train = self.tage.train_fields
-        self._state_update = self.state.update_conditional_fields
+
+    def step_list(self, pc: int, target: int, taken: bool, gap: int) -> List[bool]:
+        """Run one conditional branch; return per-head final predictions."""
+        state = self.state
+        tage = self.tage
+        tage_prediction = None
+        if tage is not None:
+            tage_ctx = tage.predict_into(pc, self._tage_scratch)
+            tage_prediction = state.tage_prediction = tage_ctx.prediction
+        flat: List[int] = []
+        for compute_indices in self._index_fns:
+            flat += compute_indices(pc, state)
+        predictions = _run_heads(
+            self._heads, flat, pc, target, taken, gap, tage_prediction
+        )
+        if tage is not None:
+            tage.train_fields(pc, taken, tage_ctx)
+        state.update_conditional_fields(pc, target, taken)
+        return predictions
 
     def step_count(self, pc: int, target: int, taken: bool, gap: int) -> None:
         """Hot-lane step: run the branch, bump per-head mispredict counts."""
-        state = self.state
-        tage_ctx = self._tage_predict(pc, self._tage_scratch)
-        tage_prediction = tage_ctx.prediction
-        state.tage_prediction = tage_prediction
-        shared = [fn(pc, state) for fn in self._index_fns]
         counts = self.counts
         slot = 0
-        for predict_shared, train_fields, scratch, sidecar, reads in self._head_steps:
-            sc_ctx = predict_shared(pc, tage_prediction, scratch, reads, shared)
-            prediction = sc_ctx.final_prediction
-            train_fields(pc, target, taken, sc_ctx)
-            if sidecar is not None:
-                prediction = _sidecar_step(sidecar, pc, target, taken, gap, prediction)
+        for prediction in self.step_list(pc, target, taken, gap):
             counts[slot] += prediction != taken
             slot += 1
-        self._tage_train(pc, taken, tage_ctx)
-        self._state_update(pc, target, taken)
-
-    def step_list(self, pc: int, target: int, taken: bool, gap: int) -> List[bool]:
-        """General step: run the branch, return per-head final predictions."""
-        state = self.state
-        tage_ctx = self._tage_predict(pc, self._tage_scratch)
-        tage_prediction = tage_ctx.prediction
-        state.tage_prediction = tage_prediction
-        shared = [fn(pc, state) for fn in self._index_fns]
-        predictions: List[bool] = []
-        for predict_shared, train_fields, scratch, sidecar, reads in self._head_steps:
-            sc_ctx = predict_shared(pc, tage_prediction, scratch, reads, shared)
-            prediction = sc_ctx.final_prediction
-            train_fields(pc, target, taken, sc_ctx)
-            if sidecar is not None:
-                prediction = _sidecar_step(sidecar, pc, target, taken, gap, prediction)
-            predictions.append(prediction)
-        self._tage_train(pc, taken, tage_ctx)
-        self._state_update(pc, target, taken)
-        return predictions
 
     def observe(self, pc: int) -> None:
         """Non-conditional branch: advance the shared path history once."""
         self.state.observe_pc(pc)
 
 
-class _GehlGroup:
+class _TageGscGroup(_Group):
+    """One shared TAGE core fanned into N statistical-corrector heads."""
+
+    kind = "tage-gsc"
+
+    def __init__(self, members: Sequence[Tuple[int, SharedCoreInfo]]) -> None:
+        first = members[0][1]
+        config = TAGEGSCConfig(tage=first.sizes.tage, corrector=first.sizes.corrector)
+        history_capacity = max(
+            config.history_capacity, config.tage.max_history + 1
+        )
+        state = SharedState(
+            history_capacity=history_capacity,
+            path_capacity=config.path_capacity,
+            imli_counter_bits=config.imli_counter_bits,
+        )
+        self.tage = TAGEEngine(state, config.tage)
+        num_tables = config.tage.num_tables
+        self._tage_scratch = TAGEPrediction(
+            indices=[0] * num_tables, tags=[0] * num_tables
+        )
+        heads = []
+        for _, info in members:
+            corrector = StatisticalCorrector(
+                state,
+                info.sizes.corrector,
+                extra_components=_head_components(info.options, info.sizes),
+            )
+            heads.append((corrector.adder, corrector.config.revert_margin, info))
+        super().__init__(members, state, heads)
+
+
+class _GehlGroup(_Group):
     """One shared fetch state fanned into N GEHL adder-tree heads."""
 
     kind = "gehl"
 
     def __init__(self, members: Sequence[Tuple[int, SharedCoreInfo]]) -> None:
-        self.indices = [index for index, _ in members]
-        self.counts = [0] * len(members)
         gehl = members[0][1].sizes.gehl
-        self.state = SharedState(
+        state = SharedState(
             history_capacity=gehl.history_capacity,
             path_capacity=gehl.path_capacity,
             imli_counter_bits=gehl.imli_counter_bits,
         )
-        self.heads: List[_Head] = []
+        heads = []
         for _, info in members:
             sizes = info.sizes.gehl
             components: List[NeuralComponent] = [
@@ -313,69 +385,18 @@ class _GehlGroup:
                     use_tage_prediction=False,
                 ),
                 GlobalHistoryComponent(
-                    state=self.state,
+                    state=state,
                     history_lengths=sizes.history_lengths(),
                     entries=sizes.table_entries,
                     counter_bits=sizes.counter_bits,
                 ),
             ]
             components.extend(_head_components(info.options, info.sizes))
-            head = _Head()
-            head.adder = AdderTree(
-                components, initial_threshold=sizes.initial_threshold, state=self.state
+            adder = AdderTree(
+                components, initial_threshold=sizes.initial_threshold, state=state
             )
-            if info.options.imli_global_tables:
-                head.adder.components.append(
-                    _imli_hashed_global(info.options, info.sizes, self.state)
-                )
-            _attach_sidecars(head, info)
-            self.heads.append(head)
-        self._index_fns, reads = _plan_shared_indices([head.adder for head in self.heads])
-        self._head_steps = [
-            (
-                head.adder.compute_with_shared,
-                head.adder.train_fields,
-                head if (head.loop is not None or head.wormhole is not None) else None,
-                head_reads,
-            )
-            for head, head_reads in zip(self.heads, reads)
-        ]
-        self._state_update = self.state.update_conditional_fields
-
-    def step_count(self, pc: int, target: int, taken: bool, gap: int) -> None:
-        """Hot-lane step: run the branch, bump per-head mispredict counts."""
-        state = self.state
-        shared = [fn(pc, state) for fn in self._index_fns]
-        counts = self.counts
-        slot = 0
-        for compute_shared, train_fields, sidecar, reads in self._head_steps:
-            total, selections = compute_shared(pc, state, reads, shared)
-            train_fields(pc, target, taken, total, selections, state)
-            prediction = total >= 0
-            if sidecar is not None:
-                prediction = _sidecar_step(sidecar, pc, target, taken, gap, prediction)
-            counts[slot] += prediction != taken
-            slot += 1
-        self._state_update(pc, target, taken)
-
-    def step_list(self, pc: int, target: int, taken: bool, gap: int) -> List[bool]:
-        """General step: run the branch, return per-head final predictions."""
-        state = self.state
-        shared = [fn(pc, state) for fn in self._index_fns]
-        predictions: List[bool] = []
-        for compute_shared, train_fields, sidecar, reads in self._head_steps:
-            total, selections = compute_shared(pc, state, reads, shared)
-            train_fields(pc, target, taken, total, selections, state)
-            prediction = total >= 0
-            if sidecar is not None:
-                prediction = _sidecar_step(sidecar, pc, target, taken, gap, prediction)
-            predictions.append(prediction)
-        self._state_update(pc, target, taken)
-        return predictions
-
-    def observe(self, pc: int) -> None:
-        """Non-conditional branch: advance the shared path history once."""
-        self.state.observe_pc(pc)
+            heads.append((adder, 0, info))
+        super().__init__(members, state, heads)
 
 
 _GROUP_KINDS = {"tage-gsc": _TageGscGroup, "gehl": _GehlGroup}

@@ -123,6 +123,13 @@ class StatisticalCorrector:
         ``reads`` and ``shared`` are those of
         :meth:`AdderTree.compute_with_shared`.  Bit-identical to
         :meth:`predict_into`.
+
+        Per-component reference form only: shared-core groups run their
+        heads through the flat kernel
+        :func:`repro.predictors.shared_core._run_heads` and never call
+        this.  It stays because ``perfbench/layers.py`` wraps it (the
+        ``sc.predict`` layer); the benchmark change that wraps the kernel
+        instead can delete it.
         """
         total, selections = self.adder.compute_with_shared(pc, self.state, reads, shared)
         return self._decide(total, selections, tage_prediction, context)

@@ -284,6 +284,33 @@ def _simulate_spec_batch(
         return results
 
 
+def _timed_spec_batch(
+    entries: Sequence[Tuple[Dict[str, object], "SizeProfile"]],
+    trace: Trace,
+    track_per_pc: bool,
+) -> Tuple[List[SimulationResult], float]:
+    """Pool task: :func:`_simulate_spec_batch` and its own wall in seconds.
+
+    Timed inside the pool process, so the submitter can split the task's
+    turnaround with :func:`_pool_phases`.
+    """
+    started = time.monotonic()
+    results = _simulate_spec_batch(entries, trace, track_per_pc)
+    return results, time.monotonic() - started
+
+
+def _pool_phases(turnaround: float, simulate_seconds: float) -> Dict[str, float]:
+    """Split a pool task's submit-to-completion ``turnaround``.
+
+    ``simulate`` is the traversal wall the task measured itself
+    (:func:`_timed_spec_batch`); ``queue_wait`` is the rest -- waiting
+    behind other tasks plus moving the task and its results between
+    processes -- so the two phases sum to the turnaround.
+    """
+    simulate_seconds = min(simulate_seconds, turnaround)
+    return {"simulate": simulate_seconds, "queue_wait": turnaround - simulate_seconds}
+
+
 class ExecutionBackend:
     """Structural interface of pluggable cell-execution backends.
 
@@ -937,9 +964,10 @@ class SuiteRunner:
 
         ``timing`` is ``None`` (backend-object cells: the backend owns its
         own timing artifact) or ``{"backend", "phases", "batch"}`` with a
-        measured ``simulate`` wall -- pool cells measure submit-to-result
-        turnaround (queue wait included), and batched cells share one
-        group wall across their ``batch`` cells.
+        measured ``simulate`` wall -- pool cells split their
+        submit-to-result turnaround into ``simulate`` (timed inside the
+        pool task) and ``queue_wait`` (the rest), and batched cells share
+        one group wall across their ``batch`` cells.
         """
         backend = self.backend if not isinstance(self.backend, str) else None
         if backend is not None:
@@ -977,7 +1005,7 @@ class SuiteRunner:
             pool = self._get_pool()
             batch_futures = {
                 pool.submit(
-                    _simulate_spec_batch,
+                    _timed_spec_batch,
                     [(specs[label].to_dict(), sizes[label]) for label in labels],
                     self.traces[index],
                     track_per_pc,
@@ -986,12 +1014,15 @@ class SuiteRunner:
             }
             for future in as_completed(batch_futures):
                 index, labels, submitted = batch_futures[future]
+                results, simulate_seconds = self._batch_results(future.result)
                 timing = {
                     "backend": "pool",
-                    "phases": {"simulate": time.monotonic() - submitted},
+                    "phases": _pool_phases(
+                        time.monotonic() - submitted, simulate_seconds
+                    ),
                     "batch": len(labels),
                 }
-                for label, result in zip(labels, self._batch_results(future.result)):
+                for label, result in zip(labels, results):
                     self._progress_advance()
                     yield (label, index), result, timing
             return
@@ -1013,7 +1044,7 @@ class SuiteRunner:
                 yield (label, index), result, timing
 
     @staticmethod
-    def _batch_results(run: Callable[[], List[SimulationResult]]) -> List[SimulationResult]:
+    def _batch_results(run: Callable[[], _Item]) -> _Item:
         """Run one batched task, unwrapping a cell failure to its real error.
 
         The runner fails the whole run on the first bad cell (as the

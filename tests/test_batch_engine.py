@@ -9,22 +9,30 @@ for the persistent store's cell keys, which must not see batching at all.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
+import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api.experiment import Experiment
 from repro.api.registry import default_registry
 from repro.api.specs import PredictorSpec
 from repro.dist import Coordinator, protocol
 from repro.dist.worker import Worker
-from repro.predictors.shared_core import plan_groups
+from repro.predictors.composites import CompositeOptions, build
+from repro.predictors.shared_core import _plan_heads, _run_heads, plan_groups
+from repro.predictors.statistical_corrector import CorrectorContext
 from repro.predictors.simple import AlwaysTakenPredictor, BimodalPredictor
 from repro.sim.engine import ENGINE_VERSION, simulate, simulate_many
 from repro.sim.runner import DEFAULT_BATCH_CELLS, SuiteRunner
 from repro.store import ResultStore
 from repro.trace.branch import BranchKind
+from repro.trace.chunked import write_chunked_trace
 from repro.workloads.suites import generate_suite
 
 LENGTH = 150
@@ -309,6 +317,40 @@ class TestSharedCoreGrouping:
             for ours, theirs in zip(grouped, flat):
                 _assert_identical(ours, theirs)
 
+    @pytest.mark.parametrize("base", ["tage-gsc", "gehl"])
+    def test_outcome_hook_rejected_by_group_construction(self, monkeypatch, base):
+        # The head kernel reads and trains counter rows itself and never
+        # calls a component's outcome hook, so a head component that has
+        # one must stop group construction instead of being skipped.
+        from repro.core.imli_sic import IMLISameIterationComponent
+
+        def on_outcome_fields(self, pc, target, taken, state):  # pragma: no cover
+            pass
+
+        monkeypatch.setattr(
+            IMLISameIterationComponent, "on_outcome_fields", on_outcome_fields
+        )
+        specs = PredictorSpec.from_named(f"{base}+imli", profile="small").sweep(
+            oh_update_delay=[0, 63]
+        )
+        with pytest.raises(TypeError, match="on_outcome_fields"):
+            plan_groups([spec.build() for spec in specs])
+
+    def test_transparent_hook_wrapper_still_groups(self, monkeypatch):
+        # A profiler wraps the inherited no-op hook with functools.wraps;
+        # that is still the no-op, so the group must form (else a traced
+        # run would measure the per-cell fallback instead of the kernel).
+        from repro.core.imli_oh import IMLIOuterHistoryComponent
+
+        inherited = IMLIOuterHistoryComponent.on_outcome_fields
+
+        @functools.wraps(inherited)
+        def traced(*args, **kwargs):  # pragma: no cover - never called
+            return inherited(*args, **kwargs)
+
+        monkeypatch.setattr(IMLIOuterHistoryComponent, "on_outcome_fields", traced)
+        assert plan_groups([spec.build() for spec in _oh_grid(2)]) is not None
+
     def test_grouped_members_left_untouched(self, traces):
         # The group runs fresh cores/heads; the originals stay pristine
         # (documented contract -- callers must not rely on batch members
@@ -419,6 +461,146 @@ class TestMixedKindGrouping:
                 _assert_identical(result, reference)
 
 
+_HEAD_OPTIONS = st.fixed_dictionaries({
+    "base": st.sampled_from(["tage-gsc", "gehl"]),
+    "imli_sic": st.booleans(),
+    "imli_oh": st.booleans(),
+    "oh_update_delay": st.sampled_from([0, 1, 63]),
+    "local": st.booleans(),
+    "loop": st.booleans(),
+    "wormhole": st.booleans(),
+    "imli_global_tables": st.sampled_from([0, 1, 2]),
+})
+
+
+@pytest.fixture(scope="module")
+def differential_traces(mixed_kind, tmp_path_factory):
+    """Short mixed-kind traces, each also as a finely chunked copy."""
+    base = generate_suite(
+        "cbp4like", target_conditional_branches=300, benchmarks=BENCHMARKS
+    )
+    monolithic = [mixed_kind(trace, seed) for seed, trace in enumerate(base)]
+    chunked = [
+        write_chunked_trace(
+            trace, tmp_path_factory.mktemp("differential") / "trace", chunk_branches=97
+        )
+        for trace in monolithic
+    ]
+    return monolithic, chunked
+
+
+class TestGroupDifferential:
+    """Random shared-core batches against the record-based reference path.
+
+    Members draw a base and every head-only knob at random, so a batch
+    holds zero, one or two groups of varied head compositions beside
+    solos; each member must match its own reference replay exactly.
+    """
+
+    _references: dict = {}
+
+    def _reference(self, options, trace, warmup, track):
+        key = (options, trace.name, warmup, track)
+        if key not in self._references:
+            self._references[key] = simulate(
+                build(options, "small"), trace, warmup_fraction=warmup,
+                track_per_pc=track, use_fast_path=False,
+            )
+        return self._references[key]
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        members=st.lists(_HEAD_OPTIONS, min_size=2, max_size=5),
+        trace_index=st.sampled_from([0, 1]),
+        use_chunks=st.booleans(),
+        warmup=st.sampled_from([0.0, 0.25]),
+        track=st.booleans(),
+    )
+    def test_grouped_members_match_reference(
+        self, differential_traces, members, trace_index, use_chunks, warmup, track
+    ):
+        monolithic, chunked = differential_traces
+        trace = (chunked if use_chunks else monolithic)[trace_index]
+        options = [CompositeOptions(**member) for member in members]
+        predictors = [build(option, "small") for option in options]
+        bases = [option.base for option in options]
+        if len(set(bases)) < len(bases):
+            assert plan_groups(predictors) is not None
+        batched = simulate_many(
+            predictors, trace, warmup_fraction=warmup, track_per_pc=track
+        )
+        for result, option in zip(batched, options):
+            _assert_identical(
+                result,
+                self._reference(option, monolithic[trace_index], warmup, track),
+            )
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        base=st.sampled_from(["tage-gsc", "gehl"]),
+        imli_sic=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        threshold=st.integers(0, 8),
+    )
+    def test_head_kernel_matches_adder_tree_rules(self, base, imli_sic, seed, threshold):
+        # The kernel inlines the corrector's revert rule and the adder
+        # tree's threshold training.  Small random counters keep the sums
+        # near the threshold and the revert margin, where forced training
+        # and reverts happen; random TAGE predictions drive the revert
+        # rule, and imli_sic flips the parity of the centred sum (an odd
+        # sum can sit exactly on the revert margin).  Decisions, counters
+        # and thresholds must match the per-component path branch by
+        # branch.
+        rng = random.Random(seed)
+        options = CompositeOptions(
+            base=base, imli_sic=imli_sic, imli_oh=True, imli_global_tables=1
+        )
+        ours, reference = build(options, "small"), build(options, "small")
+        adders = [
+            predictor.adder if base == "gehl" else predictor.corrector.adder
+            for predictor in (ours, reference)
+        ]
+        for adder in adders:
+            adder.threshold = threshold
+        for mine, theirs in zip(adders[0].components, adders[1].components):
+            for table, twin in zip(mine.counter_tables, theirs.counter_tables):
+                table.values[:] = twin.values[:] = [
+                    rng.randint(-3, 2) for _ in table.values
+                ]
+        index_fns, [rows] = _plan_heads([adders[0]])
+        margin = 0 if base == "gehl" else ours.corrector.config.revert_margin
+        heads = [(rows, len(rows), adders[0], margin, None)]
+        for _ in range(40):
+            pc, target = rng.randrange(1 << 12), rng.randrange(1 << 12)
+            taken = rng.random() < 0.5
+            tage_prediction = None if base == "gehl" else rng.random() < 0.5
+            ours.state.tage_prediction = reference.state.tage_prediction = tage_prediction
+            if base == "gehl":
+                total, selections = adders[1].compute(pc, reference.state)
+                adders[1].train_fields(pc, target, taken, total, selections, reference.state)
+                expected = total >= 0
+            else:
+                context = reference.corrector.predict_into(
+                    pc, tage_prediction, CorrectorContext()
+                )
+                reference.corrector.train_fields(pc, target, taken, context)
+                expected = context.final_prediction
+            flat = []
+            for compute_indices in index_fns:
+                flat += compute_indices(pc, ours.state)
+            assert _run_heads(heads, flat, pc, target, taken, 0, tage_prediction) == [
+                expected
+            ]
+            assert adders[0].threshold == adders[1].threshold
+            assert adders[0]._threshold_counter == adders[1]._threshold_counter
+            for mine, theirs in zip(adders[0].components, adders[1].components):
+                for table, twin in zip(mine.counter_tables, theirs.counter_tables):
+                    assert table.values == twin.values
+            for predictor in (ours, reference):
+                predictor.state.update_conditional_fields(pc, target, taken)
+
+
 class TestPoolTaskLayout:
     """``SuiteRunner._group_pending``: how missing cells become tasks."""
 
@@ -520,6 +702,38 @@ class TestBatchTimings:
         assert offline["phases"]["simulate"]["sum"] == pytest.approx(wall)
         summary = json.loads((tmp_path / "store" / "timings_summary.json").read_text())
         assert summary["phases"]["simulate"]["sum"] == pytest.approx(wall)
+
+
+    def test_pool_records_split_queue_wait_from_simulate(self, traces, tmp_path):
+        # One pool process and two tasks (one per trace): the task that
+        # completes second waited behind the first, and every pool record
+        # splits its turnaround into simulate + queue_wait.
+        from repro.sim.runner import _pool_phases
+
+        runner = SuiteRunner(
+            traces, profile="small", store=str(tmp_path / "store"),
+            max_workers=1, backend="pool",
+        )
+        started = time.monotonic()
+        try:
+            runner.run_specs([PredictorSpec.from_named("gehl+imli", profile="small")])
+        finally:
+            runner.close()
+        wall = time.monotonic() - started
+        lines = [
+            json.loads(line)
+            for line in (tmp_path / "store" / "timings.jsonl").read_text().splitlines()
+        ]
+        assert [line["backend"] for line in lines] == ["pool", "pool"]
+        for line in lines:
+            phases = line["phases"]
+            assert phases["simulate"] > 0 and phases["queue_wait"] >= 0
+            assert phases["simulate"] + phases["queue_wait"] <= wall
+        assert lines[1]["phases"]["queue_wait"] > 0
+        # The split is exact: the two phases sum to the turnaround, and a
+        # task never reports more traversal than turnaround.
+        assert sum(_pool_phases(2.5, 1.25).values()) == 2.5
+        assert _pool_phases(1.0, 1.5) == {"simulate": 1.0, "queue_wait": 0.0}
 
 
 class TestDistBatching:
