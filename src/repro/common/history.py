@@ -17,6 +17,7 @@ consume three kinds of history state, all modelled here:
 
 from __future__ import annotations
 
+from array import array
 from typing import List
 
 from repro.common.bits import mask
@@ -221,6 +222,19 @@ class LocalHistoryTable:
         entries = self.entries
         index = (pc ^ (pc >> width) ^ (pc >> (2 * width))) & self.index_mask
         entries[index] = ((entries[index] << 1) | (1 if taken else 0)) & self.history_mask
+
+    def advance_block(self, pcs, targets, takens, imli_counts) -> array:
+        """:meth:`advance` over a block; the history each branch read first."""
+        width = self._index_bits
+        index_mask = self.index_mask
+        history_mask = self.history_mask
+        entries = self.entries
+        reads = array("Q", bytes(8 * len(pcs)))
+        for position, (pc, taken) in enumerate(zip(pcs, takens)):
+            index = (pc ^ (pc >> width) ^ (pc >> (2 * width))) & index_mask
+            history = reads[position] = entries[index]
+            entries[index] = ((history << 1) | (1 if taken else 0)) & history_mask
+        return reads
 
     def reset(self) -> None:
         """Clear every local history."""

@@ -16,6 +16,10 @@ This module defines the plumbing that makes that composition possible:
   prediction (for statistical-corrector bias tables).  Everything on it
   except the TAGE prediction depends only on the branch stream, so one
   state can serve every predictor of a shared-core group.
+* :class:`BlockColumns` -- what :meth:`SharedState.advance_block` returns:
+  the state's values before each conditional branch of a sub-block, as
+  columns, so a shared-core group computes every index of the sub-block
+  ahead of its predictions.
 * :class:`NeuralComponent` -- the interface of one adder-tree input: select
   counters at prediction time, train them at update time, and perform any
   private bookkeeping once the outcome is known.
@@ -29,17 +33,63 @@ This module defines the plumbing that makes that composition possible:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from array import array
+from itertools import compress
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.common import swar
+from repro.common.bits import MIX_ROUND_KEY, mask
 from repro.common.counters import SignedCounterArray
 from repro.common.history import FoldedHistory, GlobalHistory, LocalHistoryTable, PathHistory
 from repro.core.imli import IMLIState
-from repro.trace.branch import BranchRecord
+from repro.trace.branch import CONDITIONAL_CODE, BranchRecord
 
-__all__ = ["CounterSelection", "IndexedComponent", "NeuralComponent", "SharedState"]
+__all__ = [
+    "BlockColumns", "CounterSelection", "IndexedComponent", "NeuralComponent", "SharedState",
+]
 
 #: A reference to one selected counter: (table, index).
 CounterSelection = Tuple[SignedCounterArray, int]
+
+#: Byte translations of the pre-pass: branch-kind code -> is conditional,
+#: outcome -> 0/1, ``"0"``/``"1"`` -> 0/1 and back.
+_CONDITIONAL = bytes(1 if code == CONDITIONAL_CODE else 0 for code in range(256))
+_TRUTH = bytes([0] + [1] * 255)
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+class BlockColumns:
+    """Trace-only columns of the conditional branches of one sub-block.
+
+    Built by :meth:`SharedState.advance_block`.  Position ``k`` is the
+    ``k``-th of the sub-block's ``n`` conditional branches, and every
+    column holds what the incremental state held just *before* that
+    branch, when the components read it: ``pc``, ``path`` (the path
+    register's low bits, see :meth:`SharedState.advance_block`) and
+    ``imli`` as :mod:`~repro.common.swar` slot columns over ``lanes``;
+    ``pc_round``, the PC round every index hash shares; ``folds``, one
+    slot column per registered
+    :class:`~repro.common.history.FoldedHistory` of non-zero length; and
+    ``reads``, what each trace-only structure's ``advance_block``
+    returned.  The columns reference no predictor or group.
+    """
+
+    __slots__ = ("n", "lanes", "pc", "pc_round", "path", "imli", "folds", "reads")
+
+    def __init__(self, n: int, pc: int) -> None:
+        self.n = n
+        self.lanes = swar.Lanes(n)
+        self.pc = pc
+        self.pc_round = swar.mix_round(self.lanes, self.lanes.of(MIX_ROUND_KEY), pc, 0)
+        self.folds: Dict[FoldedHistory, int] = {}
+        self.reads: Dict[Any, Any] = {}
+
+    def index(self, index_mask: int, *fields: int) -> array:
+        """``mix_hash(pc, *fields) & index_mask`` per branch, as an array."""
+        lanes = self.lanes
+        hashed = swar.mix_tail(lanes, self.pc_round, *fields)
+        return swar.unpack(hashed & lanes.of(index_mask), self.n)
 
 
 class SharedState:
@@ -96,6 +146,17 @@ class SharedState:
         folded = self._folded_by_shape.get(shape)
         if folded is not None:
             return folded
+        # The incremental update reads the dropped bit from the global
+        # history register, and the block form keeps a fold in one slot.
+        if length > self.global_history.capacity:
+            raise ValueError(
+                f"folded history length {length} exceeds the global history "
+                f"capacity ({self.global_history.capacity})"
+            )
+        if width > swar.FIELD_BITS:
+            raise ValueError(
+                f"folded history width {width} exceeds {swar.FIELD_BITS} bits"
+            )
         folded = FoldedHistory(length, width)
         self._folded_by_shape[shape] = folded
         self._folded.append(folded)
@@ -122,7 +183,10 @@ class SharedState:
         ``advance(pc, target, taken, imli_count)`` runs once per
         conditional branch in :meth:`update_conditional_fields`, after every
         component has read and trained for that branch and before the IMLI
-        count moves.
+        count moves.  Its ``advance_block(pcs, targets, takens,
+        imli_counts)`` does the same for the conditional branches of a
+        sub-block in :meth:`advance_block` and returns what the components
+        read from it before each branch.
         """
         structure = self._trace_only.get(key)
         if structure is None:
@@ -178,6 +242,103 @@ class SharedState:
                     imli.count += 1
             else:
                 imli.count = 0
+
+    def advance_block(self, pcs, targets, takens, kinds) -> BlockColumns:
+        """Advance the state over one sub-block of records; its columns.
+
+        The block form of :meth:`update_conditional_fields` (conditional
+        records) and :meth:`observe_pc` (the others), computed a column at
+        a time: afterwards the state is exactly where those per-branch
+        calls would have left it, and the returned :class:`BlockColumns`
+        hold the values each conditional branch read.  The path column
+        keeps the register's low ``min(capacity, 64 - 64 % bits per
+        branch)`` bits (index hashes read at most 16).  Folds use the
+        closed form of :func:`repro.common.swar.fold_columns` over the
+        block's outcomes after an ``L``-bit carry from the global history
+        register (``L`` the longest registered fold).
+        """
+        flags = bytes(kinds).translate(_CONDITIONAL)
+        pc = swar.pack(pcs)
+        path_column = self._advance_path(pcs, pc)
+        if flags.count(0):
+            pcs, targets, takens = (
+                array(column.typecode, compress(column, flags))
+                for column in (pcs, targets, takens)
+            )
+            pc = swar.pack(pcs)
+            path_column = swar.pack(
+                array("Q", compress(swar.unpack(path_column, len(flags)), flags))
+            )
+        n = len(pcs)
+        block = BlockColumns(n, pc)
+        block.path = path_column & block.lanes.full
+        imli = self.imli
+        count = imli.count
+        maximum = imli.maximum
+        counts = array("Q", bytes(8 * n))
+        for position, (pc, target, taken) in enumerate(zip(pcs, targets, takens)):
+            counts[position] = count
+            if target < pc:
+                count = (count + 1 if count < maximum else count) if taken else 0
+        self._advance_folds(block, takens)
+        for structure in self._trace_only.values():
+            block.reads[structure] = structure.advance_block(pcs, targets, takens, counts)
+        imli.count = count
+        block.imli = swar.pack(counts)
+        return block
+
+    def _advance_path(self, pcs, pc: int) -> int:
+        """Path register before each record, as a slot column; advances it.
+
+        ``pc`` is ``pcs`` packed (:func:`repro.common.swar.pack`).
+        """
+        path_history = self.path_history
+        branch_bits = path_history.bits_per_branch
+        branch_mask = path_history.branch_mask
+        count = swar.FIELD_BITS // branch_bits
+        carry = [
+            (path_history.bits >> (branch_bits * age)) & branch_mask
+            for age in range(count - 1, -1, -1)
+        ]
+        lanes = swar.Lanes(count + len(pcs) + 1)
+        elements = (swar.pack(carry) | (pc << (swar.SLOT_BITS * count))) & lanes.of(branch_mask)
+        column = swar.windows(lanes, elements, branch_bits, count) & lanes.of(
+            mask(min(path_history.capacity, count * branch_bits))
+        )
+        bits = path_history.bits
+        for pc in pcs[-(path_history.capacity // branch_bits + 1):]:
+            bits = ((bits << branch_bits) | (pc & branch_mask)) & path_history.capacity_mask
+        path_history.bits = bits
+        return column >> (swar.SLOT_BITS * count)
+
+    def _advance_folds(self, block: BlockColumns, takens) -> None:
+        """Fold columns of the block; advances the folds and global history."""
+        n = block.n
+        outcomes = bytes(takens).translate(_TRUTH)
+        global_history = self.global_history
+        folded = [register for register in self._folded if register.length]
+        if folded:
+            carry = max(register.length for register in folded)
+            lanes = swar.Lanes(carry + n + 1)
+            stream = bytearray(swar.SLOT_BITS // 8 * (carry + n))
+            stream[:: swar.SLOT_BITS // 8] = (
+                format(global_history.bits & mask(carry), f"0{carry}b").encode("ascii")
+                .translate(_FROM_DIGITS)
+                + outcomes
+            )
+            recent = swar.windows(
+                lanes, int.from_bytes(stream, "little"), 1,
+                max(register.width for register in folded),
+            )
+            for register in folded:
+                column = swar.fold_columns(lanes, recent, register.length, register.width)
+                column >>= swar.SLOT_BITS * carry
+                register.fold = column >> (swar.SLOT_BITS * n)
+                block.folds[register] = column & block.lanes.full
+        global_history.bits = (
+            (global_history.bits << n) | int(outcomes.translate(_TO_DIGITS) or b"0", 2)
+        ) & global_history.capacity_mask
+        global_history.length = min(global_history.capacity, global_history.length + n)
 
     def update_unconditional(self, record: BranchRecord) -> None:
         """Advance the path history with a non-conditional branch."""
@@ -328,8 +489,8 @@ class IndexedComponent(NeuralComponent):
     hash, which the tests pin the split form to.
 
     Two components with equal keys over one state compute equal indices
-    for every branch, so a shared-core group hashes each distinct key
-    once per branch into one flat index list and reads and trains every
+    for every branch, so a shared-core group computes each distinct key's
+    :meth:`index_columns` once per sub-block and reads and trains every
     head's ``counter_tables`` at those indices itself.  A key starts with
     the component's type, so a subclass that hashes differently never
     shares with its parent.
@@ -344,6 +505,17 @@ class IndexedComponent(NeuralComponent):
     @abstractmethod
     def compute_indices(self, pc: int, state: SharedState) -> Sequence[int]:
         """The hash half of :meth:`select_sum`, read by :meth:`select_sum_at`."""
+
+    @abstractmethod
+    def index_columns(self, block: BlockColumns) -> list:
+        """:meth:`compute_indices` for every branch of a block, in bulk.
+
+        One ``array`` per table of ``counter_tables``: entry ``k`` of a
+        column is the index :meth:`compute_indices` returns for branch
+        ``k`` over the state :meth:`SharedState.advance_block` recorded.
+        A table indexed with the TAGE prediction has a ``(not taken,
+        taken)`` pair of columns instead, for the caller to pick from.
+        """
 
     def select_sum(self, pc: int, state: SharedState) -> tuple:
         return self.select_sum_at(self.compute_indices(pc, state))

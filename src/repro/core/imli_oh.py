@@ -41,9 +41,11 @@ reproduces through its ``update_delay`` parameter.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
+from repro.common import swar
 from repro.common.bits import log2_exact, mask, mix_hash, mix_hash3
 from repro.common.counters import SignedCounterArray
 from repro.core.component import CounterSelection, IndexedComponent, SharedState
@@ -120,6 +122,44 @@ class OuterHistory:
             self.history[cell] = 1 if taken else 0
         else:
             pending.append((cell, 1 if taken else 0, self._tick + self.update_delay))
+
+    def advance_block(self, pcs, targets, takens, imli_counts) -> Tuple[array, array]:
+        """:meth:`advance` over a block; ``(same, previous)`` read columns.
+
+        ``same[k]`` and ``previous[k]`` are ``Out[N-1][M]`` and
+        ``Out[N-1][M-1]`` as branch ``k`` read them before its advance:
+        its history cell and its PIPE bit.
+        """
+        n = len(pcs)
+        same = array("Q", bytes(8 * n))
+        previous = array("Q", bytes(8 * n))
+        history = self.history
+        pipe = self.pipe
+        pending = self._pending
+        width = self.branch_index_bits
+        slot_mask = self.branch_index_mask
+        iterations = self.iterations_per_branch
+        delay = self.update_delay
+        tick = self._tick
+        for position in range(n):
+            pc = pcs[position]
+            slot = (pc ^ (pc >> width) ^ (pc >> (2 * width))) & slot_mask
+            cell = slot * iterations + (imli_counts[position] % iterations)
+            same[position] = history[cell]
+            previous[position] = pipe[slot]
+            tick += 1
+            while pending and pending[0][2] <= tick:
+                written, outcome, _ = pending.popleft()
+                history[written] = outcome
+            if targets[position] < pc:
+                continue
+            pipe[slot] = history[cell]
+            if delay == 0:
+                history[cell] = 1 if takens[position] else 0
+            else:
+                pending.append((cell, 1 if takens[position] else 0, tick + delay))
+        self._tick = tick
+        return same, previous
 
 
 class IMLIOuterHistoryComponent(IndexedComponent):
@@ -239,6 +279,10 @@ class IMLIOuterHistoryComponent(IndexedComponent):
         iterations = self.iterations_per_branch
         same = outer.history[slot * iterations + (state.imli.count % iterations)]
         return choices[2 * same + outer.pipe[slot]]
+
+    def index_columns(self, block) -> list:
+        same, previous = block.reads[self.outer]
+        return [block.index(self.prediction_index_mask, swar.pack(same), swar.pack(previous) << 1)]
 
     def select_sum_at(self, indices: Sequence[int]) -> tuple:
         table = self.table

@@ -53,6 +53,9 @@ class IMLISameIterationComponent(IndexedComponent):
     def compute_indices(self, pc: int, state: SharedState) -> Tuple[int]:
         return (mix_hash2(pc, state.imli.count) & self.index_mask,)
 
+    def index_columns(self, block) -> list:
+        return [block.index(self.index_mask, block.imli)]
+
     def select_sum_at(self, indices: Sequence[int]) -> tuple:
         table = self.table
         index = indices[0]

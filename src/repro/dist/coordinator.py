@@ -930,6 +930,8 @@ class Coordinator:
                             "trace": cell.trace_name,
                             "phases": phases,
                             "batch": batch if isinstance(batch, int) and batch >= 1 else 1,
+                            # From the uploaded result: the frame is unchanged.
+                            "branches": result.conditional_branches,
                         }
         # The artifact write happens outside the scheduler lock: a slow
         # disk must never stall lease grants or renewals.

@@ -554,6 +554,7 @@ class Worker:
                 trace=str(item.get("trace_name", item.get("trace", "?"))),
                 phases=local,
                 batch=int(batch),
+                branches=result.conditional_branches,
             )
         if chaos.active() and chaos.should("worker.upload.duplicate"):
             # A retransmitted result: the coordinator must acknowledge it

@@ -19,7 +19,9 @@ Record schema (one line per completed cell)::
      "phases": {"trace_load": 0.01, "simulate": 0.82,
                 "store_write": 0.002},       # seconds, per phase
      "cell_phases": {"trace_load": 0.0025, "simulate": 0.205,
-                     "store_write": 0.002}}  # this cell's share (batch > 1)
+                     "store_write": 0.002},  # this cell's share (batch > 1)
+     "branches": 20000,          # conditional branches the cell measured
+     "cell_branches_per_s": 97560.98}  # branches / the cell's simulate share
 
 Phase names by path:
 
@@ -42,6 +44,13 @@ The phases a batch shares (:data:`SHARED_PHASES`) carry the whole batch's
 wall in ``phases``; ``cell_phases`` (written when ``batch > 1``) divides
 them by ``batch``, and every summary aggregates those per-cell shares, so a
 summed phase is the true wall however the cells were batched.
+
+``branches`` is the cell's ``SimulationResult.conditional_branches`` (the
+measured conditional branches; a warm-up prefix is not counted), and
+``cell_branches_per_s`` divides it by the cell's share of ``simulate``;
+summaries add ``branches`` and ``branches_per_s`` (total branches over the
+summed ``simulate`` shares of the records that carry a count).  Both are
+reports only: nothing reads them back into results, keys or scheduling.
 
 Timing capture is on whenever a run has a store to anchor the artifact
 to, and off otherwise; ``REPRO_TIMINGS=0`` (or ``off``) disables it
@@ -108,6 +117,7 @@ class TimingLog:
         self._histograms: Dict[str, Histogram] = {}
         self._lock = threading.Lock()
         self._summary_stamp = -1
+        self._throughput = _Throughput()
 
     def record(
         self,
@@ -117,8 +127,12 @@ class TimingLog:
         trace: str,
         phases: Mapping[str, float],
         batch: int = 1,
+        branches: Optional[int] = None,
     ) -> None:
-        """Append one cell's record (best-effort; never fails the run)."""
+        """Append one cell's record (best-effort; never fails the run).
+
+        ``branches`` is the cell's simulated conditional-branch count.
+        """
         clean = {
             str(name): float(value)
             for name, value in phases.items()
@@ -139,8 +153,16 @@ class TimingLog:
         per_cell = _cell_phases(clean, batch)
         if batch > 1:
             record["cell_phases"] = per_cell
+        simulate = 0.0
+        if branches is not None:
+            record["branches"] = branches = int(branches)
+            simulate = per_cell.get("simulate", 0.0)
+            if simulate > 0.0:
+                record["cell_branches_per_s"] = branches / simulate
         line = (json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8")
         with self._lock:
+            if branches is not None:
+                self._throughput.add(branches, simulate)
             for name, value in per_cell.items():
                 histogram = self._histograms.get(name)
                 if histogram is None:
@@ -170,6 +192,7 @@ class TimingLog:
                     name: histogram.snapshot()
                     for name, histogram in sorted(self._histograms.items())
                 },
+                **self._throughput.summary(),
             }
 
     def write_summary(self, path: Union[str, Path, None] = None) -> Optional[Path]:
@@ -222,6 +245,7 @@ def summarize_timings(path: Union[str, Path]) -> Dict[str, Any]:
     them).  Malformed lines are skipped and counted.
     """
     histograms: Dict[str, Histogram] = {}
+    throughput = _Throughput()
     records = 0
     skipped = 0
     by_component: Dict[str, int] = {}
@@ -245,6 +269,10 @@ def summarize_timings(path: Union[str, Path]) -> Dict[str, Any]:
             if not isinstance(cell_phases, dict):
                 batch = record.get("batch", 1)
                 cell_phases = _cell_phases(phases, batch if isinstance(batch, int) else 1)
+            branches = record.get("branches")
+            simulate = cell_phases.get("simulate", 0.0)
+            if isinstance(branches, int) and isinstance(simulate, (int, float)):
+                throughput.add(branches, simulate)
             for name, value in cell_phases.items():
                 if not isinstance(value, (int, float)):
                     continue
@@ -263,7 +291,28 @@ def summarize_timings(path: Union[str, Path]) -> Dict[str, Any]:
             name: histogram.snapshot()
             for name, histogram in sorted(histograms.items())
         },
+        **throughput.summary(),
     }
+
+
+class _Throughput:
+    """Simulated branches and the ``simulate`` seconds they took, summed."""
+
+    __slots__ = ("branches", "seconds")
+
+    def __init__(self) -> None:
+        self.branches = 0
+        self.seconds = 0.0
+
+    def add(self, branches: int, seconds: float) -> None:
+        self.branches += branches
+        self.seconds += seconds
+
+    def summary(self) -> Dict[str, Any]:
+        return {
+            "branches": self.branches,
+            "branches_per_s": self.branches / self.seconds if self.seconds > 0.0 else 0.0,
+        }
 
 
 def _cell_phases(phases: Mapping[str, Any], batch: int) -> Dict[str, Any]:

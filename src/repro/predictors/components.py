@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+from repro.common import swar
 from repro.common.bits import (
     MASK64,
     MIX_FINAL_MULTIPLIER,
@@ -129,6 +130,13 @@ class BiasComponent(IndexedComponent):
             return (mix_hash1(pc) & index_mask,)
         tage_bit = 1 if state.tage_prediction else 0
         return mix_hash1(pc) & index_mask, mix_hash2(pc, tage_bit) & index_mask
+
+    def index_columns(self, block) -> list:
+        columns = [block.index(self.index_mask)]
+        if self.tage_table is not None:
+            lanes = block.lanes
+            columns.append(tuple(block.index(self.index_mask, lanes.of(bit)) for bit in (0, 1)))
+        return columns
 
     def select_sum_at(self, indices: tuple) -> tuple:
         pc_table = self.pc_table
@@ -265,6 +273,17 @@ class GlobalHistoryComponent(IndexedComponent):
             append((acc ^ (acc >> 31)) & index_mask)
         return indices
 
+    def index_columns(self, block, *extra: int) -> list:
+        # ``extra``: slot columns hashed after the path (the IMLI count of
+        # the subclass).  Zero-length folds are constant zero and have no
+        # column.
+        path = block.path if self.use_path_history else 0
+        of = block.lanes.of
+        return [
+            block.index(self.index_mask, block.folds.get(folded, 0), path & of(path_mask), *extra)
+            for folded, path_mask in self._rows
+        ]
+
     def storage_bits(self) -> int:
         return sum(table.storage_bits() for table in self.tables)
 
@@ -305,6 +324,9 @@ class IMLICountHashedGlobalComponent(GlobalHistoryComponent):
             mix_hash4(pc, folded.fold, path_bits & path_mask, imli_count) & index_mask
             for folded, path_mask in self._rows
         ]
+
+    def index_columns(self, block) -> list:
+        return super().index_columns(block, block.imli)
 
 
 class LocalHistoryComponent(IndexedComponent):
@@ -375,6 +397,14 @@ class LocalHistoryComponent(IndexedComponent):
             acc = (acc * final_multiplier) & mask64
             append((acc ^ (acc >> 31)) & index_mask)
         return indices
+
+    def index_columns(self, block) -> list:
+        histories = swar.pack(block.reads[self.histories])
+        of = block.lanes.of
+        return [
+            block.index(self.index_mask, histories & of(history_mask))
+            for history_mask in self._history_masks
+        ]
 
     def storage_bits(self) -> int:
         return sum(table.storage_bits() for table in self.tables)

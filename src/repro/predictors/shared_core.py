@@ -7,13 +7,15 @@ already traverses the trace once per batch, but running every member's
 full ``predict_update`` per branch would repeat the core -- on TAGE-class
 grids ~98% of that work -- once per member.
 
-This module executes such a batch with **one core step and N head steps
-per branch**:
+This module executes such a batch with **one trace-only pre-pass per
+sub-block, then one core step and N head steps per branch**:
 
 * every group shares one :class:`~repro.core.component.SharedState`: the
   global/path history, folded registers, IMLI count and every trace-only
   structure a head registers on it (local-history tables, IMLI-OH outer
-  histories), each deduplicated by geometry and advanced once per branch;
+  histories), each deduplicated by geometry; ``_Group.prepare`` advances
+  it over a whole sub-block of records at once
+  (:meth:`~repro.core.component.SharedState.advance_block`);
 * ``tage-gsc`` groups also share one
   :class:`~repro.predictors.tage.TAGEEngine`; each member becomes a head
   built from a fresh
@@ -22,23 +24,28 @@ per branch**:
 * ``gehl`` groups have no learned core; each member's whole adder tree is
   its head;
 * every component names its table indices with a hashable
-  :meth:`~repro.core.component.IndexedComponent.index_key`; the group
-  hashes each distinct key once per branch into one flat index list
-  (:func:`_plan_heads`), and every head is a list of counter rows that one
-  kernel (:func:`_run_heads`) reads, decides on and trains inline.
+  :meth:`~repro.core.component.IndexedComponent.index_key`; the pre-pass
+  computes each distinct key's index columns once per sub-block
+  (``index_columns``) and the TAGE core's index and tag columns, and
+  lays the former out as one flat index vector per branch
+  (:func:`_plan_heads`); every head is a list of counter rows that one
+  kernel (:func:`_run_heads`) reads, decides on and trains inline, and
+  the TAGE walk (``TAGEEngine.predict_at``) only compares tags.
 
 Results are bit-identical to solo execution *by construction*, not by
 tolerance:
 
 * the shared state and the TAGE engine evolve as pure functions of the
-  branch stream -- ``SharedState.update_conditional_fields`` and
+  branch stream -- ``SharedState.advance_block`` and
   ``TAGEEngine.train_fields`` never read corrector or sidecar state, and
   the TAGE allocation RNG stream does not depend on the final prediction;
+  so the state's values before each branch can be computed ahead of the
+  branch's prediction, and each column holds exactly those values;
 * every index input (PC, histories, folds, IMLI count, local and outer
   history, the TAGE prediction) is read from that state, so equal keys give
-  equal indices;
-* heads only *read* the shared state, which is frozen while the heads of
-  one branch run, and write only their own tables;
+  equal indices; the TAGE-bit bias index has a column per TAGE prediction,
+  picked once the prediction is known;
+* heads only *read* the columns and write only their own tables;
 * the head kernel applies the decision and threshold-training rules of
   :class:`~repro.predictors.statistical_corrector.StatisticalCorrector`
   and :class:`~repro.predictors.adder.AdderTree` to the same counters in
@@ -61,7 +68,9 @@ cores and heads.
 
 from __future__ import annotations
 
+from array import array
 from inspect import unwrap
+from struct import Struct
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.predictors.base import BranchPredictor
@@ -174,7 +183,9 @@ def _plan_heads(adders: Sequence[AdderTree]) -> Tuple[list, List[list]]:
     group's shared state compute equal indices for every branch, so each
     distinct key is hashed once per branch and its indices are appended to
     one flat list.  Returns ``(index_fns, rows)``: ``index_fns`` are the
-    ``compute_indices(pc, state)`` of the distinct keys in flat order, and
+    bound ``compute_indices(pc, state)`` of one component per distinct key,
+    in flat order (a group reads the same components' ``index_columns``
+    through their ``__self__``), and
     ``rows[h]`` lists head ``h``'s counters, one ``(values, flat position,
     maximum, minimum)`` row per table of ``counter_tables``, in component
     and table order.
@@ -272,7 +283,10 @@ class _Group:
     """One group's shared state (and TAGE core) fanned into flat heads.
 
     ``heads`` holds one ``(adder, revert_margin, info)`` per member, in
-    member order; ``revert_margin`` is ignored without a TAGE core.
+    member order; ``revert_margin`` is ignored without a TAGE core.  The
+    engine calls :meth:`prepare` with each sub-block of records, then
+    :meth:`step_count` or :meth:`step_list` once per conditional branch
+    of it, in order.
     """
 
     kind = ""
@@ -293,29 +307,71 @@ class _Group:
         # Per-branch work is dominated by calls and attribute chains, so
         # every head is one row list read and trained inline by
         # _run_heads, over one flat vector of the distinct indices.
-        self._index_fns, rows = _plan_heads([adder for adder, _, _ in heads])
+        index_fns, rows = _plan_heads([adder for adder, _, _ in heads])
+        self._column_fns = [compute.__self__.index_columns for compute in index_fns]
         self._heads = [
             (head_rows, len(head_rows), adder, revert_margin, _sidecars_for(info))
             for head_rows, (adder, revert_margin, info) in zip(rows, heads)
         ]
+        # The sub-block's flat vectors, branch-major in one array: branch
+        # k's is entries [k * width, (k + 1) * width), unpacked per branch
+        # into a tuple by _flat_vector.
+        self._width = sum(len(compute.__self__.counter_tables) for compute in index_fns)
+        self._flat_vector = Struct(f"{self._width}Q")
+        self._flat = array("Q")
+        self._tage_bit_columns: List[Tuple[int, array]] = []
+        self._position = 0
+
+    def prepare(self, block: tuple) -> None:
+        """The trace-only pre-pass of one ``(pc, target, taken, kind, gap)``
+        sub-block of records.
+
+        Advances the shared state over the whole sub-block
+        (:meth:`SharedState.advance_block`) and computes the TAGE core's
+        columns and every distinct key's index columns from it, then lays
+        the index columns out as one flat vector per branch.  A TAGE-bit
+        column pair fills its flat slot from the not-taken column;
+        :meth:`step_list` overwrites it when TAGE predicts taken.
+        """
+        columns = self.state.advance_block(*block[:4])
+        if self.tage is not None:
+            self.tage.prepare(columns)
+        width = self._width
+        flat = array("Q", bytes(8 * width * columns.n))
+        self._tage_bit_columns = []
+        slot = 0
+        for index_columns in self._column_fns:
+            for column in index_columns(columns):
+                if isinstance(column, tuple):
+                    column, taken_column = column
+                    self._tage_bit_columns.append((slot, taken_column))
+                flat[slot::width] = column
+                slot += 1
+        self._flat = flat
+        self._position = 0
 
     def step_list(self, pc: int, target: int, taken: bool, gap: int) -> List[bool]:
         """Run one conditional branch; return per-head final predictions."""
-        state = self.state
+        position = self._position
+        self._position = position + 1
+        vector = self._flat_vector
         tage = self.tage
         tage_prediction = None
         if tage is not None:
-            tage_ctx = tage.predict_into(pc, self._tage_scratch)
-            tage_prediction = state.tage_prediction = tage_ctx.prediction
-        flat: List[int] = []
-        for compute_indices in self._index_fns:
-            flat += compute_indices(pc, state)
+            tage_ctx = tage.predict_at(position, self._tage_scratch)
+            tage_prediction = tage_ctx.prediction
+            if tage_prediction:
+                flat = self._flat
+                start = position * self._width
+                for slot, taken_column in self._tage_bit_columns:
+                    flat[start + slot] = taken_column[position]
         predictions = _run_heads(
-            self._heads, flat, pc, target, taken, gap, tage_prediction
+            self._heads,
+            vector.unpack_from(self._flat, position * vector.size),
+            pc, target, taken, gap, tage_prediction,
         )
         if tage is not None:
             tage.train_fields(pc, taken, tage_ctx)
-        state.update_conditional_fields(pc, target, taken)
         return predictions
 
     def step_count(self, pc: int, target: int, taken: bool, gap: int) -> None:
@@ -325,10 +381,6 @@ class _Group:
         for prediction in self.step_list(pc, target, taken, gap):
             counts[slot] += prediction != taken
             slot += 1
-
-    def observe(self, pc: int) -> None:
-        """Non-conditional branch: advance the shared path history once."""
-        self.state.observe_pc(pc)
 
 
 class _TageGscGroup(_Group):

@@ -20,10 +20,12 @@ Two classes are provided:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
-from repro.common.bits import log2_exact, mask
+from repro.common import swar
+from repro.common.bits import MASK64, log2_exact, mask
 from repro.common.counters import UnsignedCounterArray
 from repro.common.history import FoldedHistory
 from repro.core.component import SharedState
@@ -154,6 +156,9 @@ class TAGEEngine:
             )
             for table in range(cfg.num_tables)
         ]
+        # Columns of the block bound by prepare(), read by predict_at().
+        self._column_rows: List[tuple] = []
+        self._base_column: Optional[array] = None
         # use_alt_on_new_alloc counter: when positive, prefer the alternate
         # prediction for weak (newly allocated) provider entries.
         self._use_alt = 0
@@ -216,7 +221,6 @@ class TAGEEngine:
         tag_mask = self._tag_mask
         path_bits = self.state.path_history.bits
         rows = self._predict_rows
-        tables = self.tables
         indices = result.indices
         tags = result.tags
 
@@ -254,6 +258,85 @@ class TAGEEngine:
                 else:
                     alt_provider = table
                     break
+        return self._resolve(result, provider, alt_provider, base_prediction)
+
+    def index_columns(self, block) -> Tuple[List[array], List[array], array]:
+        """``(index columns, tag columns, base-index column)`` of a block.
+
+        Column ``t`` holds :meth:`_table_index` / :meth:`_table_tag` of
+        table ``t`` for every branch of the
+        :class:`~repro.core.component.BlockColumns` ``block``, hashed in
+        bulk (:mod:`repro.common.swar`); a slot holds 64 PC bits, which
+        is exact because no index or tag reads a PC bit above
+        ``3 * index_bits`` or ``tag_bits + 7``.
+        """
+        of = block.lanes.of
+        n = block.n
+        mask64 = of(MASK64)
+        pc = block.pc
+        folds = block.folds
+        index_bits = self.index_bits
+        tag_bits = self.config.tag_bits
+        index_mask = of(self._index_mask)
+        tag_mask = of(self._tag_mask)
+        pc_index = pc ^ ((pc >> (index_bits - 2)) & mask64)
+        pc_tag = pc ^ ((pc >> 7) & mask64)
+        indices = []
+        tags = []
+        for table in range(self.config.num_tables):
+            value = (
+                pc_index
+                ^ folds[self.index_folds[table]]
+                ^ ((block.path & of(self._path_masks[table])) << 1)
+                ^ of(table << 3)
+            )
+            indices.append(swar.unpack((value ^ (value >> index_bits)) & index_mask, n))
+            value = pc_tag ^ folds[self.tag_folds[table]] ^ (folds[self.tag_folds_alt[table]] << 1)
+            tags.append(swar.unpack((value ^ (value >> tag_bits)) & tag_mask, n))
+        base = swar.unpack((pc ^ (pc >> self.base_index_bits)) & of(self._base_mask), n)
+        return indices, tags, base
+
+    def prepare(self, block) -> None:
+        """Bind :meth:`predict_at` to the columns of ``block``."""
+        indices, tags, self._base_column = self.index_columns(block)
+        self._column_rows = [
+            (table.tag, index_column, tag_column)
+            for table, index_column, tag_column in zip(self.tables, indices, tags)
+        ]
+
+    def predict_at(self, position: int, result: TAGEPrediction) -> TAGEPrediction:
+        """:meth:`predict_into` for branch ``position`` of the prepared block.
+
+        The indices and tags come from the columns bound by
+        :meth:`prepare`, so the walk only compares tags.
+        """
+        rows = self._column_rows
+        indices = result.indices
+        tags = result.tags
+        base_index = result.base_index = self._base_column[position]
+        base = self.base
+        base_prediction = base.values[base_index] >= base.midpoint
+        provider = -1
+        alt_provider = -1
+        # The same early-stopping walk as predict_into.
+        for table in range(len(rows) - 1, -1, -1):
+            table_tags, index_column, tag_column = rows[table]
+            index = indices[table] = index_column[position]
+            tag = tags[table] = tag_column[position]
+            if table_tags[index] == tag:
+                if provider < 0:
+                    provider = table
+                else:
+                    alt_provider = table
+                    break
+        return self._resolve(result, provider, alt_provider, base_prediction)
+
+    def _resolve(
+        self, result: TAGEPrediction, provider: int, alt_provider: int, base_prediction: bool
+    ) -> TAGEPrediction:
+        """Fill ``result``'s predictions from the walk's provider tables."""
+        tables = self.tables
+        indices = result.indices
         result.provider = provider
         result.alt_provider = alt_provider
 

@@ -22,8 +22,9 @@ batch of one), which owns exactly four per-branch loops:
   iterate the trace's columnar storage and drive the combined
   ``predict_update(pc, target, taken, kind, gap)`` / ``observe_pc(pc)``
   protocol for predictors that opt in (see ``docs/PERFORMANCE.md``),
-  stepping each shared-core group once per branch and every other member
-  as a solo.
+  running each shared-core group's trace-only pre-pass once per
+  sub-block, stepping the group once per conditional branch and every
+  other member as a solo.
 
 All of them produce bit-identical results; the fast loops are picked
 automatically whenever the predictor and the trace support them.
@@ -42,6 +43,7 @@ from repro.trace.trace import Trace
 
 __all__ = [
     "ENGINE_VERSION",
+    "SUB_BLOCK_RECORDS",
     "SimulationResult",
     "simulate",
     "simulate_many",
@@ -115,22 +117,37 @@ def supports_fast_path(predictor: BranchPredictor, trace: Trace) -> bool:
     )
 
 
-def _column_blocks(trace: Trace):
-    """Yield ``(pc, target, taken, kind, gap)`` column blocks of a trace.
+#: Records per sub-block of :func:`_column_blocks`: the unit of a
+#: shared-core group's trace-only pre-pass (``_Group.prepare``).  Big
+#: enough to amortise the per-block column set-up, small enough to keep
+#: the columns in cache and their memory flat.
+SUB_BLOCK_RECORDS = 512
 
-    A monolithic :class:`Trace` is one block (its own columns -- zero
-    copies, identical to the pre-chunking code path); a chunked trace
-    yields one block per chunk, so the fast loops below stream it in
-    bounded memory.  The simulation state is carried across blocks by the
-    callers, which makes block iteration bit-identical to a single flat
-    traversal by construction: the per-branch step sequence is unchanged.
+
+def _column_blocks(trace: Trace):
+    """Yield ``(pc, target, taken, kind, gap)`` column sub-blocks of a trace.
+
+    A monolithic :class:`Trace` yields its own columns, a chunked trace
+    one set per chunk, each cut into sub-blocks of at most
+    :data:`SUB_BLOCK_RECORDS` records (a block no longer than that is
+    yielded as is -- zero copies).  The simulation state is carried
+    across blocks by the callers, which makes block iteration
+    bit-identical to a single flat traversal by construction: the
+    per-branch step sequence is unchanged, and a group's pre-pass leaves
+    its state where per-branch upkeep would.
     """
     chunks = getattr(trace, "iter_chunks", None)
-    if chunks is not None:
-        for chunk in chunks():
-            yield chunk.columns()
-    else:
-        yield trace.columns()
+    blocks = (
+        (chunk.columns() for chunk in chunks()) if chunks is not None else (trace.columns(),)
+    )
+    size = SUB_BLOCK_RECORDS
+    for columns in blocks:
+        length = len(columns[0])
+        if length <= size:
+            yield columns
+            continue
+        for start in range(0, length, size):
+            yield tuple(column[start:start + size] for column in columns)
 
 
 def simulate(
@@ -346,18 +363,22 @@ def _simulate_columns_grouped_fast(
 ) -> List[int]:
     """Grouped hot loop: shared cores stepped once, heads fanned per branch.
 
-    Each group's ``step_count`` runs its core once and every head once,
-    bumping the group's internal per-head misprediction counters; solo
+    Each group's ``prepare`` runs the trace-only pre-pass of a sub-block
+    (histories, folds and every index column); its ``step_count`` then
+    runs the core once and every head once per conditional branch,
+    bumping the group's internal per-head misprediction counters.  Solo
     predictors keep the flat combined-step protocol.  After the traversal
     the group counters are scattered back to batch positions.
     """
     solo_steps = [(index, predictors[index].predict_update) for index in solos]
     observes = [predictors[index].observe_pc for index in solos]
-    observes.extend(group.observe for group in groups)
     group_steps = [group.step_count for group in groups]
     conditional_code = CONDITIONAL_CODE
     counts = [0] * len(predictors)
-    for pcs, targets, takens, kinds, gaps in _column_blocks(trace):
+    for block in _column_blocks(trace):
+        for group in groups:
+            group.prepare(block)
+        pcs, targets, takens, kinds, gaps = block
         for pc, target, taken, kind, gap in zip(pcs, targets, takens, kinds, gaps):
             if kind != conditional_code:
                 for observe in observes:
@@ -389,12 +410,12 @@ def _simulate_columns_grouped(
     are shared by every member, exactly as independent replays would each
     compute them; the counter survives block boundaries, so a window
     ending mid-chunk measures the same records as on the monolithic
-    trace.  Groups return per-head predictions through ``step_list`` so
-    the measurement logic stays per member.
+    trace.  Groups run their pre-pass per sub-block as in the hot loop and
+    return per-head predictions through ``step_list`` so the measurement
+    logic stays per member.
     """
     solo_steps = [(index, predictors[index].predict_update) for index in solos]
     observes = [predictors[index].observe_pc for index in solos]
-    observes.extend(group.observe for group in groups)
     group_list = [(group.indices, group.step_list) for group in groups]
     conditional_code = CONDITIONAL_CODE
     counts = [0] * len(predictors)
@@ -402,7 +423,10 @@ def _simulate_columns_grouped(
     measured_conditional = 0
     measured_instructions = 0
     seen_conditional = 0
-    for pcs, targets, takens, kinds, gaps in _column_blocks(trace):
+    for block in _column_blocks(trace):
+        for group in groups:
+            group.prepare(block)
+        pcs, targets, takens, kinds, gaps = block
         for position in range(len(pcs)):
             pc = pcs[position]
             kind = kinds[position]

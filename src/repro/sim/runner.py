@@ -706,6 +706,7 @@ class SuiteRunner:
                                 label=spec.label,
                                 trace=trace.name,
                                 phases=phases,
+                                branches=result.conditional_branches,
                             )
                     else:
                         # The stored cell may have been written under another
@@ -872,6 +873,7 @@ class SuiteRunner:
                         trace=self.traces[index].name,
                         phases=phases,
                         batch=timing.get("batch", 1),
+                        branches=result.conditional_branches,
                     )
                 slots[label][index] = result
         for label in specs:

@@ -351,6 +351,91 @@ class TestRunnerTimings:
         _assert_bit_identical(runs, serial_results, specs)
 
 
+class TestBranchThroughput:
+    """Timing records and summaries report simulated branches per second."""
+
+    def test_records_and_summaries_carry_branch_counts(self, tmp_path):
+        path = tmp_path / "timings.jsonl"
+        log = TimingLog(path, component="tester")
+        log.record(backend="serial", label="a", trace="t", phases={"simulate": 0.5},
+                   branches=1000)
+        log.record(backend="serial", label="b", trace="t", phases={"simulate": 2.0},
+                   batch=4, branches=3000)
+        log.record(backend="dist", label="c", trace="t", phases={"total": 1.0})
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert lines[0]["branches"] == 1000
+        assert lines[0]["cell_branches_per_s"] == pytest.approx(2000.0)
+        # A batched cell divides by its share of the group's wall.
+        assert lines[1]["cell_branches_per_s"] == pytest.approx(3000 / 0.5)
+        assert "branches" not in lines[2]
+        for summary in (log.summary(), summarize_timings(path)):
+            assert summary["branches"] == 4000
+            assert summary["branches_per_s"] == pytest.approx(4000 / 1.0)
+
+    def test_serial_records_count_the_results_branches(self, tmp_path, specs, traces):
+        store_dir = tmp_path / "store"
+        experiment = Experiment(specs, traces=traces, profile="small", store=store_dir)
+        runs = experiment.run().runs
+        experiment.close()
+        expected = {
+            (run.configuration, result.trace_name): result.conditional_branches
+            for run in runs.values()
+            for result in run.results
+        }
+        records = [
+            json.loads(line)
+            for line in (store_dir / "timings.jsonl").read_text().splitlines()
+        ]
+        assert {
+            (record["label"], record["trace"]): record["branches"] for record in records
+        } == expected
+        summary = json.loads((store_dir / "timings_summary.json").read_text())
+        assert summary["branches"] == sum(expected.values())
+        assert summary["branches_per_s"] > 0
+
+    def test_coordinator_counts_branches_from_the_uploaded_result(
+        self, tmp_path, specs, traces, monkeypatch
+    ):
+        from repro.dist import worker as worker_module
+
+        frames = []
+        write_frame = worker_module.protocol.write_frame
+
+        def record_frame(wfile, frame):
+            if frame.get("type") == "result":
+                frames.append(frame)
+            return write_frame(wfile, frame)
+
+        monkeypatch.setattr(worker_module.protocol, "write_frame", record_frame)
+        coordinator = Coordinator(store=ResultStore(tmp_path / "store"))
+        host, port = coordinator.start()
+        worker = Worker(host, port, name="w", reconnect=0)
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        try:
+            job = coordinator.submit(specs, traces)
+            assert job.wait(60)
+        finally:
+            coordinator.shutdown()
+            thread.join(timeout=30)
+            # The coordinator counted into the process-wide metrics, which
+            # the status-surface test reads from zero.
+            reset_default_registry()
+        records = [
+            json.loads(line)
+            for line in (tmp_path / "store" / "timings.jsonl").read_text().splitlines()
+            if json.loads(line)["component"] == "coordinator"
+        ]
+        counts = {trace.name: trace.conditional_count for trace in traces}
+        assert len(records) == len(specs) * len(traces)
+        assert all(record["branches"] == counts[record["trace"]] for record in records)
+        # The result frame's timings key carries phase walls only.
+        assert frames and all(
+            set(frame["timings"]) <= {"trace_load", "simulate", "queue_wait"}
+            for frame in frames
+        )
+
+
 class TestStatusSurface:
     """The HTTP surface answers accurately during a live two-worker sweep."""
 
