@@ -96,11 +96,12 @@ def measure_sweep(
     one :func:`~repro.sim.engine.simulate_many` traversal with shared-core
     grouping on (the default -- the whole grid shares one TAGE core);
     ``sweep_specs_per_s_unshared`` repeats it with ``share_cores=False``,
-    i.e. PR 5's batched path, so the gate pins the shared-core win
-    itself; ``sweep_specs_per_s_serial`` replays the same grid per-cell,
-    the pre-batching layout.  Fresh predictors per round, like
-    :func:`measure`, and the same ``use_fast_path`` semantics (``False``
-    = reference path, so ``--no-fast-path`` degrades this metric too).
+    i.e. every spec as a group of one over its own tables, so the gate
+    pins the shared-core win itself; ``sweep_specs_per_s_serial`` replays
+    the same grid per-cell, the pre-batching layout.  Fresh predictors per
+    round, like :func:`measure`, and the same ``use_fast_path`` semantics
+    (``False`` = reference path, so ``--no-fast-path`` degrades this
+    metric too).
     """
     from repro.sim.engine import simulate_many
 

@@ -911,6 +911,11 @@ class Coordinator:
             if cell.job.slots[cell.label][cell.index] is not None:
                 self._metric_duplicates.inc()
                 return False  # first upload won; drop the duplicate
+            # Counted before _complete_locked can settle the job, so a
+            # waiter woken by the settle sees it in /workers.
+            info = self._conn_info.get(owner)
+            if info is not None:
+                info["completed"] += 1
             accepted = self._complete_locked(cell, result)
             if accepted:
                 self._metric_results.inc()
@@ -1433,11 +1438,6 @@ class Coordinator:
                         ),
                         batch=frame.get("batch", 1),
                     )
-                    if accepted:
-                        with self._lock:
-                            info = self._conn_info.get(conn_id)
-                            if info is not None:
-                                info["completed"] += 1
                     protocol.write_frame(
                         wfile, {"type": "ack", "cell": cell_id, "accepted": accepted}
                     )

@@ -153,7 +153,7 @@ class AdderTree:
         state: SharedState,
         force: bool = False,
     ) -> None:
-        """Field-based form of :meth:`train` (the per-branch hot path)."""
+        """Field-based form of :meth:`train`."""
         adder_prediction = total >= 0
         mispredicted = adder_prediction != taken
         if force or mispredicted or abs(total) <= self.threshold:

@@ -206,36 +206,6 @@ class GlobalHistoryComponent(IndexedComponent):
             for table, (folded, path_mask) in zip(self.tables, self._rows)
         ]
 
-    def select_sum(self, pc: int, state: SharedState) -> tuple:
-        # compute_indices and select_sum_at in one loop (see
-        # compute_indices for the hash): the solo hot path, measurably
-        # faster than the inherited composition (docs/PERFORMANCE.md).
-        path_bits = state.path_history.bits if self.use_path_history else 0
-        index_mask = self.index_mask
-        mask64 = MASK64
-        multiplier = MIX_ROUND_MULTIPLIER
-        key1 = MIX_ROUND_KEY + 1
-        key2 = MIX_ROUND_KEY + 2
-        final_multiplier = MIX_FINAL_MULTIPLIER
-        acc0 = MIX_ROUND_KEY ^ ((pc + MIX_ROUND_KEY) & mask64)
-        acc0 = (acc0 * multiplier) & mask64
-        acc0 ^= acc0 >> 27
-        total = 0
-        selections = []
-        append = selections.append
-        for table, (folded, path_mask) in zip(self.tables, self._rows):
-            acc = acc0 ^ ((folded.fold + key1) & mask64)
-            acc = (acc * multiplier) & mask64
-            acc ^= acc >> 27
-            acc ^= ((path_bits & path_mask) + key2) & mask64
-            acc = (acc * multiplier) & mask64
-            acc ^= acc >> 27
-            acc = (acc * final_multiplier) & mask64
-            index = (acc ^ (acc >> 31)) & index_mask
-            append((table, index))
-            total += 2 * table.values[index] + 1
-        return selections, total
-
     def index_key(self) -> tuple:
         # Over one state, equal lengths and widths resolve to the *same*
         # fold objects (shape-deduplicated) and the path masks derive from
@@ -311,10 +281,6 @@ class IMLICountHashedGlobalComponent(GlobalHistoryComponent):
             )
             for table, (folded, path_mask) in zip(self.tables, self._rows)
         ]
-
-    # Not the parent's fused three-field hash: the IMLI counter is a
-    # fourth field.
-    select_sum = IndexedComponent.select_sum
 
     def compute_indices(self, pc: int, state: SharedState) -> List[int]:
         path_bits = state.path_history.bits if self.use_path_history else 0

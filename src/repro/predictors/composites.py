@@ -34,7 +34,7 @@ from repro.predictors.statistical_corrector import StatisticalCorrectorConfig
 from repro.predictors.tage import TAGEConfig
 from repro.predictors.tage_gsc import TAGEGSCConfig, TAGEGSCPredictor
 from repro.predictors.wormhole import WormholePredictor, WormholePredictorConfig
-from repro.trace.branch import BranchKind, BranchRecord
+from repro.trace.branch import BranchRecord
 
 __all__ = [
     "CompositeOptions",
@@ -53,34 +53,6 @@ __all__ = [
 # --------------------------------------------------------------------------- #
 # Side predictor wrapper
 # --------------------------------------------------------------------------- #
-
-
-class _MutableBranchView:
-    """Reusable, mutable record-shaped view used by the fast path.
-
-    The loop and wormhole side predictors consume the record protocol
-    (``pc``/``target``/``taken``/``is_conditional``/``is_backward``) but
-    never retain the record, so one mutable instance per
-    :class:`SidecarPredictor` replaces a fresh
-    :class:`~repro.trace.branch.BranchRecord` allocation per branch.  Only
-    conditional branches take the fast path, hence the constant
-    ``is_conditional``.
-    """
-
-    __slots__ = ("pc", "target", "taken", "instruction_gap")
-
-    is_conditional = True
-    kind = BranchKind.CONDITIONAL
-
-    def __init__(self) -> None:
-        self.pc = 0
-        self.target = 0
-        self.taken = False
-        self.instruction_gap = 0
-
-    @property
-    def is_backward(self) -> bool:
-        return self.target < self.pc
 
 
 class SidecarPredictor(BranchPredictor):
@@ -109,13 +81,6 @@ class SidecarPredictor(BranchPredictor):
         self.use_loop_prediction = use_loop_prediction
         self.name = name or main.name
         self._main_prediction = True
-        self._view = _MutableBranchView()
-        # The combined-step fast path is exposed (as instance attributes, so
-        # ``getattr`` probes see it) only when the wrapped main predictor
-        # opts into the fast-path protocol itself.
-        if hasattr(main, "predict_update") and hasattr(main, "observe_pc"):
-            self.predict_update = self._predict_update_fast
-            self.observe_pc = main.observe_pc
 
     def predict(self, record: BranchRecord) -> bool:
         prediction = self.main.predict(record)
@@ -138,41 +103,6 @@ class SidecarPredictor(BranchPredictor):
             self.wormhole.update(
                 record, main_mispredicted=self._main_prediction != record.taken
             )
-
-    def _predict_update_fast(
-        self, pc: int, target: int, taken: bool, kind: int = 0, gap: int = 0
-    ) -> bool:
-        """Combined predict-and-update fast path.
-
-        The main predictor is trained through its own combined step before
-        the side predictors run; that reordering is safe because neither
-        side predictor reads the main predictor's state.  The side
-        predictors keep their reference-path relative order (both predict,
-        then both update).
-        """
-        main_prediction = self.main.predict_update(pc, target, taken, kind, gap)
-        self._main_prediction = main_prediction
-        prediction = main_prediction
-        view = self._view
-        view.pc = pc
-        view.target = target
-        view.taken = taken
-        view.instruction_gap = gap
-        loop_predictor = self.loop_predictor
-        wormhole = self.wormhole
-        if loop_predictor is not None and self.use_loop_prediction:
-            loop_prediction = loop_predictor.predict(view)
-            if loop_prediction is not None:
-                prediction = loop_prediction
-        if wormhole is not None:
-            wormhole_prediction = wormhole.predict(view)
-            if wormhole_prediction is not None:
-                prediction = wormhole_prediction
-        if loop_predictor is not None:
-            loop_predictor.update(view)
-        if wormhole is not None:
-            wormhole.update(view, main_mispredicted=main_prediction != taken)
-        return prediction
 
     def observe_unconditional(self, record: BranchRecord) -> None:
         self.main.observe_unconditional(record)

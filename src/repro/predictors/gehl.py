@@ -55,6 +55,41 @@ class GEHLConfig:
             self.num_tables, self.min_history, self.max_history
         )
 
+    def new_state(self) -> SharedState:
+        """A fresh shared state sized for this geometry."""
+        return SharedState(
+            history_capacity=self.history_capacity,
+            path_capacity=self.path_capacity,
+            imli_counter_bits=self.imli_counter_bits,
+        )
+
+
+def gehl_adder(
+    config: GEHLConfig,
+    state: SharedState,
+    extra_components: Sequence[NeuralComponent] = (),
+) -> AdderTree:
+    """The GEHL adder tree of ``config`` over ``state``.
+
+    A bias table and the geometric global-history tables, then
+    ``extra_components``; shared-core groups build their GEHL heads with it.
+    """
+    components: List[NeuralComponent] = [
+        BiasComponent(
+            entries=config.bias_entries,
+            counter_bits=config.counter_bits,
+            use_tage_prediction=False,
+        ),
+        GlobalHistoryComponent(
+            state=state,
+            history_lengths=config.history_lengths(),
+            entries=config.table_entries,
+            counter_bits=config.counter_bits,
+        ),
+    ]
+    components.extend(extra_components)
+    return AdderTree(components, initial_threshold=config.initial_threshold, state=state)
+
 
 @dataclass
 class _GEHLContext:
@@ -86,28 +121,8 @@ class GEHLPredictor(BranchPredictor):
     ) -> None:
         self.name = name
         self.config = config or GEHLConfig()
-        self.state = SharedState(
-            history_capacity=self.config.history_capacity,
-            path_capacity=self.config.path_capacity,
-            imli_counter_bits=self.config.imli_counter_bits,
-        )
-        components: List[NeuralComponent] = [
-            BiasComponent(
-                entries=self.config.bias_entries,
-                counter_bits=self.config.counter_bits,
-                use_tage_prediction=False,
-            ),
-            GlobalHistoryComponent(
-                state=self.state,
-                history_lengths=self.config.history_lengths(),
-                entries=self.config.table_entries,
-                counter_bits=self.config.counter_bits,
-            ),
-        ]
-        components.extend(extra_components)
-        self.adder = AdderTree(
-            components, initial_threshold=self.config.initial_threshold, state=self.state
-        )
+        self.state = self.config.new_state()
+        self.adder = gehl_adder(self.config, self.state, extra_components)
         self._ctx = _GEHLContext()
 
     def predict(self, record: BranchRecord) -> bool:
@@ -120,22 +135,8 @@ class GEHLPredictor(BranchPredictor):
         self.adder.train(record, self._ctx.total, self._ctx.selections, self.state)
         self.state.update_conditional(record)
 
-    def predict_update(
-        self, pc: int, target: int, taken: bool, kind: int = 0, gap: int = 0
-    ) -> bool:
-        """Combined predict-and-train fast path (see ``docs/PERFORMANCE.md``)."""
-        state = self.state
-        adder = self.adder
-        total, selections = adder.compute(pc, state)
-        adder.train_fields(pc, target, taken, total, selections, state)
-        state.update_conditional_fields(pc, target, taken)
-        return total >= 0
-
     def observe_unconditional(self, record: BranchRecord) -> None:
         self.state.update_unconditional(record)
-
-    def observe_pc(self, pc: int) -> None:
-        self.state.observe_pc(pc)
 
     def storage_bits(self) -> int:
         return self.adder.storage_bits() + self.state.storage_bits()

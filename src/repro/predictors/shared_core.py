@@ -1,28 +1,34 @@
-"""Shared-core execution of a batch of composite predictors.
+"""Shared-core execution of composite predictors.
 
-Most sweep grids over the paper's configurations vary only corrector and
-sidecar knobs (``oh_update_delay``, IMLI components, local-history tables,
-loop/wormhole) around an identical TAGE or GEHL core.  The batched engine
-already traverses the trace once per batch, but running every member's
-full ``predict_update`` per branch would repeat the core -- on TAGE-class
-grids ~98% of that work -- once per member.
+In the paper, IMLI-SIC and IMLI-OH are extra adder-tree inputs on TAGE-GSC
+or GEHL (Sections 3.2 and 4), so every composite splits into a *core* (the
+TAGE engine; nothing for GEHL) and a *head* (its adder tree plus its
+loop/wormhole sidecars).  The engine runs every groupable composite
+(:func:`is_groupable`) in a group planned by :func:`plan_groups`, with
+**one trace-only pre-pass per sub-block, then one core step and N head
+steps per branch**.  Two kinds of group form:
 
-This module executes such a batch with **one trace-only pre-pass per
-sub-block, then one core step and N head steps per branch**:
+* a *fresh* group serves the pristine (:func:`is_pristine`) batch members
+  that share a :class:`~repro.predictors.composites.SharedCoreInfo` core
+  key: it builds a fresh shared state, one core and one head per member
+  from that info, so sweep grids that vary only corrector and sidecar
+  knobs (``oh_update_delay``, IMLI components, local-history tables,
+  loop/wormhole) pay the core -- on TAGE-class grids ~98% of the work --
+  once per branch.  The members' own instances are left untouched;
+* a *group of one* serves every other groupable predictor (alone in its
+  batch, trained, the only one with its key, or any with
+  ``share_cores=False``): it adopts the instance's own state, TAGE engine,
+  adder tree and sidecars, so it trains the predictor in place and a
+  trained predictor continues from its current state.
 
-* every group shares one :class:`~repro.core.component.SharedState`: the
+Either way:
+
+* the group's :class:`~repro.core.component.SharedState` holds the
   global/path history, folded registers, IMLI count and every trace-only
   structure a head registers on it (local-history tables, IMLI-OH outer
   histories), each deduplicated by geometry; ``_Group.prepare`` advances
   it over a whole sub-block of records at once
   (:meth:`~repro.core.component.SharedState.advance_block`);
-* ``tage-gsc`` groups also share one
-  :class:`~repro.predictors.tage.TAGEEngine`; each member becomes a head
-  built from a fresh
-  :class:`~repro.predictors.statistical_corrector.StatisticalCorrector`
-  (with that member's extra components) plus its loop/wormhole sidecars;
-* ``gehl`` groups have no learned core; each member's whole adder tree is
-  its head;
 * every component names its table indices with a hashable
   :meth:`~repro.core.component.IndexedComponent.index_key`; the pre-pass
   computes each distinct key's index columns once per sub-block
@@ -32,15 +38,17 @@ sub-block, then one core step and N head steps per branch**:
   kernel (:func:`_run_heads`) reads, decides on and trains inline, and
   the TAGE walk (``TAGEEngine.predict_at``) only compares tags.
 
-Results are bit-identical to solo execution *by construction*, not by
-tolerance:
+Results are bit-identical to the record-based reference path *by
+construction*, not by tolerance:
 
 * the shared state and the TAGE engine evolve as pure functions of the
   branch stream -- ``SharedState.advance_block`` and
   ``TAGEEngine.train_fields`` never read corrector or sidecar state, and
   the TAGE allocation RNG stream does not depend on the final prediction;
   so the state's values before each branch can be computed ahead of the
-  branch's prediction, and each column holds exactly those values;
+  branch's prediction, and each column holds exactly those values; the
+  pre-pass starts from the state's current values, so a trained
+  predictor's group continues where its state stands;
 * every index input (PC, histories, folds, IMLI count, local and outer
   history, the TAGE prediction) is read from that state, so equal keys give
   equal indices; the TAGE-bit bias index has a column per TAGE prediction,
@@ -55,15 +63,6 @@ tolerance:
   interleaving them per member;
 * the loop/wormhole sidecars never touch the shared state at all (they
   consume only branch fields and their own tables).
-
-Grouping is planned by :func:`plan_groups` from the
-:class:`~repro.predictors.composites.SharedCoreInfo` attached by
-:func:`repro.predictors.composites.build`.  Only *pristine* (never
-stepped) predictors are grouped -- the group builds fresh cores and
-heads, so a trained member's state would be silently discarded otherwise.
-Group members' original instances are left untouched (and therefore
-untrained) by design; the simulation results come from the group's own
-cores and heads.
 """
 
 from __future__ import annotations
@@ -76,19 +75,20 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.predictors.base import BranchPredictor
 from repro.predictors.composites import (
     SharedCoreInfo,
-    _MutableBranchView,
+    SidecarPredictor,
     _head_components,
     _imli_hashed_global,
     _sidecar_parts,
 )
 from repro.predictors.adder import AdderTree
-from repro.predictors.components import BiasComponent, GlobalHistoryComponent
+from repro.predictors.gehl import GEHLPredictor, gehl_adder
 from repro.predictors.statistical_corrector import StatisticalCorrector
 from repro.predictors.tage import TAGEEngine, TAGEPrediction
-from repro.predictors.tage_gsc import TAGEGSCConfig
-from repro.core.component import NeuralComponent, SharedState
+from repro.predictors.tage_gsc import TAGEGSCConfig, TAGEGSCPredictor
+from repro.core.component import IndexedComponent, NeuralComponent, SharedState
+from repro.trace.branch import BranchKind
 
-__all__ = ["plan_groups", "is_pristine"]
+__all__ = ["plan_groups", "is_groupable", "is_pristine"]
 
 
 def is_pristine(predictor: BranchPredictor) -> bool:
@@ -117,6 +117,33 @@ def is_pristine(predictor: BranchPredictor) -> bool:
         return False
 
 
+class _MutableBranchView:
+    """Reusable, mutable record-shaped view of one head's current branch.
+
+    The loop and wormhole side predictors consume the record protocol
+    (``pc``/``target``/``taken``/``is_conditional``/``is_backward``) but
+    never retain the record, so one mutable instance per head's
+    :class:`_Sidecars` replaces a fresh
+    :class:`~repro.trace.branch.BranchRecord` allocation per branch.  Heads
+    step only conditional branches, hence the constant ``is_conditional``.
+    """
+
+    __slots__ = ("pc", "target", "taken", "instruction_gap")
+
+    is_conditional = True
+    kind = BranchKind.CONDITIONAL
+
+    def __init__(self) -> None:
+        self.pc = 0
+        self.target = 0
+        self.taken = False
+        self.instruction_gap = 0
+
+    @property
+    def is_backward(self) -> bool:
+        return self.target < self.pc
+
+
 class _Sidecars:
     """One head's loop/wormhole side predictors and their branch view."""
 
@@ -138,11 +165,12 @@ def _sidecar_step(
     sidecars: _Sidecars, pc: int, target: int, taken: bool, gap: int,
     main_prediction: bool,
 ) -> bool:
-    """Run a head's loop/wormhole sidecars; mirrors the solo fast path.
+    """Run a head's loop/wormhole sidecars over its main prediction.
 
-    Keeps the reference order (loop predict, wormhole predict, loop
-    update, wormhole update) and the override policy of
-    :class:`~repro.predictors.composites.SidecarPredictor`.
+    Keeps the order of :class:`~repro.predictors.composites.SidecarPredictor`
+    (loop predict, wormhole predict, loop update, wormhole update) and its
+    override policy; the main predictor has already trained, which is safe
+    because neither side predictor reads its state.
     """
     prediction = main_prediction
     view = sidecars.view
@@ -282,36 +310,41 @@ def _run_heads(
 class _Group:
     """One group's shared state (and TAGE core) fanned into flat heads.
 
-    ``heads`` holds one ``(adder, revert_margin, info)`` per member, in
-    member order; ``revert_margin`` is ignored without a TAGE core.  The
-    engine calls :meth:`prepare` with each sub-block of records, then
+    ``indices`` are the members' batch positions; ``heads`` holds one
+    ``(adder, revert_margin, sidecars)`` per member, in member order, every
+    adder bound to ``state`` (``revert_margin`` is ignored without a TAGE
+    core, ``sidecars`` is a :class:`_Sidecars` or ``None``).  The engine
+    calls :meth:`prepare` with each sub-block of records, then
     :meth:`step_count` or :meth:`step_list` once per conditional branch
     of it, in order.
     """
 
     kind = ""
-    tage: Optional[TAGEEngine] = None
 
     def __init__(
         self,
-        members: Sequence[Tuple[int, SharedCoreInfo]],
+        indices: Sequence[int],
         state: SharedState,
-        heads: Sequence[Tuple[AdderTree, int, SharedCoreInfo]],
+        tage: Optional[TAGEEngine],
+        heads: Sequence[Tuple[AdderTree, int, Optional[_Sidecars]]],
     ) -> None:
-        self.indices = [index for index, _ in members]
-        self.counts = [0] * len(members)
+        self.indices = list(indices)
+        self.counts = [0] * len(self.indices)
         self.state = state
-        for adder, _, info in heads:
-            if info.options.imli_global_tables:
-                adder.components.append(_imli_hashed_global(info.options, info.sizes, state))
+        self.tage = tage
+        if tage is not None:
+            num_tables = tage.config.num_tables
+            self._tage_scratch = TAGEPrediction(
+                indices=[0] * num_tables, tags=[0] * num_tables
+            )
         # Per-branch work is dominated by calls and attribute chains, so
         # every head is one row list read and trained inline by
         # _run_heads, over one flat vector of the distinct indices.
         index_fns, rows = _plan_heads([adder for adder, _, _ in heads])
         self._column_fns = [compute.__self__.index_columns for compute in index_fns]
         self._heads = [
-            (head_rows, len(head_rows), adder, revert_margin, _sidecars_for(info))
-            for head_rows, (adder, revert_margin, info) in zip(rows, heads)
+            (head_rows, len(head_rows), adder, revert_margin, sidecars)
+            for head_rows, (adder, revert_margin, sidecars) in zip(rows, heads)
         ]
         # The sub-block's flat vectors, branch-major in one array: branch
         # k's is entries [k * width, (k + 1) * width), unpacked per branch
@@ -384,110 +417,114 @@ class _Group:
 
 
 class _TageGscGroup(_Group):
-    """One shared TAGE core fanned into N statistical-corrector heads."""
+    """One TAGE core fanned into statistical-corrector heads."""
 
     kind = "tage-gsc"
 
-    def __init__(self, members: Sequence[Tuple[int, SharedCoreInfo]]) -> None:
-        first = members[0][1]
-        config = TAGEGSCConfig(tage=first.sizes.tage, corrector=first.sizes.corrector)
-        history_capacity = max(
-            config.history_capacity, config.tage.max_history + 1
-        )
-        state = SharedState(
-            history_capacity=history_capacity,
-            path_capacity=config.path_capacity,
-            imli_counter_bits=config.imli_counter_bits,
-        )
-        self.tage = TAGEEngine(state, config.tage)
-        num_tables = config.tage.num_tables
-        self._tage_scratch = TAGEPrediction(
-            indices=[0] * num_tables, tags=[0] * num_tables
-        )
-        heads = []
-        for _, info in members:
-            corrector = StatisticalCorrector(
-                state,
-                info.sizes.corrector,
-                extra_components=_head_components(info.options, info.sizes),
-            )
-            heads.append((corrector.adder, corrector.config.revert_margin, info))
-        super().__init__(members, state, heads)
-
 
 class _GehlGroup(_Group):
-    """One shared fetch state fanned into N GEHL adder-tree heads."""
+    """One GEHL fetch state fanned into adder-tree heads."""
 
     kind = "gehl"
-
-    def __init__(self, members: Sequence[Tuple[int, SharedCoreInfo]]) -> None:
-        gehl = members[0][1].sizes.gehl
-        state = SharedState(
-            history_capacity=gehl.history_capacity,
-            path_capacity=gehl.path_capacity,
-            imli_counter_bits=gehl.imli_counter_bits,
-        )
-        heads = []
-        for _, info in members:
-            sizes = info.sizes.gehl
-            components: List[NeuralComponent] = [
-                BiasComponent(
-                    entries=sizes.bias_entries,
-                    counter_bits=sizes.counter_bits,
-                    use_tage_prediction=False,
-                ),
-                GlobalHistoryComponent(
-                    state=state,
-                    history_lengths=sizes.history_lengths(),
-                    entries=sizes.table_entries,
-                    counter_bits=sizes.counter_bits,
-                ),
-            ]
-            components.extend(_head_components(info.options, info.sizes))
-            adder = AdderTree(
-                components, initial_threshold=sizes.initial_threshold, state=state
-            )
-            heads.append((adder, 0, info))
-        super().__init__(members, state, heads)
 
 
 _GROUP_KINDS = {"tage-gsc": _TageGscGroup, "gehl": _GehlGroup}
 
 
-def plan_groups(
-    predictors: Sequence[BranchPredictor],
-) -> Optional[Tuple[list, List[int]]]:
-    """Partition a batch into shared-core groups and solo members.
+def _own_parts(predictor: BranchPredictor) -> Optional[tuple]:
+    """``(kind, state, tage, head)`` over ``predictor``'s own tables, or ``None``.
 
-    Returns ``(groups, solo_indices)`` where each group carries the batch
-    ``indices`` of its members, or ``None`` when no group of at least two
-    members forms (the engine then runs every member as a solo).
-
-    A member joins a group only when it advertises a
-    :class:`~repro.predictors.composites.SharedCoreInfo`, has never been
-    stepped (:func:`is_pristine`) and shares its core key with at least
-    one other member; everything else stays solo and is executed through
-    its ordinary fast-path protocol.
+    ``None`` unless ``predictor`` is a :class:`TAGEGSCPredictor` or a
+    :class:`GEHLPredictor`, bare or wrapped in a
+    :class:`~repro.predictors.composites.SidecarPredictor`, and every
+    component of its adder tree is an
+    :class:`~repro.core.component.IndexedComponent`.  Types are matched
+    exactly: a subclass may change what a step does.
     """
-    by_key: Dict[tuple, List[Tuple[int, SharedCoreInfo]]] = {}
-    solos: List[int] = []
-    for index, predictor in enumerate(predictors):
-        info = getattr(predictor, "shared_core", None)
-        if (
-            info is None
-            or info.key[0] not in _GROUP_KINDS
-            or not is_pristine(predictor)
-        ):
-            solos.append(index)
-            continue
-        by_key.setdefault(info.key, []).append((index, info))
-    groups = []
-    for key, members in by_key.items():
-        if len(members) < 2:
-            solos.extend(index for index, _ in members)
-            continue
-        groups.append(_GROUP_KINDS[key[0]](members))
-    if not groups:
+    main = predictor.main if type(predictor) is SidecarPredictor else predictor
+    if type(main) is TAGEGSCPredictor:
+        kind, tage = "tage-gsc", main.tage
+        adder, revert_margin = main.corrector.adder, main.corrector.config.revert_margin
+    elif type(main) is GEHLPredictor:
+        kind, tage, adder, revert_margin = "gehl", None, main.adder, 0
+    else:
         return None
-    solos.sort()
+    if not all(isinstance(component, IndexedComponent) for component in adder.components):
+        return None
+    sidecars = None
+    if main is not predictor:
+        sidecars = _Sidecars(
+            predictor.loop_predictor, predictor.wormhole, predictor.use_loop_prediction
+        )
+    return kind, main.state, tage, (adder, revert_margin, sidecars)
+
+
+def is_groupable(predictor: BranchPredictor) -> bool:
+    """True when ``predictor`` can run as a group (see :func:`_own_parts`)."""
+    return _own_parts(predictor) is not None
+
+
+def _fresh_group(members: Sequence[Tuple[int, SharedCoreInfo]]) -> _Group:
+    """A fresh shared state, core and heads for same-key members."""
+    kind = members[0][1].key[0]
+    sizes = members[0][1].sizes
+    if kind == "tage-gsc":
+        state = TAGEGSCConfig(tage=sizes.tage, corrector=sizes.corrector).new_state()
+        tage = TAGEEngine(state, sizes.tage)
+    else:
+        state, tage = sizes.gehl.new_state(), None
+    heads = []
+    for _, info in members:
+        extra_components = _head_components(info.options, info.sizes)
+        if tage is not None:
+            corrector = StatisticalCorrector(
+                state, info.sizes.corrector, extra_components=extra_components
+            )
+            adder, revert_margin = corrector.adder, corrector.config.revert_margin
+        else:
+            adder, revert_margin = gehl_adder(info.sizes.gehl, state, extra_components), 0
+        if info.options.imli_global_tables:
+            adder.components.append(_imli_hashed_global(info.options, info.sizes, state))
+        heads.append((adder, revert_margin, _sidecars_for(info)))
+    return _GROUP_KINDS[kind]([index for index, _ in members], state, tage, heads)
+
+
+def plan_groups(
+    predictors: Sequence[BranchPredictor], share_cores: bool = True
+) -> Tuple[List[_Group], List[int]]:
+    """Partition a batch into groups and solo members.
+
+    Returns ``(groups, solo_indices)``; each group carries the batch
+    ``indices`` of its members.  Every groupable predictor
+    (:func:`is_groupable`) joins a group: with ``share_cores``, pristine
+    members (:func:`is_pristine`) whose
+    :class:`~repro.predictors.composites.SharedCoreInfo` key matches
+    another's share a fresh group; every other one is a group of one over
+    its own tables.  Everything else stays solo and runs through its
+    ``predict_update``/``observe_pc`` protocol.
+    """
+    groups: List[_Group] = []
+    solos: List[int] = []
+    by_key: Dict[tuple, List[Tuple[int, SharedCoreInfo, tuple]]] = {}
+    for index, predictor in enumerate(predictors):
+        parts = _own_parts(predictor)
+        info = getattr(predictor, "shared_core", None)
+        if parts is None:
+            solos.append(index)
+        elif share_cores and info is not None and is_pristine(predictor):
+            by_key.setdefault(info.key, []).append((index, info, parts))
+        else:
+            groups.append(_adopt(index, parts))
+    for members in by_key.values():
+        if len(members) == 1:
+            index, _, parts = members[0]
+            groups.append(_adopt(index, parts))
+        else:
+            groups.append(_fresh_group([(index, info) for index, info, _ in members]))
     return groups, solos
+
+
+def _adopt(index: int, parts: tuple) -> _Group:
+    """A group of one over a predictor's own tables (:func:`_own_parts`)."""
+    kind, state, tage, head = parts
+    return _GROUP_KINDS[kind]([index], state, tage, [head])

@@ -166,7 +166,12 @@ class StatisticalCorrector:
     def train_fields(
         self, pc: int, target: int, taken: bool, context: CorrectorContext
     ) -> None:
-        """Field-based form of :meth:`train` (the per-branch hot path)."""
+        """Field-based form of :meth:`train`.
+
+        No engine path calls it: composites run as shared-core groups
+        (:mod:`repro.predictors.shared_core`).  It stays because
+        ``perfbench/layers.py`` wraps it (the ``sc.train`` layer).
+        """
         self.adder.train_fields(
             pc,
             target,

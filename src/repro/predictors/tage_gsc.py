@@ -36,6 +36,14 @@ class TAGEGSCConfig:
     path_capacity: int = 32
     imli_counter_bits: int = 10
 
+    def new_state(self) -> SharedState:
+        """A fresh shared state sized for this geometry (and TAGE's history)."""
+        return SharedState(
+            history_capacity=max(self.history_capacity, self.tage.max_history + 1),
+            path_capacity=self.path_capacity,
+            imli_counter_bits=self.imli_counter_bits,
+        )
+
 
 class TAGEGSCPredictor(BranchPredictor):
     """TAGE + global-history statistical corrector.
@@ -59,25 +67,13 @@ class TAGEGSCPredictor(BranchPredictor):
     ) -> None:
         self.name = name
         self.config = config or TAGEGSCConfig()
-        history_capacity = max(
-            self.config.history_capacity, self.config.tage.max_history + 1
-        )
-        self.state = SharedState(
-            history_capacity=history_capacity,
-            path_capacity=self.config.path_capacity,
-            imli_counter_bits=self.config.imli_counter_bits,
-        )
+        self.state = self.config.new_state()
         self.tage = TAGEEngine(self.state, self.config.tage)
         self.corrector = StatisticalCorrector(
             self.state, self.config.corrector, extra_components=extra_sc_components
         )
         self._tage_ctx: Optional[TAGEPrediction] = None
         self._sc_ctx: Optional[CorrectorContext] = None
-        num_tables = self.config.tage.num_tables
-        self._tage_scratch = TAGEPrediction(
-            indices=[0] * num_tables, tags=[0] * num_tables
-        )
-        self._sc_scratch = CorrectorContext()
 
     def predict(self, record: BranchRecord) -> bool:
         tage_ctx = self.tage.predict(record.pc)
@@ -94,27 +90,8 @@ class TAGEGSCPredictor(BranchPredictor):
         self.corrector.train(record, self._sc_ctx)
         self.state.update_conditional(record)
 
-    def predict_update(
-        self, pc: int, target: int, taken: bool, kind: int = 0, gap: int = 0
-    ) -> bool:
-        """Combined predict-and-train fast path (see ``docs/PERFORMANCE.md``)."""
-        state = self.state
-        tage = self.tage
-        tage_ctx = tage.predict_into(pc, self._tage_scratch)
-        tage_prediction = tage_ctx.prediction
-        state.tage_prediction = tage_prediction
-        sc_ctx = self.corrector.predict_into(pc, tage_prediction, self._sc_scratch)
-        prediction = sc_ctx.final_prediction
-        tage.train_fields(pc, taken, tage_ctx)
-        self.corrector.train_fields(pc, target, taken, sc_ctx)
-        state.update_conditional_fields(pc, target, taken)
-        return prediction
-
     def observe_unconditional(self, record: BranchRecord) -> None:
         self.state.update_unconditional(record)
-
-    def observe_pc(self, pc: int) -> None:
-        self.state.observe_pc(pc)
 
     def storage_bits(self) -> int:
         return (

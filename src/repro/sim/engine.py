@@ -19,12 +19,14 @@ batch of one), which owns exactly four per-branch loops:
   ``predict_update_block`` (the bimodal baseline) and no warm-up or
   per-PC tracking;
 * the grouped hot loop and the grouped general loop (warm-up / per-PC)
-  iterate the trace's columnar storage and drive the combined
-  ``predict_update(pc, target, taken, kind, gap)`` / ``observe_pc(pc)``
-  protocol for predictors that opt in (see ``docs/PERFORMANCE.md``),
-  running each shared-core group's trace-only pre-pass once per
-  sub-block, stepping the group once per conditional branch and every
-  other member as a solo.
+  iterate the trace's columnar storage.  Every TAGE-GSC/GEHL composite
+  runs in a group (:mod:`repro.predictors.shared_core`): a shared-core
+  group of pristine same-core members, or a group of one over a
+  predictor's own tables; each group runs its trace-only pre-pass once
+  per sub-block and steps once per conditional branch.  Other members
+  that opt into the combined ``predict_update(pc, target, taken, kind,
+  gap)`` / ``observe_pc(pc)`` protocol (see ``docs/PERFORMANCE.md``)
+  step as solos.
 
 All of them produce bit-identical results; the fast loops are picked
 automatically whenever the predictor and the trace support them.
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.predictors.base import BranchPredictor
-from repro.predictors.shared_core import plan_groups
+from repro.predictors.shared_core import is_groupable, plan_groups
 from repro.trace.branch import CONDITIONAL_CODE
 from repro.trace.trace import Trace
 
@@ -102,18 +104,24 @@ class SimulationResult:
 def supports_fast_path(predictor: BranchPredictor, trace: Trace) -> bool:
     """``True`` when ``predictor`` and ``trace`` support the columnar fast path.
 
-    A trace qualifies either by exposing its columns directly
-    (:meth:`~repro.trace.trace.Trace.columns`) or by streaming columnar
-    blocks (``iter_chunks()``, the
+    A predictor qualifies when it can run as a group over its own tables
+    (:func:`repro.predictors.shared_core.is_groupable`: a TAGE-GSC or GEHL
+    composite, bare or in a ``SidecarPredictor``, whose adder components
+    are all indexed) or opts into the combined ``predict_update`` /
+    ``observe_pc`` protocol.  A trace qualifies either by exposing its
+    columns directly (:meth:`~repro.trace.trace.Trace.columns`) or by
+    streaming columnar blocks (``iter_chunks()``, the
     :class:`~repro.trace.chunked.ChunkedTrace` protocol).
     """
     return (
-        getattr(predictor, "predict_update", None) is not None
-        and getattr(predictor, "observe_pc", None) is not None
-        and (
-            getattr(trace, "columns", None) is not None
-            or getattr(trace, "iter_chunks", None) is not None
+        is_groupable(predictor)
+        or (
+            getattr(predictor, "predict_update", None) is not None
+            and getattr(predictor, "observe_pc", None) is not None
         )
+    ) and (
+        getattr(trace, "columns", None) is not None
+        or getattr(trace, "iter_chunks", None) is not None
     )
 
 
@@ -177,7 +185,7 @@ def simulate(
         helpers to identify which branch classes a component fixes).
     use_fast_path:
         ``None`` (default) picks the columnar fast path automatically when
-        the predictor opts into the combined-step protocol; ``False`` forces
+        the predictor supports it (:func:`supports_fast_path`); ``False`` forces
         the record-based reference path; ``True`` requires the fast path and
         raises :class:`ValueError` when it is unsupported.  Both paths
         produce bit-identical results.
@@ -245,23 +253,25 @@ def simulate_many(
     the distributed workers all group same-trace cells and drive them
     through here.
 
-    On top of the shared traversal, batch members that advertise the same
-    shared-core key (:mod:`repro.predictors.shared_core`) are executed as
-    one core plus N light heads -- the dominant TAGE/GEHL core work is
-    paid once per branch for the whole group.  Grouped members' original
-    predictor instances are left untouched (the group runs its own fresh
-    cores and heads), so don't rely on batch members being trained after
-    a grouped run; pass ``share_cores=False`` if you need that.
+    On top of the shared traversal, every TAGE-GSC/GEHL composite runs as
+    part of a group (:mod:`repro.predictors.shared_core`).  Pristine
+    members that advertise the same shared-core key share one fresh core
+    plus N light heads -- the dominant TAGE/GEHL core work is paid once per
+    branch for the whole group -- and their original instances are left
+    untouched.  Every other composite (alone, trained, the only one with
+    its key) is a group of one over its own tables, so it is trained in
+    place, and a trained predictor continues from its current state.
 
     Parameters match :func:`simulate` (``warmup_fraction`` and
     ``track_per_pc`` apply to every predictor in the batch).  With
-    ``use_fast_path=None`` members without the fast-path protocol replay
-    the record-based reference loop one by one and the rest share the
-    columnar traversal; ``True`` requires the fast path for the whole
-    batch, and ``False`` forces the reference loop throughout.
-    ``share_cores=None`` (default) groups same-core members automatically;
-    ``False`` disables grouping and runs every member through its own
-    combined step.  Every setting produces bit-identical results.
+    ``use_fast_path=None`` members without fast-path support
+    (:func:`supports_fast_path`) replay the record-based reference loop
+    one by one and the rest share the columnar traversal; ``True``
+    requires the fast path for the whole batch, and ``False`` forces the
+    reference loop throughout.  ``share_cores=None`` (default) shares
+    cores between pristine same-core members; ``False`` runs every
+    composite as a group of one, trained in place.  Every setting
+    produces bit-identical results.
     """
     predictors = list(predictors)
     if not 0.0 <= warmup_fraction < 1.0:
@@ -281,7 +291,7 @@ def simulate_many(
         )
         raise ValueError(
             f"predictor {missing!r} does not support the fast-path "
-            "protocol (predict_update / observe_pc)"
+            "protocol (a groupable composite, or predict_update / observe_pc)"
         )
     warmup_limit = int(trace.conditional_count * warmup_fraction)
     counts = [0] * len(predictors)
@@ -330,8 +340,7 @@ def _simulate_columnar(
 
     Returns per-member misprediction counts, the measured totals and
     per-member per-PC maps, like :func:`_simulate_columns_grouped`.
-    Without grouping (``share_cores=False``, or no group of two forms)
-    every member is a solo of the grouped loops.
+    ``share_cores=False`` makes every composite a group of one.
     """
     if warmup_limit == 0 and not track_per_pc and len(members) == 1:
         block_step = getattr(members[0], "predict_update_block", None)
@@ -342,8 +351,7 @@ def _simulate_columnar(
             # ``BimodalPredictor.predict_update_block``).
             count = sum(block_step(*block) for block in _column_blocks(trace))
             return [count], trace.conditional_count, trace.instruction_count, [{}]
-    plan = None if share_cores is False else plan_groups(members)
-    groups, solos = plan or ([], list(range(len(members))))
+    groups, solos = plan_groups(members, share_cores is not False)
     if warmup_limit == 0 and not track_per_pc:
         counts = _simulate_columns_grouped_fast(members, trace, groups, solos)
         return (

@@ -240,9 +240,23 @@ class TestSharedCoreGrouping:
         assert len(groups) == 1 and groups[0].kind == "tage-gsc"
         assert sorted(groups[0].indices) == list(range(len(predictors)))
 
-    def test_batch_of_one_stays_flat(self):
-        # A lone member never pays grouping overhead.
-        assert plan_groups([_build("tage-gsc")]) is None
+    @pytest.mark.parametrize("name", ["tage-gsc", "gehl+imli", "tage-sc-l+imli"])
+    def test_lone_member_is_a_group_over_its_own_tables(self, traces, name):
+        # A lone composite runs as a group of one that adopts the
+        # instance's own state, TAGE engine and adder tree.
+        predictor = _build(name)
+        main = getattr(predictor, "main", predictor)
+        groups, solos = plan_groups([predictor])
+        assert solos == [] and len(groups) == 1
+        [group] = groups
+        assert group.indices == [0]
+        assert group.state is main.state
+        assert group.tage is getattr(main, "tage", None)
+        reference = _build(name)
+        for trace in traces:
+            _assert_identical(
+                simulate(predictor, trace), simulate(reference, trace, use_fast_path=False)
+            )
 
     def test_local_override_groups_bit_identical(self, traces):
         # The local-history table is trace-only state: a +l member joins
@@ -262,19 +276,49 @@ class TestSharedCoreGrouping:
             for result, spec in zip(batched, specs):
                 _assert_identical(result, simulate(spec.build(), trace))
 
-    def test_profile_mismatch_must_not_group(self):
-        small = PredictorSpec.from_named("tage-gsc+oh", profile="small")
-        default = PredictorSpec.from_named("tage-gsc+oh", profile="default")
-        assert plan_groups([small.build(), default.build()]) is None
+    def test_profile_mismatch_gives_two_groups_sharing_no_state(self, traces):
+        specs = [
+            PredictorSpec.from_named("tage-gsc+oh", profile=profile)
+            for profile in ("small", "default")
+        ]
+        predictors = [spec.build() for spec in specs]
+        groups, solos = plan_groups(predictors)
+        assert solos == [] and len(groups) == 2
+        # Two groups of one, each over its own member's tables.
+        for group in groups:
+            [index] = group.indices
+            assert group.state is predictors[index].state
+            assert group.tage is predictors[index].tage
+        assert groups[0].state is not groups[1].state
+        assert groups[0].tage is not groups[1].tage
+        batched = simulate_many(predictors, traces[0])
+        for result, spec in zip(batched, specs):
+            _assert_identical(
+                result, simulate(spec.build(), traces[0], use_fast_path=False)
+            )
 
-    def test_trained_member_stays_solo(self, traces):
-        predictors = [spec.build() for spec in _oh_grid(3)]
+    def test_trained_member_is_a_group_of_one(self, traces):
+        specs = _oh_grid(3)
+        predictors = [spec.build() for spec in specs]
         simulate(predictors[1], traces[0])  # no longer pristine
-        plan = plan_groups(predictors)
-        assert plan is not None
-        groups, solos = plan
-        assert solos == [1]
-        assert sorted(groups[0].indices) == [0, 2]
+        groups, solos = plan_groups(predictors)
+        assert solos == []
+        lone, shared = sorted(groups, key=lambda group: len(group.indices))
+        # The trained member continues on its own tables; the pristine
+        # ones share a fresh core.
+        assert lone.indices == [1]
+        assert lone.state is predictors[1].state
+        assert lone.tage is predictors[1].tage
+        assert sorted(shared.indices) == [0, 2]
+        assert all(shared.state is not predictor.state for predictor in predictors)
+        assert all(shared.tage is not predictor.tage for predictor in predictors)
+        batched = simulate_many(predictors, traces[1])
+        references = [spec.build() for spec in specs]
+        simulate(references[1], traces[0], use_fast_path=False)
+        for result, reference in zip(batched, references):
+            _assert_identical(
+                result, simulate(reference, traces[1], use_fast_path=False)
+            )
 
     def test_mixed_shared_and_foreign_cores(self, traces):
         # A tage-gsc group, a gehl group, and a solo bimodal in one batch.

@@ -540,6 +540,32 @@ class TestStatusSurface:
             coordinator.shutdown()
             server.close()
 
+    def test_workers_count_every_cell_of_a_settled_job(self, monkeypatch, specs, traces):
+        # A worker's "completed" count must be in place before the result
+        # can settle its job: a stall after Coordinator._complete returns
+        # must not let a waiter see the job done with a cell uncounted.
+        complete = Coordinator._complete
+
+        def complete_then_stall(self, *args, **kwargs):
+            accepted = complete(self, *args, **kwargs)
+            time.sleep(0.5)
+            return accepted
+
+        monkeypatch.setattr(Coordinator, "_complete", complete_then_stall)
+        coordinator = Coordinator()
+        address = coordinator.start()
+        worker = Worker(address[0], address[1], name="lone", reconnect=0.75)
+        thread = threading.Thread(target=worker.run, daemon=True)
+        try:
+            job = coordinator.submit(specs, traces)
+            thread.start()
+            assert job.wait(60)
+            [row] = coordinator.workers_snapshot()
+            assert row["completed"] == job.total
+        finally:
+            coordinator.shutdown()
+            thread.join(timeout=15)
+
     def test_unknown_path_is_json_404(self, specs, traces):
         coordinator = Coordinator()
         coordinator.start()

@@ -4,9 +4,10 @@ A group advances its :class:`~repro.core.component.SharedState` once per
 sub-block (:meth:`SharedState.advance_block`) and reads every index from
 columns (``index_columns``, ``TAGEEngine.index_columns``).  The per-branch
 forms -- ``update_conditional_fields`` / ``observe_pc`` and
-``compute_indices`` -- stay the solo path and are the oracle here: branch
-by branch the columns must equal them, and after every sub-block the
-state must be exactly where the per-branch calls leave it.
+``compute_indices`` -- serve the record-based reference path and are the
+oracle here: branch by branch the columns must equal them, and after
+every sub-block the state must be exactly where the per-branch calls
+leave it.
 """
 
 from __future__ import annotations
@@ -138,7 +139,8 @@ def test_group_differential_with_small_sub_blocks(
 ):
     # TestGroupDifferential with 7-record sub-blocks, so every pre-pass
     # carry (history, folds, path, IMLI count, outer histories) crosses
-    # many block boundaries.
+    # many block boundaries; each member also runs as a batch of one, a
+    # group of one over its own tables.
     monolithic, chunked = differential_traces
     trace = (chunked if use_chunks else monolithic)[trace_index]
     options = [CompositeOptions(**member) for member in members]
@@ -149,13 +151,17 @@ def test_group_differential_with_small_sub_blocks(
             [build(option, "small") for option in options], trace,
             warmup_fraction=warmup, track_per_pc=track,
         )
+        alone = [
+            simulate(build(option, "small"), trace, warmup_fraction=warmup, track_per_pc=track)
+            for option in options
+        ]
     finally:
         engine.SUB_BLOCK_RECORDS = saved
     references = batch_tests.TestGroupDifferential()
-    for result, option in zip(batched, options):
-        batch_tests._assert_identical(
-            result, references._reference(option, monolithic[trace_index], warmup, track)
-        )
+    for result, solo, option in zip(batched, alone, options):
+        reference = references._reference(option, monolithic[trace_index], warmup, track)
+        batch_tests._assert_identical(result, reference)
+        batch_tests._assert_identical(solo, reference)
 
 
 def _grid(base):
@@ -198,10 +204,9 @@ def test_finished_groups_are_freed_without_the_cyclic_gc(differential_traces, mo
     # cyclic collector runs.
     groups = []
 
-    def plan_and_watch(predictors):
-        plan = shared_core.plan_groups(predictors)
-        if plan is not None:
-            groups.extend(weakref.ref(group) for group in plan[0])
+    def plan_and_watch(predictors, share_cores=True):
+        plan = shared_core.plan_groups(predictors, share_cores)
+        groups.extend(weakref.ref(group) for group in plan[0])
         return plan
 
     monkeypatch.setattr(engine, "plan_groups", plan_and_watch)
@@ -218,18 +223,30 @@ def test_finished_groups_are_freed_without_the_cyclic_gc(differential_traces, mo
     assert [group() for group in groups] == [None] * 6
 
 
-def test_lone_and_trained_predictors_keep_the_incremental_path(
-    differential_traces, monkeypatch
+@pytest.mark.parametrize("base", ["tage-gsc", "gehl"])
+def test_lone_and_trained_predictors_run_as_groups_of_one(
+    differential_traces, monkeypatch, base
 ):
     trace = differential_traces[0][0]
-    expected = simulate(_grid("gehl")[0], trace, use_fast_path=False).mispredictions
-    trained = _grid("gehl")
-    simulate(trained[0], trace)
+    # Reference instances replay the trace twice: the second replay
+    # starts from the state the first one trained.
+    reference = _grid(base)
+    first = simulate_many(reference, trace, use_fast_path=False)
+    second = simulate_many(reference, trace, use_fast_path=False)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("block pre-pass outside a shared-core group")
+        raise AssertionError("per-branch upkeep or hashing outside a group")
 
-    monkeypatch.setattr(SharedState, "advance_block", forbidden)
-    assert simulate(_grid("gehl")[0], trace).mispredictions == expected
-    # A trained member never joins a group, so no group of two forms.
-    simulate_many(trained[:2], trace)
+    monkeypatch.setattr(SharedState, "update_conditional_fields", forbidden)
+    monkeypatch.setattr(SharedState, "observe_pc", forbidden)
+    monkeypatch.setattr(TAGEEngine, "predict_into", forbidden)
+    lone = _grid(base)[0]
+    batch_tests._assert_identical(simulate(lone, trace), first[0])
+    assert not shared_core.is_pristine(lone)  # trained in place
+    batch_tests._assert_identical(simulate(lone, trace), second[0])
+    # A trained member is a group of one beside the pristine members'
+    # shared group, and continues from its trained state.
+    trained = _grid(base)
+    simulate(trained[0], trace)
+    for result, expected in zip(simulate_many(trained, trace), second[:1] + first[1:]):
+        batch_tests._assert_identical(result, expected)
