@@ -225,8 +225,10 @@ class Experiment:
         are bit-identical to serial ones.
     registry:
         Scoped :class:`Registry` to resolve names against (default: the
-        process-wide registry).  Scoped registries imply in-process
-        simulation, since worker processes cannot see their registrations.
+        process-wide registry).  Options-based specs resolve to
+        self-contained explicit options, so they still run on the pool or
+        a backend; builder-based configurations run in-process, since
+        worker processes cannot see their builders.
     store:
         Persistent result store: a :class:`~repro.store.ResultStore`, a
         directory path, ``None`` (default -- honour the

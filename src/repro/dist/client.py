@@ -214,13 +214,10 @@ def submit_sweep(
     entries = []
     for spec in specs:
         resolved = spec.resolve(registry)
-        sizes = registry.resolve_profile(resolved.profile)
         entries.append(
-            {
-                "label": spec.label,
-                "spec": resolved.to_dict(),
-                "profile": protocol.profile_to_payload(sizes),
-            }
+            protocol.spec_entry(
+                spec.label, resolved, registry.resolve_profile(resolved.profile)
+            )
         )
     return submit_cells(
         address, entries, traces,
@@ -267,11 +264,7 @@ class DistBackend:
     ) -> CellResults:
         """Run ``pending`` ``(label, trace index)`` cells remotely."""
         entries = [
-            {
-                "label": label,
-                "spec": spec.to_dict(),
-                "profile": protocol.profile_to_payload(sizes[label]),
-            }
+            protocol.spec_entry(label, spec, sizes[label])
             for label, spec in specs.items()
         ]
         return submit_cells(

@@ -63,13 +63,7 @@ from repro.dist.journal import CoordinatorJournal
 from repro.dist.protocol import ProtocolError
 from repro.obs import default_registry, event_log_for, timing_log_for
 from repro.sim.engine import SimulationResult
-from repro.sim.runner import (
-    DEFAULT_BATCH_CELLS,
-    ConfigurationRun,
-    core_schedule_key,
-    schedule_cells,
-    store_cell_keys,
-)
+from repro.sim.runner import DEFAULT_BATCH_CELLS, ConfigurationRun, plan_cells
 from repro.store import ResultStore, result_from_dict, result_to_dict
 from repro.trace.chunked import ChunkedTrace, load_chunked_trace
 from repro.trace.trace import Trace
@@ -512,13 +506,10 @@ class Coordinator:
         entries = []
         for spec in specs:
             resolved = spec.resolve(registry)
-            sizes = registry.resolve_profile(resolved.profile)
             entries.append(
-                {
-                    "label": spec.label,
-                    "spec": resolved.to_dict(),
-                    "profile": protocol.profile_to_payload(sizes),
-                }
+                protocol.spec_entry(
+                    spec.label, resolved, registry.resolve_profile(resolved.profile)
+                )
             )
         payloads: Dict[str, str] = {}
         chunked: Dict[str, ChunkedTrace] = {}
@@ -545,7 +536,10 @@ class Coordinator:
         Refuses up front (with one actionable error) while the store's
         disk is critically low: admitting a sweep whose every result
         write would fail only converts disk exhaustion into thousands
-        of store errors downstream.
+        of store errors downstream.  The cells are planned
+        (:func:`~repro.sim.runner.plan_cells`: store probe and scheduling
+        order) before the scheduler lock is taken, so a large admission
+        never stalls lease grants on store reads.
         """
         if self.store is not None:
             try:
@@ -569,6 +563,20 @@ class Coordinator:
             for label, index in wanted:
                 if label not in labels or not 0 <= index < len(traces):
                     raise ValueError(f"unknown cell ({label!r}, {index})")
+        hits, pending = plan_cells(
+            {
+                label: PredictorSpec.from_dict(entry["spec"])  # validates
+                for label, entry in zip(labels, entries)
+            },
+            {
+                label: protocol.profile_from_payload(entry["profile"])
+                for label, entry in zip(labels, entries)
+            },
+            traces,
+            bool(track_per_pc),
+            self.store,
+            wanted,
+        )
         with self._cond:
             job = SweepJob(
                 job_id=next(self._job_ids),
@@ -611,48 +619,39 @@ class Coordinator:
                     )
                 except OSError as error:
                     self.log(f"journal: cannot record job admission: {error}")
-            prefilled: List[Tuple[_Cell, SimulationResult]] = []
-            admitted: List[Tuple[int, str, int]] = []
-            for entry in entries:
-                label = str(entry["label"])
-                spec_dict = entry["spec"]
-                spec = PredictorSpec.from_dict(spec_dict)  # validates
-                sizes = protocol.profile_from_payload(entry["profile"])
-                store_keys = (
-                    store_cell_keys(spec, sizes, traces, job.track_per_pc)
-                    if self.store is not None
-                    else None
+            # Cell ids follow submission (label-major) order.
+            order = {label: position for position, label in enumerate(labels)}
+            made: Dict[Tuple[str, int], _Cell] = {}
+            for planned in sorted(
+                [planned for planned, _ in hits] + pending,
+                key=lambda planned: (order[planned.label], planned.index),
+            ):
+                entry = entries[order[planned.label]]
+                trace = traces[planned.index]
+                cell = _Cell(
+                    cell_id=next(self._cell_ids),
+                    job=job,
+                    label=planned.label,
+                    index=planned.index,
+                    spec_dict=entry["spec"],
+                    profile_payload=entry["profile"],
+                    trace_fingerprint=trace.fingerprint(),
+                    trace_name=trace.name,
+                    store_key=planned.store_key,
                 )
-                core_key = core_schedule_key(spec, sizes)
-                for index, trace in enumerate(traces):
-                    if wanted is not None and (label, index) not in wanted:
-                        continue
-                    cell = _Cell(
-                        cell_id=next(self._cell_ids),
-                        job=job,
-                        label=label,
-                        index=index,
-                        spec_dict=spec_dict,
-                        profile_payload=entry["profile"],
-                        trace_fingerprint=trace.fingerprint(),
-                        trace_name=trace.name,
-                        store_key=store_keys[index] if store_keys else None,
-                    )
-                    job.total += 1
-                    self._cells[cell.cell_id] = cell
-                    stored = self._store_get(cell)
-                    if stored is not None:
-                        prefilled.append((cell, stored))
-                    else:
-                        admitted.append((index, core_key, cell.cell_id))
+                self._cells[cell.cell_id] = cell
+                made[planned.label, planned.index] = cell
+            job.total = len(made)
             # Enqueue in scheduling order, so trace-affinity lease grants
             # hand workers same-core cells that ``simulate_many`` can fan
             # out of one core.
-            self._pending.extend(schedule_cells(admitted))
+            self._pending.extend(
+                made[planned.label, planned.index].cell_id for planned in pending
+            )
             self.log(
                 f"job {job.job_id}: {job.total} cell(s) over {len(labels)} spec(s) "
                 f"x {len(traces)} trace(s)"
-                + (f", {len(prefilled)} already in store" if prefilled else "")
+                + (f", {len(hits)} already in store" if hits else "")
             )
             if self.events is not None:
                 self.events.emit(
@@ -661,21 +660,18 @@ class Coordinator:
                     cells=job.total,
                     specs=len(labels),
                     traces=len(traces),
-                    prefilled=len(prefilled),
+                    prefilled=len(hits),
                 )
-            for cell, stored in prefilled:
-                self._complete_locked(cell, stored, persist=False)
+            for planned, stored in hits:
+                self._complete_locked(
+                    made[planned.label, planned.index], stored, persist=False
+                )
             self._cond.notify_all()
             return job
 
     # ----------------------------------------------------------------- #
     # Scheduler core (all under self._lock)
     # ----------------------------------------------------------------- #
-
-    def _store_get(self, cell: _Cell) -> Optional[SimulationResult]:
-        if self.store is None or cell.store_key is None:
-            return None
-        return self.store.get(cell.store_key)
 
     def _reap_expired_locked(self) -> None:
         now = time.monotonic()
@@ -853,7 +849,10 @@ class Coordinator:
                     # (one disk probe per *granted* cell, not per scan).
                     passed_over.append(cell_id)
                     continue
-                stored = self._store_get(cell)
+                # Planned store keys exist only with a store.
+                stored = (
+                    self.store.get(cell.store_key) if cell.store_key is not None else None
+                )
                 if stored is not None:  # a concurrent writer beat us to it
                     self._complete_locked(cell, stored, persist=False)
                     continue
@@ -957,33 +956,27 @@ class Coordinator:
         # A late result for a not-yet-settled quarantined cell un-poisons
         # it -- a real result always beats an attributed failure.
         cell.job.quarantined.pop((cell.label, cell.index), None)
-        if persist and self.store is not None and cell.store_key is not None:
-            try:
-                self.store.put(
-                    cell.store_key,
-                    result,
-                    label=cell.label,
-                    trace_fingerprint=cell.trace_fingerprint,
-                    spec=cell.spec_dict,
-                )
-            except diskguard.DiskPressureError as error:
-                # Best-effort still, but a shed persist is worth one log
-                # line per episode -- the sweep completes with the cells
-                # held in memory and an empty (or partial) store.
-                if self.store.writes_shed == 1:
-                    self.log(f"store: shedding result persists ({error})")
-                    if self.events is not None:
-                        self.events.emit(
-                            "store_write_shed_disk_critical", key=cell.store_key
-                        )
-            except (OSError, TypeError, ValueError):
-                pass  # an unwritable store must not fail the sweep
+        if persist and cell.store_key is not None:
+            self.store.persist(
+                cell.store_key,
+                result,
+                label=cell.label,
+                trace_fingerprint=cell.trace_fingerprint,
+                spec=cell.spec_dict,
+                warn=lambda message: self._warn_shed(message, cell.store_key),
+            )
         self._notify_progress_locked(cell.job)
         if cell.job.done + len(cell.job.quarantined) >= cell.job.total:
             self.log(f"job {cell.job.job_id}: complete ({cell.job.done} cells)")
             self._settle_locked(cell.job)
         self._cond.notify_all()
         return True
+
+    def _warn_shed(self, message: str, key: str) -> None:
+        """One log line and one event for the first shed store persist."""
+        self.log(message)
+        if self.events is not None:
+            self.events.emit("store_write_shed_disk_critical", key=key)
 
     def _fail_job(self, cell_id: int, message: str) -> None:
         """A cell is unbuildable: the whole job fails fast."""

@@ -124,6 +124,7 @@ __all__ = [
     "MAX_TRACE_PAYLOAD",
     "profile_to_payload",
     "profile_from_payload",
+    "spec_entry",
 ]
 
 #: Bump on incompatible frame-shape changes; ``hello``/``submit`` carry it
@@ -282,6 +283,15 @@ def decode_chunk(data: str) -> bytes:
 def profile_to_payload(profile: SizeProfile) -> Dict[str, Any]:
     """JSON-safe dict of a resolved :class:`SizeProfile`."""
     return asdict(profile)
+
+
+def spec_entry(label: str, spec: Any, sizes: SizeProfile) -> Dict[str, Any]:
+    """One ``submit`` frame spec entry: ``{"label", "spec", "profile"}``.
+
+    ``spec`` is a resolved :class:`~repro.api.specs.PredictorSpec` and
+    ``sizes`` the :class:`SizeProfile` its profile name resolved to.
+    """
+    return {"label": label, "spec": spec.to_dict(), "profile": profile_to_payload(sizes)}
 
 
 def profile_from_payload(payload: Dict[str, Any]) -> SizeProfile:

@@ -60,6 +60,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
@@ -71,6 +72,7 @@ from repro.sim.engine import SimulationResult
 from repro.sim.runner import (
     DEFAULT_BATCH_CELLS,
     BatchCellError,
+    _build_spec_predictor,
     _pool_phases,
     _timed_spec_batch,
 )
@@ -492,24 +494,6 @@ class Worker:
             return None
         return self.store.get(key)
 
-    def _persist(self, item: Dict[str, Any], result: SimulationResult) -> None:
-        key = item.get("store_key")
-        if self.store is None or not isinstance(key, str):
-            return
-        try:
-            self.store.put(
-                key,
-                result,
-                label=item.get("label"),
-                trace_fingerprint=item.get("trace"),
-                spec=item.get("spec"),
-            )
-        except diskguard.DiskPressureError as error:
-            if self.store.writes_shed == 1:
-                self.log(f"store: shedding result persists ({error})")
-        except (OSError, TypeError, ValueError):
-            pass  # an unwritable store must not fail the worker
-
     def _upload(
         self,
         rfile,
@@ -519,7 +503,16 @@ class Worker:
         phases: Optional[Dict[str, float]] = None,
         batch: int = 1,
     ) -> None:
-        self._persist(item, result)
+        key = item.get("store_key")
+        if self.store is not None and isinstance(key, str):
+            self.store.persist(
+                key,
+                result,
+                label=item.get("label"),
+                trace_fingerprint=item.get("trace"),
+                spec=item.get("spec"),
+                warn=self.log,
+            )
         frame = {
             "type": "result",
             "cell": item["cell"],
@@ -716,7 +709,7 @@ class Worker:
     #: needed to resubmit the survivors after a cell failure, and the
     #: timing meta (submit stamp + trace-fetch seconds) for the phase
     #: record attached to its uploads.
-    _Grant = Tuple[List[Dict[str, Any]], List[tuple], Trace, bool, Dict[str, float]]
+    _Grant = Tuple[List[Dict[str, Any]], List[Callable[[], Any]], Trace, bool, Dict[str, float]]
 
     def _lease_frame(self) -> Dict[str, Any]:
         """The lease request; plain (batch-free) when batching is off.
@@ -732,7 +725,7 @@ class Worker:
     def _simulate_inline(
         self, rfile, wfile,
         items: List[Dict[str, Any]],
-        entries: List[tuple],
+        entries: List[Callable[[], Any]],
         trace: Trace,
         track_per_pc: bool,
     ) -> None:
@@ -795,7 +788,7 @@ class Worker:
             entries = []
             for item in group:
                 spec_dict, sizes, _ = self._decode_item(item)
-                entries.append((spec_dict, sizes))
+                entries.append(partial(_build_spec_predictor, spec_dict, sizes))
             if pool is None:
                 self._simulate_inline(
                     rfile, wfile, group, entries, trace, track_per_pc

@@ -16,11 +16,15 @@ automatically by ``max_workers``), or on a cluster through a
 coordinator.  Each cell is a self-contained unit of work (a fresh
 predictor trained on one trace), so every backend produces bit-identical
 results, merged back into the same memoisation cache and persistent
-store.  Registry-named configurations and declarative
-:class:`~repro.api.specs.PredictorSpec` objects (after resolving to
-explicit options) can be dispatched to any backend; configurations with
-custom (potentially unpicklable) factories or builder-based specs fall
-back to in-process simulation transparently.
+store.  :func:`plan_cells` is the one cell planner, shared with the dist
+coordinator: it probes the store and puts the missing cells in
+scheduling order.  Every spec -- registry-named, declarative
+:class:`~repro.api.specs.PredictorSpec` or from a scoped registry -- runs
+through the same batched tasks.  Specs that resolve to explicit options
+are self-contained, so any backend may run them; builder-based specs
+build in-process and join the serial tasks of their trace.  Only
+:meth:`SuiteRunner.run` with a custom factory keeps its own in-process
+loop.
 
 Traces are duck-typed: anything exposing ``name``, ``fingerprint()`` and
 the engine's column surface works, so
@@ -38,11 +42,13 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
+    Container,
     Dict,
     Iterable,
     List,
@@ -54,7 +60,6 @@ from typing import (
     Union,
 )
 
-from repro.common import diskguard
 from repro.obs.timings import TimingLog, timing_log_for
 from repro.predictors.base import BranchPredictor
 from repro.predictors.composites import CompositeOptions, SizeProfile, core_key_for
@@ -71,8 +76,10 @@ __all__ = [
     "ConfigurationRun",
     "DEFAULT_BATCH_CELLS",
     "ExecutionBackend",
+    "PlannedCell",
     "SuiteRunner",
     "core_schedule_key",
+    "plan_cells",
     "schedule_cells",
     "store_cell_keys",
 ]
@@ -83,10 +90,11 @@ _Item = TypeVar("_Item")
 def core_schedule_key(spec: "PredictorSpec", sizes: SizeProfile) -> str:
     """Best-effort shared-core key of ``spec`` for scheduling order.
 
-    Schedulers (the suite runner's batch chunking, the dist coordinator's
-    admission queue) sort same-trace cells by this string so cells that
-    can share a core (:mod:`repro.predictors.shared_core`) land in the
-    same batch or lease grant.  It is purely a scheduling hint -- batch
+    :func:`plan_cells` sorts same-trace cells by this string, for the
+    suite runner's batch chunking and the dist coordinator's admission
+    queue alike, so cells that can share a core
+    (:mod:`repro.predictors.shared_core`) land in the same batch or lease
+    grant.  It is purely a scheduling hint -- batch
     membership never changes results -- so any resolution failure
     (builder-based specs, unknown base names, invalid overrides) degrades
     to ``""`` instead of raising; such cells simply keep their submission
@@ -112,15 +120,15 @@ def schedule_cells(cells: Iterable[Tuple[int, str, _Item]]) -> List[_Item]:
     trace, cells with equal :func:`core_schedule_key` are adjacent, so
     :func:`~repro.sim.engine.simulate_many` can fan them out of one core;
     stable, so submission order breaks ties.  This is the one scheduling
-    policy of the suite runner's task planner and the dist coordinator's
-    admission queue -- a hint only, order never changes results.
+    policy of :func:`plan_cells` -- a hint only, order never changes
+    results.
     """
     return [cell for _, _, cell in sorted(cells, key=lambda item: item[:2])]
 
 
 def store_cell_keys(
     resolved: "PredictorSpec",
-    sizes: SizeProfile,
+    sizes: Optional[SizeProfile],
     traces: Sequence[Trace],
     track_per_pc: bool,
 ) -> Optional[List[str]]:
@@ -137,6 +145,60 @@ def store_cell_keys(
         ResultStore.cell_key(content, sizes_content, trace.fingerprint(), track_per_pc)
         for trace in traces
     ]
+
+
+@dataclass(frozen=True)
+class PlannedCell:
+    """One ``(label, trace index)`` cell as :func:`plan_cells` planned it."""
+
+    label: str
+    index: int
+    #: Persistent-store key; ``None`` without a store and for builder-based
+    #: specs, which have no content-addressed identity.
+    store_key: Optional[str]
+    #: :func:`core_schedule_key` of the cell's spec.
+    core_key: str
+
+
+def plan_cells(
+    specs: Mapping[str, "PredictorSpec"],
+    sizes: Mapping[str, Optional[SizeProfile]],
+    traces: Sequence[Trace],
+    track_per_pc: bool,
+    store: Optional[ResultStore],
+    cells: Optional[Container[Tuple[str, int]]] = None,
+) -> Tuple[List[Tuple[PlannedCell, SimulationResult]], List[PlannedCell]]:
+    """Probe the store for every cell and put the misses in scheduling order.
+
+    The one cell planner of the suite runner and the dist coordinator.
+    ``specs`` maps each label to its resolved spec and ``sizes`` to its
+    resolved :class:`SizeProfile` (``None`` for builder-based specs); the
+    cells are ``specs x traces``, or only the ``(label, trace index)``
+    pairs in ``cells`` when given.  Each cell's store key is read once.
+    Returns ``(hits, pending)``: the stored cells with their results, in
+    label-major order, and the missing cells in :func:`schedule_cells`
+    order.  Both callers derive store keys here, so a local sweep's store
+    resumes a coordinator and the other way round.
+    """
+    hits: List[Tuple[PlannedCell, SimulationResult]] = []
+    pending: List[Tuple[int, str, PlannedCell]] = []
+    for label, spec in specs.items():
+        keys = (
+            store_cell_keys(spec, sizes[label], traces, track_per_pc)
+            if store is not None
+            else None
+        )
+        core_key = core_schedule_key(spec, sizes[label])
+        for index in range(len(traces)):
+            if cells is not None and (label, index) not in cells:
+                continue
+            cell = PlannedCell(label, index, keys[index] if keys else None, core_key)
+            stored = store.get(cell.store_key) if cell.store_key is not None else None
+            if stored is None:
+                pending.append((index, core_key, cell))
+            else:
+                hits.append((cell, stored))
+    return hits, schedule_cells(pending)
 
 
 PredictorFactory = Callable[[], BranchPredictor]
@@ -183,18 +245,6 @@ def _registry_identity(registry) -> Tuple[int, int]:
     return registry.uid, registry.token
 
 
-def _spec_content(spec: "PredictorSpec") -> str:
-    """Canonical content token of a spec, independent of its display name."""
-    return spec.content()
-
-
-def _default_profile(profile: str) -> SizeProfile:
-    """Resolve a profile name against the default registry (parent side)."""
-    from repro.api.registry import default_registry
-
-    return default_registry().resolve_profile(profile)
-
-
 class BatchCellError(Exception):
     """One cell of a batched task failed; the others may still be good.
 
@@ -233,35 +283,39 @@ def _build_spec_predictor(
     return spec.build(registry)
 
 
-def _simulate_spec(
-    spec_dict: Dict[str, object],
-    sizes: "SizeProfile",
-    trace: Trace,
-    track_per_pc: bool,
-) -> SimulationResult:
-    """Worker entry point: build a predictor from a spec dict and simulate."""
-    predictor = _build_spec_predictor(spec_dict, sizes)
-    return simulate(predictor, trace, track_per_pc=track_per_pc)
+def _cell_builder(
+    spec: "PredictorSpec", sizes: Optional[SizeProfile], registry
+) -> Callable[[], BranchPredictor]:
+    """Zero-argument builder of one cell's fresh predictor.
+
+    An options-based spec builds from its portable ``(dict, SizeProfile)``
+    form (:func:`_build_spec_predictor`), which pickles, so the pool and
+    backends may run it.  A builder-based spec calls back into
+    ``registry`` and so runs only in-process.
+    """
+    if isinstance(spec.base, CompositeOptions):
+        return partial(_build_spec_predictor, spec.to_dict(), sizes)
+    return partial(spec.build, registry)
 
 
 def _simulate_spec_batch(
-    entries: Sequence[Tuple[Dict[str, object], "SizeProfile"]],
+    builders: Sequence[Callable[[], BranchPredictor]],
     trace: Trace,
     track_per_pc: bool,
 ) -> List[SimulationResult]:
-    """Batched worker entry point: N same-trace cells, one traversal.
+    """Batched task entry point: N same-trace cells, one traversal.
 
-    ``entries`` holds one ``(spec dict, resolved SizeProfile)`` pair per
-    cell; the returned results are positionally aligned with it and
-    bit-identical to :func:`_simulate_spec` per cell.  A cell whose spec
-    fails deterministically (bad name, bad override, bad geometry) raises
-    :class:`BatchCellError` naming it, so the caller can drop that cell
-    and keep the rest of the batch.
+    ``builders`` holds one zero-argument predictor builder per cell
+    (:func:`_cell_builder`); the returned results are positionally aligned
+    with it and bit-identical to a per-cell :func:`simulate`.  A cell
+    whose predictor fails deterministically (bad name, bad override, bad
+    geometry) raises :class:`BatchCellError` naming it, so the caller can
+    drop that cell and keep the rest of the batch.
     """
     predictors = []
-    for index, (spec_dict, sizes) in enumerate(entries):
+    for index, build in enumerate(builders):
         try:
-            predictors.append(_build_spec_predictor(spec_dict, sizes))
+            predictors.append(build())
         except Exception as error:
             raise BatchCellError(index, error) from error
     try:
@@ -274,18 +328,16 @@ def _simulate_spec_batch(
         # predictors are required: the batch traversal already mutated
         # the original instances.
         results = []
-        for index, (spec_dict, sizes) in enumerate(entries):
+        for index, build in enumerate(builders):
             try:
-                results.append(
-                    _simulate_spec(spec_dict, sizes, trace, track_per_pc)
-                )
+                results.append(simulate(build(), trace, track_per_pc=track_per_pc))
             except Exception as error:
                 raise BatchCellError(index, error) from error
         return results
 
 
 def _timed_spec_batch(
-    entries: Sequence[Tuple[Dict[str, object], "SizeProfile"]],
+    builders: Sequence[Callable[[], BranchPredictor]],
     trace: Trace,
     track_per_pc: bool,
 ) -> Tuple[List[SimulationResult], float]:
@@ -295,7 +347,7 @@ def _timed_spec_batch(
     turnaround with :func:`_pool_phases`.
     """
     started = time.monotonic()
-    results = _simulate_spec_batch(entries, trace, track_per_pc)
+    results = _simulate_spec_batch(builders, trace, track_per_pc)
     return results, time.monotonic() - started
 
 
@@ -581,72 +633,6 @@ class SuiteRunner:
         self._cache[key] = (factory, run)
         return run
 
-    def _spec_key(
-        self, spec: "PredictorSpec", track_per_pc: bool, uid: int
-    ) -> _CacheKey:
-        return (
-            spec.label,
-            str(spec.profile),
-            bool(track_per_pc),
-            uid,
-            _spec_content(spec),
-            self._traces_digest(),
-        )
-
-    def _cached_spec_run(
-        self, key: _CacheKey, token: int
-    ) -> Optional[ConfigurationRun]:
-        cached = self._cache.get(key)
-        if cached is not None and cached[0] == token:
-            return cached[1]
-        return None
-
-    def _store_keys(
-        self, resolved: "PredictorSpec", track_per_pc: bool, registry
-    ) -> Optional[List[str]]:
-        """Per-trace persistent-store keys for a resolved spec.
-
-        ``None`` when the store does not apply: no store configured, the
-        spec did not resolve to explicit options (builder-based specs have
-        no content-addressed identity), or its profile name does not
-        resolve (the subsequent build will raise the real error).
-        """
-        if self.store is None:
-            return None
-        if registry is None:
-            from repro.api.registry import default_registry
-
-            registry = default_registry()
-        try:
-            sizes = registry.resolve_profile(resolved.profile)
-        except KeyError:
-            return None
-        return store_cell_keys(resolved, sizes, self.traces, track_per_pc)
-
-    def _store_put(
-        self,
-        key: str,
-        result: SimulationResult,
-        resolved: "PredictorSpec",
-        trace: Trace,
-    ) -> None:
-        """Best-effort persist: an unwritable store must not fail the run."""
-        try:
-            self.store.put(
-                key,
-                result,
-                label=resolved.label,
-                trace_fingerprint=trace.fingerprint(),
-                spec=resolved.to_dict(),
-            )
-        except diskguard.DiskPressureError as error:
-            # The run keeps its results in memory; warn once so a sweep
-            # that silently produced an empty store is explicable.
-            if self.store.writes_shed == 1:
-                print(f"store: shedding result persists ({error})", file=sys.stderr)
-        except (OSError, TypeError, ValueError):
-            pass
-
     def run_spec(
         self,
         spec: "PredictorSpec",
@@ -663,63 +649,9 @@ class SuiteRunner:
         options-based spec does not share with the equivalent named one).
         A registry mutation invalidates its entries (stale entries are
         replaced in place, so mutate-then-run cycles do not grow the
-        cache).  Specs that resolve to explicit options are dispatched to
-        the worker pool when one is configured (and no scoped ``registry``
-        is in play); builder-based specs run in-process.
+        cache).  This is :meth:`run_specs` with one spec.
         """
-        uid, token = _registry_identity(registry)
-        key = self._spec_key(spec, track_per_pc, uid)
-        cached = self._cached_spec_run(key, token)
-        if cached is not None:
-            return cached
-        owned = self._progress_begin(len(self.traces))
-        try:
-            resolved = spec.resolve(registry)
-            if registry is None and isinstance(resolved.base, CompositeOptions):
-                run = self._run_batch_specs({spec.label: resolved}, track_per_pc)[
-                    spec.label
-                ]
-            else:
-                store_keys = self._store_keys(resolved, track_per_pc, registry)
-                run = ConfigurationRun(configuration=spec.label)
-                for index, trace in enumerate(self.traces):
-                    result = (
-                        self.store.get(store_keys[index]) if store_keys else None
-                    )
-                    if result is None:
-                        simulate_started = time.monotonic()
-                        result = simulate(
-                            spec.build(registry), trace, track_per_pc=track_per_pc
-                        )
-                        simulate_seconds = time.monotonic() - simulate_started
-                        store_seconds = None
-                        if store_keys:
-                            store_started = time.monotonic()
-                            self._store_put(store_keys[index], result, resolved, trace)
-                            store_seconds = time.monotonic() - store_started
-                        if self.timings is not None:
-                            phases = {"simulate": simulate_seconds}
-                            if store_seconds is not None:
-                                phases["store_write"] = store_seconds
-                            self.timings.record(
-                                backend="serial",
-                                label=spec.label,
-                                trace=trace.name,
-                                phases=phases,
-                                branches=result.conditional_branches,
-                            )
-                    else:
-                        # The stored cell may have been written under another
-                        # display name for the same content.
-                        result.predictor_name = spec.label
-                    run.results.append(result)
-                    self._progress_advance()
-        finally:
-            self._progress_end(owned)
-            if self.timings is not None:
-                self.timings.write_summary()
-        self._cache[key] = (token, run)
-        return run
+        return self.run_specs([spec], track_per_pc, registry)[spec.label]
 
     def run_specs(
         self,
@@ -729,60 +661,55 @@ class SuiteRunner:
     ) -> Dict[str, ConfigurationRun]:
         """Run several specs and return their runs keyed by label.
 
-        Like :meth:`run_many`, all missing portable specs are dispatched to
-        the process pool as one batch of ``(spec, trace)`` pairs.  Two
-        different specs sharing one label would shadow each other in the
-        returned dict, so that is rejected.
+        Every missing spec is resolved against ``registry`` (default: the
+        process-wide one) and all their ``(spec, trace)`` cells run as one
+        batch (:meth:`_run_batch_specs`).  A resolved options-based spec is
+        self-contained, so its cells may run on the pool or a backend even
+        when a scoped ``registry`` defined it; builder-based specs run
+        in-process.  Two different specs sharing one label would shadow
+        each other in the returned dict, so that is rejected.
         """
         specs = list(specs)
         contents: Dict[str, str] = {}
         for spec in specs:
-            content = _spec_content(spec)
+            content = spec.content()
             if contents.setdefault(spec.label, content) != content:
                 raise ValueError(
                     f"two different specs share the label {spec.label!r}; "
                     "give one an explicit name"
                 )
+        uid, token = _registry_identity(registry)
+        digest = self._traces_digest()
         owned = self._progress_begin(len(specs) * len(self.traces))
         try:
+            runs: Dict[str, ConfigurationRun] = {}
+            missing: Dict[str, "PredictorSpec"] = {}
+            keys: Dict[str, _CacheKey] = {}
             # Cells of specs that are already memoised (or duplicated in
             # this call) complete instantly; count them up front so the
             # session total is honest.
-            uid, token = _registry_identity(registry)
             instant = 0
-            seen: set = set()
             for spec in specs:
-                key = self._spec_key(spec, track_per_pc, uid)
-                if (
-                    self._cached_spec_run(key, token) is not None
-                    or spec.label in seen
-                ):
-                    instant += len(self.traces)
-                seen.add(spec.label)
+                key = (
+                    spec.label, str(spec.profile), bool(track_per_pc), uid,
+                    contents[spec.label], digest,
+                )
+                cached = self._cache.get(key)
+                if cached is not None and cached[0] == token:
+                    runs[spec.label] = cached[1]
+                elif spec.label not in missing:
+                    missing[spec.label] = spec.resolve(registry)
+                    keys[spec.label] = key
+                    continue
+                instant += len(self.traces)
             self._progress_advance(instant)
-            if registry is None:
-                batch: Dict[str, "PredictorSpec"] = {}
-                keys: Dict[str, _CacheKey] = {}
-                for spec in specs:
-                    key = self._spec_key(spec, track_per_pc, uid)
-                    if (
-                        self._cached_spec_run(key, token) is not None
-                        or spec.label in batch
-                    ):
-                        continue
-                    resolved = spec.resolve(registry)
-                    if isinstance(resolved.base, CompositeOptions):
-                        batch[spec.label] = resolved
-                        keys[spec.label] = key
-                if batch:
-                    for label, run in self._run_batch_specs(
-                        batch, track_per_pc
-                    ).items():
-                        self._cache[keys[label]] = (token, run)
-            return {
-                spec.label: self.run_spec(spec, track_per_pc, registry=registry)
-                for spec in specs
-            }
+            if missing:
+                for label, run in self._run_batch_specs(
+                    missing, track_per_pc, registry
+                ).items():
+                    self._cache[keys[label]] = (token, run)
+                    runs[label] = run
+            return {spec.label: runs[spec.label] for spec in specs}
         finally:
             self._progress_end(owned)
             if self.timings is not None:
@@ -814,110 +741,110 @@ class SuiteRunner:
             pass
 
     def _run_batch_specs(
-        self, specs: Mapping[str, "PredictorSpec"], track_per_pc: bool
+        self,
+        specs: Mapping[str, "PredictorSpec"],
+        track_per_pc: bool,
+        registry=None,
     ) -> Dict[str, ConfigurationRun]:
-        """Fan every (resolved spec, trace) pair across the active backend.
+        """Run every (resolved spec, trace) cell and persist the new ones.
 
-        Profiles are resolved to :class:`SizeProfile` instances here, in
-        the parent, so pool workers and remote backends never consult a
-        registry for them (custom profiles survive the ``spawn`` start
-        method and the wire protocol, and unknown profile names fail fast
-        with a parent-side KeyError).
+        Profiles of options-based specs are resolved to
+        :class:`SizeProfile` instances here, in the parent, so pool
+        workers and remote backends never consult a registry for them
+        (custom and scoped profiles survive the ``spawn`` start method and
+        the wire protocol, and unknown profile names fail fast with a
+        parent-side KeyError).
 
-        With a persistent store, cells already on disk are filled in
-        directly and only the misses are executed -- a fully stored batch
-        never even touches the backend.
+        :func:`plan_cells` fills cells already in the store directly and
+        only the misses are executed -- a fully stored batch never even
+        touches the backend.
         """
-        runs = {label: ConfigurationRun(configuration=label) for label in specs}
+        if registry is None:
+            from repro.api.registry import default_registry
+
+            registry = default_registry()
+        sizes = {
+            label: (
+                registry.resolve_profile(spec.profile)
+                if isinstance(spec.base, CompositeOptions)
+                else None
+            )
+            for label, spec in specs.items()
+        }
+        hits, pending = plan_cells(
+            specs, sizes, self.traces, track_per_pc, self.store
+        )
         slots: Dict[str, List[Optional[SimulationResult]]] = {
             label: [None] * len(self.traces) for label in specs
         }
-        store_keys = {
-            label: self._store_keys(spec, track_per_pc, None)
-            for label, spec in specs.items()
+        for cell, result in hits:
+            # The stored cell may have been written under another display
+            # name for the same content.
+            result.predictor_name = cell.label
+            slots[cell.label][cell.index] = result
+            self._progress_advance()
+        store_keys = {(cell.label, cell.index): cell.store_key for cell in pending}
+        for (label, index), result, timing in self._execute_pending(
+            specs, sizes, pending, track_per_pc, registry
+        ):
+            trace = self.traces[index]
+            key = store_keys[label, index]
+            store_seconds = None
+            if key is not None:
+                store_started = time.monotonic()
+                self.store.persist(
+                    key,
+                    result,
+                    label=label,
+                    trace_fingerprint=trace.fingerprint(),
+                    spec=specs[label].to_dict(),
+                    warn=lambda message: print(message, file=sys.stderr),
+                )
+                store_seconds = time.monotonic() - store_started
+            if self.timings is not None and timing is not None:
+                phases = dict(timing["phases"])
+                if store_seconds is not None:
+                    phases["store_write"] = store_seconds
+                self.timings.record(
+                    backend=timing["backend"],
+                    label=label,
+                    trace=trace.name,
+                    phases=phases,
+                    batch=timing.get("batch", 1),
+                    branches=result.conditional_branches,
+                )
+            slots[label][index] = result
+        return {
+            label: ConfigurationRun(configuration=label, results=slots[label])
+            for label in specs
         }
-        pending: List[Tuple[str, int]] = []
-        for label in specs:
-            keys = store_keys[label]
-            for index in range(len(self.traces)):
-                cached = self.store.get(keys[index]) if keys else None
-                if cached is not None:
-                    cached.predictor_name = label
-                    slots[label][index] = cached
-                    self._progress_advance()
-                else:
-                    pending.append((label, index))
-        if pending:
-            sizes = {
-                label: _default_profile(spec.profile)
-                for label, spec in specs.items()
-            }
-            for (label, index), result, timing in self._execute_pending(
-                specs, sizes, pending, track_per_pc
-            ):
-                keys = store_keys[label]
-                store_seconds = None
-                if keys:
-                    store_started = time.monotonic()
-                    self._store_put(
-                        keys[index], result, specs[label], self.traces[index]
-                    )
-                    store_seconds = time.monotonic() - store_started
-                if self.timings is not None and timing is not None:
-                    phases = dict(timing["phases"])
-                    if store_seconds is not None:
-                        phases["store_write"] = store_seconds
-                    self.timings.record(
-                        backend=timing["backend"],
-                        label=label,
-                        trace=self.traces[index].name,
-                        phases=phases,
-                        batch=timing.get("batch", 1),
-                        branches=result.conditional_branches,
-                    )
-                slots[label][index] = result
-        for label in specs:
-            runs[label].results.extend(slots[label])
-        return runs
 
     def _group_pending(
-        self,
-        pending: Sequence[Tuple[str, int]],
-        use_pool: bool,
-        specs: Optional[Mapping[str, "PredictorSpec"]] = None,
-        sizes: Optional[Mapping[str, SizeProfile]] = None,
+        self, pending: Sequence[PlannedCell], use_pool: bool
     ) -> List[Tuple[int, List[str]]]:
         """Chunk missing cells into same-trace ``(trace index, labels)`` groups.
 
-        Cells sharing a trace share one traversal, so they are put in
-        :func:`schedule_cells` order (trace-major, same-core cells
-        adjacent) and chunked per trace at the batch ceiling, so that
-        same-core cells land in the same chunk and
-        :func:`~repro.sim.engine.simulate_many` can fan them out of one
-        core; this is a scheduling hint only and never changes results.
-        On the pool path the ceiling is additionally capped at a fair
-        share of the pending cells for the pool's workers, so a grid over
-        few traces still keeps every worker busy instead of serialising
-        into a few giant tasks.  A fair share never splits a trace, so
-        while it leaves fewer than two tasks per worker (say 3 traces of
-        4 cells for 2 workers: 3 tasks, one worker doing two thirds of
-        the work) each round halves every task at the core-key boundary
-        nearest its middle -- never inside a same-key run, so no
+        ``pending`` comes from :func:`plan_cells`, in scheduling order
+        (trace-major, same-core cells adjacent), and is chunked per trace
+        at the batch ceiling, so that same-core cells land in the same
+        chunk and :func:`~repro.sim.engine.simulate_many` can fan them out
+        of one core; this is a scheduling hint only and never changes
+        results.  On the pool path the ceiling is additionally capped at a
+        fair share of the pending cells for the pool's workers, so a grid
+        over few traces still keeps every worker busy instead of
+        serialising into a few giant tasks.  A fair share never splits a
+        trace, so while it leaves fewer than two tasks per worker (say 3
+        traces of 4 cells for 2 workers: 3 tasks, one worker doing two
+        thirds of the work) each round halves every task at the core-key
+        boundary nearest its middle -- never inside a same-key run, so no
         shared-core group is broken, and at most one round past the
         target, so a trace with many keys is not traversed once per key.
         The tasks are returned largest first for submission.
         """
-        keys: Dict[str, str] = {}
-        if specs is not None and sizes is not None:
-            keys = {
-                label: core_schedule_key(specs[label], sizes[label])
-                for label in dict.fromkeys(label for label, _ in pending)
-            }
+        keys = {cell.label: cell.core_key for cell in pending}
         by_trace: Dict[int, List[str]] = {}
-        for label, index in schedule_cells(
-            (index, keys.get(label, ""), (label, index)) for label, index in pending
-        ):
-            by_trace.setdefault(index, []).append(label)
+        for cell in pending:
+            by_trace.setdefault(cell.index, []).append(cell.label)
         limit = self.batch
         if use_pool:
             workers = self._pool_size()
@@ -929,7 +856,7 @@ class SuiteRunner:
                 groups.append((index, labels[start:start + limit]))
         if not use_pool:
             return groups
-        while keys and len(groups) < 2 * workers:
+        while len(groups) < 2 * workers:
             halved: List[Tuple[int, List[str]]] = []
             for index, labels in groups:
                 cuts = [
@@ -950,19 +877,22 @@ class SuiteRunner:
     def _execute_pending(
         self,
         specs: Mapping[str, "PredictorSpec"],
-        sizes: Mapping[str, SizeProfile],
-        pending: Sequence[Tuple[str, int]],
+        sizes: Mapping[str, Optional[SizeProfile]],
+        pending: Sequence[PlannedCell],
         track_per_pc: bool,
+        registry,
     ) -> Iterable[Tuple[Tuple[str, int], SimulationResult, Optional[Dict[str, Any]]]]:
         """Yield ``((label, index), result, timing)`` for every missing cell.
 
-        Dispatches to the backend object when one is set; otherwise
-        same-trace cells are grouped into tasks of up to ``batch`` cells
-        (one :func:`~repro.sim.engine.simulate_many` traversal each) and
-        run in-process or, for more than one cell, across the local pool.
-        Results are yielded as they become available so the caller
-        persists completed cells incrementally (an interrupted sweep
-        keeps what finished).
+        Portable cells (options-based specs) go to the backend object when
+        one is set, or across the local pool when one is asked for and
+        more than one such cell is missing.  Everything else runs
+        in-process, builder-based specs included: same-trace cells are
+        grouped into tasks of up to ``batch`` cells, one
+        :func:`~repro.sim.engine.simulate_many` traversal each.  Results
+        are yielded as they become available so the caller persists
+        completed cells incrementally (an interrupted sweep keeps what
+        finished).
 
         ``timing`` is ``None`` (backend-object cells: the backend owns its
         own timing artifact) or ``{"backend", "phases", "batch"}`` with a
@@ -972,7 +902,24 @@ class SuiteRunner:
         one group wall across their ``batch`` cells.
         """
         backend = self.backend if not isinstance(self.backend, str) else None
-        if backend is not None:
+        use_pool = self.backend == "pool" or (
+            self.backend is None and (self.max_workers or 1) > 1
+        )
+        portable = dict.fromkeys(
+            label for label, spec in specs.items()
+            if isinstance(spec.base, CompositeOptions)
+        )
+        offloaded = [cell for cell in pending if cell.label in portable]
+        if backend is None and not (use_pool and len(offloaded) > 1):
+            offloaded = []
+        local = [cell for cell in pending if not offloaded or cell.label not in portable]
+        if backend is not None and offloaded:
+            # The submit lists cells label-major, whatever the schedule.
+            order = {label: position for position, label in enumerate(portable)}
+            cells = sorted(
+                ((cell.label, cell.index) for cell in offloaded),
+                key=lambda cell: (order[cell[0]], cell[1]),
+            )
             last = 0
 
             def _advance_remote(done: int, total: int) -> None:
@@ -981,14 +928,14 @@ class SuiteRunner:
                 last = done
 
             results = backend.execute(
-                specs=specs,
-                sizes=sizes,
+                specs={label: specs[label] for label in portable},
+                sizes={label: sizes[label] for label in portable},
                 traces=self.traces,
-                pending=list(pending),
+                pending=cells,
                 track_per_pc=track_per_pc,
                 progress=_advance_remote,
             )
-            for cell in pending:
+            for cell in cells:
                 result = results.get(cell)
                 if result is None:
                     label, index = cell
@@ -997,45 +944,36 @@ class SuiteRunner:
                         f"no result for cell ({label!r}, {self.traces[index].name})"
                     )
                 yield cell, result, None
-            return
-        use_pool = len(pending) > 1 and (
-            self.backend == "pool"
-            or (self.backend is None and (self.max_workers or 1) > 1)
-        )
-        groups = self._group_pending(pending, use_pool, specs, sizes)
-        if use_pool:
+        elif offloaded:
             pool = self._get_pool()
             batch_futures = {
                 pool.submit(
                     _timed_spec_batch,
-                    [(specs[label].to_dict(), sizes[label]) for label in labels],
+                    [_cell_builder(specs[label], sizes[label], None) for label in labels],
                     self.traces[index],
                     track_per_pc,
                 ): (index, labels, time.monotonic())
-                for index, labels in groups
+                for index, labels in self._group_pending(offloaded, True)
             }
             for future in as_completed(batch_futures):
                 index, labels, submitted = batch_futures[future]
                 results, simulate_seconds = self._batch_results(future.result)
                 timing = {
                     "backend": "pool",
-                    "phases": _pool_phases(
-                        time.monotonic() - submitted, simulate_seconds
-                    ),
+                    "phases": _pool_phases(time.monotonic() - submitted, simulate_seconds),
                     "batch": len(labels),
                 }
                 for label, result in zip(labels, results):
                     self._progress_advance()
                     yield (label, index), result, timing
-            return
-        for index, labels in groups:
-            entries = [(specs[label].to_dict(), sizes[label]) for label in labels]
-
-            def _run(entries=entries, index=index):
-                return _simulate_spec_batch(entries, self.traces[index], track_per_pc)
-
+        for index, labels in self._group_pending(local, False):
+            builders = [
+                _cell_builder(specs[label], sizes[label], registry) for label in labels
+            ]
             group_started = time.monotonic()
-            results = self._batch_results(_run)
+            results = self._batch_results(
+                partial(_simulate_spec_batch, builders, self.traces[index], track_per_pc)
+            )
             timing = {
                 "backend": "serial",
                 "phases": {"simulate": time.monotonic() - group_started},

@@ -70,7 +70,7 @@ import threading
 import time
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.common import diskguard
 from repro.predictors.composites import SizeProfile
@@ -203,6 +203,9 @@ class ResultStore:
         self.hits = 0
         self.misses = 0
         self.writes_shed = 0
+        # The dist coordinator probes one store from admission and lease
+        # threads at once; no count may be lost.
+        self._counts = threading.Lock()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ResultStore({str(self.root)!r})"
@@ -292,10 +295,11 @@ class ResultStore:
         recomputes and rewrites the cell -- the store self-heals.
         """
         record = self._read_record(key)
-        if record is None:
-            self.misses += 1
-            return None
-        self.hits += 1
+        with self._counts:
+            if record is None:
+                self.misses += 1
+                return None
+            self.hits += 1
         return _result_from_record(record)
 
     def get_record(self, key: str) -> Optional[Dict[str, Any]]:
@@ -356,6 +360,34 @@ class ResultStore:
             "result": result_to_dict(result),
         }
         return self._write_record(key, record)
+
+    def persist(
+        self,
+        key: str,
+        result: SimulationResult,
+        *,
+        label: Optional[str] = None,
+        trace_fingerprint: Optional[str] = None,
+        spec: Optional[Dict[str, Any]] = None,
+        warn: Optional[Callable[[str], None]] = None,
+    ) -> None:
+        """Best-effort :meth:`put`: an unwritable store must not fail a run.
+
+        The suite runner, the dist coordinator and the dist worker persist
+        through this.  A write shed under disk pressure
+        (:mod:`repro.common.diskguard`) is counted in :attr:`writes_shed`,
+        and the first shed of this store calls ``warn`` with one message,
+        so a run that kept its results only in memory says so once.
+        """
+        try:
+            self.put(
+                key, result, label=label, trace_fingerprint=trace_fingerprint, spec=spec
+            )
+        except diskguard.DiskPressureError as error:
+            if self.writes_shed == 1 and warn is not None:
+                warn(f"store: shedding result persists ({error})")
+        except (OSError, TypeError, ValueError):
+            pass
 
     def import_record(self, record: Dict[str, Any]) -> Path:
         """Persist a full record dict produced elsewhere (atomic, validated.)

@@ -191,7 +191,8 @@ class TestRunnerSpecPath:
         import dataclasses
 
         from repro.api import default_registry
-        from repro.sim.runner import _simulate_spec
+        from repro.sim.engine import simulate
+        from repro.sim.runner import _build_spec_predictor
 
         sizes = dataclasses.replace(
             default_registry().resolve_profile("small"), sic_entries=64
@@ -199,7 +200,7 @@ class TestRunnerSpecPath:
         spec = PredictorSpec.from_named(
             "tage-gsc+sic", profile="only-in-parent"
         ).resolve()
-        result = _simulate_spec(spec.to_dict(), sizes, easy_trace, False)
+        result = simulate(_build_spec_predictor(spec.to_dict(), sizes), easy_trace)
         assert result.predictor_name == "tage-gsc+sic"
         assert result.storage_bits < default_registry().build(
             "tage-gsc+sic", profile="small"
@@ -330,6 +331,75 @@ class TestRunnerSpecPath:
                 r.mispredictions for r in parallel[label].results
             ]
 
+    def test_scoped_registry_configuration_runs_on_the_pool(
+        self, easy_trace, local_trace
+    ):
+        # A resolved options-based spec is self-contained, so a
+        # configuration and a profile that only a scoped registry knows
+        # still fan out over the pool, bit-identical to a serial run.
+        import dataclasses
+
+        from repro.api import CompositeOptions
+        from repro.store import result_to_dict
+
+        registry = Registry.with_defaults()
+        registry.register_configuration(
+            "scoped-gehl-imli",
+            CompositeOptions(base="gehl", imli_sic=True, imli_oh=True),
+        )
+        registry.register_profile(
+            "scoped-small",
+            dataclasses.replace(registry.resolve_profile("small"), sic_entries=64),
+        )
+        spec = PredictorSpec.from_named("scoped-gehl-imli", profile="scoped-small")
+        traces = [easy_trace, local_trace]
+        pooled = Experiment([spec], traces=traces, registry=registry, jobs=2, store=False)
+        try:
+            parallel = pooled.run().run_for(spec.label).results
+            assert pooled._runner._pool is not None
+        finally:
+            pooled.close()
+        serial = Experiment(
+            [spec], traces=traces, registry=registry, store=False
+        ).run().run_for(spec.label).results
+        assert [result_to_dict(result) for result in parallel] == [
+            result_to_dict(result) for result in serial
+        ]
+
+    def test_builder_spec_shares_a_serial_task(self, easy_trace, monkeypatch):
+        # A builder-based spec joins the same in-process task as the
+        # options-based specs on its trace, and still gets the result of
+        # its own simulate().
+        import repro.sim.runner as runner_module
+        from repro.sim.engine import simulate
+        from repro.store import result_to_dict
+
+        registry = Registry.with_defaults()
+
+        @registry.register_configuration("task-bimodal")
+        def _build(profile):
+            return BimodalPredictor(entries=64)
+
+        tasks = []
+        batch = runner_module._simulate_spec_batch
+
+        def _recording(builders, trace, track_per_pc):
+            tasks.append(len(builders))
+            return batch(builders, trace, track_per_pc)
+
+        monkeypatch.setattr(runner_module, "_simulate_spec_batch", _recording)
+        specs = [
+            PredictorSpec.from_named(name, profile="small")
+            for name in ("tage-gsc", "task-bimodal", "gehl")
+        ]
+        runs = SuiteRunner([easy_trace], profile="small", store=False).run_specs(
+            specs, registry=registry
+        )
+        assert tasks == [3]
+        for spec in specs:
+            alone = simulate(spec.build(registry), easy_trace)
+            assert result_to_dict(runs[spec.label].results[0]) == result_to_dict(alone)
+
 
 class TestProgressAccounting:
     """The runner's ``progress`` hook counts every cell exactly once."""
@@ -413,7 +483,8 @@ class TestBackendSelection:
         assert runner._pool is None
 
     def test_custom_backend_object_runs_cells(self, easy_trace, local_trace):
-        from repro.sim.runner import _simulate_spec
+        from repro.sim.engine import simulate
+        from repro.sim.runner import _build_spec_predictor
 
         class InlineBackend:
             """Executes the runner's batch in-process (test double)."""
@@ -426,9 +497,9 @@ class TestBackendSelection:
                 type(self).calls += 1
                 results = {}
                 for label, index in pending:
-                    results[(label, index)] = _simulate_spec(
-                        specs[label].to_dict(), sizes[label],
-                        traces[index], track_per_pc,
+                    results[(label, index)] = simulate(
+                        _build_spec_predictor(specs[label].to_dict(), sizes[label]),
+                        traces[index], track_per_pc=track_per_pc,
                     )
                 if progress is not None:
                     progress(len(pending), len(pending))

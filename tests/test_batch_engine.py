@@ -25,11 +25,11 @@ from repro.api.specs import PredictorSpec
 from repro.dist import Coordinator, protocol
 from repro.dist.worker import Worker
 from repro.predictors.composites import CompositeOptions, build
-from repro.predictors.shared_core import _plan_heads, _run_heads, plan_groups
+from repro.predictors.shared_core import _plan_heads, _run_heads, is_pristine, plan_groups
 from repro.predictors.statistical_corrector import CorrectorContext
 from repro.predictors.simple import AlwaysTakenPredictor, BimodalPredictor
 from repro.sim.engine import ENGINE_VERSION, simulate, simulate_many
-from repro.sim.runner import DEFAULT_BATCH_CELLS, SuiteRunner
+from repro.sim.runner import DEFAULT_BATCH_CELLS, PlannedCell, SuiteRunner, plan_cells
 from repro.store import ResultStore
 from repro.trace.branch import BranchKind
 from repro.trace.chunked import write_chunked_trace
@@ -401,7 +401,13 @@ class TestSharedCoreGrouping:
         # being trained after a grouped run).
         predictors = [spec.build() for spec in _oh_grid(4)]
         simulate_many(predictors, traces[0])
-        assert plan_groups(predictors) is not None  # still pristine
+        assert all(is_pristine(predictor) for predictor in predictors)
+        groups, solos = plan_groups(predictors)
+        assert solos == []
+        assert [group.indices for group in groups] == [[0, 1, 2, 3]]
+        for predictor in predictors:
+            assert groups[0].state is not predictor.state
+            assert groups[0].tage is not predictor.tage
 
     def test_mixed_grid_store_records_identical(self, traces, tmp_path):
         specs = _oh_grid(3) + [
@@ -658,8 +664,8 @@ class TestPoolTaskLayout:
         runner = SuiteRunner(traces, profile="small", max_workers=jobs, **options)
         specs = {spec.label: spec for spec in self.GRID}
         sizes = {label: default_registry().resolve_profile("small") for label in specs}
-        pending = [(label, index) for index in range(len(traces)) for label in specs]
-        return runner._group_pending(pending, use_pool, specs, sizes), specs
+        _, pending = plan_cells(specs, sizes, traces, False, None)
+        return runner._group_pending(pending, use_pool), specs
 
     def test_pool_splits_at_core_key_boundaries(self, traces):
         # 3 traces x 4 cells for 2 workers: the fair share alone gives
@@ -701,17 +707,20 @@ class TestPoolTaskLayout:
         monkeypatch.setattr(runner_module, "core_schedule_key", lambda spec, size: spec)
         runner = SuiteRunner(traces, profile="small", max_workers=2)
         labels = [f"cell{n}" for n in range(8)]
-        pending = [(label, 0) for label in labels]
-        tasks = runner._group_pending(pending, True, {label: label for label in labels}, {
-            label: None for label in labels
-        })
+        _, pending = plan_cells(
+            {label: label for label in labels}, {label: None for label in labels},
+            traces[:1], False, None,
+        )
+        tasks = runner._group_pending(pending, True)
         assert [(index, len(task)) for index, task in tasks] == [(0, 2)] * 4
         assert sorted(label for _, task in tasks for label in task) == labels
 
     def test_pool_submits_largest_task_first(self, traces):
         runner = SuiteRunner(traces, profile="small", max_workers=2)
         pending = [("a", 0), ("b", 1), ("c", 1), ("d", 1)]
-        tasks = runner._group_pending(pending, True)
+        tasks = runner._group_pending(
+            [PlannedCell(label, index, None, "") for label, index in pending], True
+        )
         assert [len(labels) for _, labels in tasks] == [2, 1, 1]
 
     def test_serial_layout_unchanged(self, traces):

@@ -466,6 +466,64 @@ class TestStoreIntegration:
         assert job.done == job.total
 
 
+class TestCellPlanner:
+    """``plan_cells`` is the one planner of the runner and the coordinator."""
+
+    GRID = [
+        PredictorSpec.from_named(name, profile="small")
+        for name in ("tage-gsc", "gehl", "tage-gsc+imli", "gehl+imli")
+    ]
+
+    @staticmethod
+    def _recorded(monkeypatch, module):
+        plans = []
+        plan = module.plan_cells
+
+        def _recording(*args, **kwargs):
+            hits, pending = plan(*args, **kwargs)
+            plans.append((
+                [(cell, result_to_dict(result)) for cell, result in hits], pending,
+            ))
+            return hits, pending
+
+        monkeypatch.setattr(module, "plan_cells", _recording)
+        return plans
+
+    def test_runner_and_coordinator_plan_alike(self, traces, tmp_path, monkeypatch):
+        import repro.dist.coordinator as coordinator_module
+        import repro.sim.runner as runner_module
+
+        store = ResultStore(tmp_path / "store")
+        # Half-stored: every spec's cell on the first trace.
+        Experiment(self.GRID, traces=traces[:1], profile="small", store=store).run()
+        coordinator_plans = self._recorded(monkeypatch, coordinator_module)
+        runner_plans = self._recorded(monkeypatch, runner_module)
+        # No workers: admission plans, completes the hits and queues the rest.
+        coordinator = Coordinator(store=store)
+        job = coordinator.submit(self.GRID, traces)
+        queued = [coordinator._cells[cell_id] for cell_id in coordinator._pending]
+        subset = [(self.GRID[1].label, 1), (self.GRID[2].label, 0)]
+        coordinator.submit(self.GRID, traces, cells=subset)
+        Experiment(self.GRID, traces=traces, profile="small", store=store).run()
+        assert runner_plans == coordinator_plans[:1]
+        hits, pending = runner_plans[0]
+        assert [(cell.label, cell.index) for cell, _ in hits] == [
+            (spec.label, 0) for spec in self.GRID
+        ]
+        assert all(cell.store_key in store for cell, _ in hits)
+        assert [cell.index for cell in pending] == [1] * len(self.GRID)
+        # Same-core cells are adjacent: one run per core key.
+        keys = [cell.core_key for cell in pending]
+        assert len(set(keys)) == 2 and keys == sorted(keys, key=keys.index)
+        assert [(cell.label, cell.index, cell.store_key) for cell in queued] == [
+            (cell.label, cell.index, cell.store_key) for cell in pending
+        ]
+        assert job.done == len(hits) and job.total == len(hits) + len(pending)
+        subset_hits, subset_pending = coordinator_plans[1]
+        assert [(cell.label, cell.index) for cell, _ in subset_hits] == [subset[1]]
+        assert [(cell.label, cell.index) for cell in subset_pending] == [subset[0]]
+
+
 class TestResultStoreHooks:
     def test_result_dict_round_trip(self, traces):
         from repro.store import result_from_dict

@@ -386,24 +386,52 @@ class TestDiskGuard:
         diskguard.reset()
         store.put("0" * 64, result)  # pressure cleared: writes resume
 
+    @pytest.mark.parametrize("path", ["serial", "worker", "coordinator"])
     def test_serial_sweep_under_critical_completes_with_visible_shed(
-        self, tmp_path, specs, traces, serial_results, monkeypatch, capsys
+        self, tmp_path, specs, traces, serial_results, monkeypatch, capsys, path
     ):
-        # The serial runner treats the store as best-effort: under
-        # critical pressure the sweep still completes (results in
-        # memory), but the shed is counted and warned about once --
-        # never a silently empty store.
+        # The serial runner, a dist worker's local store and the
+        # coordinator's store are all best-effort: under critical
+        # pressure the sweep still completes (results in memory), but the
+        # shed is counted and warned about once -- never a silently empty
+        # store.
         store = ResultStore(tmp_path / "store")
-        monkeypatch.setenv(diskguard.ENV_VAR, "1t,1t")
-        diskguard.reset()
-        results = Experiment(
-            specs, traces=traces, profile="small", store=store
-        ).run()
-        _assert_bit_identical(
-            {spec.label: results.run_for(spec.label) for spec in specs},
-            serial_results,
-            specs,
-        )
+
+        def _critical():
+            monkeypatch.setenv(diskguard.ENV_VAR, "1t,1t")
+            diskguard.reset()
+
+        if path == "serial":
+            _critical()
+            results = Experiment(
+                specs, traces=traces, profile="small", store=store
+            ).run()
+            runs = {spec.label: results.run_for(spec.label) for spec in specs}
+        else:
+            def _log(message):
+                print(message, file=sys.stderr)
+
+            # Work items carry store keys only from a coordinator with a
+            # store, so the worker path needs one too; only the path under
+            # test logs.
+            coordinator = Coordinator(
+                store=store if path == "coordinator" else str(tmp_path / "coordinator"),
+                log=_log if path == "coordinator" else None,
+            )
+            address = coordinator.start()
+            # Admitted before the pressure: admission itself refuses
+            # while the store disk is critical.
+            job = coordinator.submit(specs, traces)
+            _critical()
+            _, threads = _start_workers(
+                address, 1,
+                store=store if path == "worker" else None,
+                log=_log if path == "worker" else None,
+            )
+            assert job.wait(60), "sweep did not finish under critical disk"
+            runs = job.runs()
+            _join_workers(coordinator, threads)
+        _assert_bit_identical(runs, serial_results, specs)
         total = len(specs) * len(traces)
         assert store.writes_shed == total
         assert not (store.root / "objects").exists()

@@ -63,6 +63,32 @@ class TestStoreLifecycle:
         assert _key() not in store
         assert len(store) == 0
 
+    def test_concurrent_probes_count_every_hit_and_miss(self, tmp_path):
+        # The dist coordinator plans admissions outside its scheduler lock
+        # while its lease loop re-probes the same store.
+        import sys
+
+        store = ResultStore(tmp_path / "store")
+        store.put(_key(), _result())
+
+        def probe():
+            for _ in range(200):
+                store.get(_key())
+                store.get(_key("missing"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=probe) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert store.hits == store.misses == 8 * 200
+
     def test_gzip_records_round_trip(self, tmp_path):
         store = ResultStore(tmp_path / "store", compress=True)
         key = _key()
