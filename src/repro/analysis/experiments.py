@@ -31,7 +31,7 @@ from repro.sim.metrics import (
     mpki_delta,
     mpki_reduction_percent,
 )
-from repro.sim.runner import SuiteRunner
+from repro.sim.runner import ConfigurationRun, SuiteRunner
 from repro.sim.storage import (
     imli_component_cost_bits,
     speculative_state_report,
@@ -92,41 +92,47 @@ def _ordered_suites(runners: Runners) -> List[str]:
     ]
 
 
-def _run(runner: SuiteRunner, configuration: str):
-    """Run one named configuration through the declarative spec layer.
+def _run_all(
+    runners: Runners, configurations: Sequence[str]
+) -> Dict[str, Dict[str, ConfigurationRun]]:
+    """``{suite: {configuration: run}}`` for the given named configurations.
 
-    Every experiment's simulations flow through
-    :meth:`~repro.sim.runner.SuiteRunner.run_spec`; the spec label equals
-    the configuration name, so the memoisation cache is shared with any
-    name-based callers of the same runner.
+    One :meth:`~repro.sim.runner.SuiteRunner.run_specs` call per suite, so
+    configurations sharing a core (say ``tage-gsc``, ``+l``, ``+imli`` and
+    ``+imli+l``) run as one shared-core group per trace.  Spec labels
+    equal the configuration names, so the runners' memo is shared with
+    name-based callers and with the other experiments.
     """
-    return runner.run_spec(
-        PredictorSpec.from_named(configuration, profile=runner.profile)
-    )
-
-
-def _suite_averages(runners: Runners, configurations: Sequence[str]) -> Dict[str, Dict[str, float]]:
-    """``{suite: {configuration: average MPKI}}`` for the given configurations."""
-    averages: Dict[str, Dict[str, float]] = {}
-    for suite in _ordered_suites(runners):
-        runner = runners[suite]
-        averages[suite] = {
-            configuration: _run(runner, configuration).average_mpki
+    return {
+        suite: runners[suite].run_specs(
+            PredictorSpec.from_named(configuration, profile=runners[suite].profile)
             for configuration in configurations
-        }
-    return averages
+        )
+        for suite in _ordered_suites(runners)
+    }
+
+
+def _suite_averages(
+    runs: Mapping[str, Mapping[str, ConfigurationRun]]
+) -> Dict[str, Dict[str, float]]:
+    """``{suite: {configuration: average MPKI}}`` of :func:`_run_all` runs."""
+    return {
+        suite: {configuration: run.average_mpki for configuration, run in by_name.items()}
+        for suite, by_name in runs.items()
+    }
 
 
 def _per_benchmark_delta(
-    runners: Runners, baseline: str, candidate: str
+    runs: Mapping[str, Mapping[str, ConfigurationRun]], baseline: str, candidate: str
 ) -> Dict[str, float]:
     """Per-benchmark MPKI reduction of ``candidate`` relative to ``baseline``."""
     deltas: Dict[str, float] = {}
-    for suite in _ordered_suites(runners):
-        runner = runners[suite]
-        base = _run(runner, baseline).mpki_by_trace()
-        cand = _run(runner, candidate).mpki_by_trace()
-        deltas.update(mpki_delta(base, cand))
+    for by_name in runs.values():
+        deltas.update(
+            mpki_delta(
+                by_name[baseline].mpki_by_trace(), by_name[candidate].mpki_by_trace()
+            )
+        )
     return deltas
 
 
@@ -146,7 +152,7 @@ def _storage_kbits(runners: Runners, configurations: Sequence[str]) -> Dict[str,
 def experiment_base_predictors(runners: Runners) -> ExperimentResult:
     """Average MPKI of the two base predictors (Section 3.2)."""
     configurations = ["tage-gsc", "gehl"]
-    averages = _suite_averages(runners, configurations)
+    averages = _suite_averages(_run_all(runners, configurations))
     text = format_mpki_table(
         configurations,
         averages,
@@ -180,14 +186,15 @@ def experiment_wormhole(runners: Runners) -> ExperimentResult:
         "tage-gsc", "tage-gsc+wh", "tage-gsc+sic", "tage-gsc+sic+wh",
         "gehl", "gehl+wh", "gehl+sic", "gehl+sic+wh",
     ]
-    averages = _suite_averages(runners, configurations)
+    runs = _run_all(runners, configurations)
+    averages = _suite_averages(runs)
     reductions: Dict[str, float] = {}
     for suite, per_configuration in averages.items():
         for base in ("tage-gsc", "gehl"):
             reductions[f"{base}+wh vs {base} ({suite})"] = mpki_reduction_percent(
                 per_configuration[base], per_configuration[f"{base}+wh"]
             )
-    per_benchmark = _per_benchmark_delta(runners, "tage-gsc", "tage-gsc+wh")
+    per_benchmark = _per_benchmark_delta(runs, "tage-gsc", "tage-gsc+wh")
     top = sorted(per_benchmark.items(), key=lambda item: item[1], reverse=True)[:6]
     text_parts = [
         format_mpki_table(
@@ -239,7 +246,8 @@ def experiment_imli_sic(runners: Runners) -> ExperimentResult:
         "tage-gsc", "tage-gsc+sic", "gehl", "gehl+sic",
         "tage-gsc+loop", "tage-gsc+sic+loop",
     ]
-    averages = _suite_averages(runners, configurations)
+    runs = _run_all(runners, configurations)
+    averages = _suite_averages(runs)
     loop_benefit: Dict[str, float] = {}
     for suite, per_configuration in averages.items():
         loop_benefit[f"loop benefit without SIC ({suite})"] = (
@@ -248,7 +256,7 @@ def experiment_imli_sic(runners: Runners) -> ExperimentResult:
         loop_benefit[f"loop benefit with SIC ({suite})"] = (
             per_configuration["tage-gsc+sic"] - per_configuration["tage-gsc+sic+loop"]
         )
-    per_benchmark = _per_benchmark_delta(runners, "tage-gsc", "tage-gsc+sic")
+    per_benchmark = _per_benchmark_delta(runs, "tage-gsc", "tage-gsc+sic")
     top = dict(sorted(per_benchmark.items(), key=lambda item: item[1], reverse=True)[:8])
     text_parts = [
         format_mpki_table(
@@ -301,13 +309,15 @@ def experiment_imli_sic(runners: Runners) -> ExperimentResult:
 def _imli_reduction_figure(
     runners: Runners, base: str, experiment_id: str, title: str, limit: int | None
 ) -> ExperimentResult:
-    sic_delta = _per_benchmark_delta(runners, base, f"{base}+sic")
-    imli_delta = _per_benchmark_delta(runners, base, f"{base}+imli")
+    configurations = [base, f"{base}+sic", f"{base}+imli"]
+    runs = _run_all(runners, configurations)
+    sic_delta = _per_benchmark_delta(runs, base, f"{base}+sic")
+    imli_delta = _per_benchmark_delta(runs, base, f"{base}+imli")
     grouped = {
         name: {"imli-sic": sic_delta[name], "imli-sic+oh": imli_delta[name]}
         for name in imli_delta
     }
-    averages = _suite_averages(runners, [base, f"{base}+sic", f"{base}+imli"])
+    averages = _suite_averages(runs)
     text_parts = [
         format_grouped_bar_chart(
             grouped,
@@ -317,11 +327,7 @@ def _imli_reduction_figure(
             limit=limit,
         ),
         "",
-        format_mpki_table(
-            [base, f"{base}+sic", f"{base}+imli"],
-            averages,
-            title="Average MPKI",
-        ),
+        format_mpki_table(configurations, averages, title="Average MPKI"),
     ]
     paper_reference = {
         "tage-gsc": {
@@ -395,13 +401,15 @@ def experiment_fig11(runners: Runners) -> ExperimentResult:
 
 def experiment_fig13(runners: Runners) -> ExperimentResult:
     """Figure 13: IMLI-OH vs WH prediction accuracy on top of GEHL."""
-    oh_delta = _per_benchmark_delta(runners, "gehl", "gehl+oh")
-    wh_delta = _per_benchmark_delta(runners, "gehl", "gehl+wh")
+    configurations = ["gehl", "gehl+oh", "gehl+wh"]
+    runs = _run_all(runners, configurations)
+    oh_delta = _per_benchmark_delta(runs, "gehl", "gehl+oh")
+    wh_delta = _per_benchmark_delta(runs, "gehl", "gehl+wh")
     grouped = {
         name: {"imli-oh": oh_delta[name], "wormhole": wh_delta[name]}
         for name in oh_delta
     }
-    averages = _suite_averages(runners, ["gehl", "gehl+oh", "gehl+wh"])
+    averages = _suite_averages(runs)
     text_parts = [
         format_grouped_bar_chart(
             grouped,
@@ -410,7 +418,7 @@ def experiment_fig13(runners: Runners) -> ExperimentResult:
             limit=12,
         ),
         "",
-        format_mpki_table(["gehl", "gehl+oh", "gehl+wh"], averages, title="Average MPKI"),
+        format_mpki_table(configurations, averages, title="Average MPKI"),
     ]
     return ExperimentResult(
         experiment_id="fig13",
@@ -436,7 +444,7 @@ def _table_experiment(
     runners: Runners, base: str, experiment_id: str, title: str, paper: Dict[str, object]
 ) -> ExperimentResult:
     configurations = [base, f"{base}+l", f"{base}+imli", f"{base}+imli+l"]
-    averages = _suite_averages(runners, configurations)
+    averages = _suite_averages(_run_all(runners, configurations))
     storage = _storage_kbits(runners, configurations)
     text = format_mpki_table(
         configurations, averages, storage_kbits=storage, title=title
@@ -489,15 +497,15 @@ def _local_history_figure(
     runners: Runners, base: str, experiment_id: str, title: str
 ) -> ExperimentResult:
     configurations = [base, f"{base}+imli", f"{base}+l", f"{base}+imli+l"]
-    averages = _suite_averages(runners, configurations)
+    runs = _run_all(runners, configurations)
+    averages = _suite_averages(runs)
     base_mpki: Dict[str, float] = {}
     series: Dict[str, Dict[str, float]] = {}
-    for suite in _ordered_suites(runners):
-        runner = runners[suite]
-        base_run = _run(runner, base).mpki_by_trace()
+    for by_name in runs.values():
+        base_run = by_name[base].mpki_by_trace()
         base_mpki.update(base_run)
         for configuration in configurations[1:]:
-            candidate = _run(runner, configuration).mpki_by_trace()
+            candidate = by_name[configuration].mpki_by_trace()
             for name, delta in mpki_delta(base_run, candidate).items():
                 series.setdefault(name, {})[configuration] = delta
     affected = most_affected(
@@ -610,7 +618,7 @@ def experiment_delayed_update(runners: Runners) -> ExperimentResult:
 def experiment_record(runners: Runners) -> ExperimentResult:
     """Section 5: TAGE-SC-L enhanced with IMLI components."""
     configurations = ["tage-sc-l", "tage-sc-l+imli"]
-    averages = _suite_averages(runners, configurations)
+    averages = _suite_averages(_run_all(runners, configurations))
     reductions = {
         suite: mpki_reduction_percent(
             per_configuration["tage-sc-l"], per_configuration["tage-sc-l+imli"]

@@ -70,9 +70,10 @@ from repro.dist.protocol import ConnectionClosed, ProtocolError
 from repro.obs import timing_log_for
 from repro.sim.engine import SimulationResult
 from repro.sim.runner import (
+    _CELL_ERRORS,
     DEFAULT_BATCH_CELLS,
-    BatchCellError,
     _build_spec_predictor,
+    _Outcome,
     _pool_phases,
     _timed_spec_batch,
 )
@@ -554,17 +555,16 @@ class Worker:
             # (accepted: false) without double-counting.
             self._request(rfile, wfile, frame, "ack")
 
-    #: Errors that are deterministic properties of the cell itself (an
-    #: unknown configuration name, bad override types, invalid geometry):
-    #: retrying on another worker cannot succeed, so they fail the job
-    #: fast via a ``failure`` frame.  Anything else (a broken process
-    #: pool, OOM, I/O trouble) is a property of *this worker* -- the
-    #: worker dies instead, the coordinator requeues its leases, and the
-    #: sweep completes elsewhere.
-    _CELL_ERRORS = (KeyError, TypeError, ValueError, AttributeError)
-
     def _report_failure(self, rfile, wfile, item: Dict[str, Any], error: BaseException) -> None:
-        if not isinstance(error, self._CELL_ERRORS):
+        """Fail one cell's job with a ``failure`` frame.
+
+        Only for a cell error (:data:`repro.sim.runner._CELL_ERRORS`):
+        retrying on another worker cannot succeed.  Anything else is a
+        property of *this worker* -- it is re-raised, the worker dies, the
+        coordinator requeues its leases, and the sweep completes
+        elsewhere.
+        """
+        if not isinstance(error, _CELL_ERRORS):
             raise error
         self._request(
             rfile, wfile,
@@ -705,11 +705,10 @@ class Worker:
                 except OSError:
                     pass
 
-    #: One leased grant in flight on the pool: its items, everything
-    #: needed to resubmit the survivors after a cell failure, and the
-    #: timing meta (submit stamp + trace-fetch seconds) for the phase
-    #: record attached to its uploads.
-    _Grant = Tuple[List[Dict[str, Any]], List[Callable[[], Any]], Trace, bool, Dict[str, float]]
+    #: One leased grant in flight on the pool: its items and the timing
+    #: meta (submit stamp + trace-fetch seconds) for the phase record
+    #: attached to its uploads.
+    _Grant = Tuple[List[Dict[str, Any]], Dict[str, float]]
 
     def _lease_frame(self) -> Dict[str, Any]:
         """The lease request; plain (batch-free) when batching is off.
@@ -722,39 +721,23 @@ class Worker:
             return {"type": "lease", "max_cells": self.batch}
         return {"type": "lease"}
 
-    def _simulate_inline(
+    def _settle_grant(
         self, rfile, wfile,
         items: List[Dict[str, Any]],
-        entries: List[Callable[[], Any]],
-        trace: Trace,
-        track_per_pc: bool,
+        outcomes: List[_Outcome],
+        phases: Dict[str, float],
     ) -> None:
-        """Simulate one grant in-process, pruning cells that fail."""
-        items = list(items)
-        entries = list(entries)
-        trace_load = self._last_fetch_seconds
-        while items:
-            simulate_started = time.monotonic()
-            try:
-                results, _ = _simulate_batch_with_chaos(entries, trace, track_per_pc)
-            except BatchCellError as error:
-                self._report_failure(
-                    rfile, wfile, items[error.index], error.original
-                )
-                del items[error.index]
-                del entries[error.index]
-                continue
-            # Batched cells share one traversal, so they share the grant's
-            # phase walls (see docs/OBSERVABILITY.md on interpreting batch).
-            phases = {
-                "trace_load": trace_load,
-                "simulate": time.monotonic() - simulate_started,
-            }
-            for item, result in zip(items, results):
-                self._upload(
-                    rfile, wfile, item, result, phases=phases, batch=len(items)
-                )
-            return
+        """Upload every simulated cell of a grant and fail every other one.
+
+        The cells simulated together share the grant's phase walls (see
+        docs/OBSERVABILITY.md on interpreting batch).
+        """
+        batch = sum(not isinstance(outcome, BaseException) for outcome in outcomes)
+        for item, outcome in zip(items, outcomes):
+            if isinstance(outcome, BaseException):
+                self._report_failure(rfile, wfile, item, outcome)
+            else:
+                self._upload(rfile, wfile, item, outcome, phases=phases, batch=batch)
 
     def _process_grant(
         self, rfile, wfile,
@@ -790,9 +773,14 @@ class Worker:
                 spec_dict, sizes, _ = self._decode_item(item)
                 entries.append(partial(_build_spec_predictor, spec_dict, sizes))
             if pool is None:
-                self._simulate_inline(
-                    rfile, wfile, group, entries, trace, track_per_pc
+                outcomes, simulate_seconds = _simulate_batch_with_chaos(
+                    entries, trace, track_per_pc
                 )
+                phases = {
+                    "trace_load": self._last_fetch_seconds,
+                    "simulate": simulate_seconds,
+                }
+                self._settle_grant(rfile, wfile, group, outcomes, phases)
             else:
                 ensure_local = getattr(trace, "ensure_local", None)
                 if ensure_local is not None:
@@ -807,54 +795,29 @@ class Worker:
                 future = pool.submit(
                     _simulate_batch_with_chaos, entries, trace, track_per_pc
                 )
-                in_flight[future] = (group, entries, trace, track_per_pc, meta)
+                in_flight[future] = (group, meta)
 
     def _drain_one(
         self, rfile, wfile,
-        pool: Optional[ProcessPoolExecutor],
         in_flight: Dict[Future, "_Grant"],
     ) -> None:
-        """Wait for at least one pool grant and upload / retry / fail it."""
+        """Wait for at least one pool grant and settle it.
+
+        A pool task that raised is not a property of any one cell (broken
+        pool, OOM, ...): ``future.result()`` re-raises it, which is
+        worker-fatal, and the coordinator requeues our leases.
+        """
         done, _ = wait(set(in_flight), return_when=FIRST_COMPLETED)
         for future in done:
-            items, entries, trace, track_per_pc, meta = in_flight.pop(future)
-            error = future.exception()
-            if error is None:
-                # The pool task times its own traversal; the rest of the
-                # submit-to-completion turnaround is queue_wait.
-                results, simulate_seconds = future.result()
-                phases = {
-                    "trace_load": meta.get("trace_load", 0.0),
-                    **_pool_phases(
-                        time.monotonic() - meta["submitted"], simulate_seconds
-                    ),
-                }
-                for item, result in zip(items, results):
-                    self._upload(
-                        rfile, wfile, item, result,
-                        phases=phases, batch=len(items),
-                    )
-            elif isinstance(error, BatchCellError):
-                self._report_failure(
-                    rfile, wfile, items[error.index], error.original
-                )
-                rest_items = [
-                    item for i, item in enumerate(items) if i != error.index
-                ]
-                rest_entries = [
-                    entry for i, entry in enumerate(entries) if i != error.index
-                ]
-                if rest_items:
-                    retry = pool.submit(
-                        _simulate_batch_with_chaos, rest_entries, trace, track_per_pc
-                    )
-                    in_flight[retry] = (
-                        rest_items, rest_entries, trace, track_per_pc, meta,
-                    )
-            else:
-                # Not a property of any one cell (broken pool, OOM, ...):
-                # worker-fatal, the coordinator requeues our leases.
-                raise error
+            items, meta = in_flight.pop(future)
+            # The pool task times its own traversal; the rest of the
+            # submit-to-completion turnaround is queue_wait.
+            outcomes, simulate_seconds = future.result()
+            phases = {
+                "trace_load": meta["trace_load"],
+                **_pool_phases(time.monotonic() - meta["submitted"], simulate_seconds),
+            }
+            self._settle_grant(rfile, wfile, items, outcomes, phases)
 
     def _serve(self, rfile, wfile, pool: Optional[ProcessPoolExecutor]) -> None:
         in_flight: Dict[Future, Worker._Grant] = {}
@@ -890,7 +853,7 @@ class Worker:
                 self._process_grant(rfile, wfile, items, pool, in_flight)
             # Phase 2: drain at least one finished simulation.
             if in_flight:
-                self._drain_one(rfile, wfile, pool, in_flight)
+                self._drain_one(rfile, wfile, in_flight)
             elif draining:
                 return
             elif delay:

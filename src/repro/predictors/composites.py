@@ -506,8 +506,8 @@ def build_named(name: str, profile: str = "default") -> BranchPredictor:
 def factory(name: str, profile: str = "default") -> Callable[[], BranchPredictor]:
     """Return a zero-argument factory for a registered configuration.
 
-    The simulation runner builds a fresh predictor per trace, so factories
-    rather than instances are passed around.
+    Each call builds a fresh predictor, for callers that replay one
+    configuration over several traces.
     """
     def _build() -> BranchPredictor:
         return build_named(name, profile=profile)

@@ -17,10 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from repro.predictors.base import BranchPredictor
-from repro.predictors.composites import CompositeOptions, build
-from repro.sim.engine import simulate
-from repro.sim.metrics import average_mpki
+from repro.predictors.composites import CompositeOptions
+from repro.sim.runner import SuiteRunner
 from repro.trace.trace import Trace
 
 __all__ = ["DelayedUpdateResult", "run_delayed_update_experiment"]
@@ -41,15 +39,6 @@ class DelayedUpdateResult:
         return self.delayed_mpki - self.immediate_mpki
 
 
-def _build_imli_predictor(base: str, delay: int, profile: str) -> BranchPredictor:
-    options = CompositeOptions(
-        base=base, imli_sic=True, imli_oh=True, oh_update_delay=delay
-    )
-    predictor = build(options, profile=profile)
-    predictor.name = f"{base}+imli(delay={delay})"
-    return predictor
-
-
 def run_delayed_update_experiment(
     traces: Sequence[Trace],
     base: str = "tage-gsc",
@@ -57,6 +46,10 @@ def run_delayed_update_experiment(
     profile: str = "default",
 ) -> List[DelayedUpdateResult]:
     """Run the Section 4.3.2 delayed-update experiment.
+
+    The immediate configuration and every delayed one differ only in
+    their IMLI heads, so one :meth:`~repro.sim.runner.SuiteRunner.run_specs`
+    call runs them as one shared-core group per trace.
 
     Parameters
     ----------
@@ -70,27 +63,32 @@ def run_delayed_update_experiment(
     profile:
         Predictor size profile.
     """
-    immediate_results = [
-        simulate(_build_imli_predictor(base, 0, profile), trace) for trace in traces
-    ]
-    immediate = average_mpki(immediate_results)
-    experiment: List[DelayedUpdateResult] = []
+    from repro.api.specs import PredictorSpec
+
     for delay in delays:
         if delay <= 0:
             raise ValueError(f"delays must be positive, got {delay}")
-        delayed_results = [
-            simulate(_build_imli_predictor(base, delay, profile), trace)
-            for trace in traces
-        ]
-        experiment.append(
-            DelayedUpdateResult(
-                base=base,
-                delay=delay,
-                immediate_mpki=immediate,
-                delayed_mpki=average_mpki(delayed_results),
-            )
+    specs = [
+        PredictorSpec(
+            base=CompositeOptions(
+                base=base, imli_sic=True, imli_oh=True, oh_update_delay=delay
+            ),
+            profile=profile,
+            name=f"{base}+imli(delay={delay})",
         )
-    return experiment
+        for delay in (0, *delays)
+    ]
+    runs = SuiteRunner(traces, profile=profile, store=False).run_specs(specs)
+    immediate = runs[specs[0].label].average_mpki
+    return [
+        DelayedUpdateResult(
+            base=base,
+            delay=delay,
+            immediate_mpki=immediate,
+            delayed_mpki=runs[spec.label].average_mpki,
+        )
+        for delay, spec in zip(delays, specs[1:])
+    ]
 
 
 def summarize(results: Sequence[DelayedUpdateResult]) -> Dict[int, float]:

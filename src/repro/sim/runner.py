@@ -22,9 +22,9 @@ scheduling order.  Every spec -- registry-named, declarative
 :class:`~repro.api.specs.PredictorSpec` or from a scoped registry -- runs
 through the same batched tasks.  Specs that resolve to explicit options
 are self-contained, so any backend may run them; builder-based specs
-build in-process and join the serial tasks of their trace.  Only
-:meth:`SuiteRunner.run` with a custom factory keeps its own in-process
-loop.
+build in-process and join the serial tasks of their trace.  Every task
+returns one outcome per cell (:func:`_simulate_spec_batch`): the cell's
+result or the exception its build or replay raised.
 
 Traces are duck-typed: anything exposing ``name``, ``fingerprint()`` and
 the engine's column surface works, so
@@ -72,7 +72,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sim must not
     from repro.api.specs import PredictorSpec  # depend on api at runtime)
 
 __all__ = [
-    "BatchCellError",
     "ConfigurationRun",
     "DEFAULT_BATCH_CELLS",
     "ExecutionBackend",
@@ -201,13 +200,21 @@ def plan_cells(
     return hits, schedule_cells(pending)
 
 
-PredictorFactory = Callable[[], BranchPredictor]
-
 #: Default ceiling on how many same-trace cells one batched task (or one
 #: distributed lease grant) covers.  Large enough to amortise the shared
 #: trace traversal over a typical sweep grid, small enough that an
 #: interrupted batch (or an expired worker lease) forfeits bounded work.
 DEFAULT_BATCH_CELLS = 16
+
+#: Errors that are deterministic properties of a cell itself (an unknown
+#: configuration name, bad override types, invalid geometry).  One raised
+#: in the middle of a shared traversal makes :func:`_simulate_spec_batch`
+#: re-run the cells one at a time to find its cell; a dist worker reports
+#: a failed cell with one of these as a ``failure`` frame, which fails the
+#: job fast.  Anything else (a broken process pool, OOM, I/O trouble) is a
+#: property of the process: it propagates, and a worker dies instead so
+#: the coordinator requeues its leases.
+_CELL_ERRORS = (KeyError, TypeError, ValueError, AttributeError)
 
 #: Memoisation key: (label, profile, per-PC tracking requested, registry
 #: uid, content token, traces digest).  The profile is part of the key
@@ -215,25 +222,26 @@ DEFAULT_BATCH_CELLS = 16
 #: runner's; the tracking flag is part of the key because a run simulated
 #: without per-PC tracking has empty ``per_pc_mispredictions`` and must
 #: not satisfy a later request that needs them; the registry uid (the
-#: stable ``Registry.uid`` of whichever registry resolves the spec; 0 for
-#: registry-free factory runs) keeps results built against different
-#: registries from shadowing each other; the content token (a canonical
-#: dump of the spec minus its display name, or ``"factory"``) keeps two
-#: specs that merely share a label from poisoning each other's entries;
-#: and the traces digest (a hash over the traces' content fingerprints,
-#: recomputed per lookup) keeps results keyed on what the traces *are*,
-#: not which benchmarks they are named after -- a trace regenerated with
-#: different content (e.g. after ``REPRO_TRACE_CACHE`` invalidation, or
-#: mutated in place) can never be served a stale run.
+#: stable ``Registry.uid`` of whichever registry resolves the spec) keeps
+#: results built against different registries from shadowing each other;
+#: the content token (a canonical dump of the spec minus its display
+#: name) keeps two specs that merely share a label from poisoning each
+#: other's entries; and the traces digest (a hash over the traces'
+#: content fingerprints, recomputed per lookup) keeps results keyed on
+#: what the traces *are*, not which benchmarks they are named after -- a
+#: trace regenerated with different content (e.g. after
+#: ``REPRO_TRACE_CACHE`` invalidation, or mutated in place) can never be
+#: served a stale run.
 #:
-#: Each entry stores a validity stamp next to the run: the registry's
-#: mutation ``token`` for spec entries (a registry mutation bumps the
-#: token, so stale results are never served and are replaced in place --
-#: bounded growth), or the factory object itself for factory entries (a
-#: hit requires the same factory identity; holding the reference also
-#: keeps the cache bounded at one entry per label).
+#: Each entry stores the registry's mutation ``token`` next to the run: a
+#: registry mutation bumps the token, so stale results are never served
+#: and are replaced in place -- bounded growth.
 _CacheKey = Tuple[str, str, bool, int, str, str]
-_CacheEntry = Tuple[object, "ConfigurationRun"]
+_CacheEntry = Tuple[int, "ConfigurationRun"]
+
+#: One cell's outcome from a batched task: its result, or the exception
+#: its build or replay raised.
+_Outcome = Union[SimulationResult, BaseException]
 
 
 def _registry_identity(registry) -> Tuple[int, int]:
@@ -243,25 +251,6 @@ def _registry_identity(registry) -> Tuple[int, int]:
 
         registry = default_registry()
     return registry.uid, registry.token
-
-
-class BatchCellError(Exception):
-    """One cell of a batched task failed; the others may still be good.
-
-    Carries the failing cell's position in the batch and the original
-    error, so callers (the suite runner, the distributed worker) can
-    surface the cell's real exception and retry or report the rest.  The
-    ``(index, original)`` args keep the exception picklable across the
-    process pool.
-    """
-
-    def __init__(self, index: int, original: BaseException) -> None:
-        super().__init__(index, original)
-        self.index = index
-        self.original = original
-
-    def __str__(self) -> str:
-        return f"cell {self.index} of the batch failed: {self.original}"
 
 
 def _build_spec_predictor(
@@ -298,57 +287,70 @@ def _cell_builder(
     return partial(spec.build, registry)
 
 
+def _simulate_alone(
+    build: Callable[[], BranchPredictor], trace: Trace, track_per_pc: bool
+) -> _Outcome:
+    """One cell on its own: its result, or the exception it raised."""
+    try:
+        return simulate(build(), trace, track_per_pc=track_per_pc)
+    except Exception as error:
+        return error
+
+
 def _simulate_spec_batch(
     builders: Sequence[Callable[[], BranchPredictor]],
     trace: Trace,
     track_per_pc: bool,
-) -> List[SimulationResult]:
+) -> List[_Outcome]:
     """Batched task entry point: N same-trace cells, one traversal.
 
     ``builders`` holds one zero-argument predictor builder per cell
-    (:func:`_cell_builder`); the returned results are positionally aligned
-    with it and bit-identical to a per-cell :func:`simulate`.  A cell
-    whose predictor fails deterministically (bad name, bad override, bad
-    geometry) raises :class:`BatchCellError` naming it, so the caller can
-    drop that cell and keep the rest of the batch.
+    (:func:`_cell_builder`); the returned outcomes are positionally
+    aligned with it.  Each is the cell's result, bit-identical to a
+    per-cell :func:`simulate`, or the exception the cell raised.  A build
+    error belongs to its cell, and the other cells still share one
+    traversal; a :data:`_CELL_ERRORS` failure in the middle of that
+    traversal re-runs the cells one at a time; any other exception
+    propagates.
     """
+    outcomes: List[Optional[_Outcome]] = []
     predictors = []
-    for index, build in enumerate(builders):
+    for build in builders:
         try:
             predictors.append(build())
+            outcomes.append(None)
         except Exception as error:
-            raise BatchCellError(index, error) from error
+            outcomes.append(error)
     try:
-        return simulate_many(predictors, trace, track_per_pc=track_per_pc)
-    except (KeyError, TypeError, ValueError, AttributeError):
+        results = simulate_many(predictors, trace, track_per_pc=track_per_pc)
+    except _CELL_ERRORS:
         # A deterministic failure mid-traversal cannot be attributed to a
-        # cell from here (the batch shares one loop).  Re-run the cells
-        # independently -- simulation is deterministic, so the culprit
-        # fails again, this time with its identity attached.  Fresh
+        # cell from here (the batch shares one loop).  Re-run the built
+        # cells one at a time -- simulation is deterministic, so the
+        # culprit fails again, this time as its own outcome.  Fresh
         # predictors are required: the batch traversal already mutated
         # the original instances.
-        results = []
-        for index, build in enumerate(builders):
-            try:
-                results.append(simulate(build(), trace, track_per_pc=track_per_pc))
-            except Exception as error:
-                raise BatchCellError(index, error) from error
-        return results
+        return [
+            _simulate_alone(build, trace, track_per_pc) if outcome is None else outcome
+            for build, outcome in zip(builders, outcomes)
+        ]
+    simulated = iter(results)
+    return [next(simulated) if outcome is None else outcome for outcome in outcomes]
 
 
 def _timed_spec_batch(
     builders: Sequence[Callable[[], BranchPredictor]],
     trace: Trace,
     track_per_pc: bool,
-) -> Tuple[List[SimulationResult], float]:
+) -> Tuple[List[_Outcome], float]:
     """Pool task: :func:`_simulate_spec_batch` and its own wall in seconds.
 
     Timed inside the pool process, so the submitter can split the task's
     turnaround with :func:`_pool_phases`.
     """
     started = time.monotonic()
-    results = _simulate_spec_batch(builders, trace, track_per_pc)
-    return results, time.monotonic() - started
+    outcomes = _simulate_spec_batch(builders, trace, track_per_pc)
+    return outcomes, time.monotonic() - started
 
 
 def _pool_phases(turnaround: float, simulate_seconds: float) -> Dict[str, float]:
@@ -451,8 +453,8 @@ class SuiteRunner:
         before simulating and persisted after, so killed or extended
         sweeps resume from completed cells and separate runs (and
         concurrent workers) sharing one store directory reuse each other's
-        results.  Factory and builder-based runs have no content-addressed
-        identity and bypass the store.
+        results.  Builder-based specs have no content-addressed identity
+        and bypass the store.
     backend:
         Execution backend for portable spec cells: ``None`` (default --
         ``"pool"`` when ``max_workers`` asks for one, ``"serial"``
@@ -591,47 +593,16 @@ class SuiteRunner:
             self._progress_active = False
 
     def run(
-        self,
-        configuration: str,
-        factory: Optional[PredictorFactory] = None,
-        track_per_pc: bool = False,
+        self, configuration: str, track_per_pc: bool = False
     ) -> ConfigurationRun:
-        """Run ``configuration`` over every trace (memoised).
+        """Run the registry-named ``configuration`` over every trace.
 
-        ``factory`` overrides how the predictor is built; by default the
-        configuration name is looked up in the composite registry (the
-        call is equivalent to :meth:`run_spec` with a named spec, and
-        shares its memoisation).  A fresh predictor instance is built per
-        trace, as in the championship framework.  Factory runs are always
-        in-process and are memoised on the factory's identity, so they
-        never shadow registry results for the same name (nor each other).
+        This is :meth:`run_many` with one configuration, so it shares the
+        memoisation of named specs at the runner's profile.  A fresh
+        predictor instance is built per trace, as in the championship
+        framework.
         """
-        if factory is None:
-            from repro.api.specs import PredictorSpec
-
-            return self.run_spec(
-                PredictorSpec.from_named(configuration, profile=self.profile),
-                track_per_pc,
-            )
-        key = (
-            configuration, self.profile, bool(track_per_pc), 0, "factory",
-            self._traces_digest(),
-        )
-        cached = self._cache.get(key)
-        if cached is not None and cached[0] is factory:
-            return cached[1]
-        owned = self._progress_begin(len(self.traces))
-        try:
-            run = ConfigurationRun(configuration=configuration)
-            for trace in self.traces:
-                run.results.append(
-                    simulate(factory(), trace, track_per_pc=track_per_pc)
-                )
-                self._progress_advance()
-        finally:
-            self._progress_end(owned)
-        self._cache[key] = (factory, run)
-        return run
+        return self.run_many([configuration], track_per_pc)[configuration]
 
     def run_spec(
         self,
@@ -957,79 +928,63 @@ class SuiteRunner:
             }
             for future in as_completed(batch_futures):
                 index, labels, submitted = batch_futures[future]
-                results, simulate_seconds = self._batch_results(future.result)
+                outcomes, simulate_seconds = future.result()
                 timing = {
                     "backend": "pool",
                     "phases": _pool_phases(time.monotonic() - submitted, simulate_seconds),
                     "batch": len(labels),
                 }
-                for label, result in zip(labels, results):
-                    self._progress_advance()
-                    yield (label, index), result, timing
+                yield from self._task_cells(index, labels, outcomes, timing)
         for index, labels in self._group_pending(local, False):
             builders = [
                 _cell_builder(specs[label], sizes[label], registry) for label in labels
             ]
             group_started = time.monotonic()
-            results = self._batch_results(
-                partial(_simulate_spec_batch, builders, self.traces[index], track_per_pc)
-            )
+            outcomes = _simulate_spec_batch(builders, self.traces[index], track_per_pc)
             timing = {
                 "backend": "serial",
                 "phases": {"simulate": time.monotonic() - group_started},
                 "batch": len(labels),
             }
-            for label, result in zip(labels, results):
-                self._progress_advance()
-                yield (label, index), result, timing
+            yield from self._task_cells(index, labels, outcomes, timing)
 
-    @staticmethod
-    def _batch_results(run: Callable[[], _Item]) -> _Item:
-        """Run one batched task, unwrapping a cell failure to its real error.
+    def _task_cells(
+        self,
+        index: int,
+        labels: Sequence[str],
+        outcomes: Sequence[_Outcome],
+        timing: Dict[str, Any],
+    ) -> Iterable[Tuple[Tuple[str, int], SimulationResult, Dict[str, Any]]]:
+        """Yield one task's simulated cells, then raise its first failure.
 
-        The runner fails the whole run on the first bad cell (as the
-        per-cell path did via ``future.result()``), so the cell's original
-        exception -- not the :class:`BatchCellError` envelope -- is what
-        callers see.
+        The runner fails the whole run on the first bad cell, with that
+        cell's own exception; the task's good cells are yielded (and so
+        persisted) first.
         """
-        try:
-            return run()
-        except BatchCellError as error:
-            raise error.original from error
+        failures = []
+        for label, outcome in zip(labels, outcomes):
+            if isinstance(outcome, BaseException):
+                failures.append(outcome)
+                continue
+            self._progress_advance()
+            yield (label, index), outcome, timing
+        if failures:
+            raise failures[0]
 
     def run_many(
-        self,
-        configurations: Iterable[str],
-        factories: Optional[Mapping[str, PredictorFactory]] = None,
-        track_per_pc: bool = False,
+        self, configurations: Iterable[str], track_per_pc: bool = False
     ) -> Dict[str, ConfigurationRun]:
-        """Run several configurations and return them keyed by name.
+        """Run several registry-named configurations, keyed by name.
 
-        With ``max_workers`` set, all missing registry-named configurations
-        are dispatched to the process pool as one batch of
-        ``(configuration, trace)`` pairs, which keeps every worker busy even
-        when individual configurations have fewer traces than workers.
-        Configurations with custom factories run in-process.
+        All of them go through one :meth:`run_specs` call, so their
+        missing cells are planned and batched together.
         """
         from repro.api.specs import PredictorSpec
 
-        factories = factories or {}
-        configurations = list(configurations)
-        named = [c for c in configurations if c not in factories]
-        named_runs = self.run_specs(
-            (PredictorSpec.from_named(c, profile=self.profile) for c in named),
+        return self.run_specs(
+            (PredictorSpec.from_named(c, profile=self.profile) for c in configurations),
             track_per_pc,
         )
-        return {
-            configuration: (
-                named_runs[configuration]
-                if configuration in named_runs
-                else self.run(
-                    configuration, factories[configuration], track_per_pc
-                )
-            )
-            for configuration in configurations
-        }
 
     def invalidate(self, configuration: Optional[str] = None) -> None:
         """Drop memoised results (all of them, or one configuration/label)."""

@@ -148,6 +148,38 @@ class TestExperimentsOnTinySuites:
         assert "SPEC2K6-04" in grouped
         assert set(grouped["SPEC2K6-04"]) == {"imli-sic", "imli-sic+oh"}
 
+    def test_one_batch_per_suite(self, monkeypatch):
+        from repro.sim.runner import SuiteRunner
+        from repro.workloads.suites import generate_suite
+
+        runners = {
+            suite: SuiteRunner(
+                generate_suite(suite, target_conditional_branches=200, benchmarks=[name]),
+                profile="small",
+                store=False,
+            )
+            for suite, name in (("cbp4like", "SPEC2K6-04"), ("cbp3like", "CLIENT02"))
+        }
+        batches = []
+        run_batch_specs = SuiteRunner._run_batch_specs
+
+        def _spy(runner, specs, *args, **kwargs):
+            batches.append((runner, sorted(specs)))
+            return run_batch_specs(runner, specs, *args, **kwargs)
+
+        monkeypatch.setattr(SuiteRunner, "_run_batch_specs", _spy)
+        run_experiment("table1", runners)
+        configurations = sorted(
+            ["tage-gsc", "tage-gsc+l", "tage-gsc+imli", "tage-gsc+imli+l"]
+        )
+        assert batches == [
+            (runners["cbp4like"], configurations),
+            (runners["cbp3like"], configurations),
+        ]
+        # Figure 14 reads the same configurations: every run is memoised.
+        run_experiment("fig14", runners)
+        assert len(batches) == 2
+
     def test_storage_experiment_needs_no_simulation(self, runners):
         result = run_experiment("storage-speculation", runners)
         assert result.measured["imli_cost_bits"]["total"] > 0

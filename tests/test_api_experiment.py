@@ -264,12 +264,17 @@ class TestRunnerSpecPath:
         assert runner.run_spec(spec) is via_default
         assert runner.run_spec(spec, registry=scoped) is via_scoped
 
-    def test_different_factories_do_not_share_cache(self, easy_trace):
-        from repro.predictors.simple import BimodalPredictor
-
+    def test_different_builders_do_not_share_cache(self, easy_trace):
         runner = SuiteRunner([easy_trace], profile="small")
-        small = runner.run("custom", factory=lambda: BimodalPredictor(entries=64))
-        large = runner.run("custom", factory=lambda: BimodalPredictor(entries=128))
+        spec = PredictorSpec.from_named("custom", profile="small")
+        runs = []
+        for entries in (64, 128):
+            registry = Registry.with_defaults()
+            registry.register_configuration(
+                "custom", lambda profile, entries=entries: BimodalPredictor(entries=entries)
+            )
+            runs.append(runner.run_spec(spec, registry=registry))
+        small, large = runs
         assert large.storage_bits == 2 * small.storage_bits
 
     def test_renamed_spec_does_not_poison_name_cache(self, easy_trace):

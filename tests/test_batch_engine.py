@@ -651,6 +651,76 @@ class TestGroupDifferential:
                 predictor.state.update_conditional_fields(pc, target, taken)
 
 
+class _FailsMidTrace(AlwaysTakenPredictor):
+    """Replays ``limit`` conditional branches, then raises ``error``."""
+
+    def __init__(self, error=ValueError, limit=40):
+        self.error = error
+        self.limit = limit
+
+    def update(self, record, prediction):
+        self.limit -= 1
+        if self.limit < 0:
+            raise self.error("predictor state went bad mid-trace")
+
+
+def _unbuildable():
+    raise KeyError("no such configuration")
+
+
+class TestBatchOutcomes:
+    """``_simulate_spec_batch`` returns one outcome per cell."""
+
+    def test_failed_cells_are_their_own_outcomes(self, traces):
+        from repro.sim.runner import _simulate_spec_batch
+
+        trace = traces[0]
+        builders = [
+            functools.partial(_build, "tage-gsc"),
+            _FailsMidTrace,
+            functools.partial(_build, "tage-gsc+imli"),
+            _unbuildable,
+            functools.partial(_build, "gehl"),
+        ]
+        outcomes = _simulate_spec_batch(builders, trace, track_per_pc=True)
+        assert len(outcomes) == len(builders)
+        assert isinstance(outcomes[1], ValueError)
+        assert isinstance(outcomes[3], KeyError)
+        for index in (0, 2, 4):
+            alone = simulate(builders[index](), trace, track_per_pc=True)
+            _assert_identical(outcomes[index], alone)
+
+    def test_build_error_keeps_one_traversal(self, traces, monkeypatch):
+        import repro.sim.runner as runner_module
+
+        calls = []
+        simulate_many_ = runner_module.simulate_many
+
+        def _counting(predictors, *args, **kwargs):
+            calls.append(len(predictors))
+            return simulate_many_(predictors, *args, **kwargs)
+
+        monkeypatch.setattr(runner_module, "simulate_many", _counting)
+        builders = [functools.partial(_build, name) for name in ("tage-gsc", "gehl")]
+        outcomes = runner_module._simulate_spec_batch(
+            [builders[0], _unbuildable, builders[1]], traces[0], track_per_pc=False
+        )
+        assert calls == [2]
+        assert isinstance(outcomes[1], KeyError)
+        for outcome, build in zip(outcomes[::2], builders):
+            _assert_identical(outcome, simulate(build(), traces[0]))
+
+    def test_other_errors_propagate(self, traces):
+        from repro.sim.runner import _simulate_spec_batch
+
+        builders = [
+            functools.partial(_build, "tage-gsc"),
+            functools.partial(_FailsMidTrace, RuntimeError),
+        ]
+        with pytest.raises(RuntimeError, match="mid-trace"):
+            _simulate_spec_batch(builders, traces[0], track_per_pc=False)
+
+
 class TestPoolTaskLayout:
     """``SuiteRunner._group_pending``: how missing cells become tasks."""
 

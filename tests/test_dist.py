@@ -229,6 +229,101 @@ class TestEndToEnd:
         _join_workers(coordinator, threads)
 
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_cell_leaves_the_rest_of_its_grant(
+        self, specs, traces, serial_results, monkeypatch, jobs
+    ):
+        import repro.sim.runner as runner_module
+        from repro.api.registry import Registry
+
+        # One grant mixes a cell of a job that cannot build on a worker
+        # with both cells of a good job on the same trace: the bad job
+        # fails, and the good cells are simulated once, in one traversal,
+        # and uploaded.
+        calls = []
+        simulate_many = runner_module.simulate_many
+
+        def _counting(predictors, *args, **kwargs):
+            calls.append(len(predictors))
+            return simulate_many(predictors, *args, **kwargs)
+
+        monkeypatch.setattr(runner_module, "simulate_many", _counting)
+        scoped = Registry.with_defaults()
+        scoped.register_configuration(
+            "test-doomed", lambda profile, **overrides: None
+        )
+        coordinator = Coordinator()
+        address = coordinator.start()
+        bad = PredictorSpec.from_named("test-doomed", profile="small")
+        bad_job = coordinator.submit([bad], traces[:1], registry=scoped)
+        good_job = coordinator.submit(specs, traces)
+        workers, threads = _start_workers(address, 1, jobs=jobs)
+        assert bad_job.wait(60) and good_job.wait(60)
+        assert bad_job.error is not None and "test-doomed" in bad_job.error
+        dist_results = ResultSet(
+            specs=list(specs), runs=good_job.runs(),
+            trace_names=[trace.name for trace in traces],
+        )
+        _join_workers(coordinator, threads)
+        assert dist_results.to_json() == serial_results.to_json()
+        assert workers[0].completed == len(specs) * len(traces)
+        if jobs == 1:
+            # One traversal per trace: the mixed grant's good cells were
+            # never re-run after the bad cell failed.
+            assert calls == [len(specs)] * len(traces)
+
+
+    def test_mid_trace_failure_is_not_rerun_by_the_worker(
+        self, specs, traces, serial_results, monkeypatch
+    ):
+        import repro.dist.worker as worker_module
+        import repro.sim.runner as runner_module
+        from repro.predictors.simple import AlwaysTakenPredictor
+
+        class _FailsMidTrace(AlwaysTakenPredictor):
+            seen = 0
+
+            def update(self, record, prediction):
+                self.seen += 1
+                if self.seen > LENGTH // 2:
+                    raise ValueError("predictor state went bad mid-trace")
+
+        build = worker_module._build_spec_predictor
+
+        def _build(spec_dict, sizes):
+            if spec_dict.get("name") == "doomed":
+                return _FailsMidTrace()
+            return build(spec_dict, sizes)
+
+        calls = []
+        simulate_many = runner_module.simulate_many
+
+        def _counting(predictors, *args, **kwargs):
+            calls.append(len(predictors))
+            return simulate_many(predictors, *args, **kwargs)
+
+        monkeypatch.setattr(worker_module, "_build_spec_predictor", _build)
+        monkeypatch.setattr(runner_module, "simulate_many", _counting)
+        coordinator = Coordinator()
+        address = coordinator.start()
+        doomed = PredictorSpec.from_named("tage-gsc", profile="small", label="doomed")
+        bad_job = coordinator.submit([doomed], traces[:1])
+        good_job = coordinator.submit(specs, traces)
+        workers, threads = _start_workers(address, 1)
+        assert bad_job.wait(60) and good_job.wait(60)
+        assert bad_job.error is not None and "mid-trace" in bad_job.error
+        dist_results = ResultSet(
+            specs=list(specs), runs=good_job.runs(),
+            trace_names=[trace.name for trace in traces],
+        )
+        _join_workers(coordinator, threads)
+        assert dist_results.to_json() == serial_results.to_json()
+        # The mixed grant's shared traversal failed once; its cells then
+        # ran one at a time inside the task, and the worker resubmitted
+        # nothing.
+        assert calls == [len(specs) + 1, len(specs)]
+
+
 class TestFaultTolerance:
     def test_killed_worker_leases_are_requeued(self, specs, traces, serial_results):
         coordinator = Coordinator()

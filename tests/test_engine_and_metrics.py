@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import PredictorSpec, Registry
 from repro.predictors.simple import AlwaysTakenPredictor, BimodalPredictor
 from repro.sim.engine import SimulationResult, simulate
 from repro.sim.metrics import (
@@ -109,43 +110,52 @@ class TestMetrics:
         assert most_affected(baseline, candidates, 2) == ["a", "b"]
 
 
+def _builder_registry():
+    """A scoped registry with a builder-based ``always`` configuration."""
+    registry = Registry.with_defaults()
+    registry.register_configuration("always", lambda profile: AlwaysTakenPredictor())
+    return registry
+
+
 class TestSuiteRunner:
     def _runner(self):
         traces = [_tiny_trace("t1"), _tiny_trace("t2")]
         return SuiteRunner(traces, profile="small")
 
+    def _run(self, runner, registry, name="always", track_per_pc=False):
+        spec = PredictorSpec.from_named(name, profile="small")
+        return runner.run_spec(spec, track_per_pc, registry=registry)
+
     def test_requires_traces(self):
         with pytest.raises(ValueError):
             SuiteRunner([])
 
-    def test_run_with_custom_factory(self):
+    def test_run_builder_spec(self):
         runner = self._runner()
-        run = runner.run("always", factory=AlwaysTakenPredictor)
+        run = self._run(runner, _builder_registry())
         assert run.configuration == "always"
         assert len(run.results) == 2
         assert run.average_mpki > 0
         assert run.mpki_by_trace().keys() == {"t1", "t2"}
 
     def test_results_are_memoised(self):
-        runner = self._runner()
-        first = runner.run("always", factory=AlwaysTakenPredictor)
-        second = runner.run("always", factory=AlwaysTakenPredictor)
+        runner, registry = self._runner(), _builder_registry()
+        first = self._run(runner, registry)
+        second = self._run(runner, registry)
         assert first is second
 
     def test_invalidate(self):
-        runner = self._runner()
-        first = runner.run("always", factory=AlwaysTakenPredictor)
+        runner, registry = self._runner(), _builder_registry()
+        first = self._run(runner, registry)
         runner.invalidate("always")
-        second = runner.run("always", factory=AlwaysTakenPredictor)
+        second = self._run(runner, registry)
         assert first is not second
 
     def test_run_many(self):
         runner = self._runner()
-        runs = runner.run_many(
-            ["always", "bimodal"],
-            factories={"always": AlwaysTakenPredictor, "bimodal": BimodalPredictor},
-        )
-        assert set(runs) == {"always", "bimodal"}
+        runs = runner.run_many(["tage-gsc", "gehl"])
+        assert set(runs) == {"tage-gsc", "gehl"}
+        assert runs["gehl"] is runner.run("gehl")
 
     def test_named_configuration_from_registry(self, easy_trace):
         runner = SuiteRunner([easy_trace], profile="small")
@@ -159,32 +169,24 @@ class TestSuiteRunner:
         assert self._runner().trace_names() == ["t1", "t2"]
 
     def test_memoisation_keyed_on_track_per_pc(self):
-        runner = self._runner()
-        plain = runner.run("always", factory=AlwaysTakenPredictor)
-        tracked = runner.run(
-            "always", factory=AlwaysTakenPredictor, track_per_pc=True
-        )
+        runner, registry = self._runner(), _builder_registry()
+        plain = self._run(runner, registry)
+        tracked = self._run(runner, registry, track_per_pc=True)
         # A run cached without per-PC data must not satisfy a tracked request.
         assert plain is not tracked
         assert not any(result.per_pc_mispredictions for result in plain.results)
         assert all(result.per_pc_mispredictions for result in tracked.results)
         # Both variants are memoised independently.
-        assert runner.run("always", factory=AlwaysTakenPredictor) is plain
-        assert (
-            runner.run("always", factory=AlwaysTakenPredictor, track_per_pc=True)
-            is tracked
-        )
+        assert self._run(runner, registry) is plain
+        assert self._run(runner, registry, track_per_pc=True) is tracked
 
     def test_invalidate_drops_both_tracking_variants(self):
-        runner = self._runner()
-        plain = runner.run("always", factory=AlwaysTakenPredictor)
-        tracked = runner.run("always", factory=AlwaysTakenPredictor, track_per_pc=True)
+        runner, registry = self._runner(), _builder_registry()
+        plain = self._run(runner, registry)
+        tracked = self._run(runner, registry, track_per_pc=True)
         runner.invalidate("always")
-        assert runner.run("always", factory=AlwaysTakenPredictor) is not plain
-        assert (
-            runner.run("always", factory=AlwaysTakenPredictor, track_per_pc=True)
-            is not tracked
-        )
+        assert self._run(runner, registry) is not plain
+        assert self._run(runner, registry, track_per_pc=True) is not tracked
 
     def test_rejects_non_positive_workers(self):
         with pytest.raises(ValueError):
@@ -231,9 +233,11 @@ class TestParallelSuiteRunner:
         second = parallel.run("tage-gsc")
         assert first is second
 
-    def test_custom_factories_fall_back_in_process(self):
+    def test_builder_specs_fall_back_in_process(self):
+        # Builders do not pickle across the pool, so their cells run
+        # in-process even when the runner has a pool.
         parallel = SuiteRunner(self._traces(), profile="small", max_workers=2)
-        runs = parallel.run_many(
-            ["always"], factories={"always": AlwaysTakenPredictor}
-        )
-        assert len(runs["always"].results) == 3
+        spec = PredictorSpec.from_named("always", profile="small")
+        run = parallel.run_spec(spec, registry=_builder_registry())
+        assert len(run.results) == 3
+        assert parallel._pool is None

@@ -298,13 +298,20 @@ class TestRunnerStoreIntegration:
         assert second is not first
         assert second.results[0].conditional_branches == 800
 
-    def test_factory_runs_bypass_the_store(self, tmp_path):
+    def test_builder_specs_bypass_the_store(self, tmp_path):
+        from repro.api import Registry
         from repro.predictors.simple import BimodalPredictor
 
+        registry = Registry.with_defaults()
+        registry.register_configuration(
+            "custom", lambda profile: BimodalPredictor(entries=64)
+        )
         runner = SuiteRunner(
             [_easy_trace()], profile="small", store=tmp_path / "store"
         )
-        runner.run("custom", factory=lambda: BimodalPredictor(entries=64))
+        runner.run_spec(
+            PredictorSpec.from_named("custom", profile="small"), registry=registry
+        )
         assert len(runner.store) == 0
 
     def test_concurrent_writers_share_one_store(self, tmp_path):

@@ -102,6 +102,43 @@ class TestDelayedUpdateExperiment:
         with pytest.raises(ValueError):
             run_delayed_update_experiment([sic_trace], delays=(0,), profile="small")
 
+    def test_invalid_delay_rejected_before_simulating(self, sic_trace, monkeypatch):
+        import repro.sim.engine as engine_module
+        import repro.sim.runner as runner_module
+
+        def _no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before validating delays")
+
+        monkeypatch.setattr(engine_module, "simulate_many", _no_simulation)
+        monkeypatch.setattr(runner_module, "simulate_many", _no_simulation)
+        with pytest.raises(ValueError, match="positive"):
+            run_delayed_update_experiment(
+                [sic_trace], delays=(63, 0), profile="small"
+            )
+
+    def test_matches_per_cell_simulation(self, sic_trace, wormhole_trace):
+        from repro.predictors.composites import CompositeOptions, build
+        from repro.sim.engine import simulate
+        from repro.sim.metrics import average_mpki
+
+        traces = [sic_trace, wormhole_trace]
+
+        def _alone(delay):
+            options = CompositeOptions(
+                base="gehl", imli_sic=True, imli_oh=True, oh_update_delay=delay
+            )
+            return average_mpki(
+                [simulate(build(options, profile="small"), trace) for trace in traces]
+            )
+
+        results = run_delayed_update_experiment(
+            traces, base="gehl", delays=(63, 7), profile="small"
+        )
+        assert [result.delay for result in results] == [63, 7]
+        for result in results:
+            assert result.immediate_mpki == _alone(0)
+            assert result.delayed_mpki == _alone(result.delay)
+
 
 class TestCheckpointRecovery:
     def test_recovery_reproduces_committed_imli_state(self, sic_trace):
