@@ -139,9 +139,8 @@ def _add_trace_argument(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_batch_arguments(parser: argparse.ArgumentParser) -> None:
-    """``--batch`` / ``--no-batch``: same-trace cell batching escape hatch."""
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument(
+    """``--batch``: same-trace cell batching escape hatch."""
+    parser.add_argument(
         "--batch", type=_positive_int, default=None, metavar="N",
         help="max same-trace (spec, trace) cells simulated per batched "
              "traversal (default: engine default); results are identical "
@@ -150,22 +149,12 @@ def _add_batch_arguments(parser: argparse.ArgumentParser) -> None:
              "min(worker --batch, serve --batch) cells), and the printed "
              "'repro sweep --resume' command carries this flag forward",
     )
-    group.add_argument(
-        "--no-batch", action="store_true",
-        help="one cell per task, the same as --batch 1; "
-             "propagated by the printed resume command like --batch",
-    )
 
 
 def _batch_cells(args: argparse.Namespace) -> int:
-    """Cells per task or lease grant from ``--batch``/``--no-batch``.
-
-    ``--no-batch`` spells ``--batch 1``: one cell per task.
-    """
+    """Cells per task or lease grant from ``--batch``."""
     from repro.sim.runner import DEFAULT_BATCH_CELLS
 
-    if getattr(args, "no_batch", False):
-        return 1
     return args.batch if args.batch is not None else DEFAULT_BATCH_CELLS
 
 
@@ -737,9 +726,7 @@ def _resume_command(args: argparse.Namespace, store: ResultStore) -> str:
     parts += ["--length", str(args.length), "--profile", args.profile]
     if args.jobs and args.jobs > 1:
         parts += ["--jobs", str(args.jobs)]
-    if getattr(args, "no_batch", False):
-        parts += ["--no-batch"]
-    elif args.batch is not None:
+    if args.batch is not None:
         parts += ["--batch", str(args.batch)]
     parts += ["--store", str(store.root), "--resume"]
     if args.json_output:

@@ -63,7 +63,12 @@ from repro.dist.journal import CoordinatorJournal
 from repro.dist.protocol import ProtocolError
 from repro.obs import default_registry, event_log_for, timing_log_for
 from repro.sim.engine import SimulationResult
-from repro.sim.runner import DEFAULT_BATCH_CELLS, ConfigurationRun, plan_cells
+from repro.sim.runner import (
+    DEFAULT_BATCH_CELLS,
+    ConfigurationRun,
+    check_batch,
+    plan_cells,
+)
 from repro.store import ResultStore, result_from_dict, result_to_dict
 from repro.trace.chunked import ChunkedTrace, load_chunked_trace
 from repro.trace.trace import Trace
@@ -248,8 +253,7 @@ class Coordinator:
     ) -> None:
         if lease_timeout <= 0:
             raise ValueError(f"lease_timeout must be positive, got {lease_timeout}")
-        if batch < 1:
-            raise ValueError(f"batch must be positive, got {batch}")
+        check_batch(batch)
         if max_lease_losses < 1:
             raise ValueError(
                 f"max_lease_losses must be positive, got {max_lease_losses}"
@@ -273,7 +277,7 @@ class Coordinator:
             if conn_idle_timeout is not None
             else max(60.0, 4.0 * self.lease_timeout)
         )
-        self.batch = int(batch)
+        self.batch = batch
         self.progress = progress
         self.log = log or (lambda message: None)
         #: Jobs re-admitted from the journal by :meth:`start`.

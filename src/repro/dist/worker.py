@@ -76,6 +76,7 @@ from repro.sim.runner import (
     _Outcome,
     _pool_phases,
     _timed_spec_batch,
+    check_batch,
 )
 from repro.store import ResultStore, result_to_dict
 from repro.trace.chunked import ChunkedTrace, validate_manifest
@@ -236,8 +237,7 @@ class Worker:
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be positive, got {jobs}")
-        if batch < 1:
-            raise ValueError(f"batch must be positive, got {batch}")
+        check_batch(batch)
         if trace_cache < 1:
             raise ValueError(f"trace_cache must be positive, got {trace_cache}")
         if reconnect < 0:
@@ -249,7 +249,7 @@ class Worker:
         self.name = name or f"{socket.gethostname()}-{os.getpid()}"
         self.connect_retry = float(connect_retry)
         self.reconnect = float(reconnect)
-        self.batch = int(batch)
+        self.batch = batch
         self.trace_cache = int(trace_cache)
         self.log = log or (lambda message: None)
         self.completed = 0

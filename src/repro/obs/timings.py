@@ -45,8 +45,8 @@ wall in ``phases``; ``cell_phases`` (written when ``batch > 1``) divides
 them by ``batch``, and every summary aggregates those per-cell shares, so a
 summed phase is the true wall however the cells were batched.
 
-``branches`` is the cell's ``SimulationResult.conditional_branches`` (the
-measured conditional branches; a warm-up prefix is not counted), and
+``branches`` is the cell's ``SimulationResult.conditional_branches`` (every
+conditional branch of its trace), and
 ``cell_branches_per_s`` divides it by the cell's share of ``simulate``;
 summaries add ``branches`` and ``branches_per_s`` (total branches over the
 summed ``simulate`` shares of the records that carry a count).  Both are

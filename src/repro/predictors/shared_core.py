@@ -316,7 +316,9 @@ class _Group:
     core, ``sidecars`` is a :class:`_Sidecars` or ``None``).  The engine
     calls :meth:`prepare` with each sub-block of records, then
     :meth:`step_count` or :meth:`step_list` once per conditional branch
-    of it, in order.
+    of it, in order.  ``per_pc``, when the engine sets it, holds one
+    ``pc -> mispredictions`` map per member that :meth:`step_count`
+    bumps.
     """
 
     kind = ""
@@ -330,6 +332,7 @@ class _Group:
     ) -> None:
         self.indices = list(indices)
         self.counts = [0] * len(self.indices)
+        self.per_pc: Optional[List[Dict[int, int]]] = None
         self.state = state
         self.tage = tage
         if tage is not None:
@@ -408,11 +411,16 @@ class _Group:
         return predictions
 
     def step_count(self, pc: int, target: int, taken: bool, gap: int) -> None:
-        """Hot-lane step: run the branch, bump per-head mispredict counts."""
+        """Run the branch, bump per-head mispredict counts and per-PC maps."""
         counts = self.counts
+        per_pc = self.per_pc
         slot = 0
         for prediction in self.step_list(pc, target, taken, gap):
-            counts[slot] += prediction != taken
+            if prediction != taken:
+                counts[slot] += 1
+                if per_pc is not None:
+                    member = per_pc[slot]
+                    member[pc] = member.get(pc, 0) + 1
             slot += 1
 
 

@@ -10,23 +10,22 @@ Accuracy is reported in MisPredictions per Kilo Instructions (MPKI), the
 metric used throughout the paper.
 
 Every replay goes through :func:`simulate_many` (:func:`simulate` is a
-batch of one), which owns exactly four per-branch loops:
+batch of one), measures every conditional branch of the trace, and owns
+exactly three per-branch loops:
 
 * the *reference* loop iterates :class:`~repro.trace.branch.BranchRecord`
   views and drives the classic ``predict()`` / ``update()`` protocol -- the
   oracle, sharing no code with the others;
 * the column-block lane of a lone predictor with a
-  ``predict_update_block`` (the bimodal baseline) and no warm-up or
-  per-PC tracking;
-* the grouped hot loop and the grouped general loop (warm-up / per-PC)
-  iterate the trace's columnar storage.  Every TAGE-GSC/GEHL composite
-  runs in a group (:mod:`repro.predictors.shared_core`): a shared-core
-  group of pristine same-core members, or a group of one over a
-  predictor's own tables; each group runs its trace-only pre-pass once
-  per sub-block and steps once per conditional branch.  Other members
-  that opt into the combined ``predict_update(pc, target, taken, kind,
-  gap)`` / ``observe_pc(pc)`` protocol (see ``docs/PERFORMANCE.md``)
-  step as solos.
+  ``predict_update_block`` (the bimodal baseline) and no per-PC tracking;
+* the grouped loop iterates the trace's columnar storage.  Every
+  TAGE-GSC/GEHL composite runs in a group
+  (:mod:`repro.predictors.shared_core`): a shared-core group of pristine
+  same-core members, or a group of one over a predictor's own tables;
+  each group runs its trace-only pre-pass once per sub-block and steps
+  once per conditional branch.  Other members that opt into the combined
+  ``predict_update(pc, target, taken, kind, gap)`` / ``observe_pc(pc)``
+  protocol (see ``docs/PERFORMANCE.md``) step as solos.
 
 All of them produce bit-identical results; the fast loops are picked
 automatically whenever the predictor and the trace support them.
@@ -161,13 +160,14 @@ def _column_blocks(trace: Trace):
 def simulate(
     predictor: BranchPredictor,
     trace: Trace,
-    warmup_fraction: float = 0.0,
     track_per_pc: bool = False,
     use_fast_path: Optional[bool] = None,
 ) -> SimulationResult:
     """Replay ``trace`` through ``predictor`` and measure its accuracy.
 
-    A batch of one: ``simulate_many([predictor], ...)[0]``.
+    A batch of one: ``simulate_many([predictor], ...)[0]``.  Every
+    conditional branch of the trace is measured, as in the paper's
+    championship framework.
 
     Parameters
     ----------
@@ -175,14 +175,9 @@ def simulate(
         The predictor under test; it is trained in place.
     trace:
         The branch trace to replay.
-    warmup_fraction:
-        Fraction (0 to 1) of the trace's conditional branches whose
-        mispredictions are excluded from the metric; the predictor is still
-        trained during warm-up.  The paper's championship framework measures
-        the full trace, so the default is 0.
     track_per_pc:
-        Record per-static-branch misprediction counts (used by the analysis
-        helpers to identify which branch classes a component fixes).
+        Record per-static-branch misprediction counts, keyed in the order
+        of each branch's first misprediction.
     use_fast_path:
         ``None`` (default) picks the columnar fast path automatically when
         the predictor supports it (:func:`supports_fast_path`); ``False`` forces
@@ -193,7 +188,6 @@ def simulate(
     return simulate_many(
         [predictor],
         trace,
-        warmup_fraction=warmup_fraction,
         track_per_pc=track_per_pc,
         use_fast_path=use_fast_path,
     )[0]
@@ -202,41 +196,37 @@ def simulate(
 def _simulate_records(
     predictor: BranchPredictor,
     trace: Trace,
-    warmup_limit: int,
     track_per_pc: bool,
 ) -> tuple:
-    """Reference path: record views and the predict()/update() protocol."""
+    """Reference path: record views and the predict()/update() protocol.
+
+    Counts its own conditional and instruction totals, because it is the
+    oracle the columnar loops are checked against.
+    """
     mispredictions = 0
-    measured_conditional = 0
-    measured_instructions = 0
+    conditional = 0
+    instructions = 0
     per_pc: Dict[int, int] = defaultdict(int)
-    seen_conditional = 0
 
     for record in trace:
+        instructions += record.instruction_gap + 1
         if not record.is_conditional:
             predictor.observe_unconditional(record)
-            if seen_conditional >= warmup_limit:
-                measured_instructions += record.instruction_gap + 1
             continue
         prediction = predictor.predict(record)
         predictor.update(record, prediction)
-        seen_conditional += 1
-        if seen_conditional <= warmup_limit:
-            continue
-        measured_conditional += 1
-        measured_instructions += record.instruction_gap + 1
+        conditional += 1
         if prediction != record.taken:
             mispredictions += 1
             if track_per_pc:
                 per_pc[record.pc] += 1
 
-    return mispredictions, measured_conditional, measured_instructions, dict(per_pc)
+    return mispredictions, conditional, instructions, dict(per_pc)
 
 
 def simulate_many(
     predictors: Sequence[BranchPredictor],
     trace: Trace,
-    warmup_fraction: float = 0.0,
     track_per_pc: bool = False,
     use_fast_path: Optional[bool] = None,
     share_cores: Optional[bool] = None,
@@ -262,22 +252,17 @@ def simulate_many(
     its key) is a group of one over its own tables, so it is trained in
     place, and a trained predictor continues from its current state.
 
-    Parameters match :func:`simulate` (``warmup_fraction`` and
-    ``track_per_pc`` apply to every predictor in the batch).  With
-    ``use_fast_path=None`` members without fast-path support
-    (:func:`supports_fast_path`) replay the record-based reference loop
-    one by one and the rest share the columnar traversal; ``True``
-    requires the fast path for the whole batch, and ``False`` forces the
-    reference loop throughout.  ``share_cores=None`` (default) shares
-    cores between pristine same-core members; ``False`` runs every
+    Parameters match :func:`simulate` (``track_per_pc`` applies to every
+    predictor in the batch).  With ``use_fast_path=None`` members without
+    fast-path support (:func:`supports_fast_path`) replay the record-based
+    reference loop one by one and the rest share the columnar traversal;
+    ``True`` requires the fast path for the whole batch, and ``False``
+    forces the reference loop throughout.  ``share_cores=None`` (default)
+    shares cores between pristine same-core members; ``False`` runs every
     composite as a group of one, trained in place.  Every setting
     produces bit-identical results.
     """
     predictors = list(predictors)
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ValueError(
-            f"warmup fraction must be in [0, 1), got {warmup_fraction}"
-        )
     columnar = [
         index
         for index, predictor in enumerate(predictors)
@@ -293,35 +278,31 @@ def simulate_many(
             f"predictor {missing!r} does not support the fast-path "
             "protocol (a groupable composite, or predict_update / observe_pc)"
         )
-    warmup_limit = int(trace.conditional_count * warmup_fraction)
     counts = [0] * len(predictors)
     per_pc_maps: List[Dict[int, int]] = [{} for _ in predictors]
-    measured_conditional = trace.conditional_count
-    measured_instructions = trace.instruction_count
+    conditional = trace.conditional_count
+    instructions = trace.instruction_count
     for index, predictor in enumerate(predictors):
         if index not in columnar:
             (
-                counts[index], measured_conditional, measured_instructions,
-                per_pc_maps[index],
-            ) = _simulate_records(predictor, trace, warmup_limit, track_per_pc)
+                counts[index], conditional, instructions, per_pc_maps[index],
+            ) = _simulate_records(predictor, trace, track_per_pc)
     if columnar:
-        (
-            member_counts, measured_conditional, measured_instructions,
-            member_per_pc,
-        ) = _simulate_columnar(
+        member_counts = _simulate_columnar(
             [predictors[index] for index in columnar],
-            trace, warmup_limit, track_per_pc, share_cores,
+            trace,
+            [per_pc_maps[index] for index in columnar] if track_per_pc else None,
+            share_cores,
         )
         for slot, index in enumerate(columnar):
             counts[index] = member_counts[slot]
-            per_pc_maps[index] = member_per_pc[slot]
     return [
         SimulationResult(
             trace_name=trace.name,
             predictor_name=predictor.name,
-            conditional_branches=measured_conditional,
+            conditional_branches=conditional,
             mispredictions=counts[index],
-            instructions=measured_instructions,
+            instructions=instructions,
             storage_bits=predictor.storage_bits(),
             per_pc_mispredictions=per_pc_maps[index],
         )
@@ -330,55 +311,46 @@ def simulate_many(
 
 
 def _simulate_columnar(
-    members: Sequence[BranchPredictor],
-    trace: Trace,
-    warmup_limit: int,
-    track_per_pc: bool,
-    share_cores: Optional[bool],
-) -> tuple:
-    """Run the fast-path members over the trace's column blocks.
-
-    Returns per-member misprediction counts, the measured totals and
-    per-member per-PC maps, like :func:`_simulate_columns_grouped`.
-    ``share_cores=False`` makes every composite a group of one.
-    """
-    if warmup_limit == 0 and not track_per_pc and len(members) == 1:
-        block_step = getattr(members[0], "predict_update_block", None)
-        if block_step is not None:
-            # Column-block protocol: the predictor consumes whole column
-            # blocks and returns its misprediction count, eliminating the
-            # per-branch Python dispatch entirely (see
-            # ``BimodalPredictor.predict_update_block``).
-            count = sum(block_step(*block) for block in _column_blocks(trace))
-            return [count], trace.conditional_count, trace.instruction_count, [{}]
-    groups, solos = plan_groups(members, share_cores is not False)
-    if warmup_limit == 0 and not track_per_pc:
-        counts = _simulate_columns_grouped_fast(members, trace, groups, solos)
-        return (
-            counts, trace.conditional_count, trace.instruction_count,
-            [{} for _ in members],
-        )
-    return _simulate_columns_grouped(
-        members, trace, groups, solos, warmup_limit, track_per_pc
-    )
-
-
-def _simulate_columns_grouped_fast(
     predictors: Sequence[BranchPredictor],
     trace: Trace,
-    groups: Sequence,
-    solos: Sequence[int],
+    per_pc_maps: Optional[Sequence[Dict[int, int]]],
+    share_cores: Optional[bool],
 ) -> List[int]:
-    """Grouped hot loop: shared cores stepped once, heads fanned per branch.
+    """Run the fast-path members over the trace's column blocks.
 
-    Each group's ``prepare`` runs the trace-only pre-pass of a sub-block
-    (histories, folds and every index column); its ``step_count`` then
-    runs the core once and every head once per conditional branch,
-    bumping the group's internal per-head misprediction counters.  Solo
-    predictors keep the flat combined-step protocol.  After the traversal
-    the group counters are scattered back to batch positions.
+    Returns per-member misprediction counts.  ``per_pc_maps`` (one map
+    per member, or ``None`` when per-PC counts are not tracked) is filled
+    in place, each map keyed in first-misprediction order like the
+    reference loop's.  ``share_cores=False`` makes every composite a
+    group of one.
+
+    A lone predictor with a ``predict_update_block`` (the bimodal
+    baseline) and no per-PC tracking consumes whole column blocks and
+    returns its misprediction count, with no per-branch Python dispatch.
+    Everything else runs the grouped loop: each group's ``prepare`` runs
+    the trace-only pre-pass of a sub-block (histories, folds and every
+    index column); its ``step_count`` then runs the core once and every
+    head once per conditional branch, bumping the group's per-head
+    misprediction counters and per-PC maps.  Solo predictors keep the
+    flat combined-step protocol.  After the traversal the group counters
+    are scattered back to batch positions.
     """
-    solo_steps = [(index, predictors[index].predict_update) for index in solos]
+    if per_pc_maps is None and len(predictors) == 1:
+        block_step = getattr(predictors[0], "predict_update_block", None)
+        if block_step is not None:
+            return [sum(block_step(*block) for block in _column_blocks(trace))]
+    groups, solos = plan_groups(predictors, share_cores is not False)
+    if per_pc_maps is not None:
+        for group in groups:
+            group.per_pc = [per_pc_maps[index] for index in group.indices]
+    solo_steps = [
+        (
+            index,
+            predictors[index].predict_update,
+            None if per_pc_maps is None else per_pc_maps[index],
+        )
+        for index in solos
+    ]
     observes = [predictors[index].observe_pc for index in solos]
     group_steps = [group.step_count for group in groups]
     conditional_code = CONDITIONAL_CODE
@@ -394,83 +366,12 @@ def _simulate_columns_grouped_fast(
             else:
                 for group_step in group_steps:
                     group_step(pc, target, taken, gap)
-                for index, step in solo_steps:
+                for index, step, per_pc in solo_steps:
                     if step(pc, target, taken, kind, gap) != taken:
                         counts[index] += 1
+                        if per_pc is not None:
+                            per_pc[pc] = per_pc.get(pc, 0) + 1
     for group in groups:
         for slot, index in enumerate(group.indices):
             counts[index] = group.counts[slot]
     return counts
-
-
-def _simulate_columns_grouped(
-    predictors: Sequence[BranchPredictor],
-    trace: Trace,
-    groups: Sequence,
-    solos: Sequence[int],
-    warmup_limit: int,
-    track_per_pc: bool,
-) -> tuple:
-    """Grouped general loop: warm-up and/or per-PC bookkeeping.
-
-    The warm-up window is a property of the trace position, so the
-    ``seen_conditional`` counter -- and therefore the measured totals --
-    are shared by every member, exactly as independent replays would each
-    compute them; the counter survives block boundaries, so a window
-    ending mid-chunk measures the same records as on the monolithic
-    trace.  Groups run their pre-pass per sub-block as in the hot loop and
-    return per-head predictions through ``step_list`` so the measurement
-    logic stays per member.
-    """
-    solo_steps = [(index, predictors[index].predict_update) for index in solos]
-    observes = [predictors[index].observe_pc for index in solos]
-    group_list = [(group.indices, group.step_list) for group in groups]
-    conditional_code = CONDITIONAL_CODE
-    counts = [0] * len(predictors)
-    per_pc_maps: List[Dict[int, int]] = [defaultdict(int) for _ in predictors]
-    measured_conditional = 0
-    measured_instructions = 0
-    seen_conditional = 0
-    for block in _column_blocks(trace):
-        for group in groups:
-            group.prepare(block)
-        pcs, targets, takens, kinds, gaps = block
-        for position in range(len(pcs)):
-            pc = pcs[position]
-            kind = kinds[position]
-            if kind != conditional_code:
-                for observe in observes:
-                    observe(pc)
-                if seen_conditional >= warmup_limit:
-                    measured_instructions += gaps[position] + 1
-                continue
-            taken = takens[position]
-            target = targets[position]
-            gap = gaps[position]
-            seen_conditional += 1
-            if seen_conditional <= warmup_limit:
-                for indices, step_list in group_list:
-                    step_list(pc, target, taken, gap)
-                for index, step in solo_steps:
-                    step(pc, target, taken, kind, gap)
-                continue
-            measured_conditional += 1
-            measured_instructions += gap + 1
-            for indices, step_list in group_list:
-                predictions = step_list(pc, target, taken, gap)
-                for slot, index in enumerate(indices):
-                    if predictions[slot] != taken:
-                        counts[index] += 1
-                        if track_per_pc:
-                            per_pc_maps[index][pc] += 1
-            for index, step in solo_steps:
-                if step(pc, target, taken, kind, gap) != taken:
-                    counts[index] += 1
-                    if track_per_pc:
-                        per_pc_maps[index][pc] += 1
-    return (
-        counts,
-        measured_conditional,
-        measured_instructions,
-        [dict(per_pc) for per_pc in per_pc_maps],
-    )

@@ -77,6 +77,7 @@ __all__ = [
     "ExecutionBackend",
     "PlannedCell",
     "SuiteRunner",
+    "check_batch",
     "core_schedule_key",
     "plan_cells",
     "schedule_cells",
@@ -205,6 +206,24 @@ def plan_cells(
 #: trace traversal over a typical sweep grid, small enough that an
 #: interrupted batch (or an expired worker lease) forfeits bounded work.
 DEFAULT_BATCH_CELLS = 16
+
+
+def check_batch(batch: int) -> int:
+    """Return ``batch`` if it is a positive ``int`` cells-per-task ceiling.
+
+    Raises :class:`TypeError` for a ``bool`` (an ``int`` that would
+    silently mean 1 or 0) or a non-integer, and :class:`ValueError`
+    below 1.
+    """
+    if isinstance(batch, bool) or not isinstance(batch, int):
+        raise TypeError(
+            f"batch must be a positive int (batch=1 runs one cell per "
+            f"task), got {batch!r}"
+        )
+    if batch < 1:
+        raise ValueError(f"batch must be positive, got {batch}")
+    return batch
+
 
 #: Errors that are deterministic properties of a cell itself (an unknown
 #: configuration name, bad override types, invalid geometry).  One raised
@@ -441,8 +460,9 @@ class SuiteRunner:
         Size profile passed to :func:`repro.predictors.composites.build_named`
         when a configuration is referenced by name.
     max_workers:
-        When greater than 1, registry-named configurations are simulated in
-        a process pool with this many workers; ``None`` or 1 keeps
+        When greater than 1, options-based specs (registry-named or
+        scoped) are simulated in a process pool with this many workers;
+        builder-based specs stay in-process.  ``None`` or 1 keeps
         everything in-process, unless ``backend="pool"`` asks for a pool,
         which then has one worker per CPU.
     store:
@@ -498,13 +518,7 @@ class SuiteRunner:
             raise ValueError("the runner needs at least one trace")
         if max_workers is not None and max_workers < 1:
             raise ValueError(f"max_workers must be positive, got {max_workers}")
-        if isinstance(batch, bool) or not isinstance(batch, int):
-            raise TypeError(
-                f"batch must be a positive int (batch=1 runs one cell per "
-                f"task), got {batch!r}"
-            )
-        if batch < 1:
-            raise ValueError(f"batch must be positive, got {batch}")
+        check_batch(batch)
         if isinstance(backend, str):
             if backend not in ("serial", "pool"):
                 raise ValueError(
@@ -539,7 +553,6 @@ class SuiteRunner:
         self._pool: Optional[ProcessPoolExecutor] = None
         self._progress_total = 0
         self._progress_done = 0
-        self._progress_active = False
 
     def trace_names(self) -> List[str]:
         """Names of the traces the runner evaluates on."""
@@ -565,32 +578,24 @@ class SuiteRunner:
     # Progress accounting
     # ----------------------------------------------------------------- #
     #
-    # One top-level run_spec/run_specs call owns a progress "session":
-    # it fixes the cell total up front and every completed cell --
-    # simulated, loaded from the store, or served from the memo --
-    # advances the shared counter, so nested calls (run_specs delegating
-    # to run_spec, the batch path) all report into one display.
+    # Each run_specs call (run and run_spec delegate to it) is one
+    # progress "session": it fixes the cell total up front and every
+    # completed cell -- simulated, loaded from the store, or served from
+    # the memo -- advances the counter.
 
-    def _progress_begin(self, total: int) -> bool:
-        if self.progress is None or self._progress_active:
-            return False
-        self._progress_active = True
+    def _progress_begin(self, total: int) -> None:
         self._progress_total = total
         self._progress_done = 0
-        self.progress(0, total)  # starts the display's clock
-        return True
+        if self.progress is not None:
+            self.progress(0, total)  # starts the display's clock
 
     def _progress_advance(self, cells: int = 1) -> None:
-        if not self._progress_active or cells <= 0:
+        if self.progress is None or cells <= 0:
             return
         self._progress_done = min(
             self._progress_done + cells, self._progress_total
         )
         self.progress(self._progress_done, self._progress_total)
-
-    def _progress_end(self, owned: bool) -> None:
-        if owned:
-            self._progress_active = False
 
     def run(
         self, configuration: str, track_per_pc: bool = False
@@ -651,7 +656,7 @@ class SuiteRunner:
                 )
         uid, token = _registry_identity(registry)
         digest = self._traces_digest()
-        owned = self._progress_begin(len(specs) * len(self.traces))
+        self._progress_begin(len(specs) * len(self.traces))
         try:
             runs: Dict[str, ConfigurationRun] = {}
             missing: Dict[str, "PredictorSpec"] = {}
@@ -682,7 +687,6 @@ class SuiteRunner:
                     runs[label] = run
             return {spec.label: runs[spec.label] for spec in specs}
         finally:
-            self._progress_end(owned)
             if self.timings is not None:
                 self.timings.write_summary()
 
@@ -690,8 +694,9 @@ class SuiteRunner:
         """Worker pool, created on first use and reused across runs.
 
         Reusing the pool avoids paying process start-up once per
-        configuration when experiments call :meth:`run` one configuration
-        at a time.
+        :meth:`run_specs` call when one runner serves several (per-suite
+        runners shared by several experiments, an ``Experiment`` run
+        again).
         """
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self._pool_size())

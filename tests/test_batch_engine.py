@@ -61,24 +61,15 @@ def _assert_identical(batched, serial):
 
 
 class TestSimulateMany:
-    @pytest.mark.parametrize(
-        "warmup,track", [(0.0, False), (0.0, True), (0.3, False), (0.25, True)]
-    )
-    def test_every_registered_configuration_bit_identical(
-        self, traces, warmup, track
-    ):
+    @pytest.mark.parametrize("track", [False, True])
+    def test_every_registered_configuration_bit_identical(self, traces, track):
         names = default_registry().names()
         for trace in traces:
             batched = simulate_many(
-                [_build(name) for name in names],
-                trace,
-                warmup_fraction=warmup,
-                track_per_pc=track,
+                [_build(name) for name in names], trace, track_per_pc=track
             )
             for name, result in zip(names, batched):
-                serial = simulate(
-                    _build(name), trace, warmup_fraction=warmup, track_per_pc=track
-                )
+                serial = simulate(_build(name), trace, track_per_pc=track)
                 _assert_identical(result, serial)
 
     def test_empty_batch(self, traces):
@@ -119,10 +110,6 @@ class TestSimulateMany:
                 use_fast_path=True,
             )
 
-    def test_bad_warmup_fraction_rejected(self, traces):
-        with pytest.raises(ValueError):
-            simulate_many([_build("tage-gsc")], traces[0], warmup_fraction=1.0)
-
 
 def _sweep_specs():
     base = PredictorSpec.from_named("tage-gsc+oh", profile="small")
@@ -149,7 +136,8 @@ class TestBatchedSweepPath:
         # stored result for no semantic reason.
         assert ENGINE_VERSION == 1
 
-    def test_store_cells_identical_across_batch_modes(self, traces, tmp_path):
+    @pytest.mark.parametrize("track", [False, True])
+    def test_store_cells_identical_across_batch_modes(self, traces, tmp_path, track):
         specs = _sweep_specs()
         runs = {}
         for mode, batch in (("batched", DEFAULT_BATCH_CELLS), ("per-cell", 1), ("pairs", 2)):
@@ -157,14 +145,22 @@ class TestBatchedSweepPath:
             runner = SuiteRunner(
                 traces, profile="small", store=str(store), batch=batch
             )
-            runs[mode] = runner.run_specs(specs)
+            runs[mode] = runner.run_specs(specs, track_per_pc=track)
             runner.close()
         batched = _store_records(tmp_path / "batched")
         per_cell = _store_records(tmp_path / "per-cell")
         pairs = _store_records(tmp_path / "pairs")
         assert batched.keys() == per_cell.keys() == pairs.keys()
         assert len(batched) == len(specs) * len(traces)
-        assert batched == per_cell == pairs  # full records, not just keys
+        # Full records, not just keys, and in written order: the per-PC
+        # maps are stored in insertion order, so their order is bytes too.
+        assert [json.dumps(batched[key]) for key in batched] == [
+            json.dumps(per_cell[key]) for key in batched
+        ] == [json.dumps(pairs[key]) for key in batched]
+        if track:
+            assert any(
+                record["result"]["per_pc_mispredictions"] for record in batched.values()
+            )
         for mode in ("per-cell", "pairs"):
             for label, run in runs[mode].items():
                 for ours, theirs in zip(run.results, runs["batched"][label].results):
@@ -208,11 +204,18 @@ class TestBatchedSweepPath:
         with pytest.raises(ValueError):
             SuiteRunner(traces, batch=0)
 
-    @pytest.mark.parametrize("batch", [True, False])
-    def test_bool_batch_rejected(self, traces, batch):
-        # bool is an int: without the check True would silently mean 1.
+    @pytest.mark.parametrize("owner", ["runner", "coordinator", "worker"])
+    @pytest.mark.parametrize("batch", [True, False, 2.5])
+    def test_bool_batch_rejected(self, traces, owner, batch):
+        # bool is an int: without the check True would silently mean 1,
+        # and int() would silently turn 2.5 into 2.
+        make = {
+            "runner": lambda: SuiteRunner(traces, batch=batch),
+            "coordinator": lambda: Coordinator(batch=batch),
+            "worker": lambda: Worker("127.0.0.1", 1, batch=batch),
+        }[owner]
         with pytest.raises(TypeError, match="batch=1"):
-            SuiteRunner(traces, batch=batch)
+            make()
 
 
 def _oh_grid(count=8, profile="small"):
@@ -337,24 +340,18 @@ class TestSharedCoreGrouping:
         for result, predictor in zip(batched, fresh):
             _assert_identical(result, simulate(predictor, traces[0]))
 
-    @pytest.mark.parametrize(
-        "warmup,track", [(0.0, False), (0.0, True), (0.3, False), (0.25, True)]
-    )
-    def test_share_cores_false_bit_identical(self, traces, warmup, track):
+    @pytest.mark.parametrize("track", [False, True])
+    def test_share_cores_false_bit_identical(self, traces, track):
         # share_cores=False is the pre-grouping batched path; equality
         # here pins the grouped executor to it bit for bit.
         specs = _oh_grid()
         for trace in traces:
             grouped = simulate_many(
-                [spec.build() for spec in specs],
-                trace,
-                warmup_fraction=warmup,
-                track_per_pc=track,
+                [spec.build() for spec in specs], trace, track_per_pc=track
             )
             flat = simulate_many(
                 [spec.build() for spec in specs],
                 trace,
-                warmup_fraction=warmup,
                 track_per_pc=track,
                 share_cores=False,
             )
@@ -491,24 +488,24 @@ class TestMixedKindGrouping:
             ("gehl", 4), ("tage-gsc", 4),
         ]
 
-    @pytest.mark.parametrize("warmup,track", [(0.0, False), (0.25, True)])
-    def test_grouped_matches_reference(self, mixed_traces, warmup, track):
+    @pytest.mark.parametrize("track", [False, True])
+    def test_grouped_matches_reference(self, mixed_traces, track):
         for trace in mixed_traces:
             batched = simulate_many(
-                [spec.build() for spec in self.SPECS],
-                trace,
-                warmup_fraction=warmup,
-                track_per_pc=track,
+                [spec.build() for spec in self.SPECS], trace, track_per_pc=track
             )
             for result, spec in zip(batched, self.SPECS):
                 reference = simulate(
-                    spec.build(),
-                    trace,
-                    warmup_fraction=warmup,
-                    track_per_pc=track,
-                    use_fast_path=False,
+                    spec.build(), trace, track_per_pc=track, use_fast_path=False
                 )
                 _assert_identical(result, reference)
+                # Store records keep the map's key order, so the grouped
+                # loop must insert keys in first-misprediction order too.
+                assert list(result.per_pc_mispredictions.items()) == list(
+                    reference.per_pc_mispredictions.items()
+                )
+                if track:
+                    assert result.per_pc_mispredictions
 
 
 _HEAD_OPTIONS = st.fixed_dictionaries({
@@ -549,12 +546,12 @@ class TestGroupDifferential:
 
     _references: dict = {}
 
-    def _reference(self, options, trace, warmup, track):
-        key = (options, trace.name, warmup, track)
+    def _reference(self, options, trace, track):
+        key = (options, trace.name, track)
         if key not in self._references:
             self._references[key] = simulate(
-                build(options, "small"), trace, warmup_fraction=warmup,
-                track_per_pc=track, use_fast_path=False,
+                build(options, "small"), trace, track_per_pc=track,
+                use_fast_path=False,
             )
         return self._references[key]
 
@@ -563,11 +560,10 @@ class TestGroupDifferential:
         members=st.lists(_HEAD_OPTIONS, min_size=2, max_size=5),
         trace_index=st.sampled_from([0, 1]),
         use_chunks=st.booleans(),
-        warmup=st.sampled_from([0.0, 0.25]),
         track=st.booleans(),
     )
     def test_grouped_members_match_reference(
-        self, differential_traces, members, trace_index, use_chunks, warmup, track
+        self, differential_traces, members, trace_index, use_chunks, track
     ):
         monolithic, chunked = differential_traces
         trace = (chunked if use_chunks else monolithic)[trace_index]
@@ -576,13 +572,10 @@ class TestGroupDifferential:
         bases = [option.base for option in options]
         if len(set(bases)) < len(bases):
             assert plan_groups(predictors) is not None
-        batched = simulate_many(
-            predictors, trace, warmup_fraction=warmup, track_per_pc=track
-        )
+        batched = simulate_many(predictors, trace, track_per_pc=track)
         for result, option in zip(batched, options):
             _assert_identical(
-                result,
-                self._reference(option, monolithic[trace_index], warmup, track),
+                result, self._reference(option, monolithic[trace_index], track)
             )
 
 
@@ -1007,7 +1000,7 @@ class TestWorkerTraceCache:
 
 
 class TestBatchCLI:
-    def test_sweep_no_batch_output_identical(self, tmp_path, capsys):
+    def test_sweep_batch_one_output_identical(self, tmp_path, capsys):
         from repro.cli import main
 
         args = [
@@ -1015,19 +1008,11 @@ class TestBatchCLI:
             "--benchmarks", "SPEC2K6-00", "--length", "120", "--profile", "small",
         ]
         default_json = tmp_path / "default.json"
-        nobatch_json = tmp_path / "nobatch.json"
+        per_cell_json = tmp_path / "per-cell.json"
         assert main(args + ["--json", str(default_json)]) == 0
-        assert main(args + ["--no-batch", "--json", str(nobatch_json)]) == 0
+        assert main(args + ["--batch", "1", "--json", str(per_cell_json)]) == 0
         capsys.readouterr()
-        assert default_json.read_text() == nobatch_json.read_text()
-
-    def test_batch_flags_are_mutually_exclusive(self):
-        from repro.cli import build_parser
-
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["sweep", "--base", "tage-gsc", "--batch", "4", "--no-batch"]
-            )
+        assert default_json.read_text() == per_cell_json.read_text()
 
     def test_default_batch_constant_sane(self):
         assert DEFAULT_BATCH_CELLS >= 2

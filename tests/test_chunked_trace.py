@@ -5,8 +5,8 @@ streamed chunk by chunk through the engine is **bit-identical** to the
 same trace loaded monolithically -- same results, same fingerprints, and
 therefore the same :class:`~repro.store.ResultStore` cell keys and
 record bytes.  These tests pin that for every registered configuration,
-for ``simulate`` and ``simulate_many``, with chunk boundaries landing
-mid-warmup.
+for ``simulate`` and ``simulate_many``, with per-PC maps built across
+chunk boundaries.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from repro.workloads.suites import generate_suite
 
 #: Small but non-trivial: several hundred conditional branches so every
 #: predictor does real work, chunked finely so many boundaries land in
-#: interesting places (including inside any warmup window).
+#: interesting places.
 LENGTH = 400
 CHUNK = 150
 
@@ -170,14 +170,19 @@ class TestBitIdentity:
         in_memory = simulate(_predictor(name), trace, track_per_pc=True)
         assert _result_key(streamed) == _result_key(in_memory)
 
-    @pytest.mark.parametrize("warmup", [0.0, 0.25, 0.6])
-    def test_warmup_spanning_chunk_boundaries(self, warmup, trace, chunked):
-        # CHUNK=150 over ~LENGTH conditionals puts every tested warmup
-        # cutoff strictly inside a chunk, so the carried warmup state
-        # crosses at least one boundary.
-        streamed = simulate(_predictor("tage-gsc"), chunked, warmup_fraction=warmup)
-        in_memory = simulate(_predictor("tage-gsc"), trace, warmup_fraction=warmup)
-        assert _result_key(streamed) == _result_key(in_memory)
+    def test_per_pc_map_across_chunk_boundaries(self, trace, chunked):
+        # CHUNK=150 over ~LENGTH conditionals puts a static branch's
+        # mispredictions in several chunks; the streamed map must hold the
+        # reference loop's counts with its keys in the same order
+        # (_result_key sorts them, so compare the items directly).
+        streamed = simulate(_predictor("tage-gsc"), chunked, track_per_pc=True)
+        reference = simulate(
+            _predictor("tage-gsc"), trace, track_per_pc=True, use_fast_path=False
+        )
+        assert len(streamed.per_pc_mispredictions) > 1
+        assert list(streamed.per_pc_mispredictions.items()) == list(
+            reference.per_pc_mispredictions.items()
+        )
 
     @pytest.mark.parametrize("track_per_pc", [False, True])
     def test_simulate_many(self, track_per_pc, trace, chunked):

@@ -44,17 +44,6 @@ class TestSimulate:
         assert "bench-x" in result.summary()
         assert "always-taken" in result.summary()
 
-    def test_warmup_excludes_early_branches(self):
-        trace = _tiny_trace()
-        full = simulate(AlwaysTakenPredictor(), trace, warmup_fraction=0.0)
-        warm = simulate(AlwaysTakenPredictor(), trace, warmup_fraction=0.5)
-        assert warm.conditional_branches == 10
-        assert warm.mispredictions <= full.mispredictions
-
-    def test_invalid_warmup_rejected(self):
-        with pytest.raises(ValueError):
-            simulate(AlwaysTakenPredictor(), _tiny_trace(), warmup_fraction=1.0)
-
     def test_per_pc_tracking(self):
         result = simulate(AlwaysTakenPredictor(), _tiny_trace(), track_per_pc=True)
         assert result.per_pc_mispredictions == {0x100: 10}

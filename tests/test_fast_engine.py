@@ -89,19 +89,17 @@ class TestFastPathProtocol:
             simulate(predictor, trace, use_fast_path=True)
 
     @pytest.mark.parametrize("key", [_BENCHMARKS[0], _MIXED], ids=["cbp4like", "mixed"])
-    def test_warmup_and_per_pc_equivalence(self, suite_traces, key):
+    def test_per_pc_equivalence(self, suite_traces, key):
         trace = suite_traces[key]
         reference = simulate(
             build_named("tage-gsc+imli", profile="small"),
             trace,
-            warmup_fraction=0.25,
             track_per_pc=True,
             use_fast_path=False,
         )
         fast = simulate(
             build_named("tage-gsc+imli", profile="small"),
             trace,
-            warmup_fraction=0.25,
             track_per_pc=True,
             use_fast_path=True,
         )
@@ -112,7 +110,7 @@ class TestFastPathProtocol:
     @pytest.mark.parametrize("track", [False, True])
     def test_bimodal_equivalence(self, suite_traces, key, track):
         # Without per-PC tracking a lone bimodal takes the column-block
-        # lane; with it, the grouped general loop.
+        # lane; with it, the grouped loop.
         trace = suite_traces[key]
         reference = simulate(
             BimodalPredictor(), trace, track_per_pc=track, use_fast_path=False

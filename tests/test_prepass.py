@@ -131,11 +131,10 @@ def test_block_columns_match_per_branch_upkeep(
     members=st.lists(batch_tests._HEAD_OPTIONS, min_size=2, max_size=5),
     trace_index=st.sampled_from([0, 1]),
     use_chunks=st.booleans(),
-    warmup=st.sampled_from([0.0, 0.25]),
     track=st.booleans(),
 )
 def test_group_differential_with_small_sub_blocks(
-    differential_traces, members, trace_index, use_chunks, warmup, track
+    differential_traces, members, trace_index, use_chunks, track
 ):
     # TestGroupDifferential with 7-record sub-blocks, so every pre-pass
     # carry (history, folds, path, IMLI count, outer histories) crosses
@@ -148,18 +147,17 @@ def test_group_differential_with_small_sub_blocks(
     engine.SUB_BLOCK_RECORDS = 7
     try:
         batched = simulate_many(
-            [build(option, "small") for option in options], trace,
-            warmup_fraction=warmup, track_per_pc=track,
+            [build(option, "small") for option in options], trace, track_per_pc=track
         )
         alone = [
-            simulate(build(option, "small"), trace, warmup_fraction=warmup, track_per_pc=track)
+            simulate(build(option, "small"), trace, track_per_pc=track)
             for option in options
         ]
     finally:
         engine.SUB_BLOCK_RECORDS = saved
     references = batch_tests.TestGroupDifferential()
     for result, solo, option in zip(batched, alone, options):
-        reference = references._reference(option, monolithic[trace_index], warmup, track)
+        reference = references._reference(option, monolithic[trace_index], track)
         batch_tests._assert_identical(result, reference)
         batch_tests._assert_identical(solo, reference)
 
@@ -168,13 +166,13 @@ def _grid(base):
     return [build(CompositeOptions(base=base, **member), "small") for member in MEMBERS]
 
 
-@pytest.mark.parametrize("warmup,track", [(0.0, False), (0.25, True)])
-def test_grouped_steps_do_no_upkeep_or_hashing(differential_traces, monkeypatch, warmup, track):
+@pytest.mark.parametrize("track", [False, True])
+def test_grouped_steps_do_no_upkeep_or_hashing(differential_traces, monkeypatch, track):
     monolithic, chunked = differential_traces
     traces = [monolithic[1], chunked[1]]
     expected = [
-        simulate_many(_grid("tage-gsc") + _grid("gehl"), trace, warmup_fraction=warmup,
-                      track_per_pc=track, share_cores=False)
+        simulate_many(_grid("tage-gsc") + _grid("gehl"), trace, track_per_pc=track,
+                      share_cores=False)
         for trace in traces
     ]
 
@@ -191,9 +189,7 @@ def test_grouped_steps_do_no_upkeep_or_hashing(differential_traces, monkeypatch,
         if "compute_indices" in vars(kind):
             monkeypatch.setattr(kind, "compute_indices", forbidden)
     for trace, reference in zip(traces, expected):
-        grouped = simulate_many(
-            _grid("tage-gsc") + _grid("gehl"), trace, warmup_fraction=warmup, track_per_pc=track
-        )
+        grouped = simulate_many(_grid("tage-gsc") + _grid("gehl"), trace, track_per_pc=track)
         for result, solo in zip(grouped, reference):
             batch_tests._assert_identical(result, solo)
 
@@ -216,7 +212,7 @@ def test_finished_groups_are_freed_without_the_cyclic_gc(differential_traces, mo
     try:
         for trace in (monolithic[0], chunked[0]):
             simulate_many(_grid("tage-gsc") + _grid("gehl"), trace)
-            simulate_many(_grid("gehl"), trace, warmup_fraction=0.25, track_per_pc=True)
+            simulate_many(_grid("gehl"), trace, track_per_pc=True)
     finally:
         gc.enable()
     assert len(groups) == 6
