@@ -204,6 +204,15 @@ class TestBatchedSweepPath:
         with pytest.raises(ValueError):
             SuiteRunner(traces, batch=0)
 
+    @pytest.mark.parametrize("owner", ["coordinator", "worker"])
+    def test_zero_batch_rejected_by_dist(self, owner):
+        make = {
+            "coordinator": lambda: Coordinator(batch=0),
+            "worker": lambda: Worker("127.0.0.1", 1, batch=0),
+        }[owner]
+        with pytest.raises(ValueError, match="batch must be positive"):
+            make()
+
     @pytest.mark.parametrize("owner", ["runner", "coordinator", "worker"])
     @pytest.mark.parametrize("batch", [True, False, 2.5])
     def test_bool_batch_rejected(self, traces, owner, batch):
@@ -1013,6 +1022,14 @@ class TestBatchCLI:
         assert main(args + ["--batch", "1", "--json", str(per_cell_json)]) == 0
         capsys.readouterr()
         assert default_json.read_text() == per_cell_json.read_text()
+
+    def test_no_batch_flag_removed(self, capsys):
+        # --batch 1 is the one spelling of per-cell tasks.
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sweep", "--base", "tage-gsc", "--no-batch"])
+        assert "--no-batch" in capsys.readouterr().err
 
     def test_default_batch_constant_sane(self):
         assert DEFAULT_BATCH_CELLS >= 2

@@ -44,6 +44,20 @@ class TestSimulate:
         assert "bench-x" in result.summary()
         assert "always-taken" in result.summary()
 
+    def test_every_conditional_branch_is_measured(self):
+        # The first half is not-taken, so always-taken mispredicts only
+        # there: a warm-up window would have dropped all ten.
+        trace = Trace(name="cold-start")
+        for index in range(20):
+            trace.append(conditional_branch(0x100, 0x140, taken=index >= 10))
+        result = simulate(AlwaysTakenPredictor(), trace)
+        assert result.conditional_branches == 20
+        assert result.mispredictions == 10
+
+    def test_warmup_fraction_not_accepted(self):
+        with pytest.raises(TypeError, match="warmup_fraction"):
+            simulate(AlwaysTakenPredictor(), _tiny_trace(), warmup_fraction=0.5)
+
     def test_per_pc_tracking(self):
         result = simulate(AlwaysTakenPredictor(), _tiny_trace(), track_per_pc=True)
         assert result.per_pc_mispredictions == {0x100: 10}
