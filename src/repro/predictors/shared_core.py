@@ -4,9 +4,11 @@ In the paper, IMLI-SIC and IMLI-OH are extra adder-tree inputs on TAGE-GSC
 or GEHL (Sections 3.2 and 4), so every composite splits into a *core* (the
 TAGE engine; nothing for GEHL) and a *head* (its adder tree plus its
 loop/wormhole sidecars).  The engine runs every groupable composite
-(:func:`is_groupable`) in a group planned by :func:`plan_groups`, with
-**one trace-only pre-pass per sub-block, then one core step and N head
-steps per branch**.  Two kinds of group form:
+(:func:`is_groupable`) in a group planned by :func:`plan_groups`; the
+engine hands every group each column sub-block of the trace
+(``_Group.run_block``), which runs **one trace-only pre-pass per
+sub-block, then one core step and N head steps per conditional
+branch**.  Two kinds of group form:
 
 * a *fresh* group serves the pristine (:func:`is_pristine`) batch members
   that share a :class:`~repro.predictors.composites.SharedCoreInfo` core
@@ -86,7 +88,7 @@ from repro.predictors.statistical_corrector import StatisticalCorrector
 from repro.predictors.tage import TAGEEngine, TAGEPrediction
 from repro.predictors.tage_gsc import TAGEGSCConfig, TAGEGSCPredictor
 from repro.core.component import IndexedComponent, NeuralComponent, SharedState
-from repro.trace.branch import BranchKind
+from repro.trace.branch import CONDITIONAL_CODE, BranchKind
 
 __all__ = ["plan_groups", "is_groupable", "is_pristine"]
 
@@ -314,10 +316,10 @@ class _Group:
     ``(adder, revert_margin, sidecars)`` per member, in member order, every
     adder bound to ``state`` (``revert_margin`` is ignored without a TAGE
     core, ``sidecars`` is a :class:`_Sidecars` or ``None``).  The engine
-    calls :meth:`prepare` with each sub-block of records, then
-    :meth:`step_count` or :meth:`step_list` once per conditional branch
-    of it, in order.  ``per_pc``, when the engine sets it, holds one
-    ``pc -> mispredictions`` map per member that :meth:`step_count`
+    calls :meth:`run_block` with each sub-block of records, in order:
+    :meth:`prepare`, then :meth:`step_count` once per conditional
+    branch of it.  ``per_pc``, when the engine sets it, holds
+    one ``pc -> mispredictions`` map per member that :meth:`step_count`
     bumps.
     """
 
@@ -385,6 +387,16 @@ class _Group:
                 slot += 1
         self._flat = flat
         self._position = 0
+
+    def run_block(self, block: tuple) -> None:
+        """:meth:`prepare` a sub-block, then :meth:`step_count` each of its
+        conditional branches."""
+        self.prepare(block)
+        step = self.step_count
+        conditional = CONDITIONAL_CODE
+        for pc, target, taken, kind, gap in zip(*block):
+            if kind == conditional:
+                step(pc, target, taken, gap)
 
     def step_list(self, pc: int, target: int, taken: bool, gap: int) -> List[bool]:
         """Run one conditional branch; return per-head final predictions."""
@@ -508,8 +520,8 @@ def plan_groups(
     members (:func:`is_pristine`) whose
     :class:`~repro.predictors.composites.SharedCoreInfo` key matches
     another's share a fresh group; every other one is a group of one over
-    its own tables.  Everything else stays solo and runs through its
-    ``predict_update``/``observe_pc`` protocol.
+    its own tables.  Everything else stays solo and consumes whole
+    sub-blocks through its own ``predict_update_block``.
     """
     groups: List[_Group] = []
     solos: List[int] = []

@@ -73,37 +73,17 @@ class BimodalPredictor(BranchPredictor):
     def update(self, record: BranchRecord, prediction: bool) -> None:
         self.table.update(self._index(record.pc), record.taken)
 
-    def predict_update(
-        self, pc: int, target: int, taken: bool, kind: int = 0, gap: int = 0
-    ) -> bool:
-        """Combined predict-and-update fast path (hash the PC only once)."""
-        table = self.table
-        width = self.index_bits
-        value = pc ^ (pc >> width) ^ (pc >> (2 * width))
-        index = value & ((1 << width) - 1)
-        values = table.values
-        counter = values[index]
-        prediction = counter >= table.midpoint
-        if taken:
-            if counter < table.maximum:
-                values[index] = counter + 1
-        elif counter > 0:
-            values[index] = counter - 1
-        return prediction
+    def predict_update_block(
+        self, pcs, targets, takens, kinds, gaps, per_pc=None
+    ) -> int:
+        """Block step: consume a column sub-block, return its mispredictions.
 
-    def observe_pc(self, pc: int) -> None:
-        pass
-
-    def predict_update_block(self, pcs, targets, takens, kinds, gaps) -> int:
-        """Column-block fast path: consume a whole block, return mispredicts.
-
-        The bimodal step is stateless across branches apart from its own
-        counter table, so the engine's per-branch dispatch (kind test,
-        bound-method call) can be folded into one tight loop over the
-        columns here.  Non-conditional rows are skipped outright --
-        ``observe_pc`` is a no-op for this predictor.  Bit-identical to
-        calling :meth:`predict_update` per conditional row by inspection:
-        the per-row arithmetic is the same statements.
+        The engine's fast-path protocol (``docs/ENGINE.md``).  Bit-identical
+        to :meth:`predict` then :meth:`update` per conditional row: the
+        same hash and counter arithmetic, inlined into one loop over the
+        columns.  Non-conditional rows are skipped, because this predictor
+        keeps no history.  ``per_pc``, when given, is bumped per
+        misprediction, so its keys follow first-misprediction order.
         """
         table = self.table
         width = self.index_bits
@@ -120,6 +100,8 @@ class BimodalPredictor(BranchPredictor):
             counter = values[index]
             if (counter >= midpoint) != taken:
                 mispredictions += 1
+                if per_pc is not None:
+                    per_pc[pc] = per_pc.get(pc, 0) + 1
             if taken:
                 if counter < maximum:
                     values[index] = counter + 1

@@ -31,7 +31,7 @@ from repro.common.history import FoldedHistory
 from repro.core.component import SharedState
 from repro.predictors.base import BranchPredictor
 from repro.predictors.components import geometric_history_lengths
-from repro.trace.branch import BranchRecord
+from repro.trace.branch import CONDITIONAL_CODE, BranchRecord
 
 __all__ = ["TAGEConfig", "TAGEEngine", "TAGEPrediction", "TAGEPredictor"]
 
@@ -503,22 +503,44 @@ class TAGEPredictor(BranchPredictor):
         self.engine.train(record, self._last)
         self.state.update_conditional(record)
 
-    def predict_update(
-        self, pc: int, target: int, taken: bool, kind: int = 0, gap: int = 0
-    ) -> bool:
-        """Combined predict-and-train fast path (see ``docs/PERFORMANCE.md``)."""
-        engine = self.engine
-        context = engine.predict_into(pc, self._scratch)
-        prediction = context.prediction
-        engine.train_fields(pc, taken, context)
-        self.state.update_conditional_fields(pc, target, taken)
-        return prediction
-
     def observe_unconditional(self, record: BranchRecord) -> None:
         self.state.update_unconditional(record)
 
-    def observe_pc(self, pc: int) -> None:
-        self.state.observe_pc(pc)
+    def predict_update_block(
+        self, pcs, targets, takens, kinds, gaps, per_pc=None
+    ) -> int:
+        """Block step: consume a column sub-block, return its mispredictions.
+
+        The engine's fast-path protocol (``docs/ENGINE.md``).  Per row, the
+        field forms of the reference path's calls in the same order:
+        :meth:`SharedState.observe_pc` for a non-conditional row; for a
+        conditional one :meth:`TAGEEngine.predict_into`,
+        :meth:`TAGEEngine.train_fields`, then
+        :meth:`SharedState.update_conditional_fields`.  ``per_pc``, when
+        given, is bumped per misprediction, so its keys follow
+        first-misprediction order.
+        """
+        engine = self.engine
+        state = self.state
+        predict_into = engine.predict_into
+        train_fields = engine.train_fields
+        update_conditional = state.update_conditional_fields
+        observe_pc = state.observe_pc
+        scratch = self._scratch
+        mispredictions = 0
+        for pc, target, taken, kind in zip(pcs, targets, takens, kinds):
+            if kind != CONDITIONAL_CODE:
+                observe_pc(pc)
+                continue
+            context = predict_into(pc, scratch)
+            prediction = context.prediction
+            train_fields(pc, taken, context)
+            update_conditional(pc, target, taken)
+            if prediction != taken:
+                mispredictions += 1
+                if per_pc is not None:
+                    per_pc[pc] = per_pc.get(pc, 0) + 1
+        return mispredictions
 
     def storage_bits(self) -> int:
         return self.engine.storage_bits() + self.state.storage_bits()

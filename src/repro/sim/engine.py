@@ -11,24 +11,23 @@ metric used throughout the paper.
 
 Every replay goes through :func:`simulate_many` (:func:`simulate` is a
 batch of one), measures every conditional branch of the trace, and owns
-exactly three per-branch loops:
+exactly two loops:
 
 * the *reference* loop iterates :class:`~repro.trace.branch.BranchRecord`
   views and drives the classic ``predict()`` / ``update()`` protocol -- the
-  oracle, sharing no code with the others;
-* the column-block lane of a lone predictor with a
-  ``predict_update_block`` (the bimodal baseline) and no per-PC tracking;
-* the grouped loop iterates the trace's columnar storage.  Every
-  TAGE-GSC/GEHL composite runs in a group
+  oracle, sharing no code with the other;
+* the *block* loop hands each column sub-block of the trace to every
+  fast-path member in turn.  Every TAGE-GSC/GEHL composite runs in a group
   (:mod:`repro.predictors.shared_core`): a shared-core group of pristine
   same-core members, or a group of one over a predictor's own tables;
-  each group runs its trace-only pre-pass once per sub-block and steps
-  once per conditional branch.  Other members that opt into the combined
-  ``predict_update(pc, target, taken, kind, gap)`` / ``observe_pc(pc)``
-  protocol (see ``docs/PERFORMANCE.md``) step as solos.
+  ``run_block`` runs the group's trace-only pre-pass over the sub-block
+  and steps it once per conditional branch.  Any other member that
+  offers ``predict_update_block(pcs, targets, takens, kinds, gaps,
+  per_pc=None)`` (the bimodal baseline, standalone TAGE; see
+  ``docs/ENGINE.md``) runs as a solo and consumes the sub-block itself.
 
-All of them produce bit-identical results; the fast loops are picked
-automatically whenever the predictor and the trace support them.
+Both produce bit-identical results; the block loop is picked
+automatically whenever the predictor and the trace support it.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.predictors.base import BranchPredictor
 from repro.predictors.shared_core import is_groupable, plan_groups
-from repro.trace.branch import CONDITIONAL_CODE
 from repro.trace.trace import Trace
 
 __all__ = [
@@ -106,26 +104,23 @@ def supports_fast_path(predictor: BranchPredictor, trace: Trace) -> bool:
     A predictor qualifies when it can run as a group over its own tables
     (:func:`repro.predictors.shared_core.is_groupable`: a TAGE-GSC or GEHL
     composite, bare or in a ``SidecarPredictor``, whose adder components
-    are all indexed) or opts into the combined ``predict_update`` /
-    ``observe_pc`` protocol.  A trace qualifies either by exposing its
+    are all indexed) or consumes whole column sub-blocks through
+    ``predict_update_block``.  A trace qualifies either by exposing its
     columns directly (:meth:`~repro.trace.trace.Trace.columns`) or by
     streaming columnar blocks (``iter_chunks()``, the
     :class:`~repro.trace.chunked.ChunkedTrace` protocol).
     """
     return (
         is_groupable(predictor)
-        or (
-            getattr(predictor, "predict_update", None) is not None
-            and getattr(predictor, "observe_pc", None) is not None
-        )
+        or getattr(predictor, "predict_update_block", None) is not None
     ) and (
         getattr(trace, "columns", None) is not None
         or getattr(trace, "iter_chunks", None) is not None
     )
 
 
-#: Records per sub-block of :func:`_column_blocks`: the unit of a
-#: shared-core group's trace-only pre-pass (``_Group.prepare``).  Big
+#: Records per sub-block of :func:`_column_blocks`: the unit of the block
+#: loop (``_Group.run_block``, ``predict_update_block``).  Big
 #: enough to amortise the per-block column set-up, small enough to keep
 #: the columns in cache and their memory flat.
 SUB_BLOCK_RECORDS = 512
@@ -276,7 +271,7 @@ def simulate_many(
         )
         raise ValueError(
             f"predictor {missing!r} does not support the fast-path "
-            "protocol (a groupable composite, or predict_update / observe_pc)"
+            "protocol (a groupable composite, or predict_update_block)"
         )
     counts = [0] * len(predictors)
     per_pc_maps: List[Dict[int, int]] = [{} for _ in predictors]
@@ -316,7 +311,7 @@ def _simulate_columnar(
     per_pc_maps: Optional[Sequence[Dict[int, int]]],
     share_cores: Optional[bool],
 ) -> List[int]:
-    """Run the fast-path members over the trace's column blocks.
+    """Run the fast-path members over the trace's column sub-blocks.
 
     Returns per-member misprediction counts.  ``per_pc_maps`` (one map
     per member, or ``None`` when per-PC counts are not tracked) is filled
@@ -324,21 +319,14 @@ def _simulate_columnar(
     reference loop's.  ``share_cores=False`` makes every composite a
     group of one.
 
-    A lone predictor with a ``predict_update_block`` (the bimodal
-    baseline) and no per-PC tracking consumes whole column blocks and
-    returns its misprediction count, with no per-branch Python dispatch.
-    Everything else runs the grouped loop: each group's ``prepare`` runs
-    the trace-only pre-pass of a sub-block (histories, folds and every
-    index column); its ``step_count`` then runs the core once and every
-    head once per conditional branch, bumping the group's per-head
-    misprediction counters and per-PC maps.  Solo predictors keep the
-    flat combined-step protocol.  After the traversal the group counters
-    are scattered back to batch positions.
+    Each sub-block goes to every group's ``run_block`` (the trace-only
+    pre-pass, then one step per conditional branch, bumping the group's
+    per-head counters and per-PC maps) and to every solo's
+    ``predict_update_block``, which returns the sub-block's misprediction
+    count.  Members are independent, so running them a sub-block at a
+    time each is the same as interleaving them per branch.  After the
+    traversal the group counters are scattered back to batch positions.
     """
-    if per_pc_maps is None and len(predictors) == 1:
-        block_step = getattr(predictors[0], "predict_update_block", None)
-        if block_step is not None:
-            return [sum(block_step(*block) for block in _column_blocks(trace))]
     groups, solos = plan_groups(predictors, share_cores is not False)
     if per_pc_maps is not None:
         for group in groups:
@@ -346,31 +334,17 @@ def _simulate_columnar(
     solo_steps = [
         (
             index,
-            predictors[index].predict_update,
+            predictors[index].predict_update_block,
             None if per_pc_maps is None else per_pc_maps[index],
         )
         for index in solos
     ]
-    observes = [predictors[index].observe_pc for index in solos]
-    group_steps = [group.step_count for group in groups]
-    conditional_code = CONDITIONAL_CODE
     counts = [0] * len(predictors)
     for block in _column_blocks(trace):
         for group in groups:
-            group.prepare(block)
-        pcs, targets, takens, kinds, gaps = block
-        for pc, target, taken, kind, gap in zip(pcs, targets, takens, kinds, gaps):
-            if kind != conditional_code:
-                for observe in observes:
-                    observe(pc)
-            else:
-                for group_step in group_steps:
-                    group_step(pc, target, taken, gap)
-                for index, step, per_pc in solo_steps:
-                    if step(pc, target, taken, kind, gap) != taken:
-                        counts[index] += 1
-                        if per_pc is not None:
-                            per_pc[pc] = per_pc.get(pc, 0) + 1
+            group.run_block(block)
+        for index, step, per_pc in solo_steps:
+            counts[index] += step(*block, per_pc)
     for group in groups:
         for slot, index in enumerate(group.indices):
             counts[index] = group.counts[slot]

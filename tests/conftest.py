@@ -30,11 +30,15 @@ def _trace_from_kernel(kernel, rounds: int, name: str) -> Trace:
     return Trace(name=name, records=emitter.drain())
 
 
-def _mixed_kind(trace: Trace, seed: int) -> Trace:
+def _mixed_kind(trace: Trace, seed: int, pc_step: int = 1) -> Trace:
     """``trace`` with calls, returns, jumps and indirect branches inserted.
 
     About 40 % of the conditional records get one non-conditional record
     in front of them, from PC and target regions the generators never use.
+    Their PCs are multiples of ``pc_step``.  The path history keeps the
+    low two PC bits of every branch, which are zero on the generators'
+    word-aligned PCs: the default byte-granular PCs make it non-zero,
+    ``pc_step=4`` leaves it zero.
     """
     rng = random.Random(seed)
     kinds = [BranchKind.CALL, BranchKind.RETURN, BranchKind.UNCONDITIONAL, BranchKind.INDIRECT]
@@ -42,7 +46,7 @@ def _mixed_kind(trace: Trace, seed: int) -> Trace:
     for record in trace:
         if rng.random() < 0.4:
             records.append(BranchRecord(
-                pc=0x400000 + 4 * rng.randrange(64),
+                pc=0x400000 + pc_step * rng.randrange(256 // pc_step),
                 target=0x500000 + 4 * rng.randrange(64),
                 taken=True,
                 kind=rng.choice(kinds),
@@ -54,7 +58,7 @@ def _mixed_kind(trace: Trace, seed: int) -> Trace:
 
 @pytest.fixture(scope="session")
 def mixed_kind():
-    """The ``mixed_kind(trace, seed)`` transform: every branch kind in a trace.
+    """The ``mixed_kind(trace, seed, pc_step=1)`` transform: every branch kind in a trace.
 
     The synthetic suites are all conditional; this adds the calls,
     returns, unconditional and indirect branches that drive

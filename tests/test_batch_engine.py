@@ -3,7 +3,7 @@
 :func:`repro.sim.engine.simulate_many` (and everything layered on it: the
 suite runner's batched serial/pool paths, the distributed lease batching)
 is a pure execution-shape optimisation -- these tests pin that claim for
-every registered configuration, for warm-up and per-PC bookkeeping, and
+every registered configuration, for per-PC bookkeeping, and
 for the persistent store's cell keys, which must not see batching at all.
 """
 
@@ -25,9 +25,12 @@ from repro.api.specs import PredictorSpec
 from repro.dist import Coordinator, protocol
 from repro.dist.worker import Worker
 from repro.predictors.composites import CompositeOptions, build
+from repro.predictors import shared_core
 from repro.predictors.shared_core import _plan_heads, _run_heads, is_pristine, plan_groups
 from repro.predictors.statistical_corrector import CorrectorContext
+from repro.predictors.tage import TAGEConfig, TAGEPredictor
 from repro.predictors.simple import AlwaysTakenPredictor, BimodalPredictor
+from repro.sim import engine
 from repro.sim.engine import ENGINE_VERSION, simulate, simulate_many
 from repro.sim.runner import DEFAULT_BATCH_CELLS, PlannedCell, SuiteRunner, plan_cells
 from repro.store import ResultStore
@@ -443,6 +446,16 @@ def mixed_traces(mixed_kind):
     return [mixed_kind(trace, seed) for seed, trace in enumerate(base)]
 
 
+@pytest.fixture(scope="module")
+def word_aligned_mixed_traces(mixed_kind):
+    """``mixed_traces`` with word-aligned PCs: the traces ``PINNED`` was
+    recorded on, whose path history stays zero."""
+    base = generate_suite(
+        "cbp4like", target_conditional_branches=600, benchmarks=BENCHMARKS
+    )
+    return [mixed_kind(trace, seed, pc_step=4) for seed, trace in enumerate(base)]
+
+
 class TestMixedKindGrouping:
     """Grouped heads over mixed-kind traces match the reference path.
 
@@ -476,11 +489,11 @@ class TestMixedKindGrouping:
         "gehl+imli[local=True,oh_update_delay=63]": [220, 528],
     }
 
-    def test_reference_path_matches_pinned_counts(self, mixed_traces):
+    def test_reference_path_matches_pinned_counts(self, word_aligned_mixed_traces):
         for spec in self.SPECS:
             counts = [
                 simulate(spec.build(), trace, use_fast_path=False).mispredictions
-                for trace in mixed_traces
+                for trace in word_aligned_mixed_traces
             ]
             assert counts == self.PINNED[spec.label], spec.label
 
@@ -529,6 +542,22 @@ _HEAD_OPTIONS = st.fixed_dictionaries({
 })
 
 
+#: Solo members a differential batch may append: a standalone TAGE of a
+#: small geometry and the bimodal baseline.
+_SOLOS = ["tage", "bimodal"]
+
+_SMALL_TAGE = TAGEConfig(num_tables=5, table_entries=256, base_entries=512, max_history=60)
+
+
+def _build_member(key):
+    """A fresh differential member: composite options or a solo name."""
+    if key == "tage":
+        return TAGEPredictor(_SMALL_TAGE)
+    if key == "bimodal":
+        return BimodalPredictor()
+    return build(key, "small")
+
+
 @pytest.fixture(scope="module")
 def differential_traces(mixed_kind, tmp_path_factory):
     """Short mixed-kind traces, each also as a finely chunked copy."""
@@ -549,17 +578,18 @@ class TestGroupDifferential:
     """Random shared-core batches against the record-based reference path.
 
     Members draw a base and every head-only knob at random, so a batch
-    holds zero, one or two groups of varied head compositions beside
-    solos; each member must match its own reference replay exactly.
+    holds one or two groups of varied head compositions, beside an
+    optional standalone TAGE and bimodal solo; each member must match its
+    own reference replay exactly.
     """
 
     _references: dict = {}
 
-    def _reference(self, options, trace, track):
-        key = (options, trace.name, track)
+    def _reference(self, member, trace, track):
+        key = (member, trace.name, track)
         if key not in self._references:
             self._references[key] = simulate(
-                build(options, "small"), trace, track_per_pc=track,
+                _build_member(member), trace, track_per_pc=track,
                 use_fast_path=False,
             )
         return self._references[key]
@@ -567,24 +597,25 @@ class TestGroupDifferential:
     @settings(max_examples=12, deadline=None)
     @given(
         members=st.lists(_HEAD_OPTIONS, min_size=2, max_size=5),
+        solos=st.lists(st.sampled_from(_SOLOS), unique=True),
         trace_index=st.sampled_from([0, 1]),
         use_chunks=st.booleans(),
         track=st.booleans(),
     )
     def test_grouped_members_match_reference(
-        self, differential_traces, members, trace_index, use_chunks, track
+        self, differential_traces, members, solos, trace_index, use_chunks, track
     ):
         monolithic, chunked = differential_traces
         trace = (chunked if use_chunks else monolithic)[trace_index]
-        options = [CompositeOptions(**member) for member in members]
-        predictors = [build(option, "small") for option in options]
-        bases = [option.base for option in options]
-        if len(set(bases)) < len(bases):
-            assert plan_groups(predictors) is not None
+        keys = [CompositeOptions(**member) for member in members] + solos
+        predictors = [_build_member(key) for key in keys]
+        groups, planned_solos = plan_groups(predictors)
+        assert len(groups) == len({option.base for option in keys[:len(members)]})
+        assert planned_solos == list(range(len(members), len(keys)))
         batched = simulate_many(predictors, trace, track_per_pc=track)
-        for result, option in zip(batched, options):
+        for result, key in zip(batched, keys):
             _assert_identical(
-                result, self._reference(option, monolithic[trace_index], track)
+                result, self._reference(key, monolithic[trace_index], track)
             )
 
 
@@ -651,6 +682,57 @@ class TestGroupDifferential:
                     assert table.values == twin.values
             for predictor in (ours, reference):
                 predictor.state.update_conditional_fields(pc, target, taken)
+
+
+class TestBlockProtocol:
+    """How the block loop drives its members, watched from outside."""
+
+    @pytest.mark.parametrize("use_chunks", [False, True])
+    def test_solos_run_per_block_and_groups_step_per_branch(
+        self, differential_traces, monkeypatch, use_chunks
+    ):
+        # A tage-gsc group, a gehl group, a standalone TAGE and a bimodal.
+        # Each solo's predict_update_block runs once per sub-block of
+        # _column_blocks; a group's step_count once per conditional branch
+        # (perfbench's shared_core.step layer wraps it).  Small sub-blocks
+        # cut the trace, and each chunk of the chunked copy, several times.
+        monkeypatch.setattr(engine, "SUB_BLOCK_RECORDS", 64)
+        monolithic, chunked = differential_traces
+        trace = (chunked if use_chunks else monolithic)[0]
+        calls = {}
+
+        def spy(owner, name):
+            original = getattr(owner, name)
+
+            @functools.wraps(original)
+            def counted(*args, **kwargs):
+                calls[owner.__name__] = calls.get(owner.__name__, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for solo in (TAGEPredictor, BimodalPredictor):
+            spy(solo, "predict_update_block")
+        for group in (shared_core._TageGscGroup, shared_core._GehlGroup):
+            spy(group, "step_count")
+        specs = _oh_grid(2) + [
+            PredictorSpec.from_named("gehl+sic", profile="small"),
+            PredictorSpec.from_named("gehl+imli", profile="small"),
+        ]
+        predictors = [spec.build() for spec in specs]
+        predictors += [_build_member("tage"), _build_member("bimodal")]
+        groups, solos = plan_groups(predictors)
+        assert sorted(group.kind for group in groups) == ["gehl", "tage-gsc"]
+        assert solos == [4, 5]
+        blocks = sum(1 for _ in engine._column_blocks(trace))
+        assert blocks > 4
+        simulate_many(predictors, trace)
+        assert calls == {
+            "TAGEPredictor": blocks,
+            "BimodalPredictor": blocks,
+            "_TageGscGroup": trace.conditional_count,
+            "_GehlGroup": trace.conditional_count,
+        }
 
 
 class _FailsMidTrace(AlwaysTakenPredictor):

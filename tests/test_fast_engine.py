@@ -1,8 +1,9 @@
 """Equivalence tests for the columnar fast simulation path.
 
-The engine promises that the fast path (columnar iteration driving the
-combined ``predict_update`` protocol) and the reference path (record views
-driving ``predict()`` / ``update()``) are bit-identical.  These tests pin
+The engine promises that the fast path (the block loop handing column
+sub-blocks to shared-core groups and ``predict_update_block`` solos) and the
+reference path (record views driving ``predict()`` / ``update()``) are
+bit-identical.  These tests pin
 that promise for every registered composite configuration on benchmarks
 from both synthetic suites and on a mixed-kind trace (calls, returns,
 unconditional and indirect branches, which the all-conditional suites
@@ -18,6 +19,7 @@ from repro.predictors.simple import (
     AlwaysTakenPredictor,
     BimodalPredictor,
 )
+from repro.predictors.tage import TAGEConfig, TAGEPredictor
 from repro.sim.engine import simulate, supports_fast_path
 from repro.trace.branch import BranchKind
 from repro.workloads.suites import generate_benchmark, get_benchmark
@@ -28,6 +30,14 @@ _BENCHMARKS = [("cbp4like", "SPEC2K6-12"), ("cbp3like", "MM07")]
 
 #: The first benchmark with every non-conditional branch kind mixed in.
 _MIXED = ("mixed", "SPEC2K6-12")
+
+#: Solo predictors: not groupable, stepped through ``predict_update_block``.
+_SOLOS = {
+    "bimodal": BimodalPredictor,
+    "tage": lambda: TAGEPredictor(
+        TAGEConfig(num_tables=5, table_entries=256, base_entries=512, max_history=60)
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +98,21 @@ class TestFastPathProtocol:
         with pytest.raises(ValueError):
             simulate(predictor, trace, use_fast_path=True)
 
+        # The per-branch predict_update / observe_pc step is no fast-path
+        # protocol: a predictor offering only that takes the reference loop.
+        class PerBranchStep(AlwaysTakenPredictor):
+            def predict_update(self, pc, target, taken, kind=0, gap=0):
+                raise AssertionError("predict_update called")
+
+            def observe_pc(self, pc):
+                raise AssertionError("observe_pc called")
+
+        predictor = PerBranchStep()
+        assert not supports_fast_path(predictor, trace)
+        assert simulate(predictor, trace).mispredictions == result.mispredictions
+        with pytest.raises(ValueError):
+            simulate(predictor, trace, use_fast_path=True)
+
     @pytest.mark.parametrize("key", [_BENCHMARKS[0], _MIXED], ids=["cbp4like", "mixed"])
     def test_per_pc_equivalence(self, suite_traces, key):
         trace = suite_traces[key]
@@ -108,18 +133,26 @@ class TestFastPathProtocol:
 
     @pytest.mark.parametrize("key", [_BENCHMARKS[0], _MIXED], ids=["cbp4like", "mixed"])
     @pytest.mark.parametrize("track", [False, True])
-    def test_bimodal_equivalence(self, suite_traces, key, track):
-        # Without per-PC tracking a lone bimodal takes the column-block
-        # lane; with it, the grouped loop.
+    @pytest.mark.parametrize("solo", sorted(_SOLOS))
+    def test_bimodal_equivalence(self, suite_traces, key, track, solo):
+        # A lone solo runs the block loop through predict_update_block,
+        # with and without per-PC tracking; the per-PC map's key order
+        # (first misprediction) must match the reference loop's too.
         trace = suite_traces[key]
+        make = _SOLOS[solo]
         reference = simulate(
-            BimodalPredictor(), trace, track_per_pc=track, use_fast_path=False
+            make(), trace, track_per_pc=track, use_fast_path=False
         )
-        fast = simulate(
-            BimodalPredictor(), trace, track_per_pc=track, use_fast_path=True
-        )
+        fast = simulate(make(), trace, track_per_pc=track, use_fast_path=True)
         _assert_identical(reference, fast)
+        assert list(fast.per_pc_mispredictions.items()) == list(
+            reference.per_pc_mispredictions.items()
+        )
+        assert bool(fast.per_pc_mispredictions) == track
 
     def test_mixed_trace_holds_every_kind(self, suite_traces):
         kinds = {record.kind for record in suite_traces[_MIXED]}
         assert kinds == set(BranchKind)
+        # The path history keeps the low two PC bits of every branch; the
+        # inserted records must set some, or it never leaves zero.
+        assert any(record.pc & 3 for record in suite_traces[_MIXED])
