@@ -41,44 +41,31 @@ or with the lower-level runner::
     print(base.average_mpki, imli.average_mpki)
 """
 
-from repro.api import (
-    CompositeOptions,
-    Experiment,
-    PredictorSpec,
-    Registry,
-    ResultSet,
-    SizeProfile,
-    default_registry,
-    register_configuration,
-    register_profile,
-)
-from repro.core import (
-    IMLIOuterHistoryComponent,
-    IMLISameIterationComponent,
-    IMLIState,
-    SpeculativeIMLITracker,
-)
-from repro.predictors import (
-    BranchPredictor,
-    GEHLPredictor,
-    TAGEGSCPredictor,
-    TAGEPredictor,
-    build_named,
-    configuration_names,
-)
-from repro.dist import Coordinator, DistBackend, Worker
-from repro.ingest import IngestError, IngestReport, ingest_trace
-from repro.sim import SimulationResult, SuiteRunner, simulate
-from repro.store import ResultStore
-from repro.trace import (
-    BranchKind,
-    BranchRecord,
-    ChunkedTrace,
-    Trace,
-    load_any_trace,
-    write_chunked_trace,
-)
-from repro.workloads import generate_benchmark, generate_suite
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".api": (
+        "CompositeOptions", "Experiment", "PredictorSpec", "Registry", "ResultSet",
+        "SizeProfile", "default_registry", "register_configuration", "register_profile",
+    ),
+    ".core": (
+        "IMLIOuterHistoryComponent", "IMLISameIterationComponent", "IMLIState",
+        "SpeculativeIMLITracker",
+    ),
+    ".predictors": (
+        "BranchPredictor", "GEHLPredictor", "TAGEGSCPredictor", "TAGEPredictor",
+        "build_named", "configuration_names",
+    ),
+    ".dist": ("Coordinator", "DistBackend", "Worker"),
+    ".ingest": ("IngestError", "IngestReport", "ingest_trace"),
+    ".sim": ("SimulationResult", "SuiteRunner", "simulate"),
+    ".store": ("ResultStore",),
+    ".trace": (
+        "BranchKind", "BranchRecord", "ChunkedTrace", "Trace", "load_any_trace",
+        "write_chunked_trace",
+    ),
+    ".workloads": ("generate_benchmark", "generate_suite"),
+})
 
 __version__ = "1.2.0"
 

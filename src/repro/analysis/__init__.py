@@ -8,14 +8,15 @@
   experiments, one per table and figure of the paper's evaluation section.
 """
 
-from repro.analysis.experiments import (
-    EXPERIMENTS,
-    ExperimentResult,
-    experiment_ids,
-    run_experiment,
-)
-from repro.analysis.figures import format_bar_chart, format_grouped_bar_chart
-from repro.analysis.tables import format_key_values, format_mpki_table, format_table
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".experiments": (
+        "EXPERIMENTS", "ExperimentResult", "experiment_ids", "run_experiment",
+    ),
+    ".figures": ("format_bar_chart", "format_grouped_bar_chart"),
+    ".tables": ("format_key_values", "format_mpki_table", "format_table"),
+})
 
 __all__ = [
     "EXPERIMENTS",

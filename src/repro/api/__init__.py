@@ -17,15 +17,16 @@ This package is the recommended front door to the library:
 See ``docs/API.md`` for a walkthrough.
 """
 
-from repro.api.experiment import Experiment, ResultSet
-from repro.api.registry import (
-    Registry,
-    default_registry,
-    register_configuration,
-    register_profile,
-)
-from repro.api.specs import PredictorSpec
-from repro.predictors.composites import CompositeOptions, SizeProfile
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".experiment": ("Experiment", "ResultSet"),
+    ".registry": (
+        "Registry", "default_registry", "register_configuration", "register_profile",
+    ),
+    ".specs": ("PredictorSpec",),
+    "repro.predictors.composites": ("CompositeOptions", "SizeProfile"),
+})
 
 __all__ = [
     "CompositeOptions",

@@ -53,26 +53,16 @@ import signal
 import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence
 
-from repro.analysis.experiments import experiment_ids, run_experiment
-from repro.api.experiment import Experiment, ResultSet
-from repro.api.registry import default_registry
-from repro.api.specs import PredictorSpec
 from repro.common.progress import ProgressPrinter
-from repro.obs.http import DEFAULT_STATUS_PORT, StatusServer
-from repro.obs.top import run_top
-from repro.sim.runner import ConfigurationRun, SuiteRunner
-from repro.store import ResultStore
-from repro.trace.chunked import load_any_trace
-from repro.trace.trace import save_trace, save_trace_binary
-from repro.workloads.suites import (
-    benchmark_names,
-    generate_benchmark,
-    generate_suite,
-    get_benchmark,
-    suite_names,
-)
+from repro.obs import DEFAULT_STATUS_PORT
+
+if TYPE_CHECKING:  # pragma: no cover - each verb imports what it runs
+    from repro.api.experiment import ResultSet
+    from repro.api.specs import PredictorSpec
+    from repro.sim.runner import ConfigurationRun
+    from repro.store import ResultStore
 
 #: Default TCP port of ``repro serve`` (workers and submitters default to it).
 DEFAULT_PORT = 4780
@@ -100,17 +90,63 @@ def _non_negative_float(value: str) -> float:
     return parsed
 
 
+def _suite_names() -> List[str]:
+    from repro.workloads.suites import suite_names
+
+    return suite_names()
+
+
+def _profile_names() -> List[str]:
+    from repro.api.registry import default_registry
+
+    return default_registry().profile_names()
+
+
+def _experiment_ids() -> List[str]:
+    from repro.analysis.experiments import experiment_ids
+
+    return experiment_ids()
+
+
+class _LazyChoices:
+    """Option choices read from their registry each time argparse asks.
+
+    argparse only tests membership and iterates (help, usage and "invalid
+    choice" messages), so a verb that never touches the option never
+    imports the registry behind it, and the text it prints is unchanged.
+    """
+
+    def __init__(self, load: Callable[[], Iterable[str]]) -> None:
+        self._load = load
+
+    def __contains__(self, value: object) -> bool:
+        return value in self._load()
+
+    def __iter__(self):
+        return iter(self._load())
+
+
+def _add_choice_argument(
+    parser: argparse.ArgumentParser, *flags: str,
+    choices: Callable[[], Iterable[str]], **kwargs: Any,
+) -> None:
+    """``add_argument`` with lazily loaded choices.
+
+    The choices are attached after ``add_argument``, which would
+    otherwise iterate them once to check the metavar.
+    """
+    parser.add_argument(*flags, **kwargs).choices = _LazyChoices(choices)
+
+
 def _add_workload_arguments(parser: argparse.ArgumentParser, length: int) -> None:
-    parser.add_argument("--suite", default="cbp4like", choices=suite_names())
+    _add_choice_argument(parser, "--suite", default="cbp4like", choices=_suite_names)
     parser.add_argument(
         "--benchmarks", default=None,
         help="comma-separated benchmark names (default: the whole suite)",
     )
     parser.add_argument("--length", type=int, default=length,
                         help="conditional branches per benchmark trace")
-    parser.add_argument(
-        "--profile", default="small", choices=default_registry().profile_names(),
-    )
+    _add_choice_argument(parser, "--profile", default="small", choices=_profile_names)
     parser.add_argument(
         "--jobs", "-j", type=_positive_int, default=1,
         help="worker processes for the simulations (default: 1, in-process)",
@@ -182,16 +218,14 @@ def _add_grid_arguments(
 
 def _add_suite_arguments(parser: argparse.ArgumentParser, length: int = 2500) -> None:
     """Workload selection without execution options (serve/submit)."""
-    parser.add_argument("--suite", default="cbp4like", choices=suite_names())
+    _add_choice_argument(parser, "--suite", default="cbp4like", choices=_suite_names)
     parser.add_argument(
         "--benchmarks", default=None,
         help="comma-separated benchmark names (default: the whole suite)",
     )
     parser.add_argument("--length", type=int, default=length,
                         help="conditional branches per benchmark trace")
-    parser.add_argument(
-        "--profile", default="small", choices=default_registry().profile_names(),
-    )
+    _add_choice_argument(parser, "--profile", default="small", choices=_profile_names)
     _add_trace_argument(parser)
 
 
@@ -364,11 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
     experiment = subparsers.add_parser(
         "experiment", help="regenerate one of the paper's tables or figures"
     )
-    experiment.add_argument("experiment_id", choices=experiment_ids())
+    _add_choice_argument(experiment, "experiment_id", choices=_experiment_ids)
     experiment.add_argument("--length", type=int, default=2500)
-    experiment.add_argument(
-        "--profile", default="small", choices=default_registry().profile_names(),
-    )
+    _add_choice_argument(experiment, "--profile", default="small", choices=_profile_names)
     experiment.add_argument(
         "--benchmarks", default=None,
         help="comma-separated benchmark names to restrict both suites to",
@@ -498,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     trace = subparsers.add_parser("trace", help="generate one benchmark trace to a file")
-    trace.add_argument("--suite", default="cbp4like", choices=suite_names())
+    _add_choice_argument(trace, "--suite", default="cbp4like", choices=_suite_names)
     trace.add_argument("--benchmark", required=True)
     trace.add_argument("--length", type=int, default=20000)
     trace.add_argument("--output", required=True, help="output path")
@@ -519,6 +551,8 @@ def _split(raw: Optional[str]) -> Optional[List[str]]:
 
 def _load_spec_file(path: str) -> List[PredictorSpec]:
     """Load one spec, a list of specs, or a ``{"specs": [...]}`` document."""
+    from repro.api.specs import PredictorSpec
+
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     if isinstance(data, dict) and "specs" in data:
@@ -593,6 +627,8 @@ def _parse_duration(raw: str) -> float:
 
 def _resolve_store(path: Optional[str]) -> Optional[ResultStore]:
     """Store from ``--store`` or ``$REPRO_RESULT_STORE`` (None when neither)."""
+    from repro.store import ResultStore
+
     if path is not None:
         return ResultStore(path)
     return ResultStore.from_env()
@@ -623,23 +659,28 @@ def _write_output(text: str, destination: str) -> None:
 
 
 def _command_list() -> int:
-    registry = default_registry()
+    from repro.api.registry import default_registry
+    from repro.workloads.suites import benchmark_names
+
     print("suites:")
-    for suite in suite_names():
+    for suite in _suite_names():
         print(f"  {suite}: {', '.join(benchmark_names(suite))}")
     print()
     print("predictor configurations:")
-    print("  " + ", ".join(registry.names()))
+    print("  " + ", ".join(default_registry().names()))
     print()
     print("size profiles:")
-    print("  " + ", ".join(registry.profile_names()))
+    print("  " + ", ".join(_profile_names()))
     print()
     print("experiments (paper tables/figures):")
-    print("  " + ", ".join(experiment_ids()))
+    print("  " + ", ".join(_experiment_ids()))
     return 0
 
 
 def _command_simulate(args: argparse.Namespace) -> int:
+    from repro.api.experiment import Experiment
+    from repro.api.specs import PredictorSpec
+
     specs: List[PredictorSpec] = []
     for path in args.spec or []:
         try:
@@ -685,6 +726,8 @@ def _expand_grid_specs(args: argparse.Namespace) -> tuple:
 
     Raises ``ValueError`` (with a printable message) on bad input.
     """
+    from repro.api.specs import PredictorSpec
+
     if args.base.endswith(".json"):
         try:
             loaded = _load_spec_file(args.base)
@@ -737,6 +780,8 @@ def _resume_command(args: argparse.Namespace, store: ResultStore) -> str:
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
+    from repro.api.experiment import Experiment
+
     store = _resolve_store(args.store)
     if args.resume and store is None:
         print(
@@ -800,6 +845,8 @@ def _log_stderr(message: str) -> None:
 
 def _cli_traces(args: argparse.Namespace) -> Optional[list]:
     """Traces named by repeatable ``--trace`` (None when not given)."""
+    from repro.trace.chunked import load_any_trace
+
     paths = getattr(args, "trace_paths", None)
     if not paths:
         return None
@@ -817,6 +864,8 @@ def _workload_description(args: argparse.Namespace) -> str:
 
 
 def _suite_traces(args: argparse.Namespace) -> list:
+    from repro.workloads.suites import generate_suite
+
     explicit = _cli_traces(args)
     if explicit is not None:
         return explicit
@@ -837,9 +886,11 @@ def _sweep_result_set(
     specs: Sequence[PredictorSpec],
     base_spec: PredictorSpec,
     trace_names: Sequence[str],
-    runs: Dict[str, "ConfigurationRun"],
+    runs: Dict[str, ConfigurationRun],
 ) -> ResultSet:
     """Assemble the same :class:`ResultSet` a local ``repro sweep`` builds."""
+    from repro.api.experiment import ResultSet
+
     return ResultSet(
         specs=list(specs),
         runs={spec.label: runs[spec.label] for spec in specs},
@@ -863,6 +914,7 @@ def _print_sweep_results(
 
 def _command_serve(args: argparse.Namespace) -> int:
     from repro.dist import Coordinator, JobFailed
+    from repro.obs.http import StatusServer
 
     store = _resolve_store(args.store)
     if args.base is None and args.param:
@@ -1028,6 +1080,7 @@ def _command_worker(args: argparse.Namespace) -> int:
 
 def _command_submit(args: argparse.Namespace) -> int:
     from repro.dist import ProtocolError, submit_sweep
+    from repro.sim.runner import ConfigurationRun
 
     try:
         base_spec, specs = _expand_grid_specs(args)
@@ -1075,6 +1128,8 @@ def _command_submit(args: argparse.Namespace) -> int:
 
 
 def _command_top(args: argparse.Namespace) -> int:
+    from repro.obs.top import run_top
+
     return run_top(
         args.connect,
         interval=args.interval,
@@ -1084,9 +1139,13 @@ def _command_top(args: argparse.Namespace) -> int:
 
 
 def _command_experiment(args: argparse.Namespace) -> int:
+    from repro.analysis.experiments import run_experiment
+    from repro.sim.runner import SuiteRunner
+    from repro.workloads.suites import generate_suite
+
     subset = _split(args.benchmarks)
     runners = {}
-    for suite in suite_names():
+    for suite in _suite_names():
         traces = generate_suite(
             suite, target_conditional_branches=args.length, benchmarks=subset
         )
@@ -1302,7 +1361,7 @@ def _format_age(seconds: float) -> str:
 
 def _command_ingest(args: argparse.Namespace) -> int:
     from repro.ingest import IngestError, ingest_trace
-    from repro.trace.chunked import DEFAULT_CHUNK_BRANCHES, ChunkedTrace
+    from repro.trace.chunked import DEFAULT_CHUNK_BRANCHES, ChunkedTrace, load_any_trace
 
     if args.ingest_command == "convert":
         try:
@@ -1396,6 +1455,9 @@ def _command_ingest(args: argparse.Namespace) -> int:
 
 
 def _command_trace(args: argparse.Namespace) -> int:
+    from repro.trace.trace import save_trace, save_trace_binary
+    from repro.workloads.suites import generate_benchmark, get_benchmark
+
     try:
         spec = get_benchmark(args.suite, args.benchmark)
     except KeyError as error:

@@ -12,25 +12,16 @@ predictor in :mod:`repro.predictors` and :mod:`repro.core` is built from:
   local history tables.
 """
 
-from repro.common.bits import (
-    fold_bits,
-    hash_pc,
-    mask,
-    mix_hash,
-    rotate_left,
-)
-from repro.common.counters import (
-    SaturatingCounter,
-    SignedCounterArray,
-    SignedSaturatingCounter,
-    UnsignedCounterArray,
-)
-from repro.common.history import (
-    FoldedHistory,
-    GlobalHistory,
-    LocalHistoryTable,
-    PathHistory,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".bits": ("fold_bits", "hash_pc", "mask", "mix_hash", "rotate_left"),
+    ".counters": (
+        "SaturatingCounter", "SignedCounterArray", "SignedSaturatingCounter",
+        "UnsignedCounterArray",
+    ),
+    ".history": ("FoldedHistory", "GlobalHistory", "LocalHistoryTable", "PathHistory"),
+})
 
 __all__ = [
     "FoldedHistory",

@@ -14,20 +14,19 @@
   of the IMLI state (the practicality argument of the paper).
 """
 
-from repro.core.component import (
-    CounterSelection,
-    IndexedComponent,
-    NeuralComponent,
-    SharedState,
-)
-from repro.core.imli import IMLIState
-from repro.core.imli_oh import IMLIOuterHistoryComponent, OuterHistory
-from repro.core.imli_sic import IMLISameIterationComponent
-from repro.core.speculative import (
-    IMLICheckpoint,
-    SpeculativeIMLITracker,
-    checkpoint_cost_bits,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".component": (
+        "CounterSelection", "IndexedComponent", "NeuralComponent", "SharedState",
+    ),
+    ".imli": ("IMLIState",),
+    ".imli_oh": ("IMLIOuterHistoryComponent", "OuterHistory"),
+    ".imli_sic": ("IMLISameIterationComponent",),
+    ".speculative": (
+        "IMLICheckpoint", "SpeculativeIMLITracker", "checkpoint_cost_bits",
+    ),
+})
 
 __all__ = [
     "CounterSelection",

@@ -24,11 +24,15 @@ coordinator assembles results by (label, trace) slot, not arrival order.
 See ``docs/DISTRIBUTED.md`` for the architecture and protocol reference.
 """
 
-from repro.dist.client import DistBackend, submit_sweep
-from repro.dist.coordinator import Coordinator, JobFailed, SweepJob
-from repro.dist.journal import CoordinatorJournal
-from repro.dist.protocol import PROTOCOL_VERSION, ProtocolError
-from repro.dist.worker import CoordinatorUnreachable, Worker, run_worker
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".client": ("DistBackend", "submit_sweep"),
+    ".coordinator": ("Coordinator", "JobFailed", "SweepJob"),
+    ".journal": ("CoordinatorJournal",),
+    ".protocol": ("PROTOCOL_VERSION", "ProtocolError"),
+    ".worker": ("CoordinatorUnreachable", "Worker", "run_worker"),
+})
 
 __all__ = [
     "Coordinator",

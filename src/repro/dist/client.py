@@ -24,7 +24,7 @@ from repro.api.specs import PredictorSpec
 from repro.dist import protocol
 from repro.dist.protocol import ConnectionClosed, ProtocolError
 from repro.predictors.composites import SizeProfile
-from repro.sim.engine import SimulationResult
+from repro.sim.result import SimulationResult
 from repro.store import result_from_dict
 from repro.trace.trace import Trace
 

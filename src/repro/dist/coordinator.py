@@ -62,7 +62,7 @@ from repro.dist import protocol
 from repro.dist.journal import CoordinatorJournal
 from repro.dist.protocol import ProtocolError
 from repro.obs import default_registry, event_log_for, timing_log_for
-from repro.sim.engine import SimulationResult
+from repro.sim.result import SimulationResult
 from repro.sim.runner import (
     DEFAULT_BATCH_CELLS,
     ConfigurationRun,

@@ -68,7 +68,7 @@ from repro.common import diskguard
 from repro.dist import chaos, protocol
 from repro.dist.protocol import ConnectionClosed, ProtocolError
 from repro.obs import timing_log_for
-from repro.sim.engine import SimulationResult
+from repro.sim.result import SimulationResult
 from repro.sim.runner import (
     _CELL_ERRORS,
     DEFAULT_BATCH_CELLS,

@@ -16,18 +16,16 @@ The subsystem has three small layers:
 package; ``docs/TRACES.md`` documents the formats and guarantees.
 """
 
-from repro.ingest.gatekeeper import Gatekeeper, IngestError, POLICIES
-from repro.ingest.pipeline import IngestReport, ingest_trace
-from repro.ingest.readers import (
-    CBPTextReader,
-    RAW_MAGIC,
-    RawBinaryReader,
-    RawEvent,
-    TraceReader,
-    reader_names,
-    register_reader,
-    resolve_reader,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".gatekeeper": ("Gatekeeper", "IngestError", "POLICIES"),
+    ".pipeline": ("IngestReport", "ingest_trace"),
+    ".readers": (
+        "CBPTextReader", "RAW_MAGIC", "RawBinaryReader", "RawEvent", "TraceReader",
+        "reader_names", "register_reader", "resolve_reader",
+    ),
+})
 
 __all__ = [
     "CBPTextReader",

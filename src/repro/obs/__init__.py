@@ -20,25 +20,25 @@ scheduling decisions: the observability layer can be disabled wholesale
 without changing a single output byte.
 """
 
-from repro.obs.events import DEFAULT_EVENT_LOG, EventLog, event_log_for
-from repro.obs.metrics import (
-    DEFAULT_TIME_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    default_registry,
-    reset_default_registry,
-    telemetry_enabled,
-)
-from repro.obs.timings import (
-    TIMINGS_FILE,
-    TIMINGS_SUMMARY_FILE,
-    TimingLog,
-    summarize_timings,
-    timing_log_for,
-    timings_enabled,
-)
+from repro._lazy import lazy_exports
+
+#: Port of the status endpoints (``repro serve --status-port``, ``repro
+#: top``): one above the coordinator's TCP work port (4780).  Defined here,
+#: not in :mod:`repro.obs.http`, so the CLI parser does not import
+#: ``http.server``.
+DEFAULT_STATUS_PORT = 4781
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".events": ("DEFAULT_EVENT_LOG", "EventLog", "event_log_for"),
+    ".metrics": (
+        "DEFAULT_TIME_BUCKETS", "Counter", "Gauge", "Histogram", "MetricsRegistry",
+        "default_registry", "reset_default_registry", "telemetry_enabled",
+    ),
+    ".timings": (
+        "TIMINGS_FILE", "TIMINGS_SUMMARY_FILE", "TimingLog", "summarize_timings",
+        "timing_log_for", "timings_enabled",
+    ),
+})
 
 __all__ = [
     "Counter",

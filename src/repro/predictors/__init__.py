@@ -17,41 +17,30 @@ The package is organised bottom-up:
   in the paper (``tage-gsc``, ``tage-gsc+imli``, ``gehl+l`` ...).
 """
 
-from repro.predictors.adder import AdderTree
-from repro.predictors.base import BranchPredictor
-from repro.predictors.components import (
-    BiasComponent,
-    GlobalHistoryComponent,
-    IMLICountHashedGlobalComponent,
-    LocalHistoryComponent,
-    geometric_history_lengths,
-)
-from repro.predictors.composites import (
-    CONFIGURATIONS,
-    CompositeOptions,
-    SidecarPredictor,
-    SizeProfile,
-    build,
-    build_named,
-    configuration_names,
-    factory,
-)
-from repro.predictors.gehl import GEHLConfig, GEHLPredictor
-from repro.predictors.loop import LoopPredictor, LoopPredictorConfig
-from repro.predictors.simple import (
-    AlwaysTakenPredictor,
-    BimodalPredictor,
-    GSharePredictor,
-    PerceptronPredictor,
-    StaticBackwardTakenPredictor,
-)
-from repro.predictors.statistical_corrector import (
-    StatisticalCorrector,
-    StatisticalCorrectorConfig,
-)
-from repro.predictors.tage import TAGEConfig, TAGEEngine, TAGEPredictor
-from repro.predictors.tage_gsc import TAGEGSCConfig, TAGEGSCPredictor
-from repro.predictors.wormhole import WormholePredictor, WormholePredictorConfig
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".adder": ("AdderTree",),
+    ".base": ("BranchPredictor",),
+    ".components": (
+        "BiasComponent", "GlobalHistoryComponent", "IMLICountHashedGlobalComponent",
+        "LocalHistoryComponent", "geometric_history_lengths",
+    ),
+    ".composites": (
+        "CONFIGURATIONS", "CompositeOptions", "SidecarPredictor", "SizeProfile",
+        "build", "build_named", "configuration_names", "factory",
+    ),
+    ".gehl": ("GEHLConfig", "GEHLPredictor"),
+    ".loop": ("LoopPredictor", "LoopPredictorConfig"),
+    ".simple": (
+        "AlwaysTakenPredictor", "BimodalPredictor", "GSharePredictor",
+        "PerceptronPredictor", "StaticBackwardTakenPredictor",
+    ),
+    ".statistical_corrector": ("StatisticalCorrector", "StatisticalCorrectorConfig"),
+    ".tage": ("TAGEConfig", "TAGEEngine", "TAGEPredictor"),
+    ".tage_gsc": ("TAGEGSCConfig", "TAGEGSCPredictor"),
+    ".wormhole": ("WormholePredictor", "WormholePredictorConfig"),
+})
 
 __all__ = [
     "AdderTree",

@@ -91,14 +91,6 @@ class _TaggedTable:
         self.tag = [0] * entries
         self.useful = [0] * entries
 
-    def update_counter(self, index: int, taken: bool) -> None:
-        value = self.ctr[index]
-        if taken:
-            if value < self.counter_max:
-                self.ctr[index] = value + 1
-        elif value > self.counter_min:
-            self.ctr[index] = value - 1
-
 
 class TAGEEngine:
     """TAGE prediction and update logic over a shared fetch state."""

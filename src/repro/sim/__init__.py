@@ -1,7 +1,8 @@
 """Trace-driven simulation framework.
 
-* :mod:`repro.sim.engine` -- the immediate-update trace-driven simulator and
-  the MPKI-based :class:`SimulationResult`.
+* :mod:`repro.sim.engine` -- the immediate-update trace-driven simulator.
+* :mod:`repro.sim.result` -- the MPKI-based :class:`SimulationResult` and
+  ``ENGINE_VERSION`` (a leaf module: no predictor imports).
 * :mod:`repro.sim.metrics` -- aggregation helpers (average MPKI, per-trace
   deltas, most-improved / most-affected selections).
 * :mod:`repro.sim.runner` -- the memoising suite runner used by the
@@ -13,28 +14,26 @@
   model backing the paper's practicality argument.
 """
 
-from repro.sim.checkpointing import (
-    CheckpointRecoveryReport,
-    run_checkpoint_recovery,
-    speculative_management_cost,
-)
-from repro.sim.delayed_update import DelayedUpdateResult, run_delayed_update_experiment
-from repro.sim.engine import SimulationResult, simulate
-from repro.sim.metrics import (
-    average_mpki,
-    most_affected,
-    most_improved,
-    mpki_by_trace,
-    mpki_delta,
-    mpki_reduction_percent,
-)
-from repro.sim.runner import ConfigurationRun, SuiteRunner
-from repro.sim.storage import (
-    StorageReport,
-    imli_component_cost_bits,
-    speculative_state_report,
-    storage_report,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".checkpointing": (
+        "CheckpointRecoveryReport", "run_checkpoint_recovery",
+        "speculative_management_cost",
+    ),
+    ".delayed_update": ("DelayedUpdateResult", "run_delayed_update_experiment"),
+    ".engine": ("simulate",),
+    ".metrics": (
+        "average_mpki", "most_affected", "most_improved", "mpki_by_trace", "mpki_delta",
+        "mpki_reduction_percent",
+    ),
+    ".result": ("SimulationResult",),
+    ".runner": ("ConfigurationRun", "SuiteRunner"),
+    ".storage": (
+        "StorageReport", "imli_component_cost_bits", "speculative_state_report",
+        "storage_report",
+    ),
+})
 
 __all__ = [
     "CheckpointRecoveryReport",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from repro.sim.engine import SimulationResult
+from repro.sim.result import SimulationResult
 
 __all__ = [
     "average_mpki",

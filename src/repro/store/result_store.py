@@ -26,7 +26,7 @@ made fully content-addressed so it survives process boundaries:
   alone, so a benchmark regenerated with different content under the same
   name can never serve stale results; the flip side is that renaming a
   trace retires its cells even when the content is unchanged);
-* the **engine version** (:data:`repro.sim.engine.ENGINE_VERSION`) and the
+* the **engine version** (:data:`repro.sim.result.ENGINE_VERSION`) and the
   per-PC tracking flag.
 
 Record format and concurrency
@@ -70,11 +70,13 @@ import threading
 import time
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.common import diskguard
-from repro.predictors.composites import SizeProfile
-from repro.sim.engine import ENGINE_VERSION, SimulationResult
+from repro.sim.result import ENGINE_VERSION, SimulationResult
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only; keeps the store
+    from repro.predictors.composites import SizeProfile  # off the predictor stack
 
 __all__ = [
     "ResultStore",

@@ -16,16 +16,17 @@ test.  This package defines that stream:
   (branch/instruction counts, taken rates, per-PC footprints).
 """
 
-from repro.trace.branch import BranchKind, BranchRecord, conditional_branch
-from repro.trace.chunked import (
-    ChunkedTrace,
-    ChunkedTraceWriter,
-    load_any_trace,
-    load_chunked_trace,
-    write_chunked_trace,
-)
-from repro.trace.stats import TraceStatistics, compute_statistics
-from repro.trace.trace import Trace, load_trace, save_trace
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".branch": ("BranchKind", "BranchRecord", "conditional_branch"),
+    ".chunked": (
+        "ChunkedTrace", "ChunkedTraceWriter", "load_any_trace", "load_chunked_trace",
+        "write_chunked_trace",
+    ),
+    ".stats": ("TraceStatistics", "compute_statistics"),
+    ".trace": ("Trace", "load_trace", "save_trace"),
+})
 
 __all__ = [
     "BranchKind",

@@ -2,13 +2,26 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
 
-from repro.api import PredictorSpec
+from repro.analysis.experiments import experiment_ids
+from repro.api import PredictorSpec, default_registry
 from repro.cli import build_parser, main
 from repro.trace.trace import load_trace
+from repro.workloads.suites import suite_names
+
+
+def _eager_choice_error(choices, value: str, capsys) -> str:
+    """What argparse prints for ``value`` against a plain list of choices."""
+    parser = argparse.ArgumentParser(prog="eager")
+    parser.add_argument("value", choices=list(choices))
+    with pytest.raises(SystemExit):
+        parser.parse_args([value])
+    error = capsys.readouterr().err.strip().splitlines()[-1]
+    return error.split("argument value: ", 1)[1]
 
 
 class TestParser:
@@ -23,6 +36,33 @@ class TestParser:
     def test_rejects_unknown_suite(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--suite", "cbp5like"])
+
+    @pytest.mark.parametrize(
+        "argv, choices",
+        [
+            (["sweep", "--profile", "nosuch"], lambda: default_registry().profile_names()),
+            (["simulate", "--suite", "nosuch"], suite_names),
+            (["experiment", "nosuch"], experiment_ids),
+        ],
+        ids=["sweep-profile", "simulate-suite", "experiment-id"],
+    )
+    def test_invalid_choice_lists_the_registry(self, argv, choices, capsys):
+        """Lazily loaded choices print exactly what a plain list would."""
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        error = capsys.readouterr().err.strip().splitlines()[-1]
+        expected = _eager_choice_error(choices(), "nosuch", capsys)
+        assert expected.startswith("invalid choice: 'nosuch'")
+        assert error.endswith(expected)
+
+    def test_sweep_help_lists_profiles_and_suites(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["sweep", "--help"])
+        assert exited.value.code == 0
+        output = capsys.readouterr().out
+        assert "--profile {" + ",".join(default_registry().profile_names()) + "}" in output
+        assert "--suite {" + ",".join(suite_names()) + "}" in output
 
 
 class TestCommands:
