@@ -99,9 +99,9 @@ def _run_all(
 
     One :meth:`~repro.sim.runner.SuiteRunner.run_specs` call per suite, so
     configurations sharing a core (say ``tage-gsc``, ``+l``, ``+imli`` and
-    ``+imli+l``) run as one shared-core group per trace.  Spec labels
-    equal the configuration names, so the runners' memo is shared with
-    name-based callers and with the other experiments.
+    ``+imli+l``) run as one shared-core group per trace.  The runners'
+    memo is keyed by cell content, so it is shared with name-based
+    callers and with the other experiments.
     """
     return {
         suite: runners[suite].run_specs(

@@ -378,9 +378,9 @@ class Experiment:
     def _get_runner(self) -> SuiteRunner:
         """The experiment's runner, created on first use and then kept.
 
-        Keeping the runner (and its memoisation cache and worker pool)
-        across :meth:`run` calls makes repeated runs of overlapping spec
-        sets near-free.
+        Keeping the runner (and its memo of cell results, keyed by content
+        like the store's cells, and its worker pool) across :meth:`run`
+        calls makes repeated runs of overlapping spec sets near-free.
         """
         if self._runner is None:
             self._runner = SuiteRunner(

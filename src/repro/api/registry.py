@@ -30,11 +30,15 @@ profile stores with the legacy module-level dicts, so the shims
 ``CONFIGURATIONS``, ``build_named`` and ``factory`` stay live views of it.
 Scoped registries (``Registry.with_defaults()`` or a bare ``Registry()``)
 give tests and applications isolated namespaces.
+
+A registry is only consulted to *resolve* a name: the suite runner and the
+result store key every cell on the resolved options and profile geometry,
+so replacing or removing a definition needs no cache bookkeeping here --
+the next run of that name resolves to a different key.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Union
 
@@ -64,6 +68,9 @@ ProfileLike = Union[str, SizeProfile]
 class Registry:
     """Named predictor configurations and size profiles.
 
+    Mutations are plain dict updates with no cache bookkeeping (see the
+    module docstring and :func:`repro.sim.runner.store_cell_keys`).
+
     Parameters
     ----------
     configurations:
@@ -74,13 +81,6 @@ class Registry:
     builders:
         Initial ``name -> builder`` mapping (copied).
     """
-
-    #: Process-unique tokens, used by the suite runner's memoisation key
-    #: (raw id() could be reused after garbage collection).  A registry
-    #: takes a fresh token on every mutation, so cached simulation results
-    #: keyed on the token can never outlive the definitions they were
-    #: built from.
-    _tokens = itertools.count(1)
 
     def __init__(
         self,
@@ -95,12 +95,6 @@ class Registry:
             profiles if profiles is not None else {}
         )
         self._builders: Dict[str, Builder] = dict(builders) if builders else {}
-        #: Stable identity of this registry instance (never changes).
-        self.uid: int = next(Registry._tokens)
-        #: Generation counter: takes a fresh value on every mutation, so
-        #: caches can detect that results built from this registry are out
-        #: of date (see repro.sim.runner).
-        self.token: int = self.uid
 
     @classmethod
     def with_defaults(cls) -> "Registry":
@@ -194,7 +188,6 @@ class Registry:
                 f"configuration {name!r} is already registered "
                 "(pass overwrite=True to replace it)"
             )
-        replacing = name in self
         if isinstance(configuration, CompositeOptions):
             self._options[name] = configuration
             self._builders.pop(name, None)
@@ -206,8 +199,6 @@ class Registry:
                 "configuration must be a CompositeOptions or a builder "
                 f"callable, got {type(configuration).__name__}"
             )
-        if replacing:
-            self._touch()
         return configuration
 
     def register_profile(
@@ -243,10 +234,7 @@ class Registry:
                 f"size profile {name!r} is already registered "
                 "(pass overwrite=True to replace it)"
             )
-        replacing = name in self._profiles
         self._profiles[name] = profile
-        if replacing:
-            self._touch()
         return profile
 
     def unregister(self, name: str) -> None:
@@ -255,16 +243,6 @@ class Registry:
         found = self._builders.pop(name, None) is not None or found
         if not found:
             raise KeyError(f"unknown configuration {name!r}")
-        self._touch()
-
-    def _touch(self) -> None:
-        """Take a fresh token, invalidating memoised results built from us.
-
-        Only mutations that replace or remove an existing definition call
-        this -- purely additive registrations cannot change what any
-        cached result was built from, so they keep caches warm.
-        """
-        self.token = next(Registry._tokens)
 
     # ----------------------------------------------------------------- #
     # Building

@@ -99,9 +99,9 @@ class PredictorSpec:
         ``name``: two specs that build the same predictor the same way have
         equal content regardless of what they are called, and the string is
         stable across processes and sessions (keys are sorted, no hashes of
-        live objects).  This is the spec component of the suite runner's
-        memoisation key and of persistent result-store keys
-        (:mod:`repro.store`).  Note that a *named* spec and its
+        live objects).  Resolved, it is the spec component of the cell key
+        that both the suite runner's memo and the persistent result store
+        use (:mod:`repro.store`).  Note that a *named* spec and its
         :meth:`resolve`-d explicit-options form have different content;
         resolve first when registry-independent identity is wanted.
         """

@@ -52,9 +52,5 @@ class BranchPredictor(ABC):
     def storage_bits(self) -> int:
         """Number of storage bits the predictor configuration models."""
 
-    def storage_kilobits(self) -> float:
-        """Storage in Kbits (the unit the paper's tables use)."""
-        return self.storage_bits() / 1024.0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

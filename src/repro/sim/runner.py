@@ -3,10 +3,10 @@
 The benchmark harness and the examples all follow the same pattern: build a
 set of traces (one or both synthetic suites), run a set of predictor
 configurations over every trace, and aggregate per-suite average MPKI.
-:class:`SuiteRunner` implements that pattern once, with memoisation so that
-several experiments sharing a configuration (for example Table 1 and
-Figure 8, which both need ``tage-gsc`` and ``tage-gsc+imli``) only pay for
-the simulation once.
+:class:`SuiteRunner` implements that pattern once, with a memo keyed like
+the persistent store's cells, so that several experiments sharing a
+configuration (for example Table 1 and Figure 8, which both need
+``tage-gsc`` and ``tage-gsc+imli``) only pay for the simulation once.
 
 Execution is **backend-pluggable**: the same batch of independent
 ``(configuration, trace)`` cells can run in-process (``serial``), across a
@@ -15,28 +15,28 @@ automatically by ``max_workers``), or on a cluster through a
 :class:`~repro.dist.client.DistBackend` connected to a ``repro serve``
 coordinator.  Each cell is a self-contained unit of work (a fresh
 predictor trained on one trace), so every backend produces bit-identical
-results, merged back into the same memoisation cache and persistent
-store.  :func:`plan_cells` is the one cell planner, shared with the dist
-coordinator: it probes the store and puts the missing cells in
-scheduling order.  Every spec -- registry-named, declarative
-:class:`~repro.api.specs.PredictorSpec` or from a scoped registry -- runs
-through the same batched tasks.  Specs that resolve to explicit options
-are self-contained, so any backend may run them; builder-based specs
-build in-process and join the serial tasks of their trace.  Every task
-returns one outcome per cell (:func:`_simulate_spec_batch`): the cell's
-result or the exception its build or replay raised.
+results, merged back into the same memo and persistent store.
+:func:`plan_cells` is the one cell planner and the one result lookup,
+shared with the dist coordinator: it probes the memo and the store and
+puts the missing cells in scheduling order.  Every spec -- registry-named,
+declarative :class:`~repro.api.specs.PredictorSpec` or from a scoped
+registry -- runs through the same batched tasks.  Specs that resolve to
+explicit options are self-contained, so any backend may run them;
+builder-based specs build in-process and join the serial tasks of their
+trace.  Every task returns one outcome per cell
+(:func:`_simulate_spec_batch`): the cell's result or the exception its
+build or replay raised.
 
 Traces are duck-typed: anything exposing ``name``, ``fingerprint()`` and
 the engine's column surface works, so
 :class:`~repro.trace.chunked.ChunkedTrace` objects stream through every
-backend in bounded memory -- memo keys, store cell keys and results are
-byte-identical to the same trace loaded monolithically (chunked traces
-pickle by directory, so the pool backend works unchanged).
+backend in bounded memory -- cell keys and results are byte-identical to
+the same trace loaded monolithically (chunked traces pickle by directory,
+so the pool backend works unchanged).
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import sys
 import time
@@ -132,7 +132,7 @@ def store_cell_keys(
     traces: Sequence[Trace],
     track_per_pc: bool,
 ) -> Optional[List[str]]:
-    """Per-trace persistent-store cell keys of a resolved spec.
+    """Per-trace cell keys of a resolved spec, for the store and the memo.
 
     ``None`` when the spec did not resolve to explicit options:
     builder-based specs have no content-addressed identity.
@@ -153,8 +153,8 @@ class PlannedCell:
 
     label: str
     index: int
-    #: Persistent-store key; ``None`` without a store and for builder-based
-    #: specs, which have no content-addressed identity.
+    #: Cell key of the store and the memo; ``None`` without either and for
+    #: builder-based specs, which have no content-addressed identity.
     store_key: Optional[str]
     #: :func:`core_schedule_key` of the cell's spec.
     core_key: str
@@ -167,17 +167,20 @@ def plan_cells(
     track_per_pc: bool,
     store: Optional[ResultStore],
     cells: Optional[Container[Tuple[str, int]]] = None,
+    memo: Optional[Mapping[str, SimulationResult]] = None,
 ) -> Tuple[List[Tuple[PlannedCell, SimulationResult]], List[PlannedCell]]:
-    """Probe the store for every cell and put the misses in scheduling order.
+    """Look every cell up and put the misses in scheduling order.
 
-    The one cell planner of the suite runner and the dist coordinator.
-    ``specs`` maps each label to its resolved spec and ``sizes`` to its
-    resolved :class:`SizeProfile` (``None`` for builder-based specs); the
-    cells are ``specs x traces``, or only the ``(label, trace index)``
-    pairs in ``cells`` when given.  Each cell's store key is read once.
-    Returns ``(hits, pending)``: the stored cells with their results, in
+    The one cell planner, and the one result lookup, of the suite runner
+    and the dist coordinator.  ``specs`` maps each label to its resolved
+    spec and ``sizes`` to its resolved :class:`SizeProfile` (``None`` for
+    builder-based specs); the cells are ``specs x traces``, or only the
+    ``(label, trace index)`` pairs in ``cells`` when given.  Each cell key
+    is looked up in ``memo`` (the suite runner's in-process results; the
+    coordinator has none) and, on a miss there, read once from ``store``.
+    Returns ``(hits, pending)``: the found cells with their results, in
     label-major order, and the missing cells in :func:`schedule_cells`
-    order.  Both callers derive store keys here, so a local sweep's store
+    order.  Both callers derive cell keys here, so a local sweep's store
     resumes a coordinator and the other way round.
     """
     hits: List[Tuple[PlannedCell, SimulationResult]] = []
@@ -185,7 +188,7 @@ def plan_cells(
     for label, spec in specs.items():
         keys = (
             store_cell_keys(spec, sizes[label], traces, track_per_pc)
-            if store is not None
+            if store is not None or memo is not None
             else None
         )
         core_key = core_schedule_key(spec, sizes[label])
@@ -193,7 +196,11 @@ def plan_cells(
             if cells is not None and (label, index) not in cells:
                 continue
             cell = PlannedCell(label, index, keys[index] if keys else None, core_key)
-            stored = store.get(cell.store_key) if cell.store_key is not None else None
+            stored = None
+            if cell.store_key is not None:
+                stored = memo.get(cell.store_key) if memo is not None else None
+                if stored is None and store is not None:
+                    stored = store.get(cell.store_key)
             if stored is None:
                 pending.append((index, core_key, cell))
             else:
@@ -235,41 +242,9 @@ def check_batch(batch: int) -> int:
 #: the coordinator requeues its leases.
 _CELL_ERRORS = (KeyError, TypeError, ValueError, AttributeError)
 
-#: Memoisation key: (label, profile, per-PC tracking requested, registry
-#: uid, content token, traces digest).  The profile is part of the key
-#: because specs carry their own profile which may differ from the
-#: runner's; the tracking flag is part of the key because a run simulated
-#: without per-PC tracking has empty ``per_pc_mispredictions`` and must
-#: not satisfy a later request that needs them; the registry uid (the
-#: stable ``Registry.uid`` of whichever registry resolves the spec) keeps
-#: results built against different registries from shadowing each other;
-#: the content token (a canonical dump of the spec minus its display
-#: name) keeps two specs that merely share a label from poisoning each
-#: other's entries; and the traces digest (a hash over the traces'
-#: content fingerprints, recomputed per lookup) keeps results keyed on
-#: what the traces *are*, not which benchmarks they are named after -- a
-#: trace regenerated with different content (e.g. after
-#: ``REPRO_TRACE_CACHE`` invalidation, or mutated in place) can never be
-#: served a stale run.
-#:
-#: Each entry stores the registry's mutation ``token`` next to the run: a
-#: registry mutation bumps the token, so stale results are never served
-#: and are replaced in place -- bounded growth.
-_CacheKey = Tuple[str, str, bool, int, str, str]
-_CacheEntry = Tuple[int, "ConfigurationRun"]
-
 #: One cell's outcome from a batched task: its result, or the exception
 #: its build or replay raised.
 _Outcome = Union[SimulationResult, BaseException]
-
-
-def _registry_identity(registry) -> Tuple[int, int]:
-    """(stable uid, current mutation token) of a registry (default if None)."""
-    if registry is None:
-        from repro.api.registry import default_registry
-
-        registry = default_registry()
-    return registry.uid, registry.token
 
 
 def _build_spec_predictor(
@@ -451,6 +426,11 @@ class ConfigurationRun:
 class SuiteRunner:
     """Runs predictor configurations over a fixed set of traces.
 
+    Results are kept in a memo keyed by the store's cell key
+    (:func:`store_cell_keys`), so a cell of the same content -- under any
+    label, resolved through any registry -- is simulated once per runner.
+    Builder-based specs have no content key and replay on every call.
+
     Parameters
     ----------
     traces:
@@ -484,7 +464,7 @@ class SuiteRunner:
         in-process simulation even when ``max_workers`` is set.
     progress:
         Optional ``(done, total)`` callable invoked as cells complete
-        (simulated, loaded from the store, or already memoised) -- e.g. a
+        (simulated, loaded from the store, or found in the memo) -- e.g. a
         :class:`~repro.common.progress.ProgressPrinter` for live sweep
         output.
     batch:
@@ -548,8 +528,9 @@ class SuiteRunner:
                 self.store.root if self.store is not None else None,
                 component="runner",
             )
-        #: (validity stamp, run) per key -- see ``_CacheKey``/``_CacheEntry``.
-        self._cache: Dict[_CacheKey, _CacheEntry] = {}
+        #: Every result this runner simulated or read from the store, by
+        #: cell key (:func:`store_cell_keys`), for :func:`plan_cells`.
+        self._memo: Dict[str, SimulationResult] = {}
         self._pool: Optional[ProcessPoolExecutor] = None
         self._progress_total = 0
         self._progress_done = 0
@@ -557,18 +538,6 @@ class SuiteRunner:
     def trace_names(self) -> List[str]:
         """Names of the traces the runner evaluates on."""
         return [trace.name for trace in self.traces]
-
-    def _traces_digest(self) -> str:
-        """Hash over the traces' content fingerprints (memo key component).
-
-        Recomputed per lookup from the traces' cached fingerprints, so a
-        trace mutated (or regenerated) in place changes the digest and the
-        memo can never serve a run computed from the old content.
-        """
-        digest = hashlib.sha256()
-        for trace in self.traces:
-            digest.update(trace.fingerprint().encode("ascii"))
-        return digest.hexdigest()
 
     def _pool_size(self) -> int:
         """Worker count of the local pool: ``max_workers``, else the CPUs."""
@@ -603,7 +572,7 @@ class SuiteRunner:
         """Run the registry-named ``configuration`` over every trace.
 
         This is :meth:`run_many` with one configuration, so it shares the
-        memoisation of named specs at the runner's profile.  A fresh
+        memo with every spec of the same content.  A fresh
         predictor instance is built per trace, as in the championship
         framework.
         """
@@ -617,15 +586,14 @@ class SuiteRunner:
     ) -> ConfigurationRun:
         """Run a declarative :class:`~repro.api.specs.PredictorSpec`.
 
-        The spec carries its own profile and overrides; results are
-        memoised on the spec's label *and* content (see ``_CacheKey``), so
-        same-label specs with different content never shadow each other,
-        and :meth:`run`-style named callers share work with specs built
-        via ``from_named`` (content is compared textually, so an
-        options-based spec does not share with the equivalent named one).
-        A registry mutation invalidates its entries (stale entries are
-        replaced in place, so mutate-then-run cycles do not grow the
-        cache).  This is :meth:`run_specs` with one spec.
+        The spec carries its own profile and overrides.  Its cells are
+        looked up by content (:func:`store_cell_keys`), not by label, so
+        every spec that resolves to the same options, profile geometry and
+        traces -- a registry name, the equivalent options-based spec, a
+        renamed copy -- shares one replay, and a re-registered name,
+        profile or changed trace resolves to a new key.  Builder-based
+        specs have no content key and replay on every call.  This is
+        :meth:`run_specs` with one spec.
         """
         return self.run_specs([spec], track_per_pc, registry)[spec.label]
 
@@ -637,55 +605,29 @@ class SuiteRunner:
     ) -> Dict[str, ConfigurationRun]:
         """Run several specs and return their runs keyed by label.
 
-        Every missing spec is resolved against ``registry`` (default: the
-        process-wide one) and all their ``(spec, trace)`` cells run as one
-        batch (:meth:`_run_batch_specs`).  A resolved options-based spec is
-        self-contained, so its cells may run on the pool or a backend even
-        when a scoped ``registry`` defined it; builder-based specs run
-        in-process.  Two different specs sharing one label would shadow
-        each other in the returned dict, so that is rejected.
+        Every spec is resolved against ``registry`` (default: the
+        process-wide one) and all their ``(spec, trace)`` cells are planned
+        and run as one batch (:meth:`_run_batch_specs`).  A resolved
+        options-based spec is self-contained, so its cells may run on the
+        pool or a backend even when a scoped ``registry`` defined it;
+        builder-based specs run in-process.  Two different specs sharing
+        one label would shadow each other in the returned dict, so that is
+        rejected.
         """
-        specs = list(specs)
-        contents: Dict[str, str] = {}
+        unique: Dict[str, "PredictorSpec"] = {}
         for spec in specs:
-            content = spec.content()
-            if contents.setdefault(spec.label, content) != content:
+            if unique.setdefault(spec.label, spec).content() != spec.content():
                 raise ValueError(
                     f"two different specs share the label {spec.label!r}; "
                     "give one an explicit name"
                 )
-        uid, token = _registry_identity(registry)
-        digest = self._traces_digest()
-        self._progress_begin(len(specs) * len(self.traces))
+        self._progress_begin(len(unique) * len(self.traces))
         try:
-            runs: Dict[str, ConfigurationRun] = {}
-            missing: Dict[str, "PredictorSpec"] = {}
-            keys: Dict[str, _CacheKey] = {}
-            # Cells of specs that are already memoised (or duplicated in
-            # this call) complete instantly; count them up front so the
-            # session total is honest.
-            instant = 0
-            for spec in specs:
-                key = (
-                    spec.label, str(spec.profile), bool(track_per_pc), uid,
-                    contents[spec.label], digest,
-                )
-                cached = self._cache.get(key)
-                if cached is not None and cached[0] == token:
-                    runs[spec.label] = cached[1]
-                elif spec.label not in missing:
-                    missing[spec.label] = spec.resolve(registry)
-                    keys[spec.label] = key
-                    continue
-                instant += len(self.traces)
-            self._progress_advance(instant)
-            if missing:
-                for label, run in self._run_batch_specs(
-                    missing, track_per_pc, registry
-                ).items():
-                    self._cache[keys[label]] = (token, run)
-                    runs[label] = run
-            return {spec.label: runs[spec.label] for spec in specs}
+            return self._run_batch_specs(
+                {label: spec.resolve(registry) for label, spec in unique.items()},
+                track_per_pc,
+                registry,
+            )
         finally:
             if self.timings is not None:
                 self.timings.write_summary()
@@ -722,7 +664,7 @@ class SuiteRunner:
         track_per_pc: bool,
         registry=None,
     ) -> Dict[str, ConfigurationRun]:
-        """Run every (resolved spec, trace) cell and persist the new ones.
+        """Run every (resolved spec, trace) cell and keep the new ones.
 
         Profiles of options-based specs are resolved to
         :class:`SizeProfile` instances here, in the parent, so pool
@@ -731,9 +673,10 @@ class SuiteRunner:
         the wire protocol, and unknown profile names fail fast with a
         parent-side KeyError).
 
-        :func:`plan_cells` fills cells already in the store directly and
-        only the misses are executed -- a fully stored batch never even
-        touches the backend.
+        :func:`plan_cells` fills cells already in the memo or the store
+        directly and only the misses are executed -- a fully stored batch
+        never even touches the backend.  Every keyed result goes into the
+        memo, and a new one into the store too.
         """
         if registry is None:
             from repro.api.registry import default_registry
@@ -748,16 +691,16 @@ class SuiteRunner:
             for label, spec in specs.items()
         }
         hits, pending = plan_cells(
-            specs, sizes, self.traces, track_per_pc, self.store
+            specs, sizes, self.traces, track_per_pc, self.store, memo=self._memo
         )
         slots: Dict[str, List[Optional[SimulationResult]]] = {
             label: [None] * len(self.traces) for label in specs
         }
         for cell, result in hits:
-            # The stored cell may have been written under another display
-            # name for the same content.
-            result.predictor_name = cell.label
-            slots[cell.label][cell.index] = result
+            # Every label of the same content shares one memo or store
+            # entry: hand this label its own renamed copy.
+            self._memo[cell.store_key] = result
+            slots[cell.label][cell.index] = replace(result, predictor_name=cell.label)
             self._progress_advance()
         store_keys = {(cell.label, cell.index): cell.store_key for cell in pending}
         for (label, index), result, timing in self._execute_pending(
@@ -767,6 +710,8 @@ class SuiteRunner:
             key = store_keys[label, index]
             store_seconds = None
             if key is not None:
+                self._memo[key] = result
+            if key is not None and self.store is not None:
                 store_started = time.monotonic()
                 self.store.persist(
                     key,
@@ -990,11 +935,3 @@ class SuiteRunner:
             (PredictorSpec.from_named(c, profile=self.profile) for c in configurations),
             track_per_pc,
         )
-
-    def invalidate(self, configuration: Optional[str] = None) -> None:
-        """Drop memoised results (all of them, or one configuration/label)."""
-        if configuration is None:
-            self._cache.clear()
-        else:
-            for key in [k for k in self._cache if k[0] == configuration]:
-                del self._cache[key]

@@ -13,8 +13,9 @@ each producing one :class:`~repro.sim.engine.SimulationResult`.  The
 
 Cell identity
 -------------
-A cell key is the SHA-256 over the same identity the in-memory memo uses,
-made fully content-addressed so it survives process boundaries:
+A cell key is the SHA-256 over a fully content-addressed identity, so it
+survives process boundaries (the suite runner's in-memory memo uses the
+same keys):
 
 * the **spec content** (:meth:`repro.api.specs.PredictorSpec.content` of
   the *resolved* spec -- explicit options, label-independent);
@@ -304,11 +305,7 @@ class ResultStore:
             self.hits += 1
         return _result_from_record(record)
 
-    def get_record(self, key: str) -> Optional[Dict[str, Any]]:
-        """The raw record dict for ``key``, or ``None`` (no counters)."""
-        return self._read_record(key, count=False)
-
-    def _read_record(self, key: str, count: bool = True) -> Optional[Dict[str, Any]]:
+    def _read_record(self, key: str) -> Optional[Dict[str, Any]]:
         for path in self._paths_for(key):
             if not path.is_file():
                 continue

@@ -29,18 +29,6 @@ class TraceStatistics:
     backward_branch_fraction: float
     mean_inner_loop_trip_count: float
 
-    def as_dict(self) -> Dict[str, float]:
-        """Return the statistics as a plain dictionary (for reporting)."""
-        return {
-            "total_branches": self.total_branches,
-            "conditional_branches": self.conditional_branches,
-            "instructions": self.instructions,
-            "static_conditional_branches": self.static_conditional_branches,
-            "taken_rate": self.taken_rate,
-            "backward_branch_fraction": self.backward_branch_fraction,
-            "mean_inner_loop_trip_count": self.mean_inner_loop_trip_count,
-        }
-
 
 def compute_statistics(trace: Trace) -> TraceStatistics:
     """Compute :class:`TraceStatistics` for ``trace``.

@@ -134,3 +134,24 @@ def simple_loop_records() -> list:
                 )
             )
     return records
+
+
+@pytest.fixture
+def replays(monkeypatch) -> list:
+    """Cell counts of the suite runner's in-process replays, one per task.
+
+    Wraps ``repro.sim.runner._simulate_spec_batch``, the entry point of
+    every serial task, so a test can tell a memo or store hit (nothing
+    appended) from a replay.
+    """
+    import repro.sim.runner as runner_module
+
+    calls = []
+    batch = runner_module._simulate_spec_batch
+
+    def _counting(builders, trace, track_per_pc):
+        calls.append(len(builders))
+        return batch(builders, trace, track_per_pc)
+
+    monkeypatch.setattr(runner_module, "_simulate_spec_batch", _counting)
+    return calls

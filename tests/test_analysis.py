@@ -149,6 +149,7 @@ class TestExperimentsOnTinySuites:
         assert set(grouped["SPEC2K6-04"]) == {"imli-sic", "imli-sic+oh"}
 
     def test_one_batch_per_suite(self, monkeypatch):
+        import repro.sim.runner as runner_module
         from repro.sim.runner import SuiteRunner
         from repro.workloads.suites import generate_suite
 
@@ -161,20 +162,20 @@ class TestExperimentsOnTinySuites:
             for suite, name in (("cbp4like", "SPEC2K6-04"), ("cbp3like", "CLIENT02"))
         }
         batches = []
-        run_batch_specs = SuiteRunner._run_batch_specs
+        simulate_spec_batch = runner_module._simulate_spec_batch
 
-        def _spy(runner, specs, *args, **kwargs):
-            batches.append((runner, sorted(specs)))
-            return run_batch_specs(runner, specs, *args, **kwargs)
+        def _spy(builders, trace, track_per_pc):
+            batches.append((trace.name, sorted(build().name for build in builders)))
+            return simulate_spec_batch(builders, trace, track_per_pc)
 
-        monkeypatch.setattr(SuiteRunner, "_run_batch_specs", _spy)
+        monkeypatch.setattr(runner_module, "_simulate_spec_batch", _spy)
         run_experiment("table1", runners)
         configurations = sorted(
             ["tage-gsc", "tage-gsc+l", "tage-gsc+imli", "tage-gsc+imli+l"]
         )
         assert batches == [
-            (runners["cbp4like"], configurations),
-            (runners["cbp3like"], configurations),
+            ("SPEC2K6-04", configurations),
+            ("CLIENT02", configurations),
         ]
         # Figure 14 reads the same configurations: every run is memoised.
         run_experiment("fig14", runners)

@@ -162,11 +162,12 @@ class TestResultSetExport:
 
 
 class TestRunnerSpecPath:
-    def test_run_spec_shares_cache_with_run(self, easy_trace, local_trace):
-        runner = SuiteRunner([easy_trace, local_trace], profile="small")
+    def test_run_spec_shares_cache_with_run(self, easy_trace, local_trace, replays):
+        runner = SuiteRunner([easy_trace, local_trace], profile="small", store=False)
         by_name = runner.run("tage-gsc")
         by_spec = runner.run_spec(PredictorSpec.from_named("tage-gsc", profile="small"))
-        assert by_spec is by_name  # same memoisation entry
+        assert replays == [1, 1]  # one replay per trace, none for the spec
+        assert by_spec.results == by_name.results
 
     def test_profiles_do_not_collide_in_the_cache(self, easy_trace):
         runner = SuiteRunner([easy_trace], profile="small")
@@ -176,13 +177,6 @@ class TestRunnerSpecPath:
         )
         assert small is not default
         assert small.storage_bits < default.storage_bits
-
-    def test_invalidate_drops_spec_entries(self, easy_trace):
-        runner = SuiteRunner([easy_trace], profile="small")
-        spec = PredictorSpec.from_named("tage-gsc", profile="small")
-        first = runner.run_spec(spec)
-        runner.invalidate("tage-gsc")
-        assert runner.run_spec(spec) is not first
 
     def test_worker_entry_point_needs_no_parent_registrations(self, easy_trace):
         # Simulates a spawn-start worker: the profile name below is not
@@ -206,10 +200,10 @@ class TestRunnerSpecPath:
             "tage-gsc+sic", profile="small"
         ).storage_bits()
 
-    def test_registry_mutation_invalidates_cache(self, easy_trace):
+    def test_registry_mutation_invalidates_cache(self, easy_trace, replays):
         from repro.api import CompositeOptions, default_registry, register_configuration
 
-        runner = SuiteRunner([easy_trace], profile="small")
+        runner = SuiteRunner([easy_trace], profile="small", store=False)
         register_configuration("mut-cfg", CompositeOptions(base="tage-gsc"))
         try:
             spec = PredictorSpec.from_named("mut-cfg", profile="small")
@@ -219,22 +213,27 @@ class TestRunnerSpecPath:
                 overwrite=True,
             )
             second = runner.run_spec(spec)
-            assert second is not first
+            assert replays == [1, 1]  # the new definition replays
             assert second.storage_bits != first.storage_bits
-            # the stale entry is replaced in place, not accumulated
-            assert len([k for k in runner._cache if k[0] == "mut-cfg"]) == 1
+            # Restoring the old definition finds its cell again.
+            register_configuration(
+                "mut-cfg", CompositeOptions(base="tage-gsc"), overwrite=True
+            )
+            assert runner.run_spec(spec).results == first.results
+            assert replays == [1, 1]
         finally:
             default_registry().unregister("mut-cfg")
 
-    def test_additive_registration_keeps_cache_warm(self, easy_trace):
+    def test_additive_registration_keeps_cache_warm(self, easy_trace, replays):
         from repro.api import CompositeOptions, default_registry, register_configuration
 
-        runner = SuiteRunner([easy_trace], profile="small")
+        runner = SuiteRunner([easy_trace], profile="small", store=False)
         spec = PredictorSpec.from_named("tage-gsc", profile="small")
         first = runner.run_spec(spec)
         register_configuration("brand-new-cfg", CompositeOptions(base="gehl"))
         try:
-            assert runner.run_spec(spec) is first
+            assert runner.run_spec(spec).results == first.results
+            assert replays == [1]
         finally:
             default_registry().unregister("brand-new-cfg")
 
@@ -255,14 +254,55 @@ class TestRunnerSpecPath:
         assert spec.label == "mine"
         assert spec.base == "tage-gsc"
 
-    def test_alternating_registries_stay_memoised(self, easy_trace):
-        runner = SuiteRunner([easy_trace], profile="small")
+    def test_alternating_registries_stay_memoised(self, easy_trace, replays):
+        runner = SuiteRunner([easy_trace], profile="small", store=False)
         spec = PredictorSpec.from_named("tage-gsc", profile="small")
         scoped = Registry.with_defaults()
         via_default = runner.run_spec(spec)
-        via_scoped = runner.run_spec(spec, registry=scoped)
-        assert runner.run_spec(spec) is via_default
-        assert runner.run_spec(spec, registry=scoped) is via_scoped
+        # The scoped registry resolves the name to the same content, so
+        # every run after the first is a memo hit.
+        assert runner.run_spec(spec, registry=scoped).results == via_default.results
+        assert runner.run_spec(spec).results == via_default.results
+        assert runner.run_spec(spec, registry=scoped).results == via_default.results
+        assert replays == [1]
+
+    def test_equal_content_labels_share_one_replay(self, easy_trace, replays):
+        runner = SuiteRunner([easy_trace], profile="small", store=False)
+        first = runner.run_spec(PredictorSpec.from_named("tage-gsc", profile="small"))
+        mine = runner.run_spec(
+            PredictorSpec.from_named("tage-gsc", profile="small", label="mine")
+        )
+        assert replays == [1]
+        assert mine.configuration == "mine"
+        assert mine.results[0].predictor_name == "mine"
+        assert first.results[0].predictor_name == "tage-gsc"  # not renamed
+        assert mine.results[0].mispredictions == first.results[0].mispredictions
+
+    def test_named_and_resolved_options_share_one_replay(self, easy_trace, replays):
+        from repro.api import CompositeOptions
+
+        runner = SuiteRunner([easy_trace], profile="small", store=False)
+        named = PredictorSpec.from_named("tage-gsc", profile="small")
+        resolved = named.resolve()
+        assert isinstance(resolved.base, CompositeOptions)
+        options = PredictorSpec(base=resolved.base, profile="small", name="opts")
+        by_name = runner.run_spec(named)
+        by_options = runner.run_spec(options)
+        assert replays == [1]
+        assert by_options.results[0].predictor_name == "opts"
+        assert by_options.results[0].mispredictions == by_name.results[0].mispredictions
+
+    def test_builder_spec_replays_on_every_call(self, easy_trace, replays):
+        registry = Registry.with_defaults()
+        registry.register_configuration(
+            "every-call", lambda profile: BimodalPredictor(entries=64)
+        )
+        runner = SuiteRunner([easy_trace], profile="small", store=False)
+        spec = PredictorSpec.from_named("every-call", profile="small")
+        first = runner.run_spec(spec, registry=registry)
+        second = runner.run_spec(spec, registry=registry)
+        assert replays == [1, 1]  # no content key, so no memo entry
+        assert second.results == first.results
 
     def test_different_builders_do_not_share_cache(self, easy_trace):
         runner = SuiteRunner([easy_trace], profile="small")

@@ -152,7 +152,6 @@ class TestTraceStatistics:
         assert stats.conditional_branches <= stats.total_branches
         assert 0.0 <= stats.taken_rate <= 1.0
         assert stats.instructions == sic_trace.instruction_count
-        assert stats.as_dict()["conditional_branches"] == stats.conditional_branches
 
     def test_empty_trace(self):
         stats = compute_statistics(Trace(name="empty"))

@@ -618,6 +618,32 @@ class TestCellPlanner:
         assert [(cell.label, cell.index) for cell, _ in subset_hits] == [subset[1]]
         assert [(cell.label, cell.index) for cell in subset_pending] == [subset[0]]
 
+    def test_memo_is_probed_before_the_store(self, traces, tmp_path, monkeypatch):
+        from repro.api import default_registry
+        from repro.sim.runner import plan_cells, store_cell_keys
+
+        store = ResultStore(tmp_path / "store")
+        Experiment(self.GRID[:1], traces=traces[:2], profile="small", store=store).run()
+        spec = self.GRID[0].resolve()
+        specs = {spec.label: spec}
+        sizes = {spec.label: default_registry().resolve_profile("small")}
+        keys = store_cell_keys(spec, sizes[spec.label], traces[:2], False)
+        memo = {keys[0]: store.get(keys[0])}
+        read = []
+        get = store.get
+        monkeypatch.setattr(store, "get", lambda key: read.append(key) or get(key))
+        hits, pending = plan_cells(specs, sizes, traces[:2], False, store, memo=memo)
+        assert read == [keys[1]]  # the memo hit never reads the store
+        assert hits[0][1] is memo[keys[0]]
+        assert [(cell.index, cell.store_key) for cell, _ in hits] == [
+            (0, keys[0]), (1, keys[1]),
+        ]
+        assert result_to_dict(hits[1][1]) == result_to_dict(get(keys[1]))
+        assert pending == []
+        # Without a store, a memo miss is pending and keeps its key.
+        _, pending = plan_cells(specs, sizes, traces[:2], False, None, memo=memo)
+        assert [(cell.index, cell.store_key) for cell in pending] == [(1, keys[1])]
+
 
 class TestResultStoreHooks:
     def test_result_dict_round_trip(self, traces):

@@ -123,7 +123,7 @@ def _builder_registry():
 class TestSuiteRunner:
     def _runner(self):
         traces = [_tiny_trace("t1"), _tiny_trace("t2")]
-        return SuiteRunner(traces, profile="small")
+        return SuiteRunner(traces, profile="small", store=False)
 
     def _run(self, runner, registry, name="always", track_per_pc=False):
         spec = PredictorSpec.from_named(name, profile="small")
@@ -141,24 +141,19 @@ class TestSuiteRunner:
         assert run.average_mpki > 0
         assert run.mpki_by_trace().keys() == {"t1", "t2"}
 
-    def test_results_are_memoised(self):
-        runner, registry = self._runner(), _builder_registry()
-        first = self._run(runner, registry)
-        second = self._run(runner, registry)
-        assert first is second
+    def test_results_are_memoised(self, replays):
+        runner, registry = self._runner(), Registry.with_defaults()
+        first = self._run(runner, registry, name="gehl")
+        second = self._run(runner, registry, name="gehl")
+        assert replays == [1, 1]  # one task per trace, the first time only
+        assert second.results == first.results
 
-    def test_invalidate(self):
-        runner, registry = self._runner(), _builder_registry()
-        first = self._run(runner, registry)
-        runner.invalidate("always")
-        second = self._run(runner, registry)
-        assert first is not second
-
-    def test_run_many(self):
+    def test_run_many(self, replays):
         runner = self._runner()
         runs = runner.run_many(["tage-gsc", "gehl"])
         assert set(runs) == {"tage-gsc", "gehl"}
-        assert runs["gehl"] is runner.run("gehl")
+        assert runner.run("gehl").results == runs["gehl"].results
+        assert replays == [2, 2]  # one shared task per trace
 
     def test_named_configuration_from_registry(self, easy_trace):
         runner = SuiteRunner([easy_trace], profile="small")
@@ -171,25 +166,21 @@ class TestSuiteRunner:
     def test_trace_names(self):
         assert self._runner().trace_names() == ["t1", "t2"]
 
-    def test_memoisation_keyed_on_track_per_pc(self):
-        runner, registry = self._runner(), _builder_registry()
-        plain = self._run(runner, registry)
-        tracked = self._run(runner, registry, track_per_pc=True)
+    def test_memoisation_keyed_on_track_per_pc(self, replays):
+        runner, registry = self._runner(), Registry.with_defaults()
+        plain = self._run(runner, registry, name="gehl")
+        tracked = self._run(runner, registry, name="gehl", track_per_pc=True)
         # A run cached without per-PC data must not satisfy a tracked request.
-        assert plain is not tracked
+        assert replays == [1, 1, 1, 1]
         assert not any(result.per_pc_mispredictions for result in plain.results)
         assert all(result.per_pc_mispredictions for result in tracked.results)
         # Both variants are memoised independently.
-        assert self._run(runner, registry) is plain
-        assert self._run(runner, registry, track_per_pc=True) is tracked
-
-    def test_invalidate_drops_both_tracking_variants(self):
-        runner, registry = self._runner(), _builder_registry()
-        plain = self._run(runner, registry)
-        tracked = self._run(runner, registry, track_per_pc=True)
-        runner.invalidate("always")
-        assert self._run(runner, registry) is not plain
-        assert self._run(runner, registry, track_per_pc=True) is not tracked
+        assert self._run(runner, registry, name="gehl").results == plain.results
+        assert (
+            self._run(runner, registry, name="gehl", track_per_pc=True).results
+            == tracked.results
+        )
+        assert replays == [1, 1, 1, 1]
 
     def test_rejects_non_positive_workers(self):
         with pytest.raises(ValueError):
@@ -230,11 +221,23 @@ class TestParallelSuiteRunner:
                 r.instructions for r in parallel_results
             ]
 
-    def test_parallel_run_is_memoised(self):
-        parallel = SuiteRunner(self._traces(), profile="small", max_workers=2)
-        first = parallel.run("tage-gsc")
-        second = parallel.run("tage-gsc")
-        assert first is second
+    def test_parallel_run_is_memoised(self, replays, monkeypatch):
+        parallel = SuiteRunner(
+            self._traces(), profile="small", max_workers=2, store=False
+        )
+        try:
+            first = parallel.run("tage-gsc")
+            assert parallel._pool is not None and replays == []
+
+            def _no_pool():
+                raise AssertionError("a memoised run used the pool")
+
+            monkeypatch.setattr(parallel, "_get_pool", _no_pool)
+            second = parallel.run("tage-gsc")
+            assert replays == []  # nor any in-process replay
+            assert second.results == first.results
+        finally:
+            parallel.close()
 
     def test_builder_specs_fall_back_in_process(self):
         # Builders do not pickle across the pool, so their cells run

@@ -136,7 +136,6 @@ class TestTAGEPredictor:
     def test_storage_positive_and_reported(self):
         predictor = TAGEPredictor(SMALL_CONFIG)
         assert predictor.storage_bits() > 0
-        assert predictor.storage_kilobits() == predictor.storage_bits() / 1024.0
 
     def test_deterministic_across_instances(self, easy_trace):
         first = simulate(TAGEPredictor(SMALL_CONFIG), easy_trace)
