@@ -43,6 +43,7 @@ __all__ = [
     "mix_round",
     "mix_tail",
     "pack",
+    "pack_bytes",
     "unpack",
     "windows",
 ]
@@ -84,6 +85,13 @@ def pack(values: Sequence[int]) -> int:
     slots[::2] = words
     if _BIG_ENDIAN:
         slots.byteswap()
+    return int.from_bytes(slots, "little")
+
+
+def pack_bytes(values: bytes) -> int:
+    """:func:`pack` of byte values: one slot per byte, from C-level copies."""
+    slots = bytearray(SLOT_BITS // 8 * len(values))
+    slots[:: SLOT_BITS // 8] = values
     return int.from_bytes(slots, "little")
 
 

@@ -71,11 +71,16 @@ class BlockColumns:
     ``pc_round``, the PC round every index hash shares; ``folds``, one
     slot column per registered
     :class:`~repro.common.history.FoldedHistory` of non-zero length; and
-    ``reads``, what each trace-only structure's ``advance_block``
-    returned.  The columns reference no predictor or group.
+    ``reads``, what each trace-only structure's ``advance_block`` (or
+    its walk's ``advance_together``) returned.  ``pcs``, ``targets`` and
+    ``taken`` are the branches' own fields, ``taken`` as ``0``/``1``
+    bytes.  The columns reference no predictor or group.
     """
 
-    __slots__ = ("n", "lanes", "pc", "pc_round", "path", "imli", "folds", "reads")
+    __slots__ = (
+        "n", "lanes", "pc", "pc_round", "path", "imli", "folds", "reads",
+        "pcs", "targets", "taken",
+    )
 
     def __init__(self, n: int, pc: int) -> None:
         self.n = n
@@ -186,7 +191,12 @@ class SharedState:
         count moves.  Its ``advance_block(pcs, targets, takens,
         imli_counts)`` does the same for the conditional branches of a
         sub-block in :meth:`advance_block` and returns what the components
-        read from it before each branch.
+        read from it before each branch.  Structures that expose a
+        ``walk_key`` instead are grouped by it and advanced together, in
+        registration order, by the first one's ``advance_together(members,
+        pcs, targets, takens, imli_counts)``, which returns each member's
+        reads (the IMLI-OH outer histories of one geometry share one walk
+        for all their update delays).
         """
         structure = self._trace_only.get(key)
         if structure is None:
@@ -272,6 +282,8 @@ class SharedState:
         n = len(pcs)
         block = BlockColumns(n, pc)
         block.path = path_column & block.lanes.full
+        block.pcs, block.targets = pcs, targets
+        block.taken = bytes(takens).translate(_TRUTH)
         imli = self.imli
         count = imli.count
         maximum = imli.maximum
@@ -280,9 +292,18 @@ class SharedState:
             counts[position] = count
             if target < pc:
                 count = (count + 1 if count < maximum else count) if taken else 0
-        self._advance_folds(block, takens)
+        self._advance_folds(block)
+        walks: Dict[Any, list] = {}
         for structure in self._trace_only.values():
-            block.reads[structure] = structure.advance_block(pcs, targets, takens, counts)
+            key = getattr(structure, "walk_key", None)
+            if key is None:
+                block.reads[structure] = structure.advance_block(pcs, targets, takens, counts)
+            else:
+                walks.setdefault(key, []).append(structure)
+        for members in walks.values():
+            block.reads.update(
+                zip(members, members[0].advance_together(members, pcs, targets, takens, counts))
+            )
         imli.count = count
         block.imli = swar.pack(counts)
         return block
@@ -311,10 +332,10 @@ class SharedState:
         path_history.bits = bits
         return column >> (swar.SLOT_BITS * count)
 
-    def _advance_folds(self, block: BlockColumns, takens) -> None:
+    def _advance_folds(self, block: BlockColumns) -> None:
         """Fold columns of the block; advances the folds and global history."""
         n = block.n
-        outcomes = bytes(takens).translate(_TRUTH)
+        outcomes = block.taken
         global_history = self.global_history
         folded = [register for register in self._folded if register.length]
         if folded:

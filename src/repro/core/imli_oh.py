@@ -41,7 +41,6 @@ reproduces through its ``update_delay`` parameter.
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
@@ -123,43 +122,129 @@ class OuterHistory:
         else:
             pending.append((cell, 1 if taken else 0, self._tick + self.update_delay))
 
-    def advance_block(self, pcs, targets, takens, imli_counts) -> Tuple[array, array]:
-        """:meth:`advance` over a block; ``(same, previous)`` read columns.
+    @property
+    def walk_key(self) -> tuple:
+        """Structures with equal keys advance in one :meth:`advance_together` walk."""
+        return (OuterHistory, self.tracked_branches, self.iterations_per_branch)
 
+    @staticmethod
+    def advance_together(histories, pcs, targets, takens, imli_counts) -> List[Tuple[bytes, bytes]]:
+        """:meth:`advance` over a block for outer histories of one geometry.
+
+        ``histories`` share ``tracked_branches`` and
+        ``iterations_per_branch`` and differ in ``update_delay``.  Their
+        history cells and PIPE slots are a function of the branch alone,
+        and a write is the same outcome for every delay; only when it lands
+        differs.  So the branches are hashed once, and up to eight
+        histories run in one walk over bit masks, one bit per history: a
+        cell's mask holds that cell in every history, a slot's mask that
+        PIPE bit.  A read and a PIPE staging then serve every delay at
+        once, and only the delayed writes are applied one bit at a time,
+        bucketed by the position at which each history's write lands.
+
+        Returns one ``(same, previous)`` pair per history, in order:
         ``same[k]`` and ``previous[k]`` are ``Out[N-1][M]`` and
-        ``Out[N-1][M-1]`` as branch ``k`` read them before its advance:
-        its history cell and its PIPE bit.
+        ``Out[N-1][M-1]`` as branch ``k`` read them before its advance (its
+        history cell and its PIPE bit), as ``0``/``1`` bytes.  Afterwards
+        every history's table, PIPE vector, pending writes and tick are
+        exactly where its own per-branch :meth:`advance` calls leave them.
         """
+        reads: List[Tuple[bytes, bytes]] = []
+        for start in range(0, len(histories), 8):
+            reads += OuterHistory._walk(histories[start:start + 8], pcs, targets, takens, imli_counts)
+        return reads
+
+    @staticmethod
+    def _walk(histories, pcs, targets, takens, imli_counts) -> List[Tuple[bytes, bytes]]:
+        """:meth:`advance_together` for at most eight histories."""
+        first = histories[0]
         n = len(pcs)
-        same = array("Q", bytes(8 * n))
-        previous = array("Q", bytes(8 * n))
-        history = self.history
-        pipe = self.pipe
-        pending = self._pending
-        width = self.branch_index_bits
-        slot_mask = self.branch_index_mask
-        iterations = self.iterations_per_branch
-        delay = self.update_delay
-        tick = self._tick
-        for position in range(n):
-            pc = pcs[position]
-            slot = (pc ^ (pc >> width) ^ (pc >> (2 * width))) & slot_mask
-            cell = slot * iterations + (imli_counts[position] % iterations)
-            same[position] = history[cell]
-            previous[position] = pipe[slot]
-            tick += 1
-            while pending and pending[0][2] <= tick:
-                written, outcome, _ = pending.popleft()
-                history[written] = outcome
-            if targets[position] < pc:
-                continue
-            pipe[slot] = history[cell]
+        width = first.branch_index_bits
+        slot_mask = first.branch_index_mask
+        iterations = first.iterations_per_branch
+        slots = [(pc ^ (pc >> width) ^ (pc >> (2 * width))) & slot_mask for pc in pcs]
+        cells = [slot * iterations + count % iterations for slot, count in zip(slots, imli_counts)]
+        # Per branch: its history write ``(cell, outcome)``, or None for a
+        # backward branch (not recorded).
+        records = [
+            None if target < pc else (cell, 1 if taken else 0)
+            for pc, target, taken, cell in zip(pcs, targets, takens, cells)
+        ]
+        # History i's writes land in bit i of the masks.  A pending write is
+        # applied at the first position whose tick reaches its due tick,
+        # after that branch's reads and before its PIPE staging, as in
+        # advance(); delay 0 writes right after the staging.  So at
+        # position k a history of delay d >= 1 applies the write of branch
+        # k - d, looked up in ``writes`` (padded in front for k < d), and
+        # the pending writes it carried into the block where they fall due.
+        carried: List[list] = [[] for _ in range(n)]
+        lags = []
+        zero_bits = 0
+        cell_masks = 0
+        pipe_masks = 0
+        pendings = []
+        for bit_index, history in enumerate(histories):
+            bit = 1 << bit_index
+            tick = history._tick
+            pending: Deque[Tuple[int, int, int]] = deque()
+            for entry in history._pending:
+                cell, outcome, due = entry
+                position = due - tick - 1
+                if position >= n:
+                    pending.append(entry)
+                else:
+                    carried[max(position, 0)].append((cell, 0xFF ^ bit, bit if outcome else 0))
+            delay = history.update_delay
             if delay == 0:
-                history[cell] = 1 if takens[position] else 0
+                zero_bits |= bit
             else:
-                pending.append((cell, 1 if takens[position] else 0, tick + delay))
-        self._tick = tick
-        return same, previous
+                if delay < n:
+                    lags.append((delay, bit, 0xFF ^ bit))
+                pending.extend(
+                    (*records[position], tick + position + 1 + delay)
+                    for position in range(max(n - delay, 0), n)
+                    if records[position] is not None
+                )
+            pendings.append(pending)
+            cell_masks |= int.from_bytes(bytes(history.history), "little") << bit_index
+            pipe_masks |= int.from_bytes(bytes(history.pipe), "little") << bit_index
+        padding = max((delay for delay, _, _ in lags), default=0)
+        writes = [None] * padding + records
+        lags = [(padding - delay, bit, keep) for delay, bit, keep in lags]
+        hist = bytearray(cell_masks.to_bytes(len(first.history), "little"))
+        pipe = bytearray(pipe_masks.to_bytes(len(first.pipe), "little"))
+        zero_keep = 0xFF ^ zero_bits
+        same = bytearray(n)
+        previous = bytearray(n)
+        position = 0
+        for cell, slot, record, events in zip(cells, slots, records, carried):
+            same[position] = hist[cell]
+            previous[position] = pipe[slot]
+            for written, keep, value in events:
+                hist[written] = hist[written] & keep | value
+            for offset, bit, keep in lags:
+                write = writes[position + offset]
+                if write is not None:
+                    written, outcome = write
+                    hist[written] = hist[written] | bit if outcome else hist[written] & keep
+            position += 1
+            if record is not None:
+                pipe[slot] = value = hist[cell]
+                if zero_bits:
+                    hist[cell] = value | zero_bits if record[1] else value & zero_keep
+        reads = []
+        for bit_index, (history, pending) in enumerate(zip(histories, pendings)):
+            bit = _BIT[bit_index]
+            history.history[:] = hist.translate(bit)
+            history.pipe[:] = pipe.translate(bit)
+            history._pending = pending
+            history._tick += n
+            reads.append((same.translate(bit), previous.translate(bit)))
+        return reads
+
+
+#: ``_BIT[i]`` translates a byte of history masks to history ``i``'s bit.
+_BIT = [bytes((value >> bit) & 1 for value in range(256)) for bit in range(8)]
 
 
 class IMLIOuterHistoryComponent(IndexedComponent):
@@ -282,7 +367,11 @@ class IMLIOuterHistoryComponent(IndexedComponent):
 
     def index_columns(self, block) -> list:
         same, previous = block.reads[self.outer]
-        return [block.index(self.prediction_index_mask, swar.pack(same), swar.pack(previous) << 1)]
+        return [
+            block.index(
+                self.prediction_index_mask, swar.pack_bytes(same), swar.pack_bytes(previous) << 1
+            )
+        ]
 
     def select_sum_at(self, indices: Sequence[int]) -> tuple:
         table = self.table

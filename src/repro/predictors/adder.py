@@ -105,8 +105,8 @@ class AdderTree:
         ``shared[slot]`` its precomputed indices.
 
         Per-component reference form only: shared-core groups read and
-        train their heads through the flat kernel
-        :func:`repro.predictors.shared_core._run_heads` and never call
+        train each head over a whole sub-block through a generated kernel
+        (:func:`repro.predictors.shared_core.head_kernel`) and never call
         this.  It stays because ``perfbench/layers.py`` wraps it (the
         ``adder.compute`` layer); the benchmark change that wraps the
         kernel instead can delete it.

@@ -6,9 +6,10 @@ TAGE engine; nothing for GEHL) and a *head* (its adder tree plus its
 loop/wormhole sidecars).  The engine runs every groupable composite
 (:func:`is_groupable`) in a group planned by :func:`plan_groups`; the
 engine hands every group each column sub-block of the trace
-(``_Group.run_block``), which runs **one trace-only pre-pass per
-sub-block, then one core step and N head steps per conditional
-branch**.  Two kinds of group form:
+(``_Group.run_block``), which runs it **block-major, in three stages**:
+the trace-only pre-pass, the TAGE core over the whole sub-block, then
+each head over the whole sub-block; it returns one prediction column per
+member.  Two kinds of group form:
 
 * a *fresh* group serves the pristine (:func:`is_pristine`) batch members
   that share a :class:`~repro.predictors.composites.SharedCoreInfo` core
@@ -28,17 +29,21 @@ Either way:
 * the group's :class:`~repro.core.component.SharedState` holds the
   global/path history, folded registers, IMLI count and every trace-only
   structure a head registers on it (local-history tables, IMLI-OH outer
-  histories), each deduplicated by geometry; ``_Group.prepare`` advances
-  it over a whole sub-block of records at once
-  (:meth:`~repro.core.component.SharedState.advance_block`);
+  histories), each deduplicated by geometry; the pre-pass advances it
+  over a whole sub-block of records at once
+  (:meth:`~repro.core.component.SharedState.advance_block`), with one
+  walk for the outer histories of every update delay of a geometry;
 * every component names its table indices with a hashable
   :meth:`~repro.core.component.IndexedComponent.index_key`; the pre-pass
   computes each distinct key's index columns once per sub-block
-  (``index_columns``) and the TAGE core's index and tag columns, and
-  lays the former out as one flat index vector per branch
-  (:func:`_plan_heads`); every head is a list of counter rows that one
-  kernel (:func:`_run_heads`) reads, decides on and trains inline, and
-  the TAGE walk (``TAGEEngine.predict_at``) only compares tags.
+  (``index_columns``, planned by :func:`_plan_heads`);
+* the TAGE core runs over the whole sub-block
+  (:meth:`~repro.predictors.tage.TAGEEngine.predict_train_block`), and its
+  prediction column picks every TAGE-bit bias index in bulk;
+* each head is one call of a kernel generated for its shape
+  (:func:`head_kernel`), which reads, decides on and trains the head's
+  counters over the whole sub-block; its sidecars follow, in branch
+  order.
 
 Results are bit-identical to the record-based reference path *by
 construction*, not by tolerance:
@@ -51,28 +56,33 @@ construction*, not by tolerance:
   branch's prediction, and each column holds exactly those values; the
   pre-pass starts from the state's current values, so a trained
   predictor's group continues where its state stands;
+* the outer histories of one geometry hash a branch to the same cell and
+  slot and write the same outcome whatever their update delay; only when
+  a write lands differs, so one walk over per-delay bit masks leaves each
+  of them where its own walk would;
 * every index input (PC, histories, folds, IMLI count, local and outer
   history, the TAGE prediction) is read from that state, so equal keys give
   equal indices; the TAGE-bit bias index has a column per TAGE prediction,
   picked once the prediction is known;
-* heads only *read* the columns and write only their own tables;
+* heads only *read* the columns and the TAGE prediction column, and write
+  only their own tables, so the TAGE core can predict and train the
+  whole sub-block before any head starts, and each head can run the
+  whole sub-block before the next;
 * the head kernel applies the decision and threshold-training rules of
   :class:`~repro.predictors.statistical_corrector.StatisticalCorrector`
   and :class:`~repro.predictors.adder.AdderTree` to the same counters in
   the same order, and keeps each head's threshold on its ``AdderTree``;
-* TAGE training and head training touch disjoint state, so running the
-  N head trainings before the single TAGE training is the same as
-  interleaving them per member;
 * the loop/wormhole sidecars never touch the shared state at all (they
-  consume only branch fields and their own tables).
+  consume only branch fields, the head's main prediction and their own
+  tables).
 """
 
 from __future__ import annotations
 
 from array import array
+from functools import lru_cache
 from inspect import unwrap
-from struct import Struct
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.predictors.base import BranchPredictor
 from repro.predictors.composites import (
@@ -85,7 +95,7 @@ from repro.predictors.composites import (
 from repro.predictors.adder import AdderTree
 from repro.predictors.gehl import GEHLPredictor, gehl_adder
 from repro.predictors.statistical_corrector import StatisticalCorrector
-from repro.predictors.tage import TAGEEngine, TAGEPrediction
+from repro.predictors.tage import TAGEEngine
 from repro.predictors.tage_gsc import TAGEGSCConfig, TAGEGSCPredictor
 from repro.core.component import IndexedComponent, NeuralComponent, SharedState
 from repro.trace.branch import CONDITIONAL_CODE, BranchKind
@@ -130,7 +140,7 @@ class _MutableBranchView:
     step only conditional branches, hence the constant ``is_conditional``.
     """
 
-    __slots__ = ("pc", "target", "taken", "instruction_gap")
+    __slots__ = ("pc", "target", "taken")
 
     is_conditional = True
     kind = BranchKind.CONDITIONAL
@@ -139,7 +149,6 @@ class _MutableBranchView:
         self.pc = 0
         self.target = 0
         self.taken = False
-        self.instruction_gap = 0
 
     @property
     def is_backward(self) -> bool:
@@ -164,8 +173,7 @@ def _sidecars_for(info: SharedCoreInfo) -> Optional[_Sidecars]:
 
 
 def _sidecar_step(
-    sidecars: _Sidecars, pc: int, target: int, taken: bool, gap: int,
-    main_prediction: bool,
+    sidecars: _Sidecars, pc: int, target: int, taken: bool, main_prediction: bool
 ) -> bool:
     """Run a head's loop/wormhole sidecars over its main prediction.
 
@@ -179,7 +187,6 @@ def _sidecar_step(
     view.pc = pc
     view.target = target
     view.taken = taken
-    view.instruction_gap = gap
     loop = sidecars.loop
     wormhole = sidecars.wormhole
     if loop is not None and sidecars.use_loop:
@@ -197,6 +204,16 @@ def _sidecar_step(
     return prediction
 
 
+def _run_sidecars(sidecars: _Sidecars, block, main_predictions: bytearray) -> bytearray:
+    """A head's sidecars over a block's main predictions, in branch order."""
+    return bytearray(
+        _sidecar_step(sidecars, pc, target, taken, prediction)
+        for pc, target, taken, prediction in zip(
+            block.pcs, block.targets, block.taken, main_predictions
+        )
+    )
+
+
 #: Per-component hooks the head kernel replaces with its inline read and
 #: train; a component overriding one would be silently mis-executed.  A
 #: transparent wrapper around the inherited hook (``functools.wraps``, as a
@@ -205,26 +222,25 @@ _KERNEL_HOOKS = ("train", "on_outcome", "on_outcome_fields")
 
 
 def _plan_heads(adders: Sequence[AdderTree]) -> Tuple[list, List[list]]:
-    """Plan a group's flat per-branch index vector and every head's rows.
+    """Plan a group's distinct index columns and every head's rows.
 
     Every head component is an
     :class:`~repro.core.component.IndexedComponent`; components with equal
     :meth:`~repro.core.component.IndexedComponent.index_key` over the
     group's shared state compute equal indices for every branch, so each
-    distinct key is hashed once per branch and its indices are appended to
-    one flat list.  Returns ``(index_fns, rows)``: ``index_fns`` are the
-    bound ``compute_indices(pc, state)`` of one component per distinct key,
-    in flat order (a group reads the same components' ``index_columns``
-    through their ``__self__``), and
-    ``rows[h]`` lists head ``h``'s counters, one ``(values, flat position,
-    maximum, minimum)`` row per table of ``counter_tables``, in component
-    and table order.
+    distinct key's index columns are computed once per sub-block.
+    Returns ``(components, rows)``: ``components`` holds one component
+    per distinct key, whose ``index_columns`` lists its columns in order,
+    one per table, all keys' columns concatenated into one flat list
+    ("flat positions"); ``rows[h]`` lists head ``h``'s counters, one
+    ``(flat position, counter table)`` row per table of
+    ``counter_tables``, in component and table order.
 
     Raises ``TypeError`` for a component that overrides a hook in
     :data:`_KERNEL_HOOKS` (the check mirrors
     :meth:`AdderTree._scan_outcome_components`).
     """
-    index_fns = []
+    components = []
     offsets: Dict[tuple, int] = {}
     flat_size = 0
     rows = []
@@ -242,85 +258,126 @@ def _plan_heads(adders: Sequence[AdderTree]) -> Tuple[list, List[list]]:
             offset = offsets.get(key)
             if offset is None:
                 offset = offsets[key] = flat_size
-                index_fns.append(component.compute_indices)
+                components.append(component)
                 flat_size += len(component.counter_tables)
-            head_rows.extend(
-                (table.values, position, table.maximum, table.minimum)
-                for position, table in enumerate(component.counter_tables, offset)
-            )
+            head_rows.extend(enumerate(component.counter_tables, offset))
         rows.append(head_rows)
-    return index_fns, rows
+    return components, rows
 
 
-def _run_heads(
-    heads: Sequence[tuple],
-    flat: Sequence[int],
-    pc: int,
-    target: int,
-    taken: bool,
-    gap: int,
-    tage_prediction: Optional[bool],
-) -> List[bool]:
-    """The head kernel: read, decide and train every head of one branch.
+@lru_cache(maxsize=None)
+def head_kernel(rows: int, corrector: bool) -> Callable:
+    """The head kernel for heads of ``rows`` counters; generated per shape.
 
-    Per head, ``(rows, n, adder, revert_margin, sidecars)``: the centred
-    adder-tree sum ``2 * sum(values[flat[position]]) + n`` over its rows;
-    the decision -- the sum's sign for ``gehl`` (``tage_prediction`` is
-    ``None``), the corrector's revert-margin rule over ``tage_prediction``
-    otherwise; the threshold training of the same rows, forced when the
-    decision was wrong (as :meth:`StatisticalCorrector.train_fields` does;
-    a ``gehl`` decision is wrong exactly when the sum's sign is) and
-    followed by :meth:`AdderTree._adapt_threshold`; and finally the
-    sidecars.  Returns each head's final prediction.
+    ``kernel(columns, tables, takens, tage, adder, revert_margin)`` runs
+    one head over every conditional branch of a sub-block and returns its
+    predictions (``0``/``1`` bytes).  ``columns`` holds one index column
+    per row and ``tables`` one ``(values, maximum, minimum)`` per row;
+    ``takens`` holds the outcomes.  Per branch the kernel forms the
+    centred adder-tree sum ``2 * sum(values[index]) + rows`` and decides:
+    for a ``corrector`` head, by the revert-margin rule of
+    :class:`~repro.predictors.statistical_corrector.StatisticalCorrector`
+    over ``tage``, the TAGE prediction column; otherwise (a GEHL head,
+    ``tage`` ignored) by the sum's sign.  It then trains the same
+    counters by the threshold rule of
+    :meth:`~repro.predictors.adder.AdderTree.train_fields` -- forced when
+    the decision was wrong, as the corrector forces it -- and adapts the
+    threshold as :meth:`~repro.predictors.adder.AdderTree._adapt_threshold`
+    does, holding ``adder``'s threshold and threshold counter in locals
+    and writing them back at the end.
+
+    The rows are unrolled into straight-line code (compiled once per
+    shape), so a branch costs no per-row loop, call or tuple unpacking.
     """
-    predictions = []
-    append = predictions.append
-    for rows, count, adder, revert_margin, sidecars in heads:
-        total = 0
-        for values, position, _, _ in rows:
-            total += values[flat[position]]
-        total = 2 * total + count
-        magnitude = total if total >= 0 else -total
-        adder_prediction = total >= 0
-        mispredicted = adder_prediction != taken
-        if tage_prediction is None or (
-            adder_prediction != tage_prediction and magnitude >= revert_margin
-        ):
-            prediction = adder_prediction
-        else:
-            prediction = tage_prediction
-        if prediction != taken or mispredicted or magnitude <= adder.threshold:
-            if taken:
-                for values, position, maximum, _ in rows:
-                    index = flat[position]
-                    value = values[index]
-                    if value < maximum:
-                        values[index] = value + 1
-            else:
-                for values, position, _, minimum in rows:
-                    index = flat[position]
-                    value = values[index]
-                    if value > minimum:
-                        values[index] = value - 1
-            adder._adapt_threshold(mispredicted, total)
-        if sidecars is not None:
-            prediction = _sidecar_step(sidecars, pc, target, taken, gap, prediction)
-        append(prediction)
-    return predictions
+    row_range = range(rows)
+    columns = "".join(f"c{row}, " for row in row_range)
+    indices = "".join(f"i{row}, " for row in row_range)
+    total = " + ".join(f"v{row}[i{row}]" for row in row_range)
+    if corrector:
+        loop = f"for {indices}taken, tage_prediction in zip({columns}takens, tage):"
+        decide = [
+            "if sign != tage_prediction and magnitude >= revert_margin:",
+            "    prediction = sign",
+            "else:",
+            "    prediction = tage_prediction",
+            "if prediction != taken or mispredicted or magnitude <= threshold:",
+        ]
+    else:
+        loop = f"for {indices}taken in zip({columns}takens):"
+        decide = ["prediction = sign", "if mispredicted or magnitude <= threshold:"]
+    body = [
+        f"total = 2 * ({total}) + {rows}",
+        "if total >= 0:",
+        "    magnitude = total",
+        "    sign = 1",
+        "else:",
+        "    magnitude = -total",
+        "    sign = 0",
+        "mispredicted = sign != taken",
+        *decide,
+        "    if taken:",
+        *(
+            line
+            for row in row_range
+            for line in (
+                f"        value = v{row}[i{row}]",
+                f"        if value < hi{row}:",
+                f"            v{row}[i{row}] = value + 1",
+            )
+        ),
+        "    else:",
+        *(
+            line
+            for row in row_range
+            for line in (
+                f"        value = v{row}[i{row}]",
+                f"        if value > lo{row}:",
+                f"            v{row}[i{row}] = value - 1",
+            )
+        ),
+        "    if mispredicted:",
+        "        counter += 1",
+        "        if counter >= counter_max:",
+        "            counter = 0",
+        "            threshold += 1",
+        "    elif magnitude <= threshold:",
+        "        counter -= 1",
+        "        if counter <= counter_min:",
+        "            counter = 0",
+        "            if threshold > 0:",
+        "                threshold -= 1",
+        "append(prediction)",
+    ]
+    source = "\n".join([
+        "def kernel(columns, tables, takens, tage, adder, revert_margin):",
+        f"    {columns}= columns",
+        "    " + "".join(f"(v{row}, hi{row}, lo{row}), " for row in row_range) + "= tables",
+        "    threshold = adder.threshold",
+        "    counter = adder._threshold_counter",
+        "    counter_max = adder._threshold_counter_max",
+        "    counter_min = adder._threshold_counter_min",
+        "    predictions = bytearray()",
+        "    append = predictions.append",
+        f"    {loop}",
+        *(f"        {line}" for line in body),
+        "    adder.threshold = threshold",
+        "    adder._threshold_counter = counter",
+        "    return predictions",
+    ])
+    namespace: dict = {}
+    exec(compile(source, f"<head kernel {rows}{'c' if corrector else 'g'}>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 class _Group:
-    """One group's shared state (and TAGE core) fanned into flat heads.
+    """One group's shared state (and TAGE core) fanned into heads.
 
     ``indices`` are the members' batch positions; ``heads`` holds one
     ``(adder, revert_margin, sidecars)`` per member, in member order, every
     adder bound to ``state`` (``revert_margin`` is ignored without a TAGE
     core, ``sidecars`` is a :class:`_Sidecars` or ``None``).  The engine
-    calls :meth:`run_block` with each sub-block of records, in order:
-    :meth:`prepare`, then :meth:`step_count` once per conditional
-    branch of it.  ``per_pc``, when the engine sets it, holds
-    one ``pc -> mispredictions`` map per member that :meth:`step_count`
-    bumps.
+    calls :meth:`run_block` with each sub-block of records, in order, and
+    gets one prediction column per member back.
     """
 
     kind = ""
@@ -333,107 +390,78 @@ class _Group:
         heads: Sequence[Tuple[AdderTree, int, Optional[_Sidecars]]],
     ) -> None:
         self.indices = list(indices)
-        self.counts = [0] * len(self.indices)
-        self.per_pc: Optional[List[Dict[int, int]]] = None
         self.state = state
         self.tage = tage
-        if tage is not None:
-            num_tables = tage.config.num_tables
-            self._tage_scratch = TAGEPrediction(
-                indices=[0] * num_tables, tags=[0] * num_tables
-            )
-        # Per-branch work is dominated by calls and attribute chains, so
-        # every head is one row list read and trained inline by
-        # _run_heads, over one flat vector of the distinct indices.
-        index_fns, rows = _plan_heads([adder for adder, _, _ in heads])
-        self._column_fns = [compute.__self__.index_columns for compute in index_fns]
+        components, rows = _plan_heads([adder for adder, _, _ in heads])
+        self._column_fns = [component.index_columns for component in components]
+        corrector = tage is not None
         self._heads = [
-            (head_rows, len(head_rows), adder, revert_margin, sidecars)
+            (
+                head_kernel(len(head_rows), corrector),
+                [position for position, _ in head_rows],
+                [(table.values, table.maximum, table.minimum) for _, table in head_rows],
+                adder,
+                revert_margin,
+                sidecars,
+            )
             for head_rows, (adder, revert_margin, sidecars) in zip(rows, heads)
         ]
-        # The sub-block's flat vectors, branch-major in one array: branch
-        # k's is entries [k * width, (k + 1) * width), unpacked per branch
-        # into a tuple by _flat_vector.
-        self._width = sum(len(compute.__self__.counter_tables) for compute in index_fns)
-        self._flat_vector = Struct(f"{self._width}Q")
-        self._flat = array("Q")
-        self._tage_bit_columns: List[Tuple[int, array]] = []
-        self._position = 0
 
-    def prepare(self, block: tuple) -> None:
-        """The trace-only pre-pass of one ``(pc, target, taken, kind, gap)``
-        sub-block of records.
+    def run_block(self, block: tuple) -> List[bytearray]:
+        """Run one ``(pc, target, taken, kind, gap)`` sub-block of records.
 
-        Advances the shared state over the whole sub-block
-        (:meth:`SharedState.advance_block`) and computes the TAGE core's
-        columns and every distinct key's index columns from it, then lays
-        the index columns out as one flat vector per branch.  A TAGE-bit
-        column pair fills its flat slot from the not-taken column;
-        :meth:`step_list` overwrites it when TAGE predicts taken.
+        Three stages, each over the whole sub-block: the trace-only
+        pre-pass (:meth:`SharedState.advance_block`, then every distinct
+        key's index columns); the TAGE core
+        (:meth:`TAGEEngine.predict_train_block`), whose prediction column
+        picks each TAGE-bit bias index from its ``(not taken, taken)``
+        column pair; and every head's kernel (:func:`head_kernel`), then
+        its sidecars.  Returns each member's prediction column, one entry
+        per conditional record.
         """
         columns = self.state.advance_block(*block[:4])
-        if self.tage is not None:
-            self.tage.prepare(columns)
-        width = self._width
-        flat = array("Q", bytes(8 * width * columns.n))
-        self._tage_bit_columns = []
-        slot = 0
+        flat = []
         for index_columns in self._column_fns:
-            for column in index_columns(columns):
+            flat += index_columns(columns)
+        tage_predictions = None
+        if self.tage is not None:
+            tage_predictions = self.tage.predict_train_block(columns)
+            for position, column in enumerate(flat):
                 if isinstance(column, tuple):
-                    column, taken_column = column
-                    self._tage_bit_columns.append((slot, taken_column))
-                flat[slot::width] = column
-                slot += 1
-        self._flat = flat
-        self._position = 0
-
-    def run_block(self, block: tuple) -> None:
-        """:meth:`prepare` a sub-block, then :meth:`step_count` each of its
-        conditional branches."""
-        self.prepare(block)
-        step = self.step_count
-        conditional = CONDITIONAL_CODE
-        for pc, target, taken, kind, gap in zip(*block):
-            if kind == conditional:
-                step(pc, target, taken, gap)
-
-    def step_list(self, pc: int, target: int, taken: bool, gap: int) -> List[bool]:
-        """Run one conditional branch; return per-head final predictions."""
-        position = self._position
-        self._position = position + 1
-        vector = self._flat_vector
-        tage = self.tage
-        tage_prediction = None
-        if tage is not None:
-            tage_ctx = tage.predict_at(position, self._tage_scratch)
-            tage_prediction = tage_ctx.prediction
-            if tage_prediction:
-                flat = self._flat
-                start = position * self._width
-                for slot, taken_column in self._tage_bit_columns:
-                    flat[start + slot] = taken_column[position]
-        predictions = _run_heads(
-            self._heads,
-            vector.unpack_from(self._flat, position * vector.size),
-            pc, target, taken, gap, tage_prediction,
-        )
-        if tage is not None:
-            tage.train_fields(pc, taken, tage_ctx)
+                    flat[position] = array("Q", map(_pick, tage_predictions, *column))
+        taken = columns.taken
+        predictions = []
+        for kernel, positions, tables, adder, revert_margin, sidecars in self._heads:
+            head = kernel(
+                [flat[position] for position in positions], tables, taken,
+                tage_predictions, adder, revert_margin,
+            )
+            if sidecars is not None:
+                head = _run_sidecars(sidecars, columns, head)
+            predictions.append(head)
         return predictions
 
+    def step_list(self, pc: int, target: int, taken: bool, gap: int) -> List[bool]:
+        """Run one conditional branch; return per-head final predictions.
+
+        A block of one record through :meth:`run_block`; the engine never
+        calls it.
+        """
+        block = (array("q", [pc]), array("q", [target]), array("b", [taken]), _ONE_CONDITIONAL, None)
+        return [bool(column[0]) for column in self.run_block(block)]
+
     def step_count(self, pc: int, target: int, taken: bool, gap: int) -> None:
-        """Run the branch, bump per-head mispredict counts and per-PC maps."""
-        counts = self.counts
-        per_pc = self.per_pc
-        slot = 0
-        for prediction in self.step_list(pc, target, taken, gap):
-            if prediction != taken:
-                counts[slot] += 1
-                if per_pc is not None:
-                    member = per_pc[slot]
-                    member[pc] = member.get(pc, 0) + 1
-            slot += 1
+        """Run one conditional branch (:meth:`step_list`, dropping its
+        predictions); the engine never calls it."""
+        self.step_list(pc, target, taken, gap)
+
+
+def _pick(tage_prediction: int, not_taken: int, taken: int) -> int:
+    return taken if tage_prediction else not_taken
+
+
+#: The kind column of a one-record block of one conditional branch.
+_ONE_CONDITIONAL = array("b", [CONDITIONAL_CODE])
 
 
 class _TageGscGroup(_Group):

@@ -73,17 +73,15 @@ class BimodalPredictor(BranchPredictor):
     def update(self, record: BranchRecord, prediction: bool) -> None:
         self.table.update(self._index(record.pc), record.taken)
 
-    def predict_update_block(
-        self, pcs, targets, takens, kinds, gaps, per_pc=None
-    ) -> int:
-        """Block step: consume a column sub-block, return its mispredictions.
+    def predict_update_block(self, pcs, targets, takens, kinds, gaps) -> bytearray:
+        """Block step: consume a column sub-block, return its predictions.
 
         The engine's fast-path protocol (``docs/ENGINE.md``).  Bit-identical
         to :meth:`predict` then :meth:`update` per conditional row: the
         same hash and counter arithmetic, inlined into one loop over the
         columns.  Non-conditional rows are skipped, because this predictor
-        keeps no history.  ``per_pc``, when given, is bumped per
-        misprediction, so its keys follow first-misprediction order.
+        keeps no history.  Entry ``k`` of the returned column is the
+        prediction (``0``/``1``) for the block's ``k``-th conditional row.
         """
         table = self.table
         width = self.index_bits
@@ -92,22 +90,20 @@ class BimodalPredictor(BranchPredictor):
         midpoint = table.midpoint
         maximum = table.maximum
         shift2 = 2 * width
-        mispredictions = 0
+        predictions = bytearray()
+        append = predictions.append
         for pc, taken, kind in zip(pcs, takens, kinds):
             if kind != CONDITIONAL_CODE:
                 continue
             index = (pc ^ (pc >> width) ^ (pc >> shift2)) & index_mask
             counter = values[index]
-            if (counter >= midpoint) != taken:
-                mispredictions += 1
-                if per_pc is not None:
-                    per_pc[pc] = per_pc.get(pc, 0) + 1
+            append(counter >= midpoint)
             if taken:
                 if counter < maximum:
                     values[index] = counter + 1
             elif counter > 0:
                 values[index] = counter - 1
-        return mispredictions
+        return predictions
 
     def storage_bits(self) -> int:
         return self.table.storage_bits()

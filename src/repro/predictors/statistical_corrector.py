@@ -124,9 +124,9 @@ class StatisticalCorrector:
         :meth:`AdderTree.compute_with_shared`.  Bit-identical to
         :meth:`predict_into`.
 
-        Per-component reference form only: shared-core groups run their
-        heads through the flat kernel
-        :func:`repro.predictors.shared_core._run_heads` and never call
+        Per-component reference form only: shared-core groups run each
+        head over a whole sub-block through a generated kernel
+        (:func:`repro.predictors.shared_core.head_kernel`) and never call
         this.  It stays because ``perfbench/layers.py`` wraps it (the
         ``sc.predict`` layer); the benchmark change that wraps the kernel
         instead can delete it.

@@ -148,9 +148,6 @@ class TAGEEngine:
             )
             for table in range(cfg.num_tables)
         ]
-        # Columns of the block bound by prepare(), read by predict_at().
-        self._column_rows: List[tuple] = []
-        self._base_column: Optional[array] = None
         # use_alt_on_new_alloc counter: when positive, prefer the alternate
         # prediction for weak (newly allocated) provider entries.
         self._use_alt = 0
@@ -288,40 +285,105 @@ class TAGEEngine:
         base = swar.unpack((pc ^ (pc >> self.base_index_bits)) & of(self._base_mask), n)
         return indices, tags, base
 
-    def prepare(self, block) -> None:
-        """Bind :meth:`predict_at` to the columns of ``block``."""
-        indices, tags, self._base_column = self.index_columns(block)
-        self._column_rows = [
-            (table.tag, index_column, tag_column)
-            for table, index_column, tag_column in zip(self.tables, indices, tags)
-        ]
+    def predict_train_block(self, block) -> bytearray:
+        """Predict and train every branch of a block; the prediction column.
 
-    def predict_at(self, position: int, result: TAGEPrediction) -> TAGEPrediction:
-        """:meth:`predict_into` for branch ``position`` of the prepared block.
-
-        The indices and tags come from the columns bound by
-        :meth:`prepare`, so the walk only compares tags.
+        ``block`` is the :class:`~repro.core.component.BlockColumns` of
+        the pre-pass, whose folds and path hold the state before each
+        branch, so every index and tag comes from :meth:`index_columns`.
+        Per branch, in order: the early-stopping walk of
+        :meth:`predict_into`, :meth:`_resolve` and :meth:`train_fields`,
+        inlined over hoisted locals; allocation and useful decay stay
+        method calls.  The use-alt counter and the update count live in
+        locals and are written back at the end.  Entry ``k`` is TAGE's
+        prediction for branch ``k`` (``0``/``1``).
         """
-        rows = self._column_rows
-        indices = result.indices
-        tags = result.tags
-        base_index = result.base_index = self._base_column[position]
+        cfg = self.config
+        indices, tags, base_column = self.index_columns(block)
+        tables = self.tables
+        last = cfg.num_tables - 1
+        walk = [(table, tables[table].tag, indices[table], tags[table]) for table in range(last, -1, -1)]
+        scratch = TAGEPrediction(indices=[0] * cfg.num_tables, tags=[0] * cfg.num_tables)
+        allocation_indices = scratch.indices
+        allocation_tags = scratch.tags
         base = self.base
-        base_prediction = base.values[base_index] >= base.midpoint
-        provider = -1
-        alt_provider = -1
-        # The same early-stopping walk as predict_into.
-        for table in range(len(rows) - 1, -1, -1):
-            table_tags, index_column, tag_column = rows[table]
-            index = indices[table] = index_column[position]
-            tag = tags[table] = tag_column[position]
-            if table_tags[index] == tag:
-                if provider < 0:
-                    provider = table
+        base_values = base.values
+        midpoint = base.midpoint
+        base_maximum = base.maximum
+        use_alt = self._use_alt
+        use_alt_max = self._use_alt_max
+        use_alt_min = self._use_alt_min
+        updates = self._updates_since_reset
+        period = cfg.useful_reset_period
+        predictions = bytearray(block.n)
+        for position, taken in enumerate(block.taken):
+            provider = -1
+            alt_provider = -1
+            for table, table_tags, index_column, tag_column in walk:
+                if table_tags[index_column[position]] == tag_column[position]:
+                    if provider < 0:
+                        provider = table
+                    else:
+                        alt_provider = table
+                        break
+            base_index = base_column[position]
+            base_value = base_values[base_index]
+            if alt_provider >= 0:
+                alt_prediction = tables[alt_provider].ctr[indices[alt_provider][position]] >= 0
+            else:
+                alt_prediction = base_value >= midpoint
+            train_base = True
+            if provider >= 0:
+                entry = tables[provider]
+                index = indices[provider][position]
+                ctr = entry.ctr
+                useful = entry.useful
+                value = ctr[index]
+                provider_prediction = value >= 0
+                if value == 0 or value == -1:
+                    prediction = alt_prediction if use_alt >= 0 else provider_prediction
+                    if provider_prediction != alt_prediction:
+                        if alt_prediction == taken:
+                            if use_alt < use_alt_max:
+                                use_alt += 1
+                        elif use_alt > use_alt_min:
+                            use_alt -= 1
                 else:
-                    alt_provider = table
-                    break
-        return self._resolve(result, provider, alt_provider, base_prediction)
+                    prediction = provider_prediction
+                if provider_prediction != alt_prediction:
+                    if provider_prediction == taken:
+                        if useful[index] < entry.useful_max:
+                            useful[index] += 1
+                    elif useful[index] > 0:
+                        useful[index] -= 1
+                if taken:
+                    if value < entry.counter_max:
+                        ctr[index] = value + 1
+                elif value > entry.counter_min:
+                    ctr[index] = value - 1
+                train_base = useful[index] == 0
+            else:
+                prediction = base_value >= midpoint
+            if train_base:
+                if taken:
+                    if base_value < base_maximum:
+                        base_values[base_index] = base_value + 1
+                elif base_value > 0:
+                    base_values[base_index] = base_value - 1
+            predictions[position] = prediction
+            if prediction != taken and provider < last:
+                scratch.provider = provider
+                for table in range(provider + 1, last + 1):
+                    allocation_indices[table] = indices[table][position]
+                    allocation_tags[table] = tags[table][position]
+                self._allocate(taken, scratch)
+            updates += 1
+            if updates >= period:
+                updates = 0
+                self._decay_useful()
+        self._use_alt = use_alt
+        self._updates_since_reset = updates
+        return predictions
 
     def _resolve(
         self, result: TAGEPrediction, provider: int, alt_provider: int, base_prediction: bool
@@ -404,7 +466,7 @@ class TAGEEngine:
             self._update_base(prediction.base_index, taken)
 
         if mispredicted and provider < cfg.num_tables - 1:
-            self._allocate(pc, taken, prediction)
+            self._allocate(taken, prediction)
 
         self._updates_since_reset += 1
         if self._updates_since_reset >= cfg.useful_reset_period:
@@ -422,7 +484,7 @@ class TAGEEngine:
         elif value > 0:
             values[index] = value - 1
 
-    def _allocate(self, pc: int, taken: bool, prediction: TAGEPrediction) -> None:
+    def _allocate(self, taken: bool, prediction: TAGEPrediction) -> None:
         """Allocate entries in longer-history tables after a misprediction."""
         cfg = self.config
         start = prediction.provider + 1
@@ -498,19 +560,17 @@ class TAGEPredictor(BranchPredictor):
     def observe_unconditional(self, record: BranchRecord) -> None:
         self.state.update_unconditional(record)
 
-    def predict_update_block(
-        self, pcs, targets, takens, kinds, gaps, per_pc=None
-    ) -> int:
-        """Block step: consume a column sub-block, return its mispredictions.
+    def predict_update_block(self, pcs, targets, takens, kinds, gaps) -> bytearray:
+        """Block step: consume a column sub-block, return its predictions.
 
         The engine's fast-path protocol (``docs/ENGINE.md``).  Per row, the
         field forms of the reference path's calls in the same order:
         :meth:`SharedState.observe_pc` for a non-conditional row; for a
         conditional one :meth:`TAGEEngine.predict_into`,
         :meth:`TAGEEngine.train_fields`, then
-        :meth:`SharedState.update_conditional_fields`.  ``per_pc``, when
-        given, is bumped per misprediction, so its keys follow
-        first-misprediction order.
+        :meth:`SharedState.update_conditional_fields`.  Entry ``k`` of the
+        returned column is the prediction (``0``/``1``) for the block's
+        ``k``-th conditional row.
         """
         engine = self.engine
         state = self.state
@@ -519,20 +579,17 @@ class TAGEPredictor(BranchPredictor):
         update_conditional = state.update_conditional_fields
         observe_pc = state.observe_pc
         scratch = self._scratch
-        mispredictions = 0
+        predictions = bytearray()
+        append = predictions.append
         for pc, target, taken, kind in zip(pcs, targets, takens, kinds):
             if kind != CONDITIONAL_CODE:
                 observe_pc(pc)
                 continue
             context = predict_into(pc, scratch)
-            prediction = context.prediction
+            append(context.prediction)
             train_fields(pc, taken, context)
             update_conditional(pc, target, taken)
-            if prediction != taken:
-                mispredictions += 1
-                if per_pc is not None:
-                    per_pc[pc] = per_pc.get(pc, 0) + 1
-        return mispredictions
+        return predictions
 
     def storage_bits(self) -> int:
         return self.engine.storage_bits() + self.state.storage_bits()

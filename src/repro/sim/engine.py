@@ -20,11 +20,13 @@ exactly two loops:
   fast-path member in turn.  Every TAGE-GSC/GEHL composite runs in a group
   (:mod:`repro.predictors.shared_core`): a shared-core group of pristine
   same-core members, or a group of one over a predictor's own tables;
-  ``run_block`` runs the group's trace-only pre-pass over the sub-block
-  and steps it once per conditional branch.  Any other member that
-  offers ``predict_update_block(pcs, targets, takens, kinds, gaps,
-  per_pc=None)`` (the bimodal baseline, standalone TAGE; see
-  ``docs/ENGINE.md``) runs as a solo and consumes the sub-block itself.
+  ``run_block`` runs the sub-block in stages (the trace-only pre-pass,
+  the TAGE core, each head) and returns one prediction column per
+  member.  Any other member that offers ``predict_update_block(pcs,
+  targets, takens, kinds, gaps)`` (the bimodal baseline, standalone
+  TAGE; see ``docs/ENGINE.md``) runs as a solo, consumes the sub-block
+  itself and returns its prediction column.  The loop counts every
+  member's mispredictions from its columns.
 
 Both produce bit-identical results; the block loop is picked
 automatically whenever the predictor and the trace support it.
@@ -33,8 +35,10 @@ automatically whenever the predictor and the trace support it.
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import compress
 from typing import Dict, List, Optional, Sequence
 
+from repro.core.component import _CONDITIONAL, _TRUTH
 from repro.predictors.base import BranchPredictor
 from repro.predictors.shared_core import is_groupable, plan_groups
 from repro.sim.result import ENGINE_VERSION, SimulationResult
@@ -270,33 +274,44 @@ def _simulate_columnar(
     reference loop's.  ``share_cores=False`` makes every composite a
     group of one.
 
-    Each sub-block goes to every group's ``run_block`` (the trace-only
-    pre-pass, then one step per conditional branch, bumping the group's
-    per-head counters and per-PC maps) and to every solo's
-    ``predict_update_block``, which returns the sub-block's misprediction
-    count.  Members are independent, so running them a sub-block at a
-    time each is the same as interleaving them per branch.  After the
-    traversal the group counters are scattered back to batch positions.
+    Each sub-block goes to every group's ``run_block`` (one prediction
+    column per member) and to every solo's ``predict_update_block`` (its
+    prediction column): one ``0``/``1`` byte per conditional record.
+    Members are independent, so running them a sub-block at a time each
+    is the same as interleaving them per branch.  A member's
+    mispredictions are the set bits of its column XOR the block's taken
+    bits; with per-PC tracking the set bits are walked in position order,
+    so each map gains its keys in first-misprediction order.
     """
     groups, solos = plan_groups(predictors, share_cores is not False)
-    if per_pc_maps is not None:
-        for group in groups:
-            group.per_pc = [per_pc_maps[index] for index in group.indices]
-    solo_steps = [
-        (
-            index,
-            predictors[index].predict_update_block,
-            None if per_pc_maps is None else per_pc_maps[index],
-        )
-        for index in solos
+    members = [(group.run_block, group.indices) for group in groups] + [
+        (_solo_step(predictors[index].predict_update_block), [index]) for index in solos
     ]
     counts = [0] * len(predictors)
     for block in _column_blocks(trace):
-        for group in groups:
-            group.run_block(block)
-        for index, step, per_pc in solo_steps:
-            counts[index] += step(*block, per_pc)
-    for group in groups:
-        for slot, index in enumerate(group.indices):
-            counts[index] = group.counts[slot]
+        pcs, _, takens, kinds, _ = block
+        flags = bytes(kinds).translate(_CONDITIONAL)
+        if flags.count(0):
+            takens = compress(takens, flags)
+            if per_pc_maps is not None:
+                pcs = list(compress(pcs, flags))
+        taken = int.from_bytes(bytes(takens).translate(_TRUTH), "little")
+        for run, indices in members:
+            for index, predictions in zip(indices, run(block)):
+                missed = int.from_bytes(predictions, "little") ^ taken
+                if not missed:
+                    continue
+                counts[index] += missed.bit_count()
+                if per_pc_maps is not None:
+                    per_pc = per_pc_maps[index]
+                    while missed:
+                        low = missed & -missed
+                        pc = pcs[low.bit_length() >> 3]
+                        per_pc[pc] = per_pc.get(pc, 0) + 1
+                        missed ^= low
     return counts
+
+
+def _solo_step(predict_update_block):
+    """A solo's block step in the group form: one prediction column per block."""
+    return lambda block: (predict_update_block(*block),)

@@ -675,8 +675,9 @@ class SuiteRunner:
 
         :func:`plan_cells` fills cells already in the memo or the store
         directly and only the misses are executed -- a fully stored batch
-        never even touches the backend.  Every keyed result goes into the
-        memo, and a new one into the store too.
+        never even touches the backend -- once per cell key, so labels of
+        equal content in one call share one replay.  Every keyed result
+        goes into the memo, and a new one into the store too.
         """
         if registry is None:
             from repro.api.registry import default_registry
@@ -702,9 +703,20 @@ class SuiteRunner:
             self._memo[cell.store_key] = result
             slots[cell.label][cell.index] = replace(result, predictor_name=cell.label)
             self._progress_advance()
-        store_keys = {(cell.label, cell.index): cell.store_key for cell in pending}
+        # Labels of equal content share a cell key: replay the first cell
+        # of each key and hand its twins renamed copies, as memo hits are.
+        twins: Dict[str, List[PlannedCell]] = {}
+        replayed: List[PlannedCell] = []
+        for cell in pending:
+            if cell.store_key in twins:
+                twins[cell.store_key].append(cell)
+                continue
+            if cell.store_key is not None:
+                twins[cell.store_key] = []
+            replayed.append(cell)
+        store_keys = {(cell.label, cell.index): cell.store_key for cell in replayed}
         for (label, index), result, timing in self._execute_pending(
-            specs, sizes, pending, track_per_pc, registry
+            specs, sizes, replayed, track_per_pc, registry
         ):
             trace = self.traces[index]
             key = store_keys[label, index]
@@ -735,6 +747,9 @@ class SuiteRunner:
                     branches=result.conditional_branches,
                 )
             slots[label][index] = result
+            for twin in twins.get(key, ()):
+                slots[twin.label][twin.index] = replace(result, predictor_name=twin.label)
+                self._progress_advance()
         return {
             label: ConfigurationRun(configuration=label, results=slots[label])
             for label in specs

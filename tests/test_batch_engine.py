@@ -26,9 +26,9 @@ from repro.dist import Coordinator, protocol
 from repro.dist.worker import Worker
 from repro.predictors.composites import CompositeOptions, build
 from repro.predictors import shared_core
-from repro.predictors.shared_core import _plan_heads, _run_heads, is_pristine, plan_groups
+from repro.predictors.shared_core import _plan_heads, head_kernel, is_pristine, plan_groups
 from repro.predictors.statistical_corrector import CorrectorContext
-from repro.predictors.tage import TAGEConfig, TAGEPredictor
+from repro.predictors.tage import TAGEConfig, TAGEEngine, TAGEPredictor
 from repro.predictors.simple import AlwaysTakenPredictor, BimodalPredictor
 from repro.sim import engine
 from repro.sim.engine import ENGINE_VERSION, simulate, simulate_many
@@ -627,14 +627,15 @@ class TestGroupDifferential:
         threshold=st.integers(0, 8),
     )
     def test_head_kernel_matches_adder_tree_rules(self, base, imli_sic, seed, threshold):
-        # The kernel inlines the corrector's revert rule and the adder
-        # tree's threshold training.  Small random counters keep the sums
-        # near the threshold and the revert margin, where forced training
-        # and reverts happen; random TAGE predictions drive the revert
-        # rule, and imli_sic flips the parity of the centred sum (an odd
-        # sum can sit exactly on the revert margin).  Decisions, counters
-        # and thresholds must match the per-component path branch by
-        # branch.
+        # The generated kernel inlines the corrector's revert rule and the
+        # adder tree's threshold training.  Small random counters keep the
+        # sums near the threshold and the revert margin, where forced
+        # training and reverts happen; random TAGE predictions drive the
+        # revert rule, and imli_sic flips the parity of the centred sum
+        # (an odd sum can sit exactly on the revert margin).  The kernel
+        # runs over random blocks (some of one branch); decisions must
+        # match the per-component path branch by branch, and counters and
+        # threshold state after every block.
         rng = random.Random(seed)
         options = CompositeOptions(
             base=base, imli_sic=imli_sic, imli_oh=True, imli_global_tables=1
@@ -651,70 +652,96 @@ class TestGroupDifferential:
                 table.values[:] = twin.values[:] = [
                     rng.randint(-3, 2) for _ in table.values
                 ]
-        index_fns, [rows] = _plan_heads([adders[0]])
+        components, [rows] = _plan_heads([adders[0]])
+        kernel = head_kernel(len(rows), base != "gehl")
+        tables = [(table.values, table.maximum, table.minimum) for _, table in rows]
         margin = 0 if base == "gehl" else ours.corrector.config.revert_margin
-        heads = [(rows, len(rows), adders[0], margin, None)]
-        for _ in range(40):
-            pc, target = rng.randrange(1 << 12), rng.randrange(1 << 12)
-            taken = rng.random() < 0.5
-            tage_prediction = None if base == "gehl" else rng.random() < 0.5
-            ours.state.tage_prediction = reference.state.tage_prediction = tage_prediction
-            if base == "gehl":
-                total, selections = adders[1].compute(pc, reference.state)
-                adders[1].train_fields(pc, target, taken, total, selections, reference.state)
-                expected = total >= 0
-            else:
-                context = reference.corrector.predict_into(
-                    pc, tage_prediction, CorrectorContext()
-                )
-                reference.corrector.train_fields(pc, target, taken, context)
-                expected = context.final_prediction
-            flat = []
-            for compute_indices in index_fns:
-                flat += compute_indices(pc, ours.state)
-            assert _run_heads(heads, flat, pc, target, taken, 0, tage_prediction) == [
-                expected
-            ]
+        remaining = 40
+        while remaining:
+            size = min(remaining, rng.choice([1, 1, 5, 13]))
+            remaining -= size
+            columns = [[] for _ in rows]
+            takens = bytearray()
+            tage = bytearray()
+            expected = []
+            for _ in range(size):
+                pc, target = rng.randrange(1 << 12), rng.randrange(1 << 12)
+                taken = rng.random() < 0.5
+                tage_prediction = None if base == "gehl" else rng.random() < 0.5
+                ours.state.tage_prediction = reference.state.tage_prediction = tage_prediction
+                if base == "gehl":
+                    total, selections = adders[1].compute(pc, reference.state)
+                    adders[1].train_fields(pc, target, taken, total, selections, reference.state)
+                    expected.append(total >= 0)
+                else:
+                    context = reference.corrector.predict_into(
+                        pc, tage_prediction, CorrectorContext()
+                    )
+                    reference.corrector.train_fields(pc, target, taken, context)
+                    expected.append(context.final_prediction)
+                    tage.append(tage_prediction)
+                flat = []
+                for component in components:
+                    flat += component.compute_indices(pc, ours.state)
+                for column, (position, _) in zip(columns, rows):
+                    column.append(flat[position])
+                takens.append(taken)
+                for predictor in (ours, reference):
+                    predictor.state.update_conditional_fields(pc, target, taken)
+            predictions = kernel(
+                columns, tables, takens, tage if base != "gehl" else None, adders[0], margin
+            )
+            assert list(predictions) == expected
             assert adders[0].threshold == adders[1].threshold
             assert adders[0]._threshold_counter == adders[1]._threshold_counter
             for mine, theirs in zip(adders[0].components, adders[1].components):
                 for table, twin in zip(mine.counter_tables, theirs.counter_tables):
                     assert table.values == twin.values
-            for predictor in (ours, reference):
-                predictor.state.update_conditional_fields(pc, target, taken)
 
 
 class TestBlockProtocol:
     """How the block loop drives its members, watched from outside."""
 
     @pytest.mark.parametrize("use_chunks", [False, True])
-    def test_solos_run_per_block_and_groups_step_per_branch(
+    def test_members_run_once_per_block(
         self, differential_traces, monkeypatch, use_chunks
     ):
         # A tage-gsc group, a gehl group, a standalone TAGE and a bimodal.
-        # Each solo's predict_update_block runs once per sub-block of
-        # _column_blocks; a group's step_count once per conditional branch
-        # (perfbench's shared_core.step layer wraps it).  Small sub-blocks
-        # cut the trace, and each chunk of the chunked copy, several times.
+        # Per sub-block of _column_blocks: each solo's predict_update_block
+        # runs once, the tage-gsc group's TAGE pass once, and one generated
+        # kernel call per head; no group steps per branch (step_count and
+        # step_list, which perfbench's shared_core.step layer wraps, are
+        # never called).  Small sub-blocks cut the trace, and each chunk of
+        # the chunked copy, several times.
         monkeypatch.setattr(engine, "SUB_BLOCK_RECORDS", 64)
         monolithic, chunked = differential_traces
         trace = (chunked if use_chunks else monolithic)[0]
         calls = {}
 
-        def spy(owner, name):
-            original = getattr(owner, name)
-
+        def counted(name, original):
             @functools.wraps(original)
-            def counted(*args, **kwargs):
-                calls[owner.__name__] = calls.get(owner.__name__, 0) + 1
+            def counting(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
                 return original(*args, **kwargs)
 
-            monkeypatch.setattr(owner, name, counted)
+            return counting
+
+        def spy(owner, name):
+            monkeypatch.setattr(owner, name, counted(owner.__name__, getattr(owner, name)))
 
         for solo in (TAGEPredictor, BimodalPredictor):
             spy(solo, "predict_update_block")
+        spy(TAGEEngine, "predict_train_block")
         for group in (shared_core._TageGscGroup, shared_core._GehlGroup):
-            spy(group, "step_count")
+            for name in ("step_count", "step_list"):
+                monkeypatch.setattr(group, name, counted("per-branch step", getattr(group, name)))
+        real_kernel = shared_core.head_kernel
+        monkeypatch.setattr(
+            shared_core, "head_kernel",
+            lambda rows, corrector: counted(
+                "tage-gsc head" if corrector else "gehl head", real_kernel(rows, corrector)
+            ),
+        )
         specs = _oh_grid(2) + [
             PredictorSpec.from_named("gehl+sic", profile="small"),
             PredictorSpec.from_named("gehl+imli", profile="small"),
@@ -724,14 +751,16 @@ class TestBlockProtocol:
         groups, solos = plan_groups(predictors)
         assert sorted(group.kind for group in groups) == ["gehl", "tage-gsc"]
         assert solos == [4, 5]
+        calls.clear()
         blocks = sum(1 for _ in engine._column_blocks(trace))
         assert blocks > 4
         simulate_many(predictors, trace)
         assert calls == {
             "TAGEPredictor": blocks,
             "BimodalPredictor": blocks,
-            "_TageGscGroup": trace.conditional_count,
-            "_GehlGroup": trace.conditional_count,
+            "TAGEEngine": blocks,
+            "tage-gsc head": 2 * blocks,
+            "gehl head": 2 * blocks,
         }
 
 

@@ -1,0 +1,185 @@
+"""The block-major group schedule, stage by stage.
+
+A shared-core group runs each sub-block in three stages: the trace-only
+pre-pass (with one IMLI-OH walk for every update delay of a geometry),
+the TAGE core over the whole sub-block, then one generated kernel per
+head.  The oracles here are the per-branch forms those stages replace:
+``OuterHistory.advance`` one instance per delay, a sub-block of one
+record, and the record-based reference path.
+"""
+
+from __future__ import annotations
+
+import random
+from array import array
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import test_batch_engine as batch_tests
+from repro.core.imli_oh import OuterHistory
+from repro.predictors.composites import CompositeOptions, build
+from repro.predictors.shared_core import head_kernel, is_pristine, plan_groups
+from repro.sim import engine
+from repro.sim.engine import SUB_BLOCK_RECORDS, simulate, simulate_many
+
+#: Fixture of short mixed-kind traces with byte-granular PCs, monolithic
+#: and chunked (97 records a chunk).
+differential_traces = batch_tests.differential_traces
+
+
+def _outer_state(history):
+    return (list(history.history), list(history.pipe), list(history._pending), history._tick)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    extra=st.sets(st.integers(2, 3 * SUB_BLOCK_RECORDS), max_size=9),
+    seed=st.integers(0, 2**32 - 1),
+    length=st.integers(1, 2 * SUB_BLOCK_RECORDS + 200),
+    cuts=st.lists(st.floats(0, 1), max_size=6),
+    warm_up=st.integers(0, 80),
+)
+def test_one_walk_matches_per_delay_advance(extra, seed, length, cuts, warm_up):
+    # Delays 0 and 1, random others (some longer than a sub-block, and
+    # sometimes more than the eight one walk holds), over random block
+    # splits.  Each history may start mid-stream: a per-branch warm-up
+    # leaves pending writes the walk must carry in.
+    delays = sorted({0, SUB_BLOCK_RECORDS + 1} | extra)
+    delays.insert(1, 1)
+    rng = random.Random(seed)
+    total = warm_up + length
+    pcs = [rng.randrange(1 << 12) for _ in range(total)]
+    targets = [rng.randrange(1 << 12) for _ in range(total)]
+    takens = [rng.random() < 0.6 for _ in range(total)]
+    counts = [rng.randrange(100) for _ in range(total)]
+    oracle = [OuterHistory(4, 8, delay) for delay in delays]
+    walked = [OuterHistory(4, 8, delay) for delay in delays]
+    expected = [([], []) for _ in delays]
+    for position in range(total):
+        pc, count = pcs[position], counts[position]
+        for history, (same, previous) in zip(oracle, expected):
+            slot = history.slot(pc)
+            if position >= warm_up:
+                same.append(history.history[slot * 8 + count % 8])
+                previous.append(history.pipe[slot])
+            history.advance(pc, targets[position], takens[position], count)
+        if position < warm_up:
+            for history in walked:
+                history.advance(pc, targets[position], takens[position], count)
+    got = [([], []) for _ in delays]
+    bounds = sorted({warm_up, total} | {warm_up + int(cut * length) for cut in cuts})
+    for start, stop in zip(bounds, bounds[1:]):
+        reads = OuterHistory.advance_together(
+            walked, pcs[start:stop], targets[start:stop],
+            array("b", takens[start:stop]), array("Q", counts[start:stop]),
+        )
+        for (same, previous), (same_column, previous_column) in zip(got, reads):
+            same += same_column
+            previous += previous_column
+    assert got == expected
+    for history, twin in zip(walked, oracle):
+        assert _outer_state(history) == _outer_state(twin), history.update_delay
+
+
+def test_head_kernel_is_generated_once_per_shape():
+    assert head_kernel(3, True) is head_kernel(3, True)
+    assert head_kernel(3, True) is not head_kernel(3, False)
+    assert head_kernel(3, True) is not head_kernel(4, True)
+
+
+class _Adder:
+    """The threshold state the kernel reads and writes back."""
+
+    def __init__(self, threshold):
+        self.threshold = threshold
+        self._threshold_counter = 0
+        self._threshold_counter_max = 2
+        self._threshold_counter_min = -2
+
+
+def test_head_kernel_rules_by_hand():
+    # Two rows over one-entry tables, so every branch reads index 0 of
+    # each: the centred sum is 2 * (a + b) + 2.
+    first, second = [1], [-1]
+    tables = [(first, 3, -4), (second, 3, -4)]
+    adder = _Adder(threshold=3)
+    gehl = head_kernel(2, False)
+    # Branch 1: sum 2 predicts taken but is not taken: both rows step
+    # down, and the miss moves the threshold counter to 1.  Branch 2: sum
+    # -2 misses a taken branch: both rows step up, the counter reaches 2,
+    # resets, and the threshold rises to 4.  Branch 3: sum 2 is right but
+    # not above the threshold: both rows step up, the counter drops to -1.
+    predictions = gehl([[0, 0, 0], [0, 0, 0]], tables, bytes([0, 1, 1]), None, adder, 0)
+    assert list(predictions) == [1, 0, 1]
+    assert (first, second) == ([2], [0])
+    assert (adder.threshold, adder._threshold_counter) == (4, -1)
+    # A confident, right sum (2 * 5 + 2 = 12 > 4) trains nothing ...
+    first[0], second[0] = 3, 2
+    assert list(gehl([[0], [0]], tables, b"\x01", None, adder, 0)) == [1]
+    assert (first, second, adder._threshold_counter) == ([3], [2], -1)
+    # ... but a corrector head whose final prediction is wrong trains it
+    # anyway: below the revert margin TAGE's "not taken" stands, misses,
+    # and forces the step up (the first row saturates at 3).  Above the
+    # margin the sum reverts TAGE.
+    corrector = head_kernel(2, True)
+    assert list(corrector([[0], [0]], tables, b"\x01", b"\x00", adder, 20)) == [0]
+    assert (first, second, adder._threshold_counter) == ([3], [3], -1)
+    assert list(corrector([[0], [0]], tables, b"\x01", b"\x00", adder, 10)) == [1]
+
+
+#: Heads of the schedule differential: TAGE-bit bias tables (every
+#: tage-gsc corrector), local history, loop and wormhole sidecars, and
+#: outer histories of three delays.
+SCHEDULE_HEADS = [
+    dict(imli_sic=True, imli_oh=True, oh_update_delay=0, local=True, loop=True),
+    dict(imli_oh=True, oh_update_delay=1, wormhole=True, imli_global_tables=1),
+    dict(imli_oh=True, oh_update_delay=63, local=True, loop=True, wormhole=True),
+]
+
+
+def _schedule_grid():
+    return [
+        build(CompositeOptions(base=base, **head), "small")
+        for base in ("tage-gsc", "gehl")
+        for head in SCHEDULE_HEADS
+    ]
+
+
+@pytest.mark.parametrize("use_chunks", [False, True])
+def test_one_record_sub_blocks_match_the_default_schedule(
+    differential_traces, monkeypatch, use_chunks
+):
+    # Sub-blocks of one record run every stage once per branch, which is
+    # the per-branch schedule; the default runs each stage over up to 512
+    # records.  Both must give the same counts and per-PC maps, for a
+    # tage-gsc and a gehl group of three heads each, and for a group of
+    # one that trains a predictor in place and then continues on the
+    # reference path.
+    monolithic, chunked = differential_traces
+    first, second = (chunked if use_chunks else monolithic)
+    outcomes = []
+    for size in (1, SUB_BLOCK_RECORDS):
+        monkeypatch.setattr(engine, "SUB_BLOCK_RECORDS", size)
+        predictors = _schedule_grid()
+        groups, solos = plan_groups(predictors)
+        assert sorted(len(group.indices) for group in groups) == [3, 3] and solos == []
+        grouped = simulate_many(predictors, first, track_per_pc=True)
+        lone = build(CompositeOptions(base="tage-gsc", **SCHEDULE_HEADS[2]), "small")
+        trained = simulate(lone, first, track_per_pc=True)
+        assert not is_pristine(lone)
+        continued = simulate(lone, second, track_per_pc=True, use_fast_path=False)
+        outcomes.append(grouped + [trained, continued])
+    one_record, default = outcomes
+    for result, expected in zip(one_record, default):
+        batch_tests._assert_identical(result, expected)
+        assert list(result.per_pc_mispredictions.items()) == list(
+            expected.per_pc_mispredictions.items()
+        )
+    reference = [
+        simulate(predictor, first, track_per_pc=True, use_fast_path=False)
+        for predictor in _schedule_grid()
+    ]
+    for result, expected in zip(default, reference):
+        batch_tests._assert_identical(result, expected)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.api import PredictorSpec, Registry
@@ -154,6 +156,16 @@ class TestSuiteRunner:
         assert set(runs) == {"tage-gsc", "gehl"}
         assert runner.run("gehl").results == runs["gehl"].results
         assert replays == [2, 2]  # one shared task per trace
+
+    def test_equal_content_labels_share_one_replay(self, replays):
+        runner = self._runner()
+        spec = PredictorSpec.from_named("tage-gsc", profile="small")
+        runs = runner.run_specs([spec, dataclasses.replace(spec, name="copy")])
+        assert replays == [1, 1]  # one cell per trace, not one per label
+        assert [result.predictor_name for result in runs["copy"].results] == ["copy"] * 2
+        assert runs["copy"].results == [
+            dataclasses.replace(result, predictor_name="copy") for result in runs[spec.label].results
+        ]
 
     def test_named_configuration_from_registry(self, easy_trace):
         runner = SuiteRunner([easy_trace], profile="small")
