@@ -17,12 +17,6 @@ __all__ = [
     "fold_bits",
     "hash_pc",
     "mix_hash",
-    "mix_hash1",
-    "mix_hash2",
-    "mix_hash3",
-    "mix_hash4",
-    "mix_pc_round",
-    "mix_tail2",
     "bit_at",
     "is_power_of_two",
     "log2_exact",
@@ -83,9 +77,8 @@ def hash_pc(pc: int, width: int) -> int:
 
 
 #: Constants of the splitmix64-style rounds used by :func:`mix_hash`.  The
-#: fixed-arity fast variants (``mix_hash2`` ...) and hand-inlined copies in
-#: per-branch hot paths (see ``docs/PERFORMANCE.md``) must produce exactly
-#: the same values as the generic function, so the constants are shared.
+#: block form of the same hash (:mod:`repro.common.swar`) must produce
+#: exactly the same values, so the constants are shared.
 MASK64 = 0xFFFFFFFFFFFFFFFF
 MIX_ROUND_KEY = 0x9E3779B97F4A7C15
 MIX_ROUND_MULTIPLIER = 0xBF58476D1CE4E5B9
@@ -110,87 +103,6 @@ def mix_hash(*values: int, width: int) -> int:
     acc = (acc * MIX_FINAL_MULTIPLIER) & MASK64
     acc ^= acc >> 31
     return acc & mask(width)
-
-
-def mix_hash1(a: int) -> int:
-    """``mix_hash(a, width=64)`` without validation or looping (hot path)."""
-    acc = MIX_ROUND_KEY ^ ((a + MIX_ROUND_KEY) & MASK64)
-    acc = (acc * MIX_ROUND_MULTIPLIER) & MASK64
-    acc ^= acc >> 27
-    acc = (acc * MIX_FINAL_MULTIPLIER) & MASK64
-    return acc ^ (acc >> 31)
-
-
-def mix_hash2(a: int, b: int) -> int:
-    """``mix_hash(a, b, width=64)`` without validation or looping (hot path)."""
-    acc = MIX_ROUND_KEY ^ ((a + MIX_ROUND_KEY) & MASK64)
-    acc = (acc * MIX_ROUND_MULTIPLIER) & MASK64
-    acc ^= acc >> 27
-    acc ^= (b + MIX_ROUND_KEY + 1) & MASK64
-    acc = (acc * MIX_ROUND_MULTIPLIER) & MASK64
-    acc ^= acc >> 27
-    acc = (acc * MIX_FINAL_MULTIPLIER) & MASK64
-    return acc ^ (acc >> 31)
-
-
-def mix_hash3(a: int, b: int, c: int) -> int:
-    """``mix_hash(a, b, c, width=64)`` without validation or looping (hot path)."""
-    acc = MIX_ROUND_KEY ^ ((a + MIX_ROUND_KEY) & MASK64)
-    acc = (acc * MIX_ROUND_MULTIPLIER) & MASK64
-    acc ^= acc >> 27
-    acc ^= (b + MIX_ROUND_KEY + 1) & MASK64
-    acc = (acc * MIX_ROUND_MULTIPLIER) & MASK64
-    acc ^= acc >> 27
-    acc ^= (c + MIX_ROUND_KEY + 2) & MASK64
-    acc = (acc * MIX_ROUND_MULTIPLIER) & MASK64
-    acc ^= acc >> 27
-    acc = (acc * MIX_FINAL_MULTIPLIER) & MASK64
-    return acc ^ (acc >> 31)
-
-
-def mix_pc_round(a: int) -> int:
-    """First absorb round of :func:`mix_hash` (shared-prefix optimisation).
-
-    Several hash sites mix the same branch PC as their first field with
-    different per-table suffixes; the first round only depends on that PC,
-    so it can be computed once and shared (see ``mix_tail2``).
-    """
-    acc = MIX_ROUND_KEY ^ ((a + MIX_ROUND_KEY) & MASK64)
-    acc = (acc * MIX_ROUND_MULTIPLIER) & MASK64
-    return acc ^ (acc >> 27)
-
-
-def mix_tail2(acc: int, b: int, c: int) -> int:
-    """Absorb two more fields after :func:`mix_pc_round` and finalise.
-
-    ``mix_tail2(mix_pc_round(a), b, c) == mix_hash3(a, b, c)``.
-    """
-    acc ^= (b + MIX_ROUND_KEY + 1) & MASK64
-    acc = (acc * MIX_ROUND_MULTIPLIER) & MASK64
-    acc ^= acc >> 27
-    acc ^= (c + MIX_ROUND_KEY + 2) & MASK64
-    acc = (acc * MIX_ROUND_MULTIPLIER) & MASK64
-    acc ^= acc >> 27
-    acc = (acc * MIX_FINAL_MULTIPLIER) & MASK64
-    return acc ^ (acc >> 31)
-
-
-def mix_hash4(a: int, b: int, c: int, d: int) -> int:
-    """``mix_hash(a, b, c, d, width=64)`` without validation or looping (hot path)."""
-    acc = MIX_ROUND_KEY ^ ((a + MIX_ROUND_KEY) & MASK64)
-    acc = (acc * MIX_ROUND_MULTIPLIER) & MASK64
-    acc ^= acc >> 27
-    acc ^= (b + MIX_ROUND_KEY + 1) & MASK64
-    acc = (acc * MIX_ROUND_MULTIPLIER) & MASK64
-    acc ^= acc >> 27
-    acc ^= (c + MIX_ROUND_KEY + 2) & MASK64
-    acc = (acc * MIX_ROUND_MULTIPLIER) & MASK64
-    acc ^= acc >> 27
-    acc ^= (d + MIX_ROUND_KEY + 3) & MASK64
-    acc = (acc * MIX_ROUND_MULTIPLIER) & MASK64
-    acc ^= acc >> 27
-    acc = (acc * MIX_FINAL_MULTIPLIER) & MASK64
-    return acc ^ (acc >> 31)
 
 
 def bit_at(value: int, position: int) -> int:

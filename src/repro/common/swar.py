@@ -20,7 +20,7 @@ operations:
 :func:`mix_round` and :func:`mix_final` are the splitmix rounds of
 :func:`repro.common.bits.mix_hash` under those rules, so slot ``k`` of
 ``mix_tail(lanes, mix_round(lanes, lanes.of(MIX_ROUND_KEY), a, 0), b)``
-equals ``mix_hash2(a[k] mod 2**64, b[k] mod 2**64)``; the absorb step
+equals ``mix_hash(a[k] mod 2**64, b[k] mod 2**64, width=64)``; the absorb step
 ``(a + key) & MASK64`` depends only on ``a mod 2**64``, which is what a
 slot holds.  :func:`windows` and :func:`fold_columns` give the closed
 form of :class:`~repro.common.history.FoldedHistory` (see there).

@@ -26,7 +26,7 @@ This module defines the plumbing that makes that composition possible:
 * :class:`IndexedComponent` -- a component whose counters sit at hashed
   table indices named by a hashable
   :meth:`~IndexedComponent.index_key`, so a shared-core group hashes each
-  distinct index once per branch and the heads only read and train
+  distinct index once per sub-block and the heads only read and train
   counters.
 """
 
@@ -428,12 +428,8 @@ class NeuralComponent(ABC):
         """Return ``(selections, contribution)`` for branch ``pc``.
 
         The contribution is the component's centred adder-tree input,
-        ``sum(2 * counter + 1)`` over the selected counters.  The default
-        derives it from :meth:`select`; hot components override this with a
-        fused implementation (the selected counter is already at hand when
-        the index has just been computed).  Overrides must stay consistent
-        with :meth:`select` -- the adder tree trains through the returned
-        selections either way.
+        ``sum(2 * counter + 1)`` over the counters :meth:`select` picks;
+        the adder tree trains through the returned selections.
         """
         selections = self.select(pc, state)
         total = 0
@@ -501,20 +497,19 @@ class NeuralComponent(ABC):
 class IndexedComponent(NeuralComponent):
     """A component reading counters at indices hashed from trace-only state.
 
-    Subclasses list their tables in ``counter_tables`` and implement
-    :meth:`compute_indices` (the hash: from the branch PC and the
-    :class:`SharedState` only; one index per table of ``counter_tables``,
-    in that order, always as a sequence) and :meth:`index_key`; the
-    default :meth:`select_sum_at` reads one counter per table at those
-    indices.  :meth:`select` stays the plain reference form of the same
-    hash, which the tests pin the split form to.
+    Subclasses list their tables in ``counter_tables`` and give each hash
+    in two forms: :meth:`select`, per branch from the branch PC and the
+    :class:`SharedState` only (one selection per table of
+    ``counter_tables``, in that order), which the reference path reads
+    through the inherited :meth:`~NeuralComponent.select_sum`; and
+    :meth:`index_columns`, the same hash for every branch of a sub-block.
 
-    Two components with equal keys over one state compute equal indices
-    for every branch, so a shared-core group computes each distinct key's
-    :meth:`index_columns` once per sub-block and reads and trains every
-    head's ``counter_tables`` at those indices itself.  A key starts with
-    the component's type, so a subclass that hashes differently never
-    shares with its parent.
+    Two components with equal :meth:`index_key` over one state compute
+    equal indices for every branch, so a shared-core group computes each
+    distinct key's :meth:`index_columns` once per sub-block and reads and
+    trains every head's ``counter_tables`` at those indices itself.  A key
+    starts with the component's type, so a subclass that hashes
+    differently never shares with its parent.
     """
 
     counter_tables: Sequence[SignedCounterArray] = ()
@@ -524,27 +519,12 @@ class IndexedComponent(NeuralComponent):
         """Hashable identity of the component's table indices."""
 
     @abstractmethod
-    def compute_indices(self, pc: int, state: SharedState) -> Sequence[int]:
-        """The hash half of :meth:`select_sum`, read by :meth:`select_sum_at`."""
-
-    @abstractmethod
     def index_columns(self, block: BlockColumns) -> list:
-        """:meth:`compute_indices` for every branch of a block, in bulk.
+        """:meth:`select`'s indices for every branch of a block, in bulk.
 
         One ``array`` per table of ``counter_tables``: entry ``k`` of a
-        column is the index :meth:`compute_indices` returns for branch
+        column is the index :meth:`select` picks in that table for branch
         ``k`` over the state :meth:`SharedState.advance_block` recorded.
         A table indexed with the TAGE prediction has a ``(not taken,
         taken)`` pair of columns instead, for the caller to pick from.
         """
-
-    def select_sum(self, pc: int, state: SharedState) -> tuple:
-        return self.select_sum_at(self.compute_indices(pc, state))
-
-    def select_sum_at(self, indices: Sequence[int]) -> tuple:
-        """The read half of :meth:`select_sum`, over :meth:`compute_indices`."""
-        selections = list(zip(self.counter_tables, indices))
-        total = 0
-        for table, index in selections:
-            total += table.values[index]
-        return selections, 2 * total + len(selections)

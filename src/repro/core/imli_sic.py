@@ -15,9 +15,9 @@ checkpointed by the owning predictor (a few tens of bits).
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List
 
-from repro.common.bits import log2_exact, mask, mix_hash, mix_hash2
+from repro.common.bits import log2_exact, mask, mix_hash
 from repro.common.counters import SignedCounterArray
 from repro.core.component import CounterSelection, IndexedComponent, SharedState
 
@@ -50,16 +50,8 @@ class IMLISameIterationComponent(IndexedComponent):
     def index_key(self) -> tuple:
         return (type(self), self.index_bits)
 
-    def compute_indices(self, pc: int, state: SharedState) -> Tuple[int]:
-        return (mix_hash2(pc, state.imli.count) & self.index_mask,)
-
     def index_columns(self, block) -> list:
         return [block.index(self.index_mask, block.imli)]
-
-    def select_sum_at(self, indices: Sequence[int]) -> tuple:
-        table = self.table
-        index = indices[0]
-        return [(table, index)], 2 * table.values[index] + 1
 
     def storage_bits(self) -> int:
         return self.table.storage_bits()

@@ -99,10 +99,11 @@ class AdderTree:
     ) -> Tuple[int, List[List[CounterSelection]]]:
         """:meth:`compute` over indices hashed once for several adder trees.
 
-        ``reads`` has one ``(read, slot)`` pair per component: ``read`` is
-        the component's
-        :meth:`~repro.core.component.IndexedComponent.select_sum_at` and
-        ``shared[slot]`` its precomputed indices.
+        ``reads`` has one ``(read, slot)`` pair per component: ``read``
+        maps ``shared[slot]``, the component's precomputed indices, to
+        its ``(selections, contribution)`` as
+        :meth:`~repro.core.component.NeuralComponent.select_sum` returns
+        them.
 
         Per-component reference form only: shared-core groups read and
         train each head over a whole sub-block through a generated kernel

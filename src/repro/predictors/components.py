@@ -24,19 +24,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.common import swar
-from repro.common.bits import (
-    MASK64,
-    MIX_FINAL_MULTIPLIER,
-    MIX_ROUND_KEY,
-    MIX_ROUND_MULTIPLIER,
-    log2_exact,
-    mask,
-    mix_hash,
-    mix_hash1,
-    mix_hash2,
-    mix_hash3,
-    mix_hash4,
-)
+from repro.common.bits import log2_exact, mask, mix_hash
 from repro.common.counters import SignedCounterArray
 from repro.common.history import FoldedHistory, LocalHistoryTable
 from repro.core.component import CounterSelection, IndexedComponent, SharedState
@@ -124,30 +112,12 @@ class BiasComponent(IndexedComponent):
         # The TAGE bit comes from the shared state, like every other input.
         return (type(self), self.index_bits, self.tage_table is not None)
 
-    def compute_indices(self, pc: int, state: SharedState) -> tuple:
-        index_mask = self.index_mask
-        if self.tage_table is None:
-            return (mix_hash1(pc) & index_mask,)
-        tage_bit = 1 if state.tage_prediction else 0
-        return mix_hash1(pc) & index_mask, mix_hash2(pc, tage_bit) & index_mask
-
     def index_columns(self, block) -> list:
         columns = [block.index(self.index_mask)]
         if self.tage_table is not None:
             lanes = block.lanes
             columns.append(tuple(block.index(self.index_mask, lanes.of(bit)) for bit in (0, 1)))
         return columns
-
-    def select_sum_at(self, indices: tuple) -> tuple:
-        pc_table = self.pc_table
-        pc_index = indices[0]
-        total = 2 * pc_table.values[pc_index] + 1
-        tage_table = self.tage_table
-        if tage_table is None:
-            return [(pc_table, pc_index)], total
-        tage_index = indices[1]
-        total += 2 * tage_table.values[tage_index] + 1
-        return [(pc_table, pc_index), (tage_table, tage_index)], total
 
     def storage_bits(self) -> int:
         bits = self.pc_table.storage_bits()
@@ -189,7 +159,7 @@ class GlobalHistoryComponent(IndexedComponent):
             state.new_folded_history(length, self.index_bits)
             for length in self.history_lengths
         ]
-        # Per-table hot rows: (folded register, path-history mask).  The
+        # Per-table rows: (folded register, path-history mask).  The
         # path hash consumes at most 16 path bits, clamped to the path
         # register capacity exactly like PathHistory.value() does.
         path_capacity = state.path_history.capacity
@@ -198,11 +168,15 @@ class GlobalHistoryComponent(IndexedComponent):
             for folded, length in zip(self.folded, self.history_lengths)
         ]
 
-    def select(self, pc: int, state: SharedState) -> List[CounterSelection]:
+    def select(self, pc: int, state: SharedState, *extra: int) -> List[CounterSelection]:
+        # ``extra``: fields hashed after the path (the IMLI count of the
+        # subclass), as in index_columns.
         path_bits = state.path_history.bits if self.use_path_history else 0
-        index_mask = self.index_mask
         return [
-            (table, mix_hash3(pc, folded.fold, path_bits & path_mask) & index_mask)
+            (
+                table,
+                mix_hash(pc, folded.fold, path_bits & path_mask, *extra, width=self.index_bits),
+            )
             for table, (folded, path_mask) in zip(self.tables, self._rows)
         ]
 
@@ -211,37 +185,6 @@ class GlobalHistoryComponent(IndexedComponent):
         # fold objects (shape-deduplicated) and the path masks derive from
         # the same path register, so the geometry names the indices.
         return (type(self), tuple(self.history_lengths), self.index_bits, self.use_path_history)
-
-    def compute_indices(self, pc: int, state: SharedState) -> List[int]:
-        # The hottest hash site of the adder-tree predictors: the splitmix
-        # rounds of ``mix_hash3(pc, fold, path)`` are inlined with the
-        # PC-only first round hoisted out of the per-table loop (it is the
-        # same for every table; see bits.mix_pc_round / bits.mix_tail2,
-        # whose property tests pin this inline copy to the generic hash).
-        # The shared constants are hoisted into locals so the loop body
-        # pays LOAD_FAST, not module-global lookups.
-        path_bits = state.path_history.bits if self.use_path_history else 0
-        index_mask = self.index_mask
-        mask64 = MASK64
-        multiplier = MIX_ROUND_MULTIPLIER
-        key1 = MIX_ROUND_KEY + 1
-        key2 = MIX_ROUND_KEY + 2
-        final_multiplier = MIX_FINAL_MULTIPLIER
-        acc0 = MIX_ROUND_KEY ^ ((pc + MIX_ROUND_KEY) & mask64)
-        acc0 = (acc0 * multiplier) & mask64
-        acc0 ^= acc0 >> 27
-        indices = []
-        append = indices.append
-        for folded, path_mask in self._rows:
-            acc = acc0 ^ ((folded.fold + key1) & mask64)
-            acc = (acc * multiplier) & mask64
-            acc ^= acc >> 27
-            acc ^= ((path_bits & path_mask) + key2) & mask64
-            acc = (acc * multiplier) & mask64
-            acc ^= acc >> 27
-            acc = (acc * final_multiplier) & mask64
-            append((acc ^ (acc >> 31)) & index_mask)
-        return indices
 
     def index_columns(self, block, *extra: int) -> list:
         # ``extra``: slot columns hashed after the path (the IMLI count of
@@ -270,26 +213,7 @@ class IMLICountHashedGlobalComponent(GlobalHistoryComponent):
     name = "global+imli"
 
     def select(self, pc: int, state: SharedState) -> List[CounterSelection]:
-        path_bits = state.path_history.bits if self.use_path_history else 0
-        imli_count = state.imli.count
-        index_mask = self.index_mask
-        return [
-            (
-                table,
-                mix_hash4(pc, folded.fold, path_bits & path_mask, imli_count)
-                & index_mask,
-            )
-            for table, (folded, path_mask) in zip(self.tables, self._rows)
-        ]
-
-    def compute_indices(self, pc: int, state: SharedState) -> List[int]:
-        path_bits = state.path_history.bits if self.use_path_history else 0
-        imli_count = state.imli.count
-        index_mask = self.index_mask
-        return [
-            mix_hash4(pc, folded.fold, path_bits & path_mask, imli_count) & index_mask
-            for folded, path_mask in self._rows
-        ]
+        return super().select(pc, state, state.imli.count)
 
     def index_columns(self, block) -> list:
         return super().index_columns(block, block.imli)
@@ -341,28 +265,6 @@ class LocalHistoryComponent(IndexedComponent):
 
     def index_key(self) -> tuple:
         return (type(self), tuple(self.history_lengths), self.index_bits, self.histories)
-
-    def compute_indices(self, pc: int, state: SharedState) -> List[int]:
-        # ``mix_hash(pc, history, width=)`` per table, with the PC round
-        # hoisted out of the loop (see GlobalHistoryComponent.compute_indices).
-        local_history = self.histories.read(pc)
-        index_mask = self.index_mask
-        mask64 = MASK64
-        multiplier = MIX_ROUND_MULTIPLIER
-        key1 = MIX_ROUND_KEY + 1
-        final_multiplier = MIX_FINAL_MULTIPLIER
-        acc0 = MIX_ROUND_KEY ^ ((pc + MIX_ROUND_KEY) & mask64)
-        acc0 = (acc0 * multiplier) & mask64
-        acc0 ^= acc0 >> 27
-        indices = []
-        append = indices.append
-        for history_mask in self._history_masks:
-            acc = acc0 ^ (((local_history & history_mask) + key1) & mask64)
-            acc = (acc * multiplier) & mask64
-            acc ^= acc >> 27
-            acc = (acc * final_multiplier) & mask64
-            append((acc ^ (acc >> 31)) & index_mask)
-        return indices
 
     def index_columns(self, block) -> list:
         histories = swar.pack(block.reads[self.histories])

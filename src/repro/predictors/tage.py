@@ -31,7 +31,7 @@ from repro.common.history import FoldedHistory
 from repro.core.component import SharedState
 from repro.predictors.base import BranchPredictor
 from repro.predictors.components import geometric_history_lengths
-from repro.trace.branch import CONDITIONAL_CODE, BranchRecord
+from repro.trace.branch import BranchRecord
 
 __all__ = ["TAGEConfig", "TAGEEngine", "TAGEPrediction", "TAGEPredictor"]
 
@@ -200,9 +200,9 @@ class TAGEEngine:
         """Fill ``result`` (whose lists must be pre-sized) with the
         prediction context for ``pc``.
 
-        This is the per-branch hot path: the index and tag hash functions
-        are inlined with hoisted locals so a reused scratch
-        :class:`TAGEPrediction` makes prediction allocation-free.
+        The reference path's per-branch lookup, with the index and tag
+        hash functions inlined over hoisted locals; the block form is
+        :meth:`predict_train_block`.
         """
         index_bits = self.index_bits
         index_mask = self._index_mask
@@ -542,10 +542,6 @@ class TAGEPredictor(BranchPredictor):
         )
         self.engine = TAGEEngine(self.state, config)
         self._last: Optional[TAGEPrediction] = None
-        self._scratch = TAGEPrediction(
-            indices=[0] * self.engine.config.num_tables,
-            tags=[0] * self.engine.config.num_tables,
-        )
 
     def predict(self, record: BranchRecord) -> bool:
         self._last = self.engine.predict(record.pc)
@@ -563,33 +559,15 @@ class TAGEPredictor(BranchPredictor):
     def predict_update_block(self, pcs, targets, takens, kinds, gaps) -> bytearray:
         """Block step: consume a column sub-block, return its predictions.
 
-        The engine's fast-path protocol (``docs/ENGINE.md``).  Per row, the
-        field forms of the reference path's calls in the same order:
-        :meth:`SharedState.observe_pc` for a non-conditional row; for a
-        conditional one :meth:`TAGEEngine.predict_into`,
-        :meth:`TAGEEngine.train_fields`, then
-        :meth:`SharedState.update_conditional_fields`.  Entry ``k`` of the
-        returned column is the prediction (``0``/``1``) for the block's
-        ``k``-th conditional row.
+        The engine's fast-path protocol (``docs/ENGINE.md``), run like the
+        TAGE core of a shared-core group: the trace-only pre-pass
+        (:meth:`SharedState.advance_block`), then
+        :meth:`TAGEEngine.predict_train_block` over its columns.  Entry
+        ``k`` of the returned column is the prediction (``0``/``1``) for
+        the block's ``k``-th conditional row.
         """
-        engine = self.engine
-        state = self.state
-        predict_into = engine.predict_into
-        train_fields = engine.train_fields
-        update_conditional = state.update_conditional_fields
-        observe_pc = state.observe_pc
-        scratch = self._scratch
-        predictions = bytearray()
-        append = predictions.append
-        for pc, target, taken, kind in zip(pcs, targets, takens, kinds):
-            if kind != CONDITIONAL_CODE:
-                observe_pc(pc)
-                continue
-            context = predict_into(pc, scratch)
-            append(context.prediction)
-            train_fields(pc, taken, context)
-            update_conditional(pc, target, taken)
-        return predictions
+        block = self.state.advance_block(pcs, targets, takens, kinds)
+        return self.engine.predict_train_block(block)
 
     def storage_bits(self) -> int:
         return self.engine.storage_bits() + self.state.storage_bits()

@@ -191,11 +191,11 @@ _BRANCHES = st.lists(
 
 
 class TestIndexSharing:
-    """``index_key`` / ``compute_indices`` / ``select_sum_at`` per component."""
+    """``index_key`` / ``select`` / ``select_sum`` per component."""
 
     @settings(max_examples=40, deadline=None)
     @given(branches=_BRANCHES)
-    def test_split_read_matches_select_sum(self, branches):
+    def test_select_sum_matches_select(self, branches):
         state = SharedState()
         components = _index_components(state)
         for pc, target, taken in branches:
@@ -203,9 +203,8 @@ class TestIndexSharing:
             for component in components:
                 selections, total = component.select_sum(pc, state)
                 assert selections == component.select(pc, state)
-                assert component.select_sum_at(
-                    component.compute_indices(pc, state)
-                ) == (selections, total)
+                assert [table for table, _ in selections] == list(component.counter_tables)
+                assert total == sum(2 * table.values[index] + 1 for table, index in selections)
                 component.train(pc, taken, selections, state)
             state.update_conditional_fields(pc, target, taken)
 
@@ -221,7 +220,9 @@ class TestIndexSharing:
         for pc, target, taken in branches:
             state.tage_prediction = not (pc & 2)
             for mine, other in zip(ours, theirs):
-                assert mine.compute_indices(pc, state) == other.compute_indices(pc, state)
+                assert [index for _, index in mine.select(pc, state)] == [
+                    index for _, index in other.select(pc, state)
+                ]
                 mine.train(pc, taken, mine.select(pc, state), state)
             state.update_conditional_fields(pc, target, taken)
 

@@ -682,7 +682,7 @@ class TestGroupDifferential:
                     tage.append(tage_prediction)
                 flat = []
                 for component in components:
-                    flat += component.compute_indices(pc, ours.state)
+                    flat += [index for _, index in component.select(pc, ours.state)]
                 for column, (position, _) in zip(columns, rows):
                     column.append(flat[position])
                 takens.append(taken)
@@ -708,8 +708,9 @@ class TestBlockProtocol:
     ):
         # A tage-gsc group, a gehl group, a standalone TAGE and a bimodal.
         # Per sub-block of _column_blocks: each solo's predict_update_block
-        # runs once, the tage-gsc group's TAGE pass once, and one generated
-        # kernel call per head; no group steps per branch (step_count and
+        # runs once, the tage-gsc group's TAGE pass once, the standalone
+        # TAGE's own TAGE pass once, and one generated kernel call per
+        # head; no group steps per branch (step_count and
         # step_list, which perfbench's shared_core.step layer wraps, are
         # never called).  Small sub-blocks cut the trace, and each chunk of
         # the chunked copy, several times.
@@ -731,7 +732,14 @@ class TestBlockProtocol:
 
         for solo in (TAGEPredictor, BimodalPredictor):
             spy(solo, "predict_update_block")
-        spy(TAGEEngine, "predict_train_block")
+        real_pass = TAGEEngine.predict_train_block
+
+        def tage_pass(tage, block):
+            name = "solo TAGE pass" if tage is predictors[4].engine else "group TAGE pass"
+            calls[name] = calls.get(name, 0) + 1
+            return real_pass(tage, block)
+
+        monkeypatch.setattr(TAGEEngine, "predict_train_block", tage_pass)
         for group in (shared_core._TageGscGroup, shared_core._GehlGroup):
             for name in ("step_count", "step_list"):
                 monkeypatch.setattr(group, name, counted("per-branch step", getattr(group, name)))
@@ -758,7 +766,8 @@ class TestBlockProtocol:
         assert calls == {
             "TAGEPredictor": blocks,
             "BimodalPredictor": blocks,
-            "TAGEEngine": blocks,
+            "group TAGE pass": blocks,
+            "solo TAGE pass": blocks,
             "tage-gsc head": 2 * blocks,
             "gehl head": 2 * blocks,
         }

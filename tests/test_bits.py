@@ -13,12 +13,6 @@ from repro.common.bits import (
     log2_exact,
     mask,
     mix_hash,
-    mix_hash1,
-    mix_hash2,
-    mix_hash3,
-    mix_hash4,
-    mix_pc_round,
-    mix_tail2,
     rotate_left,
 )
 
@@ -152,36 +146,6 @@ class TestMixHash:
     @given(st.lists(st.integers(min_value=0, max_value=2**32), min_size=1, max_size=5))
     def test_mix_hash_deterministic(self, values):
         assert mix_hash(*values, width=11) == mix_hash(*values, width=11)
-
-
-class TestMixHashFastVariants:
-    """The unrolled hot-path variants must agree with the generic mix_hash."""
-
-    FIELDS = st.integers(min_value=0, max_value=2**64 - 1)
-
-    @given(a=FIELDS)
-    def test_mix_hash1(self, a):
-        assert mix_hash1(a) & mask(64) == mix_hash(a, width=64)
-
-    @given(a=FIELDS, b=FIELDS)
-    def test_mix_hash2(self, a, b):
-        assert mix_hash2(a, b) & mask(64) == mix_hash(a, b, width=64)
-
-    @given(a=FIELDS, b=FIELDS, c=FIELDS)
-    def test_mix_hash3(self, a, b, c):
-        assert mix_hash3(a, b, c) & mask(64) == mix_hash(a, b, c, width=64)
-
-    @given(a=FIELDS, b=FIELDS, c=FIELDS, d=FIELDS)
-    def test_mix_hash4(self, a, b, c, d):
-        assert mix_hash4(a, b, c, d) & mask(64) == mix_hash(a, b, c, d, width=64)
-
-    @given(a=FIELDS, b=FIELDS, c=FIELDS)
-    def test_shared_pc_round(self, a, b, c):
-        assert mix_tail2(mix_pc_round(a), b, c) == mix_hash3(a, b, c)
-
-    @given(a=FIELDS, b=FIELDS, c=FIELDS, width=st.integers(min_value=1, max_value=20))
-    def test_narrow_widths_match(self, a, b, c, width):
-        assert mix_hash3(a, b, c) & mask(width) == mix_hash(a, b, c, width=width)
 
 
 class TestBitAt:

@@ -239,35 +239,6 @@ class TestIMLIOuterHistoryComponent:
         assert delayed.history[cell] == 0  # still pending
         assert first.storage_bits() == IMLIOuterHistoryComponent().storage_bits()
 
-    def test_memoized_indices_match_select_for_every_outcome_pair(self):
-        # compute_indices memoizes a PC's four indices (one per value of
-        # the recovered Out[N-1][M] and Out[N-1][M-1] bits); set each pair
-        # directly and compare with the unmemoized select, on a cold memo
-        # and again once it is warm.
-        component = IMLIOuterHistoryComponent(prediction_entries=64)
-        state = SharedState()
-        component.bind(state)
-        pc = 0x1234
-        slot = component._slot(pc)
-        state.imli.count = 5
-        cell = component._cell(slot, state.imli.count)
-        for warm in (False, True):
-            seen = set()
-            for same in (0, 1):
-                for previous in (0, 1):
-                    component.history[cell] = same
-                    component.pipe[slot] = previous
-                    assert component.recovered_outcomes(pc, state.imli.count) == (
-                        same, previous,
-                    )
-                    if not warm:
-                        component._indices_by_pc.clear()
-                    [(table, index)] = component.select(pc, state)
-                    assert component.compute_indices(pc, state) == (index,)
-                    assert pc in component._indices_by_pc
-                    seen.add(index)
-            assert len(seen) > 1
-
     def test_pipe_restore_validates_length(self):
         component = IMLIOuterHistoryComponent()
         component.bind(SharedState())

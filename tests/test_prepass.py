@@ -3,9 +3,9 @@
 A group advances its :class:`~repro.core.component.SharedState` once per
 sub-block (:meth:`SharedState.advance_block`) and reads every index from
 columns (``index_columns``, ``TAGEEngine.index_columns``).  The per-branch
-forms -- ``update_conditional_fields`` / ``observe_pc`` and
-``compute_indices`` -- serve the record-based reference path and are the
-oracle here: branch by branch the columns must equal them, and after
+forms -- ``update_conditional_fields`` / ``observe_pc`` and each
+component's ``select`` -- serve the record-based reference path and are
+the oracle here: branch by branch the columns must equal them, and after
 every sub-block the state must be exactly where the per-branch calls
 leave it.
 """
@@ -114,7 +114,7 @@ def test_block_columns_match_per_branch_upkeep(
             for bit in (False, True):
                 step_state.tage_prediction = bit
                 for (_, component), component_columns in zip(pairs, index_columns):
-                    expected = list(component.compute_indices(pc, step_state))
+                    expected = [index for _, index in component.select(pc, step_state)]
                     got = [
                         (column[bit] if isinstance(column, tuple) else column)[position]
                         for column in component_columns
@@ -186,8 +186,8 @@ def test_grouped_steps_do_no_upkeep_or_hashing(differential_traces, monkeypatch,
     while pending:
         kind = pending.pop()
         pending.extend(kind.__subclasses__())
-        if "compute_indices" in vars(kind):
-            monkeypatch.setattr(kind, "compute_indices", forbidden)
+        if "select" in vars(kind):
+            monkeypatch.setattr(kind, "select", forbidden)
     for trace, reference in zip(traces, expected):
         grouped = simulate_many(_grid("tage-gsc") + _grid("gehl"), trace, track_per_pc=track)
         for result, solo in zip(grouped, reference):

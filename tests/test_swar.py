@@ -2,7 +2,7 @@
 
 :mod:`repro.common.swar` computes splitmix hashes and folded-history
 columns for a whole block of branches at once; the per-branch functions
-(:func:`repro.common.bits.mix_hash1` ... ``mix_hash4``,
+(:func:`repro.common.bits.mix_hash` at ``width=64``,
 :class:`~repro.common.history.FoldedHistory`, ``TAGEEngine._table_index``
 / ``_table_tag``) are the oracles.
 """
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common import swar
-from repro.common.bits import MIX_ROUND_KEY, mix_hash1, mix_hash2, mix_hash3, mix_hash4
+from repro.common.bits import MIX_ROUND_KEY, mix_hash
 from repro.core.component import SharedState
 from repro.predictors.tage import TAGEConfig, TAGEEngine
 from repro.trace.branch import CONDITIONAL_CODE
@@ -30,8 +30,6 @@ FIELDS = st.one_of(
     st.integers(0, 2**80),
 )
 
-ORACLES = {1: mix_hash1, 2: mix_hash2, 3: mix_hash3, 4: mix_hash4}
-
 
 @settings(max_examples=60, deadline=None)
 @given(arity=st.integers(1, 4), data=st.data())
@@ -41,7 +39,7 @@ def test_swar_splitmix_matches_mix_hash(arity, data):
     columns = [swar.pack([row[field] for row in rows]) for field in range(arity)]
     acc = swar.mix_round(lanes, lanes.of(MIX_ROUND_KEY), columns[0], 0)
     hashed = swar.unpack(swar.mix_tail(lanes, acc, *columns[1:]), len(rows))
-    assert list(hashed) == [ORACLES[arity](*row) for row in rows]
+    assert list(hashed) == [mix_hash(*row, width=64) for row in rows]
 
 
 def test_pack_reduces_signed_columns_modulo_2_64():

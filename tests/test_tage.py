@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -9,9 +10,11 @@ import pytest
 from repro.core.component import SharedState
 from repro.predictors.simple import BimodalPredictor
 from repro.predictors.tage import TAGEConfig, TAGEEngine, TAGEPredictor
+from repro.sim import engine
 from repro.sim.engine import simulate
 from repro.trace.branch import conditional_branch
 from repro.trace.trace import Trace
+from repro.workloads.suites import generate_benchmark, get_benchmark
 
 
 SMALL_CONFIG = TAGEConfig(
@@ -141,3 +144,72 @@ class TestTAGEPredictor:
         first = simulate(TAGEPredictor(SMALL_CONFIG), easy_trace)
         second = simulate(TAGEPredictor(SMALL_CONFIG), easy_trace)
         assert first.mispredictions == second.mispredictions
+
+
+def _learned_and_trace_state(predictor):
+    """Everything of a standalone TAGE a later branch can read."""
+    tage, state = predictor.engine, predictor.state
+    return (
+        [(list(table.tag), list(table.ctr), list(table.useful)) for table in tage.tables],
+        list(tage.base.values),
+        tage._use_alt,
+        tage._allocation_seed,
+        tage._updates_since_reset,
+        [folded.fold for folded in state._folded],
+        state.global_history.bits,
+        state.global_history.length,
+        state.path_history.bits,
+        state.imli.count,
+    )
+
+
+class TestBlockStep:
+    """``TAGEPredictor.predict_update_block``: the pre-pass plus the TAGE pass."""
+
+    @pytest.mark.parametrize("sub_block", [1, engine.SUB_BLOCK_RECORDS])
+    def test_continues_a_reference_trained_predictor(self, mixed_kind, monkeypatch, sub_block):
+        # Trained on the reference path, continued on the fast path with
+        # the per-branch forms patched to raise: the fast continuation
+        # must equal a second reference replay, results and state.
+        # Byte-granular PCs keep the path history non-zero, and a
+        # useful-reset period prime to the sub-block size makes
+        # _decay_useful fire inside blocks.
+        monkeypatch.setattr(engine, "SUB_BLOCK_RECORDS", sub_block)
+        first, second = (
+            mixed_kind(generate_benchmark(get_benchmark("cbp4like", name), 1500), seed)
+            for seed, name in enumerate(["SPEC2K6-12", "SPEC2K6-04"])
+        )
+        config = dataclasses.replace(SMALL_CONFIG, useful_reset_period=97)
+        ours, theirs = TAGEPredictor(config), TAGEPredictor(config)
+        assert simulate(ours, first, use_fast_path=False) == simulate(
+            theirs, first, use_fast_path=False
+        )
+        assert ours.state.path_history.bits
+        decays = []
+        real_decay = TAGEEngine._decay_useful
+
+        def decay(tage):
+            decays.append(tage)
+            real_decay(tage)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-branch upkeep or lookup in a block step")
+
+        monkeypatch.setattr(TAGEEngine, "_decay_useful", decay)
+        assert engine.supports_fast_path(ours, second)
+        with monkeypatch.context() as patch:
+            for owner, name in [
+                (SharedState, "update_conditional_fields"),
+                (SharedState, "observe_pc"),
+                (TAGEEngine, "predict_into"),
+                (TAGEEngine, "train_fields"),
+            ]:
+                patch.setattr(owner, name, forbidden)
+            continued = simulate(ours, second, track_per_pc=True)
+        assert len(decays) >= 10
+        replayed = simulate(theirs, second, track_per_pc=True, use_fast_path=False)
+        assert continued == replayed
+        assert list(continued.per_pc_mispredictions.items()) == list(
+            replayed.per_pc_mispredictions.items()
+        )
+        assert _learned_and_trace_state(ours) == _learned_and_trace_state(theirs)

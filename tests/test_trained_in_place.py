@@ -43,12 +43,10 @@ def _trace_only(structure):
 
 
 def _state(predictor) -> dict:
-    """Everything a later branch can read, minus reference-only memos.
+    """Everything a later branch can read.
 
-    ``IMLIOuterHistoryComponent._indices_by_pc`` (a hash memo of the
-    per-branch ``compute_indices``) and the prediction contexts cached
-    between ``predict`` and ``update`` are left out: they are not state
-    a prediction depends on.
+    The prediction contexts cached between ``predict`` and ``update`` are
+    left out: they are not state a prediction depends on.
     """
     main = getattr(predictor, "main", predictor)
     state = main.state
