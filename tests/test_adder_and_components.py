@@ -92,6 +92,23 @@ class TestGlobalHistoryComponent:
             indices.add(component.select(0x99, state)[0][1])
         assert len(indices) > 8
 
+    def test_index_changes_with_path_history(self):
+        # At most min(length, 16) path bits join the hash: a zero-length
+        # table and a component built without path history ignore them.
+        state = SharedState()
+        component = GlobalHistoryComponent(state, history_lengths=[0, 8], entries=512)
+        pathless = GlobalHistoryComponent(
+            state, history_lengths=[0, 8], entries=512, use_path_history=False
+        )
+        rows, pathless_rows = set(), set()
+        for path in range(32):
+            state.path_history.restore(path)
+            rows.add(tuple(index for _, index in component.select(0x99, state)))
+            pathless_rows.add(tuple(index for _, index in pathless.select(0x99, state)))
+        assert len({row[0] for row in rows}) == 1
+        assert len({row[1] for row in rows}) > 16
+        assert len(pathless_rows) == 1
+
     def test_storage(self):
         state = SharedState()
         component = GlobalHistoryComponent(state, history_lengths=[4, 8], entries=256, counter_bits=6)
@@ -126,6 +143,21 @@ class TestLocalHistoryComponent:
             state.update_conditional(conditional_branch(0x99, 0x120, taken=True))
         after = component.select(0x99, state)[0][1]
         assert before != after
+
+    def test_each_table_reads_only_its_history_length(self):
+        # Two local histories equal in their last two outcomes and not
+        # before: the 2-bit table indexes alike, the 8-bit one does not.
+        indices = []
+        for outcomes in ([True] * 8, [False] * 6 + [True] * 2):
+            state = SharedState()
+            component = LocalHistoryComponent([2, 8], table_geometry=(64, 16), entries=512)
+            component.bind(state)
+            for taken in outcomes:
+                state.update_conditional(conditional_branch(0x99, 0x120, taken=taken))
+            indices.append([index for _, index in component.select(0x99, state)])
+        (short, long), (other_short, other_long) = indices
+        assert short == other_short
+        assert long != other_long
 
     def test_storage(self):
         component = LocalHistoryComponent(

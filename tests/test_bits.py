@@ -147,6 +147,34 @@ class TestMixHash:
     def test_mix_hash_deterministic(self, values):
         assert mix_hash(*values, width=11) == mix_hash(*values, width=11)
 
+    @given(
+        st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=4),
+        st.integers(min_value=1, max_value=64),
+    )
+    def test_narrow_width_is_low_bits_of_full_hash(self, values, width):
+        # Every table index is the low bits of one 64-bit hash, which is
+        # what the block form (repro.common.swar) masks.
+        assert mix_hash(*values, width=width) == mix_hash(*values, width=64) & mask(width)
+
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            ((0x1234,), 0x052273FD2BE67D76),
+            ((0x1234, 5), 0x2C9169378C0B2428),
+            ((0x1234, 5, 1), 0xF1EA4FC767D5559B),
+            ((0x1234, 5, 1, 2), 0x034FB906821D7CF7),
+            ((2**64 - 1, 0, 7), 0x9139957EFECA95A3),
+        ],
+        ids=["one-field", "two-fields", "three-fields", "four-fields", "wide-field"],
+    )
+    def test_pinned_values(self, values, expected):
+        # The goldens and every index depend on these exact bits.
+        assert mix_hash(*values, width=64) == expected
+
+    def test_field_order_and_count_matter(self):
+        assert mix_hash(1, 2, width=64) != mix_hash(2, 1, width=64)
+        assert mix_hash(0x1234, width=64) != mix_hash(0x1234, 0, width=64)
+
 
 class TestBitAt:
     def test_extracts_bits(self):

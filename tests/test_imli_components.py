@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.common.bits import mix_hash
 from repro.core.component import SharedState
 from repro.core.imli_oh import IMLIOuterHistoryComponent
 from repro.core.imli_sic import IMLISameIterationComponent
@@ -238,6 +239,28 @@ class TestIMLIOuterHistoryComponent:
         assert first.history[cell] == 1 and second.history[cell] == 1
         assert delayed.history[cell] == 0  # still pending
         assert first.storage_bits() == IMLIOuterHistoryComponent().storage_bits()
+
+    def test_select_hashes_both_recovered_outcomes(self):
+        # Out[N-1][M] and Out[N-1][M-1] each move the index: set each pair
+        # directly and read the prediction counter through select.
+        component = IMLIOuterHistoryComponent(prediction_entries=256)
+        state = SharedState()
+        component.bind(state)
+        pc = 0x1234
+        slot = component._slot(pc)
+        state.imli.count = 5
+        cell = component._cell(slot, state.imli.count)
+        seen = set()
+        for same in (0, 1):
+            for previous in (0, 1):
+                component.history[cell] = same
+                component.pipe[slot] = previous
+                assert component.recovered_outcomes(pc, state.imli.count) == (same, previous)
+                [(table, index)] = component.select(pc, state)
+                assert table is component.table
+                assert index == mix_hash(pc, same, 2 * previous, width=8)
+                seen.add(index)
+        assert len(seen) == 4
 
     def test_pipe_restore_validates_length(self):
         component = IMLIOuterHistoryComponent()
