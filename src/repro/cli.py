@@ -916,6 +916,9 @@ def _command_serve(args: argparse.Namespace) -> int:
     from repro.dist import Coordinator, JobFailed
     from repro.obs.http import StatusServer
 
+    # Ctrl-C (SIGINT) is how serve stops, even when it was started with
+    # SIGINT ignored, as a non-interactive shell starts background jobs.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     store = _resolve_store(args.store)
     if args.base is None and args.param:
         print("--param needs --base", file=sys.stderr)

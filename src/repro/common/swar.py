@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from typing import Dict, Sequence
+from typing import Dict, List, Sequence
 
 from repro.common.bits import MASK64, MIX_FINAL_MULTIPLIER, MIX_ROUND_KEY, MIX_ROUND_MULTIPLIER
 
@@ -147,30 +147,36 @@ def windows(lanes: Lanes, elements: int, element_bits: int, count: int) -> int:
     return acc & lanes.of((1 << (element_bits * count)) - 1)
 
 
-def fold_columns(lanes: Lanes, recent: int, length: int, width: int) -> int:
-    """Closed-form fold column of a ``(length, width)`` folded history.
+def fold_columns(lanes: Lanes, recent: int, width: int, lengths: Sequence[int]) -> List[int]:
+    """Closed-form fold columns of ``(length, width)`` folded histories.
 
     ``recent`` is the :func:`windows` column of 64 one-bit outcomes over
-    a stream that starts from an all-zero history.  Slot ``i`` of the
-    result is ``XOR_{m<length} h[i-1-m] << (m mod width)``, the value of
-    a :class:`~repro.common.history.FoldedHistory` fed the first ``i``
+    a stream that starts from an all-zero history; the result holds one
+    column per entry of ``lengths``.  Slot ``i`` of a column is
+    ``XOR_{m<length} h[i-1-m] << (m mod width)``, the value of a
+    :class:`~repro.common.history.FoldedHistory` fed the first ``i``
     outcomes.  Stepping it ``width`` times is a rotation by ``width``
     (the identity) plus the ``width`` outcomes that entered and the
     ``width`` that left, so ``fold[i] = fold[i-width] ^ G[i] ^
     rot(G[i-length], length mod width)`` with ``G`` the ``width`` most
-    recent outcomes; a prefix XOR with stride ``width``, by doubling,
-    solves the recurrence from the zero history.
+    recent outcomes.  A prefix XOR with stride ``width`` (by doubling)
+    solves that recurrence from the zero history, and it is linear and
+    commutes with slot shifts and in-slot rotations, so with ``P`` the
+    prefix XOR of ``G`` every fold is ``P ^ rot(P << length slots,
+    length mod width)``: one prefix per width serves every length.
     """
     full = lanes.full
     window_mask = lanes.of((1 << width) - 1)
-    entered = recent & window_mask
-    left = (recent << (SLOT_BITS * length)) & window_mask
-    shift = length % width
-    if shift:
-        left = ((left << shift) | (left >> (width - shift))) & window_mask
-    fold = entered ^ left
+    prefix = recent & window_mask
     stride = width
     while stride < lanes.n:
-        fold ^= (fold << (SLOT_BITS * stride)) & full
+        prefix ^= (prefix << (SLOT_BITS * stride)) & full
         stride *= 2
-    return fold
+    columns = []
+    for length in lengths:
+        left = (prefix << (SLOT_BITS * length)) & full
+        shift = length % width
+        if shift:
+            left = ((left << shift) | (left >> (width - shift))) & window_mask
+        columns.append(prefix ^ left)
+    return columns

@@ -351,11 +351,17 @@ class SharedState:
                 lanes, int.from_bytes(stream, "little"), 1,
                 max(register.width for register in folded),
             )
+            by_width: Dict[int, List[FoldedHistory]] = {}
             for register in folded:
-                column = swar.fold_columns(lanes, recent, register.length, register.width)
-                column >>= swar.SLOT_BITS * carry
-                register.fold = column >> (swar.SLOT_BITS * n)
-                block.folds[register] = column & block.lanes.full
+                by_width.setdefault(register.width, []).append(register)
+            for width, registers in by_width.items():
+                columns = swar.fold_columns(
+                    lanes, recent, width, [register.length for register in registers]
+                )
+                for register, column in zip(registers, columns):
+                    column >>= swar.SLOT_BITS * carry
+                    register.fold = column >> (swar.SLOT_BITS * n)
+                    block.folds[register] = column & block.lanes.full
         global_history.bits = (
             (global_history.bits << n) | int(outcomes.translate(_TO_DIGITS) or b"0", 2)
         ) & global_history.capacity_mask

@@ -1,9 +1,9 @@
 """Gatekeeper validation between trace readers and the trace writers.
 
 Readers (:mod:`repro.ingest.readers`) parse external formats into
-:class:`~repro.ingest.readers.RawEvent` streams without judging them; the
-gatekeeper is the single place ingest semantics are enforced, so every
-reader gets the same policy surface:
+:class:`~repro.ingest.readers.EventBatch` column batches without judging
+them; the gatekeeper is the single place ingest semantics are enforced, so
+every reader gets the same policy surface:
 
 ``reject``
     Raise :class:`IngestError` on the first bad event, naming the source
@@ -23,16 +23,23 @@ reader gets the same policy surface:
 Sanity checks cover field ranges (the columnar storage holds signed 64-bit
 values), kind codes, taken-flag encoding, and a monotonicity guard on
 source attribution so a buggy reader cannot silently interleave streams.
+
+One bulk pass per batch runs those checks over whole columns.  Only a row
+that fails it is rebuilt as a :class:`~repro.ingest.readers.RawEvent` and
+judged by the per-event rules (:meth:`Gatekeeper._check`), which alone
+reject, repair or skip; every other row goes to the writer as it came.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional
+from array import array
+from typing import Iterable, Iterator, List, Optional, Tuple
 
-from repro.ingest.readers import RawEvent
+from repro.ingest.readers import EventBatch, RawEvent
 from repro.trace.branch import (
     CONDITIONAL_CODE,
     KIND_FROM_CODE,
+    KIND_TO_CODE,
     BranchRecord,
 )
 
@@ -50,11 +57,12 @@ _MAX_FIELD = 2**63 - 1
 #: How many bad-event attributions the report keeps verbatim.
 _KEPT_ATTRIBUTIONS = 5
 
+#: ``bytes.translate`` table: 1 for a non-conditional kind code, else 0.
+_NON_CONDITIONAL = bytes(int(code != CONDITIONAL_CODE) for code in range(256))
 
-def _source_position(source: str) -> Optional[int]:
-    """Numeric position of a ``"line N"`` / ``"offset N"`` attribution."""
-    _, _, tail = source.rpartition(" ")
-    return int(tail) if tail.isdigit() else None
+#: Accepted rows of one batch: ``(pc, target, taken, kind, gap)`` in the
+#: column order of :meth:`repro.trace.trace.Trace.columns`.
+Columns = Tuple[array, array, array, array, array]
 
 
 class IngestError(ValueError):
@@ -71,8 +79,41 @@ class IngestError(ValueError):
         self.raw = raw
 
 
+def _clean_columns(batch: EventBatch, gaps) -> Optional[Columns]:
+    """The batch's columns when every row passes the bulk check, else ``None``.
+
+    A row passes when pc, target and gap lie in ``[0, 2**63 - 1]``, the kind
+    code is known, the taken flag is 0 or 1 and a non-conditional branch is
+    taken -- exactly the rows the per-event rules accept unchanged.
+    """
+    try:
+        pc, target, gap = (array("q", column) for column in (batch.pc, batch.target, gaps))
+        taken, kind = bytes(batch.taken), bytes(batch.kind)
+    except (OverflowError, TypeError, ValueError):
+        return None
+    if min(batch.pc) < 0 or min(batch.target) < 0 or min(gaps) < 0:
+        return None
+    if max(taken) > 1 or max(kind) >= len(KIND_FROM_CODE):
+        return None
+    non_conditional = int.from_bytes(kind.translate(_NON_CONDITIONAL), "little")
+    if non_conditional & ~int.from_bytes(taken, "little"):
+        return None
+    return pc, target, array("b", taken), array("b", kind), gap
+
+
+def _passes(pc, taken, target, kind, gap) -> bool:
+    """One row of the bulk check (for batches that fail it as a whole)."""
+    return (
+        0 <= pc <= _MAX_FIELD
+        and 0 <= target <= _MAX_FIELD
+        and 0 <= gap <= _MAX_FIELD
+        and 0 <= kind < len(KIND_FROM_CODE)
+        and (taken == 1 or (taken == 0 and kind == CONDITIONAL_CODE))
+    )
+
+
 class Gatekeeper:
-    """Validate a :class:`RawEvent` stream into :class:`BranchRecord`\\ s.
+    """Validate :class:`EventBatch` streams into trace columns.
 
     One instance handles one ingest run; the counters (``accepted``,
     ``repaired``, ``skipped``) and ``attributions`` feed the ingest
@@ -87,8 +128,10 @@ class Gatekeeper:
                 f"unknown ingest policy {policy!r}; use one of "
                 f"{', '.join(POLICIES)}"
             )
-        if default_gap < 0:
-            raise ValueError(f"default gap must be non-negative, got {default_gap}")
+        if not 0 <= default_gap <= _MAX_FIELD:
+            raise ValueError(
+                f"default gap must be in [0, 2**63 - 1], got {default_gap}"
+            )
         self.policy = policy
         self.default_gap = default_gap
         self.accepted = 0
@@ -119,26 +162,63 @@ class Gatekeeper:
         self._problem(event, message)
         return False
 
-    def validate(self, events: Iterable[RawEvent]) -> Iterator[BranchRecord]:
-        """Yield validated records, applying the policy to bad events."""
+    def validate(self, batches: Iterable[EventBatch]) -> Iterator[Columns]:
+        """Yield each batch's accepted rows as columns, applying the policy."""
         last_position = -1
-        for event in events:
-            position = _source_position(event.source)
-            if position is not None:
-                # Monotonic source order is a *reader* invariant, not an
-                # input-quality issue, so it raises under every policy.
-                if position < last_position:
-                    raise IngestError(
-                        f"events out of source order ({event.source} after "
-                        f"position {last_position})",
-                        source=event.source,
-                        raw=event.raw,
-                    )
-                last_position = position
-            record = self._check(event)
+        for batch in batches:
+            positions = batch.position
+            if not len(positions):
+                continue
+            gaps = batch.gap
+            if None in gaps:
+                default = self.default_gap
+                gaps = [default if gap is None else gap for gap in gaps]
+            in_order = positions[0] >= last_position and list(positions) == sorted(positions)
+            columns = _clean_columns(batch, gaps) if in_order else None
+            if columns is None:
+                columns = self._judge_rows(batch, gaps, last_position)
+            else:
+                self.accepted += len(positions)
+            last_position = positions[-1]
+            if len(columns[0]):
+                yield columns
+
+    def _judge_rows(self, batch: EventBatch, gaps, last_position: int) -> Columns:
+        """Columns of a batch that failed the bulk check, row by row.
+
+        Rows that pass the per-row form of the bulk check are copied; every
+        other row goes through :meth:`_check` in source order.  Monotonic
+        source order is a *reader* invariant, not an input-quality issue,
+        so a decreasing position raises under every policy.
+        """
+        rows = zip(batch.pc, batch.taken, batch.target, batch.kind, gaps)
+        kept: List[tuple] = []
+        for row, (fields, position) in enumerate(zip(rows, batch.position)):
+            if position < last_position:
+                event = batch.event(row)
+                raise IngestError(
+                    f"events out of source order ({event.source} after "
+                    f"position {last_position})",
+                    source=event.source,
+                    raw=event.raw,
+                )
+            last_position = position
+            if _passes(*fields):
+                self.accepted += 1
+                kept.append(fields)
+                continue
+            record = self._check(batch.event(row))
             if record is not None:
                 self.accepted += 1
-                yield record
+                kept.append((
+                    record.pc, record.taken, record.target,
+                    KIND_TO_CODE[record.kind], record.instruction_gap,
+                ))
+        pc, taken, target, kind, gap = zip(*kept) if kept else ((),) * 5
+        return (
+            array("q", pc), array("q", target), array("b", taken),
+            array("b", kind), array("q", gap),
+        )
 
     def _check(self, event: RawEvent) -> Optional[BranchRecord]:
         if event.pc < 0 or event.pc > _MAX_FIELD:
@@ -170,6 +250,9 @@ class Gatekeeper:
             ):
                 return None
             target = event.pc + 1
+        if target > _MAX_FIELD:
+            self._problem(event, f"fall-through target of pc {event.pc} out of range")
+            return None
         gap = event.gap
         if gap is None:
             gap = self.default_gap

@@ -2,10 +2,10 @@
 
 ``ingest_trace`` wires a reader (:mod:`repro.ingest.readers`), the
 gatekeeper (:mod:`repro.ingest.gatekeeper`) and a trace writer into one
-streaming pass: events are parsed, validated and appended to a
+streaming pass: rows are parsed, validated and appended to a
 :class:`~repro.trace.chunked.ChunkedTraceWriter` (or an in-memory trace
-for the monolithic layout) one at a time, so converting an arbitrarily
-large input costs one chunk of memory.  The returned
+for the monolithic layout) a batch of columns at a time, so converting an
+arbitrarily large input costs one chunk of memory.  The returned
 :class:`IngestReport` carries everything ``repro ingest`` prints.
 """
 
@@ -136,7 +136,7 @@ def ingest_trace(
         trace_metadata.update(metadata)
 
     started = time.perf_counter()
-    records = gatekeeper.validate(trace_reader.events(input_path))
+    batches = gatekeeper.validate(trace_reader.batches(input_path))
     if layout == "chunked":
         writer = ChunkedTraceWriter(
             output_path,
@@ -144,14 +144,14 @@ def ingest_trace(
             metadata=trace_metadata,
             chunk_branches=chunk_branches,
         )
-        for record in records:
-            writer.append(record)
+        for columns in batches:
+            writer.extend_columns(*columns)
         result: Union[Trace, ChunkedTrace] = writer.close()
         chunks = result.chunk_count
     else:
         trace = Trace(name=trace_name, metadata=trace_metadata)
-        for record in records:
-            trace.append(record)
+        for columns in batches:
+            trace.extend_columns(*columns)
         output_path.parent.mkdir(parents=True, exist_ok=True)
         save_trace_binary(trace, output_path)
         result = trace

@@ -1,12 +1,12 @@
 """Readers for external branch-trace formats.
 
 A reader turns some on-disk representation of a branch trace into a stream
-of :class:`RawEvent` objects -- the *unvalidated* intermediate form the
-gatekeeper (:mod:`repro.ingest.gatekeeper`) then checks and converts into
-:class:`~repro.trace.branch.BranchRecord` instances.  Readers never
-validate semantics themselves; they only parse, attributing every event to
-its source location (line number or byte offset) so a downstream rejection
-can name exactly what was wrong and where.
+of :class:`EventBatch` column batches -- the *unvalidated* intermediate
+form the gatekeeper (:mod:`repro.ingest.gatekeeper`) then checks a batch
+at a time and hands to the trace writers as columns.  Readers never
+validate semantics themselves; they only parse, attributing every row to
+its source location (line number or byte offset) so a downstream
+rejection can name exactly what was wrong and where.
 
 Two formats ship:
 
@@ -31,9 +31,10 @@ import gzip
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterator, Optional, Union
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Union
 
 __all__ = [
+    "EventBatch",
     "RawEvent",
     "TraceReader",
     "CBPTextReader",
@@ -53,7 +54,8 @@ class RawEvent:
     one -- the gatekeeper substitutes the pipeline's default).  ``source``
     names where the event came from (``"line 12"`` / ``"offset 104"``) and
     ``raw`` preserves the original text (or a hex excerpt) for error
-    attribution.
+    attribution.  The gatekeeper's per-event rules read this form, for the
+    rows of a batch that fail its bulk check.
     """
 
     pc: int
@@ -65,17 +67,40 @@ class RawEvent:
     raw: str = ""
 
 
+class EventBatch(NamedTuple):
+    """Consecutive rows of one input, one column per field, in source order.
+
+    ``taken`` holds 0/1 for well-formed rows and ``kind`` the
+    :data:`~repro.trace.branch.KIND_TO_CODE` values; a missing target is
+    already the fall-through ``pc + 1`` and a missing gap is ``None`` (the
+    gatekeeper substitutes its default).  ``position`` is each row's line
+    number or byte offset.  A row the reader could not parse carries pc
+    ``-1``, so it fails the gatekeeper's bulk check.
+    ``event(row)`` rebuilds row ``row`` as the :class:`RawEvent` the
+    per-event rules judge (with its source attribution); the gatekeeper
+    calls it only for rows that fail the bulk check.
+    """
+
+    pc: Sequence[int]
+    taken: Sequence[int]
+    target: Sequence[int]
+    kind: Sequence[int]
+    gap: Sequence[Optional[int]]
+    position: Sequence[int]
+    event: Callable[[int], RawEvent]
+
+
 class TraceReader:
     """Structural interface of a trace reader.
 
-    Subclasses set :attr:`name`, implement :meth:`events` and optionally
+    Subclasses set :attr:`name`, implement :meth:`batches` and optionally
     :meth:`sniff` (used by ``auto`` format detection).
     """
 
     name = "abstract"
 
-    def events(self, path: Path) -> Iterator[RawEvent]:
-        """Yield one :class:`RawEvent` per branch in ``path``."""
+    def batches(self, path: Path) -> Iterator[EventBatch]:
+        """Yield the rows of ``path`` as :class:`EventBatch`\\ es, in order."""
         raise NotImplementedError
 
     @classmethod
@@ -90,20 +115,32 @@ def _open_maybe_gzip(path: Path):
     return path.open("rt", encoding="utf-8", errors="replace")
 
 
-_TAKEN_TOKENS = {
+class _Tokens(dict):
+    """Lower-case token table that also matches any case of its keys."""
+
+    def __missing__(self, key: str):
+        lowered = key.lower()
+        if lowered == key:
+            raise KeyError(key)
+        return self[lowered]
+
+
+_TAKEN_TOKENS = _Tokens({
     "1": True, "0": False,
     "t": True, "n": False,
     "y": True,
     "taken": True, "not-taken": False, "nottaken": False,
-}
+})
 
-_KIND_TOKENS = {
+_KIND_TOKENS = _Tokens({
     "cond": 0, "c": 0, "conditional": 0,
     "uncond": 1, "u": 1, "j": 1, "unconditional": 1,
     "call": 2,
     "ret": 3, "return": 3,
     "ind": 4, "indirect": 4,
-}
+})
+
+_COMMENTS = ("#", "//")
 
 
 class CBPTextReader(TraceReader):
@@ -111,14 +148,64 @@ class CBPTextReader(TraceReader):
 
     name = "cbp"
 
-    def events(self, path: Path) -> Iterator[RawEvent]:
-        """Yield events from a (possibly gzipped) CBP-style text file."""
+    #: Characters of text per batch (bounds memory on huge inputs); a batch
+    #: ends with the line that reaches it.
+    BATCH_CHARS = 1 << 18
+
+    def batches(self, path: Path) -> Iterator[EventBatch]:
+        """Yield column batches from a (possibly gzipped) CBP-style text file."""
+        first = 1
         with _open_maybe_gzip(path) as stream:
-            for line_number, raw_line in enumerate(stream, start=1):
-                line = raw_line.strip()
-                if not line or line.startswith("#") or line.startswith("//"):
-                    continue
-                yield self._parse_line(line, line_number)
+            while True:
+                lines = stream.readlines(self.BATCH_CHARS)
+                if not lines:
+                    break
+                yield self._parse_lines(lines, first)
+                first += len(lines)
+
+    @classmethod
+    def _parse_lines(cls, lines: List[str], first: int) -> EventBatch:
+        """Columns of the data lines of ``lines`` (line ``first`` onwards).
+
+        A line of 2-5 fields that parses goes straight into the columns; any
+        other data line becomes a placeholder row (pc ``-1``) whose
+        :class:`RawEvent` :meth:`_parse_line` builds on demand.
+        """
+        taken_tokens, kind_tokens = _TAKEN_TOKENS, _KIND_TOKENS
+        pcs: List[int] = []
+        takens: List[int] = []
+        targets: List[int] = []
+        kinds: List[int] = []
+        gaps: List[Optional[int]] = []
+        positions: List[int] = []
+        for number, line in enumerate(lines, first):
+            fields = line.split()
+            if not fields or fields[0].startswith(_COMMENTS):
+                continue
+            width = len(fields)
+            try:
+                if width > 5:
+                    raise ValueError("lines of six or more fields take the per-event route")
+                pc = int(fields[0], 0)
+                taken = taken_tokens[fields[1]]
+                target = int(fields[2], 0) if width > 2 else pc + 1
+                kind = kind_tokens[fields[3]] if width > 3 else 0
+                gap = int(fields[4], 0) if width > 4 else None
+            except (ValueError, KeyError, IndexError):
+                pc, taken, target, kind, gap = -1, 0, 0, 0, None
+            pcs.append(pc)
+            takens.append(taken)
+            targets.append(target)
+            kinds.append(kind)
+            gaps.append(gap)
+            positions.append(number)
+
+        def event(row: int) -> RawEvent:
+            """Row ``row`` as :meth:`_parse_line` reads its line."""
+            number = positions[row]
+            return cls._parse_line(lines[number - first].strip(), number)
+
+        return EventBatch(pcs, takens, targets, kinds, gaps, positions, event)
 
     @staticmethod
     def _parse_line(line: str, line_number: int) -> RawEvent:
@@ -195,8 +282,8 @@ class RawBinaryReader(TraceReader):
     #: Events decoded per read (bounds memory on huge inputs).
     BATCH = 65536
 
-    def events(self, path: Path) -> Iterator[RawEvent]:
-        """Decode fixed-size packed events in bounded-memory batches."""
+    def batches(self, path: Path) -> Iterator[EventBatch]:
+        """Decode fixed-size packed events, one read buffer per batch."""
         size = _RAW_EVENT.size
         opener = gzip.open if path.suffix == ".gz" else open
         with opener(path, "rb") as stream:
@@ -209,30 +296,42 @@ class RawBinaryReader(TraceReader):
                 block = stream.read(size * self.BATCH)
                 data = pending + block
                 usable = len(data) - (len(data) % size)
-                for start in range(0, usable, size):
-                    pc, target, taken, kind, gap = _RAW_EVENT.unpack_from(
-                        data, start
-                    )
-                    yield RawEvent(
-                        pc=pc,
-                        taken=bool(taken) if taken in (0, 1) else taken,
-                        target=target,
-                        kind_code=kind,
-                        gap=gap,
-                        source=f"offset {offset + start}",
-                        raw=data[start : start + size].hex(),
-                    )
+                if usable:
+                    yield self._decode(data, usable, offset)
                 pending = data[usable:]
                 offset += usable
                 if not block:
                     break
             if pending:
-                yield RawEvent(
-                    pc=-1,
-                    taken=False,
-                    source=f"offset {offset}",
-                    raw=pending.hex(),
+                partial = RawEvent(
+                    pc=-1, taken=False, source=f"offset {offset}", raw=pending.hex()
                 )
+                yield EventBatch([-1], [0], [0], [0], [None], [offset], lambda row: partial)
+
+    @staticmethod
+    def _decode(data: bytes, usable: int, offset: int) -> EventBatch:
+        """The batch of the first ``usable`` bytes of ``data`` (at ``offset``)."""
+        size = _RAW_EVENT.size
+        pcs, targets, takens, kinds, gaps = zip(
+            *_RAW_EVENT.iter_unpack(memoryview(data)[:usable])
+        )
+
+        def event(row: int) -> RawEvent:
+            """Row ``row`` as one packed record, hex-attributed to its offset."""
+            start = row * size
+            taken = takens[row]
+            return RawEvent(
+                pc=pcs[row],
+                taken=bool(taken) if taken in (0, 1) else taken,
+                target=targets[row],
+                kind_code=kinds[row],
+                gap=gaps[row],
+                source=f"offset {offset + start}",
+                raw=data[start : start + size].hex(),
+            )
+
+        positions = range(offset, offset + usable, size)
+        return EventBatch(pcs, takens, targets, kinds, gaps, positions, event)
 
     @classmethod
     def sniff(cls, path: Path) -> bool:
@@ -249,7 +348,12 @@ _READERS: Dict[str, Callable[[], TraceReader]] = {}
 
 
 def register_reader(name: str, factory: Callable[[], TraceReader]) -> None:
-    """Register a reader factory under ``name`` (overwrites silently)."""
+    """Register a reader factory under ``name`` (overwrites silently).
+
+    The factory returns a :class:`TraceReader` whose :meth:`~TraceReader.batches`
+    yields :class:`EventBatch`\\ es in source order; the reader parses and
+    attributes rows, the gatekeeper judges them.
+    """
     _READERS[name] = factory
 
 

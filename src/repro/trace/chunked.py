@@ -323,7 +323,7 @@ class ChunkedTrace:
             # chunk() seeds the cached fingerprint from the manifest, so
             # recompute from the columns for a genuine integrity check.
             rehashed = Trace(name=chunk.name)
-            rehashed._extend_columns(chunk)
+            rehashed.extend_columns(*chunk.columns())
             if rehashed.fingerprint() != entry["fingerprint"]:
                 raise ValueError(
                     f"chunk {index} of {self.name!r} does not match its "
@@ -341,7 +341,7 @@ class ChunkedTrace:
         """
         trace = Trace(name=self.name, metadata=self.metadata)
         for chunk in self.iter_chunks():
-            trace._extend_columns(chunk)
+            trace.extend_columns(*chunk.columns())
         trace._fingerprint = self._manifest["fingerprint"]
         return trace
 
@@ -377,11 +377,11 @@ class ChunkedTrace:
 class ChunkedTraceWriter:
     """Incrementally write a chunked trace without holding it in memory.
 
-    The ingest pipeline appends records as it parses them; every
-    ``chunk_branches`` records one chunk file is flushed to disk and the
-    in-memory buffer reset, so converting an arbitrarily large input costs
-    one chunk of memory.  :meth:`close` writes the manifest and returns the
-    finished :class:`ChunkedTrace`.
+    The ingest pipeline appends each validated batch of columns as it
+    parses it; every ``chunk_branches`` records one chunk file is flushed
+    to disk and the in-memory buffer reset, so converting an arbitrarily
+    large input costs one chunk of memory.  :meth:`close` writes the
+    manifest and returns the finished :class:`ChunkedTrace`.
     """
 
     def __init__(
@@ -407,17 +407,19 @@ class ChunkedTraceWriter:
         self._instructions = 0
         self._closed = False
 
-    def append(self, record: BranchRecord) -> None:
-        """Append one branch record, flushing a chunk when the buffer fills."""
+    def extend_columns(self, pc, target, taken, kind, gap) -> None:
+        """Append columns (:meth:`Trace.columns` order), cutting full chunks."""
         if self._closed:
             raise ValueError("writer is closed")
-        self._buffer.append(record)
-        if len(self._buffer) >= self.chunk_branches:
-            self._flush_chunk()
-
-    def extend(self, records) -> None:
-        for record in records:
-            self.append(record)
+        start, total = 0, len(pc)
+        while start < total:
+            stop = min(total, start + self.chunk_branches - len(self._buffer))
+            self._buffer.extend_columns(
+                *(column[start:stop] for column in (pc, target, taken, kind, gap))
+            )
+            start = stop
+            if len(self._buffer) >= self.chunk_branches:
+                self._flush_chunk()
 
     def _flush_chunk(self) -> None:
         chunk = self._buffer

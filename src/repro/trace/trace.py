@@ -206,21 +206,28 @@ class Trace:
     def extend(self, records: Iterable[BranchRecord]) -> None:
         """Append several dynamic branches to the trace."""
         if isinstance(records, Trace):
-            self._extend_columns(records)
+            self.extend_columns(*records.columns())
             return
         append = self.append
         for record in records:
             append(record)
 
-    def _extend_columns(self, other: "Trace") -> None:
-        """Bulk-append another trace's columns (no record materialisation)."""
-        self._pc.extend(other._pc)
-        self._target.extend(other._target)
-        self._taken.extend(other._taken)
-        self._kind.extend(other._kind)
-        self._gap.extend(other._gap)
-        self._conditional_count += other._conditional_count
-        self._instruction_count += other._instruction_count
+    def extend_columns(self, pc, target, taken, kind, gap) -> None:
+        """Append raw columns in :meth:`columns` order (no record materialisation).
+
+        ``taken`` holds 0/1 and ``kind`` the kind codes, in arrays of the
+        trace's own typecodes; the columns must already be valid trace
+        content (another trace's, or the ingest gatekeeper's output).
+        """
+        conditional = kind.count(CONDITIONAL_CODE)
+        instructions = sum(gap) + len(gap)
+        self._pc.extend(pc)
+        self._target.extend(target)
+        self._taken.extend(taken)
+        self._kind.extend(kind)
+        self._gap.extend(gap)
+        self._conditional_count += conditional
+        self._instruction_count += instructions
         self._fingerprint = None
 
     # ------------------------------------------------------------------ #

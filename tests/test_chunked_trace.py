@@ -119,17 +119,22 @@ class TestLayout:
         assert len(loaded) == 0
         assert loaded.chunk_count == 1
 
-    def test_writer_append_matches_bulk(self, trace, tmp_path):
+    def test_writer_extend_columns_matches_bulk(self, trace, tmp_path):
         writer = ChunkedTraceWriter(
             tmp_path / "appended", name=trace.name, chunk_branches=CHUNK
         )
-        for i in range(len(trace)):
-            writer.append(trace.record_at(i))
+        # Uneven batches: some inside a chunk, some across one or more
+        # chunk boundaries, and an empty one.
+        cuts = [0, 1, 1, 40, CHUNK, CHUNK + 7, 3 * CHUNK + 2, len(trace)]
+        for start, stop in zip(cuts, cuts[1:]):
+            writer.extend_columns(*(column[start:stop] for column in trace.columns()))
         writer.close()
         write_chunked_trace(trace, tmp_path / "bulk", chunk_branches=CHUNK)
         appended = load_chunked_trace(tmp_path / "appended")
         bulk = load_chunked_trace(tmp_path / "bulk")
         assert appended.fingerprint() == bulk.fingerprint()
+        assert appended.manifest["chunks"] == bulk.manifest["chunks"]
+        assert appended.to_trace().columns() == trace.columns()
 
     def test_load_any_trace(self, trace, chunked, tmp_path):
         assert is_chunked_dir(chunked.directory)

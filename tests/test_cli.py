@@ -4,6 +4,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import queue
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -287,3 +295,35 @@ class TestSweep:
             "--benchmarks", "SPEC2K6-00", "--length", "300", "--profile", "small",
         ]) == 2
         assert "share the label" in capsys.readouterr().err
+
+
+class TestServeSignals:
+    def test_sigint_stops_serve_started_with_sigint_ignored(self):
+        # A non-interactive shell starts background jobs with SIGINT
+        # ignored, and exec keeps that; serve must still stop on SIGINT.
+        env = {key: value for key, value in os.environ.items() if key != "REPRO_RESULT_STORE"}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        launcher = (
+            "import os, signal, sys; signal.signal(signal.SIGINT, signal.SIG_IGN); "
+            "os.execv(sys.executable, [sys.executable, '-m', 'repro', 'serve', '--port', '0'])"
+        )
+        serve = subprocess.Popen(
+            [sys.executable, "-c", launcher], env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            lines: "queue.Queue[str]" = queue.Queue()
+            threading.Thread(
+                target=lambda: [lines.put(line) for line in serve.stderr], daemon=True
+            ).start()
+            deadline = time.monotonic() + 60
+            while "coordinator listening" not in lines.get(
+                timeout=max(deadline - time.monotonic(), 0.1)
+            ):
+                pass
+            serve.send_signal(signal.SIGINT)
+            assert serve.wait(timeout=10) == 0
+        finally:
+            if serve.poll() is None:
+                serve.kill()
+                serve.wait(timeout=15)

@@ -13,6 +13,7 @@ import pytest
 from repro.cli import main
 from repro.ingest import (
     CBPTextReader,
+    EventBatch,
     Gatekeeper,
     IngestError,
     RAW_MAGIC,
@@ -22,7 +23,7 @@ from repro.ingest import (
     resolve_reader,
 )
 from repro.trace.chunked import load_any_trace, load_chunked_trace
-from repro.trace.trace import load_trace
+from repro.trace.trace import Trace, load_trace
 
 _RAW_EVENT = struct.Struct("<QQBBI")
 
@@ -40,6 +41,28 @@ def _write_raw(path, events, magic=True):
     return path
 
 
+def _validated(keeper, batches):
+    """The records ``keeper`` accepts from ``batches``."""
+    trace = Trace("validated")
+    for columns in keeper.validate(batches):
+        trace.extend_columns(*columns)
+    return list(trace)
+
+
+def _events_batch(events):
+    """One batch whose rows are ``events``, each judged by the per-event rules.
+
+    Every row carries the unparsed placeholder pc -1; its position is the
+    number that ends its source attribution.
+    """
+    count = len(events)
+    positions = [int(event.source.rpartition(" ")[2]) for event in events]
+    return EventBatch(
+        [-1] * count, [0] * count, [0] * count, [0] * count, [None] * count,
+        positions, events.__getitem__,
+    )
+
+
 GOOD_LINES = [
     "# a comment",
     "0x1000 1 0x2000",
@@ -54,7 +77,7 @@ GOOD_LINES = [
 class TestReaders:
     def test_cbp_text_parses_fields(self, tmp_path):
         path = _write_cbp(tmp_path / "t.txt", GOOD_LINES)
-        records = list(Gatekeeper("reject").validate(CBPTextReader().events(path)))
+        records = _validated(Gatekeeper("reject"), CBPTextReader().batches(path))
         assert len(records) == 5
         assert records[0].pc == 0x1000 and records[0].taken
         assert records[2].instruction_gap == 8
@@ -66,27 +89,27 @@ class TestReaders:
         text = "\n".join(GOOD_LINES) + "\n"
         path = tmp_path / "t.txt.gz"
         path.write_bytes(gzip.compress(text.encode()))
-        records = list(Gatekeeper("reject").validate(CBPTextReader().events(path)))
+        records = _validated(Gatekeeper("reject"), CBPTextReader().batches(path))
         assert len(records) == 5
 
     def test_raw_binary_round_trip(self, tmp_path):
         events = [(0x1000 + 4 * i, 0x2000, i % 2, 0, 4) for i in range(100)]
         path = _write_raw(tmp_path / "t.raw", events)
-        records = list(Gatekeeper("reject").validate(RawBinaryReader().events(path)))
+        records = _validated(Gatekeeper("reject"), RawBinaryReader().batches(path))
         assert len(records) == 100
         assert records[3].pc == 0x100C and records[3].taken
 
     def test_raw_binary_magic_optional(self, tmp_path):
         events = [(0x1000, 0x2000, 1, 0, 4)]
         bare = _write_raw(tmp_path / "bare.raw", events, magic=False)
-        records = list(Gatekeeper("reject").validate(RawBinaryReader().events(bare)))
+        records = _validated(Gatekeeper("reject"), RawBinaryReader().batches(bare))
         assert len(records) == 1
 
     def test_raw_trailing_partial_record_rejected(self, tmp_path):
         path = _write_raw(tmp_path / "t.raw", [(0x1000, 0x2000, 1, 0, 4)])
         path.write_bytes(path.read_bytes() + b"\x01\x02\x03")
         with pytest.raises(IngestError, match="malformed"):
-            list(Gatekeeper("reject").validate(RawBinaryReader().events(path)))
+            _validated(Gatekeeper("reject"), RawBinaryReader().batches(path))
 
     def test_sniffing_resolves_both_formats(self, tmp_path):
         text = _write_cbp(tmp_path / "t.txt", GOOD_LINES)
@@ -101,7 +124,7 @@ class TestGatekeeper:
     def test_reject_attributes_source_line(self, tmp_path):
         path = _write_cbp(tmp_path / "bad.txt", ["0x1000 1", "not-a-line"])
         with pytest.raises(IngestError) as excinfo:
-            list(Gatekeeper("reject").validate(CBPTextReader().events(path)))
+            _validated(Gatekeeper("reject"), CBPTextReader().batches(path))
         message = str(excinfo.value)
         assert "line 2" in message and "not-a-line" in message
 
@@ -109,7 +132,7 @@ class TestGatekeeper:
         lines = ["0x1000 1"] + [f"junk-{i}" for i in range(8)] + ["0x1004 0"]
         path = _write_cbp(tmp_path / "bad.txt", lines)
         keeper = Gatekeeper("skip")
-        records = list(keeper.validate(CBPTextReader().events(path)))
+        records = _validated(keeper, CBPTextReader().batches(path))
         assert len(records) == 2
         assert keeper.skipped == 8
         assert len(keeper.attributions) == 5  # first five, not all
@@ -121,7 +144,7 @@ class TestGatekeeper:
             RawEvent(pc=0x1004, taken=True, target=2**70, source="e 2"),
             RawEvent(pc=0x1008, taken=True, gap=-5, source="e 3"),
         ]
-        records = list(keeper.validate(events))
+        records = _validated(keeper, [_events_batch(events)])
         assert keeper.repaired == 3
         assert records[0].taken  # non-conditional branches are always taken
         assert records[1].target == 0x1004 + 1
@@ -130,16 +153,31 @@ class TestGatekeeper:
     def test_reject_raises_on_repairable_too(self):
         events = [RawEvent(pc=0x1000, taken=False, kind_code=2, source="e 1")]
         with pytest.raises(IngestError):
-            list(Gatekeeper("reject").validate(events))
+            _validated(Gatekeeper("reject"), [_events_batch(events)])
 
     def test_source_order_must_be_monotonic(self):
         events = [
             RawEvent(pc=0x1000, taken=True, source="line 5"),
             RawEvent(pc=0x1004, taken=True, source="line 3"),
         ]
+        # Rows that pass the bulk check are held to source order too,
+        # inside one batch and across batches.
+        clean = EventBatch(
+            [0x1000, 0x1004], [1, 1], [0x1001, 0x1005], [0, 0], [4, 4], [5, 3],
+            events.__getitem__,
+        )
+        cases = [
+            [_events_batch(events)],
+            [clean],
+            [
+                clean._replace(position=[5, 5]),
+                clean._replace(position=[3, 6], event=events[1:].__getitem__),
+            ],
+        ]
         for policy in ("reject", "repair", "skip"):
-            with pytest.raises(IngestError, match="out of source order"):
-                list(Gatekeeper(policy).validate(events))
+            for batches in cases:
+                with pytest.raises(IngestError, match="line 3 after position 5"):
+                    _validated(Gatekeeper(policy), batches)
 
 
 class TestPipeline:

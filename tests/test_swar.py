@@ -51,14 +51,20 @@ def test_pack_reduces_signed_columns_modulo_2_64():
 
 def _shapes():
     """``(length, width)`` with ``L < W``, ``L == W``, ``L`` a multiple of
-    ``W`` and free draws, widths up to the slot limit."""
-    width = st.integers(1, swar.FIELD_BITS)
-    return st.one_of(
-        width.flatmap(lambda w: st.tuples(st.integers(1, w), st.just(w))),
-        width.map(lambda w: (w, w)),
-        st.tuples(st.integers(1, 6), width).map(lambda p: (p[0] * p[1], p[1])),
-        st.tuples(st.integers(1, 300), width),
-    ).filter(lambda shape: shape[0] <= 400)
+    ``W`` and free draws, widths up to the slot limit; one to four lengths
+    per width, so the folds of one width share its prefix XOR."""
+    def lengths(width):
+        length = st.one_of(
+            st.integers(1, width),
+            st.just(width),
+            st.integers(1, 6).map(lambda multiple: multiple * width),
+            st.integers(1, 300),
+        )
+        return st.lists(length, min_size=1, max_size=4, unique=True).map(
+            lambda drawn: [(value, width) for value in drawn]
+        )
+
+    return st.integers(1, swar.FIELD_BITS).flatmap(lengths)
 
 
 def _split(rng, count):
@@ -68,7 +74,12 @@ def _split(rng, count):
 
 
 @settings(max_examples=40, deadline=None)
-@given(shapes=st.lists(_shapes(), min_size=1, max_size=4), seed=st.integers(0, 2**32 - 1))
+@given(
+    shapes=st.lists(_shapes(), min_size=1, max_size=3).map(
+        lambda groups: [shape for group in groups for shape in group]
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
 def test_fold_columns_match_incremental_folds(shapes, seed):
     rng = random.Random(seed)
     count = rng.randrange(1, 700)
