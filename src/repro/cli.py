@@ -913,12 +913,21 @@ def _print_sweep_results(
 
 
 def _command_serve(args: argparse.Namespace) -> int:
+    # Ctrl-C (SIGINT) is how serve stops, even when it was started with
+    # SIGINT ignored, as a non-interactive shell starts background jobs.
+    if signal.getsignal(signal.SIGINT) is not signal.SIG_IGN:
+        return _serve(args)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        return _serve(args)
+    finally:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _serve(args: argparse.Namespace) -> int:
     from repro.dist import Coordinator, JobFailed
     from repro.obs.http import StatusServer
 
-    # Ctrl-C (SIGINT) is how serve stops, even when it was started with
-    # SIGINT ignored, as a non-interactive shell starts background jobs.
-    signal.signal(signal.SIGINT, signal.default_int_handler)
     store = _resolve_store(args.store)
     if args.base is None and args.param:
         print("--param needs --base", file=sys.stderr)

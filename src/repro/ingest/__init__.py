@@ -8,7 +8,7 @@ The subsystem has three small layers:
   :class:`~repro.ingest.readers.EventBatch` column batches;
 * :mod:`repro.ingest.gatekeeper` -- the validation chokepoint: one bulk
   check per batch, and a reject / repair / skip policy with per-event
-  source attribution for the rows that fail it;
+  source attribution for the rows of batches that fail it;
 * :mod:`repro.ingest.pipeline` -- :func:`ingest_trace`, the streaming
   conversion into the chunked ``RPCHUNK1`` layout
   (:mod:`repro.trace.chunked`) or a monolithic binary trace, a batch of

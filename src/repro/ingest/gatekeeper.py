@@ -24,10 +24,11 @@ Sanity checks cover field ranges (the columnar storage holds signed 64-bit
 values), kind codes, taken-flag encoding, and a monotonicity guard on
 source attribution so a buggy reader cannot silently interleave streams.
 
-One bulk pass per batch runs those checks over whole columns.  Only a row
-that fails it is rebuilt as a :class:`~repro.ingest.readers.RawEvent` and
-judged by the per-event rules (:meth:`Gatekeeper._check`), which alone
-reject, repair or skip; every other row goes to the writer as it came.
+One bulk pass per batch runs those checks over whole columns; a batch that
+passes goes to the writer as it came.  Only in a batch that fails it is
+each row rebuilt as a :class:`~repro.ingest.readers.RawEvent` and judged by
+the per-event rules (:meth:`Gatekeeper._check`), which alone reject, repair
+or skip.
 """
 
 from __future__ import annotations
@@ -101,17 +102,6 @@ def _clean_columns(batch: EventBatch, gaps) -> Optional[Columns]:
     return pc, target, array("b", taken), array("b", kind), gap
 
 
-def _passes(pc, taken, target, kind, gap) -> bool:
-    """One row of the bulk check (for batches that fail it as a whole)."""
-    return (
-        0 <= pc <= _MAX_FIELD
-        and 0 <= target <= _MAX_FIELD
-        and 0 <= gap <= _MAX_FIELD
-        and 0 <= kind < len(KIND_FROM_CODE)
-        and (taken == 1 or (taken == 0 and kind == CONDITIONAL_CODE))
-    )
-
-
 class Gatekeeper:
     """Validate :class:`EventBatch` streams into trace columns.
 
@@ -176,26 +166,24 @@ class Gatekeeper:
             in_order = positions[0] >= last_position and list(positions) == sorted(positions)
             columns = _clean_columns(batch, gaps) if in_order else None
             if columns is None:
-                columns = self._judge_rows(batch, gaps, last_position)
+                columns = self._judge_rows(batch, last_position)
             else:
                 self.accepted += len(positions)
             last_position = positions[-1]
             if len(columns[0]):
                 yield columns
 
-    def _judge_rows(self, batch: EventBatch, gaps, last_position: int) -> Columns:
+    def _judge_rows(self, batch: EventBatch, last_position: int) -> Columns:
         """Columns of a batch that failed the bulk check, row by row.
 
-        Rows that pass the per-row form of the bulk check are copied; every
-        other row goes through :meth:`_check` in source order.  Monotonic
+        Every row goes through :meth:`_check` in source order.  Monotonic
         source order is a *reader* invariant, not an input-quality issue,
         so a decreasing position raises under every policy.
         """
-        rows = zip(batch.pc, batch.taken, batch.target, batch.kind, gaps)
         kept: List[tuple] = []
-        for row, (fields, position) in enumerate(zip(rows, batch.position)):
+        for row, position in enumerate(batch.position):
+            event = batch.event(row)
             if position < last_position:
-                event = batch.event(row)
                 raise IngestError(
                     f"events out of source order ({event.source} after "
                     f"position {last_position})",
@@ -203,11 +191,7 @@ class Gatekeeper:
                     raw=event.raw,
                 )
             last_position = position
-            if _passes(*fields):
-                self.accepted += 1
-                kept.append(fields)
-                continue
-            record = self._check(batch.event(row))
+            record = self._check(event)
             if record is not None:
                 self.accepted += 1
                 kept.append((

@@ -55,7 +55,7 @@ class RawEvent:
     names where the event came from (``"line 12"`` / ``"offset 104"``) and
     ``raw`` preserves the original text (or a hex excerpt) for error
     attribution.  The gatekeeper's per-event rules read this form, for the
-    rows of a batch that fail its bulk check.
+    rows of a batch that fails its bulk check.
     """
 
     pc: int
@@ -78,7 +78,7 @@ class EventBatch(NamedTuple):
     ``-1``, so it fails the gatekeeper's bulk check.
     ``event(row)`` rebuilds row ``row`` as the :class:`RawEvent` the
     per-event rules judge (with its source attribution); the gatekeeper
-    calls it only for rows that fail the bulk check.
+    calls it only for the rows of a batch that fails the bulk check.
     """
 
     pc: Sequence[int]
@@ -115,30 +115,20 @@ def _open_maybe_gzip(path: Path):
     return path.open("rt", encoding="utf-8", errors="replace")
 
 
-class _Tokens(dict):
-    """Lower-case token table that also matches any case of its keys."""
-
-    def __missing__(self, key: str):
-        lowered = key.lower()
-        if lowered == key:
-            raise KeyError(key)
-        return self[lowered]
-
-
-_TAKEN_TOKENS = _Tokens({
+_TAKEN_TOKENS = {
     "1": True, "0": False,
     "t": True, "n": False,
     "y": True,
     "taken": True, "not-taken": False, "nottaken": False,
-})
+}
 
-_KIND_TOKENS = _Tokens({
+_KIND_TOKENS = {
     "cond": 0, "c": 0, "conditional": 0,
     "uncond": 1, "u": 1, "j": 1, "unconditional": 1,
     "call": 2,
     "ret": 3, "return": 3,
     "ind": 4, "indirect": 4,
-})
+}
 
 _COMMENTS = ("#", "//")
 
@@ -187,9 +177,9 @@ class CBPTextReader(TraceReader):
                 if width > 5:
                     raise ValueError("lines of six or more fields take the per-event route")
                 pc = int(fields[0], 0)
-                taken = taken_tokens[fields[1]]
+                taken = taken_tokens[fields[1].lower()]
                 target = int(fields[2], 0) if width > 2 else pc + 1
-                kind = kind_tokens[fields[3]] if width > 3 else 0
+                kind = kind_tokens[fields[3].lower()] if width > 3 else 0
                 gap = int(fields[4], 0) if width > 4 else None
             except (ValueError, KeyError, IndexError):
                 pc, taken, target, kind, gap = -1, 0, 0, 0, None

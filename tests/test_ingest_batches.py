@@ -1,8 +1,8 @@
 """The columnar ingest pipeline against the per-event rules, row by row.
 
 ``ingest_trace`` reads column batches, checks each batch in bulk and sends
-only the rows that fail that check through the gatekeeper's per-event
-rules.  The oracle here never batches: it walks the input one line (or one
+only the rows of batches that fail that check through the gatekeeper's
+per-event rules.  The oracle here never batches: it walks the input one line (or one
 packed record) at a time with ``CBPTextReader._parse_line`` /
 a plain ``struct`` decode, judges every event with ``Gatekeeper._check``,
 appends the records one by one to a :class:`~repro.trace.trace.Trace` and
