@@ -802,9 +802,20 @@ class Coordinator:
                     lost.append(cell_id)
         return renewed, lost
 
-    def _lease(self, owner: int, max_cells: int = 1) -> Tuple[str, List[_Cell]]:
+    def _lease(
+        self, owner: int, max_cells: int = 1, hold: float = 0.0
+    ) -> Tuple[str, List[_Cell]]:
         """One scheduling decision: ``("work", cells)``, ``("wait", [])``
         or ``("shutdown", [])``.
+
+        With ``hold > 0`` an empty decision is not final: the lease waits
+        on ``_cond`` (every admit, requeue, completion and ``shutdown()``
+        notifies it) and decides again, until it has a grant, shutdown
+        begins or ``hold`` seconds pass.  Checking and waiting happen
+        under one lock acquisition, so no wake-up is lost; a wait also
+        ends at the earliest lease deadline, so an expired lease is
+        reaped and re-granted as promptly as a polling worker would see
+        it.
 
         With ``max_cells > 1`` the grant has **trace affinity**: after the
         first leasable cell anchors the grant, up to
@@ -819,76 +830,90 @@ class Coordinator:
         """
         limit = max(1, min(int(max_cells), self.batch))
         with self._cond:
-            if self._stopping.is_set():
-                return ("shutdown", [])
-            self._reap_expired_locked()
-            owner_info = self._conn_info.get(owner)
-            low_disk = bool(owner_info and owner_info.get("low_disk"))
-            shed = 0
-            granted: List[_Cell] = []
-            anchor: Optional[Tuple[str, bool]] = None
-            passed_over: List[int] = []
-            while self._pending and len(granted) < limit:
-                cell_id = self._pending.popleft()
-                cell = self._cells.get(cell_id)
-                if cell is None:  # job released after settling
-                    continue
-                if cell.job.finished:  # failed job: drop its queued cells
-                    continue
-                if cell.job.slots[cell.label][cell.index] is not None:
-                    continue  # completed while queued (duplicate requeue)
-                if low_disk and cell.trace_fingerprint in self._chunked:
-                    # This worker's spool disk is low: chunked-trace cells
-                    # (whose chunks land in that spool) are withheld until
-                    # its renew frames report the pressure cleared.  The
-                    # cell stays queued for any other worker.
-                    passed_over.append(cell_id)
-                    shed += 1
-                    continue
-                affinity = (cell.trace_fingerprint, cell.job.track_per_pc)
-                if anchor is not None and affinity != anchor:
-                    # A different trace: not part of this grant.  Skipped
-                    # cells go back to the queue front afterwards -- the
-                    # store check below is deliberately not run for them
-                    # (one disk probe per *granted* cell, not per scan).
-                    passed_over.append(cell_id)
-                    continue
-                # Planned store keys exist only with a store.
-                stored = (
-                    self.store.get(cell.store_key) if cell.store_key is not None else None
-                )
-                if stored is not None:  # a concurrent writer beat us to it
-                    self._complete_locked(cell, stored, persist=False)
-                    continue
-                anchor = affinity
-                granted.append(cell)
-            for cell_id in reversed(passed_over):
-                self._pending.appendleft(cell_id)
-            if shed:
-                self._metric_lease_shed.inc(shed)
-                if owner_info is not None and not owner_info.get("shed_logged"):
-                    # One event per low-disk episode, not per 0.25s poll.
-                    owner_info["shed_logged"] = True
-                    name = self._conn_names.get(owner, f"connection {owner}")
-                    self.log(
-                        f"worker {name!r}: withholding chunked-trace cells "
-                        f"(low disk)"
-                    )
-                    if self.events is not None:
-                        self.events.emit(
-                            "lease_shed_low_disk", worker=name, cells=shed
-                        )
-            if granted:
+            deadline = time.monotonic() + hold
+            while True:
+                if self._stopping.is_set():
+                    return ("shutdown", [])
+                granted = self._grant_locked(owner, limit)
+                if granted:
+                    return ("work", granted)
                 now = time.monotonic()
-                deadline = now + self.lease_timeout * len(granted)
-                for cell in granted:
-                    self._leases[cell.cell_id] = (owner, deadline)
-                    cell.granted_at = now
-                    if cell.losses:
-                        cell.job.retried += 1
-                        self.stats["retried"] += 1
-                return ("work", granted)
-            return ("wait", [])
+                if now >= deadline:
+                    return ("wait", [])
+                wake = min(
+                    [deadline] + [lease[1] for lease in self._leases.values()]
+                )
+                self._cond.wait(max(wake - now, 0.0))
+
+    def _grant_locked(self, owner: int, limit: int) -> List[_Cell]:
+        """The cells one lease of ``owner`` is granted now (maybe none)."""
+        self._reap_expired_locked()
+        owner_info = self._conn_info.get(owner)
+        low_disk = bool(owner_info and owner_info.get("low_disk"))
+        shed = 0
+        granted: List[_Cell] = []
+        anchor: Optional[Tuple[str, bool]] = None
+        passed_over: List[int] = []
+        while self._pending and len(granted) < limit:
+            cell_id = self._pending.popleft()
+            cell = self._cells.get(cell_id)
+            if cell is None:  # job released after settling
+                continue
+            if cell.job.finished:  # failed job: drop its queued cells
+                continue
+            if cell.job.slots[cell.label][cell.index] is not None:
+                continue  # completed while queued (duplicate requeue)
+            if low_disk and cell.trace_fingerprint in self._chunked:
+                # This worker's spool disk is low: chunked-trace cells
+                # (whose chunks land in that spool) are withheld until
+                # its renew frames report the pressure cleared.  The
+                # cell stays queued for any other worker.
+                passed_over.append(cell_id)
+                shed += 1
+                continue
+            affinity = (cell.trace_fingerprint, cell.job.track_per_pc)
+            if anchor is not None and affinity != anchor:
+                # A different trace: not part of this grant.  Skipped
+                # cells go back to the queue front afterwards -- the
+                # store check below is deliberately not run for them
+                # (one disk probe per *granted* cell, not per scan).
+                passed_over.append(cell_id)
+                continue
+            # Planned store keys exist only with a store.
+            stored = (
+                self.store.get(cell.store_key) if cell.store_key is not None else None
+            )
+            if stored is not None:  # a concurrent writer beat us to it
+                self._complete_locked(cell, stored, persist=False)
+                continue
+            anchor = affinity
+            granted.append(cell)
+        for cell_id in reversed(passed_over):
+            self._pending.appendleft(cell_id)
+        if shed:
+            self._metric_lease_shed.inc(shed)
+            if owner_info is not None and not owner_info.get("shed_logged"):
+                # One event per low-disk episode, not per lease.
+                owner_info["shed_logged"] = True
+                name = self._conn_names.get(owner, f"connection {owner}")
+                self.log(
+                    f"worker {name!r}: withholding chunked-trace cells "
+                    f"(low disk)"
+                )
+                if self.events is not None:
+                    self.events.emit(
+                        "lease_shed_low_disk", worker=name, cells=shed
+                    )
+        if granted:
+            now = time.monotonic()
+            deadline = now + self.lease_timeout * len(granted)
+            for cell in granted:
+                self._leases[cell.cell_id] = (owner, deadline)
+                cell.granted_at = now
+                if cell.losses:
+                    cell.job.retried += 1
+                    self.stats["retried"] += 1
+        return granted
 
     def _complete(
         self,
@@ -1297,7 +1322,13 @@ class Coordinator:
                     max_cells = frame.get("max_cells", 1)
                     if not isinstance(max_cells, int) or max_cells < 1:
                         max_cells = 1
-                    state, cells = self._lease(conn_id, max_cells)
+                    # "hold" is an additive version-1 key: an idle worker
+                    # long-polls instead of sleeping on "wait".
+                    hold = frame.get("hold", 0.0)
+                    if not isinstance(hold, (int, float)) or not hold > 0:
+                        hold = 0.0
+                    hold = min(float(hold), protocol.MAX_LEASE_HOLD)
+                    state, cells = self._lease(conn_id, max_cells, hold)
                     if state == "work":
                         if "max_cells" in frame:
                             # A batching worker asked; it understands the
@@ -1314,7 +1345,9 @@ class Coordinator:
                                 wfile, {"type": "work", "item": cells[0].work_item()}
                             )
                     elif state == "wait":
-                        protocol.write_frame(wfile, {"type": "wait", "delay": 0.25})
+                        # After a hold the worker has already waited.
+                        delay = 0.0 if hold else 0.25
+                        protocol.write_frame(wfile, {"type": "wait", "delay": delay})
                     else:
                         protocol.write_frame(wfile, {"type": "shutdown"})
                         break

@@ -21,6 +21,11 @@ Worker session::
                                               # coordinators, where workers
                                               # simply never send "renew"
     -> {"type": "lease"}                      # or {"type": "lease", "max_cells": 8}
+                                              # an idle worker adds "hold": 1.0
+                                              # (seconds, at most MAX_LEASE_HOLD)
+                                              # and the coordinator answers when
+                                              # work arrives, it shuts down or
+                                              # the hold runs out
     <- {"type": "work", "item": {"cell": 7, "label": ..., "spec": ...,
         "profile": ..., "trace": "<fingerprint>", "trace_name": ...,
         "track_per_pc": false, "store_key": "..."}}
@@ -28,6 +33,7 @@ Worker session::
                                               # reply to a "max_cells" lease;
                                               # all items share one trace
        | {"type": "wait", "delay": 0.25}      # nothing leasable right now
+                                              # ("delay": 0 after a hold)
        | {"type": "shutdown"}                 # coordinator is closing
     -> {"type": "renew", "cells": [7, 8]}     # heartbeat while simulating:
     <- {"type": "renewed", "cells": [7, 8],   # extends the leases still owned
@@ -85,7 +91,11 @@ to their ``hello`` and ``renew`` frames when their trace-spool headroom
 is low (:mod:`repro.common.diskguard`), and the coordinator then stops
 leasing them chunked-trace cells until the pressure clears; a frame
 without the key is a pre-diskguard worker and is treated as having
-headroom.
+headroom.  Long-polling is additive too: a ``lease`` with ``"hold"``
+waits at the coordinator for up to that many seconds (capped at
+:data:`MAX_LEASE_HOLD`) instead of being told to retry later; a
+pre-``hold`` coordinator ignores the key and answers ``wait`` with its
+usual delay, which the worker sleeps as before.
 
 A malformed, oversized or unexpected frame gets a ``{"type": "error",
 "message": ...}`` reply (best effort) and the connection is closed; any
@@ -112,6 +122,7 @@ from repro.trace.trace import Trace, trace_from_bytes, trace_to_bytes
 __all__ = [
     "PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
+    "MAX_LEASE_HOLD",
     "ProtocolError",
     "ConnectionClosed",
     "read_frame",
@@ -135,6 +146,11 @@ PROTOCOL_VERSION = 1
 #: frames, so this must hold the largest trace plus JSON overhead; 64 MiB
 #: is ~600x the default sweep workload and still a sane flood guard.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+#: Longest a ``lease`` may wait at the coordinator for work (its optional
+#: ``hold`` key, in seconds); bounds how long an idle worker's connection
+#: is busy with one exchange.
+MAX_LEASE_HOLD = 1.0
 
 
 class ProtocolError(Exception):

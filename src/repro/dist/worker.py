@@ -710,16 +710,21 @@ class Worker:
     #: attached to its uploads.
     _Grant = Tuple[List[Dict[str, Any]], Dict[str, float]]
 
-    def _lease_frame(self) -> Dict[str, Any]:
+    def _lease_frame(self, idle: bool) -> Dict[str, Any]:
         """The lease request; plain (batch-free) when batching is off.
 
-        Omitting ``max_cells`` keeps a ``--batch 1`` worker byte-identical
-        on the wire to a pre-batching one, so it interoperates with any
-        coordinator.
+        Omitting ``max_cells`` keeps a ``--batch 1`` worker's grants in
+        the pre-batching single-cell shape, so it interoperates with any
+        coordinator.  An ``idle`` worker (nothing in flight, so no lease
+        for the heartbeat to renew while the exchange holds the socket)
+        long-polls with ``hold``, which pre-``hold`` coordinators ignore.
         """
+        frame: Dict[str, Any] = {"type": "lease"}
         if self.batch > 1:
-            return {"type": "lease", "max_cells": self.batch}
-        return {"type": "lease"}
+            frame["max_cells"] = self.batch
+        if idle:
+            frame["hold"] = protocol.MAX_LEASE_HOLD
+        return frame
 
     def _settle_grant(
         self, rfile, wfile,
@@ -835,7 +840,8 @@ class Worker:
             delay = 0.0
             while not draining and len(in_flight) < capacity:
                 reply = self._request(
-                    rfile, wfile, self._lease_frame(), "work", "wait", "shutdown"
+                    rfile, wfile, self._lease_frame(not in_flight),
+                    "work", "wait", "shutdown",
                 )
                 if reply["type"] == "shutdown":
                     draining = True

@@ -116,7 +116,7 @@ class TimingLog:
         self.records_written = 0
         self._histograms: Dict[str, Histogram] = {}
         self._lock = threading.Lock()
-        self._summary_stamp = -1
+        self._summary_stamp = 0
         self._throughput = _Throughput()
 
     def record(
@@ -200,7 +200,8 @@ class TimingLog:
 
         Skipped (returns ``None``) when nothing new was recorded since
         the last write, so callers can flush at every natural boundary
-        without rewriting an unchanged file.
+        without rewriting an unchanged file; a log that recorded nothing
+        at all never writes, so it leaves an earlier run's summary alone.
         """
         with self._lock:
             if self.records_written == self._summary_stamp:

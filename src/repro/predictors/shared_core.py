@@ -17,7 +17,10 @@ member.  Two kinds of group form:
   from that info, so sweep grids that vary only corrector and sidecar
   knobs (``oh_update_delay``, IMLI components, local-history tables,
   loop/wormhole) pay the core -- on TAGE-class grids ~98% of the work --
-  once per branch.  The members' own instances are left untouched;
+  once per branch.  Members whose heads have equal content (say
+  ``oh_update_delay`` variants with IMLI-OH off) share one head, so its
+  kernel runs once per sub-block.  The members' own instances are left
+  untouched;
 * a *group of one* serves every other groupable predictor (alone in its
   batch, trained, the only one with its key, or any with
   ``share_cores=False``): it adopts the instance's own state, TAGE engine,
@@ -74,7 +77,12 @@ construction*, not by tolerance:
   the same order, and keeps each head's threshold on its ``AdderTree``;
 * the loop/wormhole sidecars never touch the shared state at all (they
   consume only branch fields, the head's main prediction and their own
-  tables).
+  tables);
+* two heads with the same column positions, counter values and bounds,
+  threshold state and revert margin, and no sidecars, apply the same
+  deterministic rules to the same inputs, so one of them computes both
+  prediction columns; the other head, internal to its fresh group, is
+  never trained and never read.
 """
 
 from __future__ import annotations
@@ -369,15 +377,42 @@ def head_kernel(rows: int, corrector: bool) -> Callable:
     return namespace["kernel"]
 
 
+def _head_content(head_rows: list, head: tuple) -> Optional[tuple]:
+    """What a head's predictions depend on besides the shared columns.
+
+    The head's flat column positions, each row's counter bounds and
+    current values, its adder's threshold, threshold counter and counter
+    bounds, and its revert margin: two heads with equal content read the
+    same columns, start from the same state and apply the same rules, so
+    they produce equal prediction columns.  ``None`` for a head with
+    sidecars, which is never merged.
+    """
+    adder, revert_margin, sidecars = head
+    if sidecars is not None:
+        return None
+    return (
+        [(position, table.maximum, table.minimum, table.values) for position, table in head_rows],
+        adder.threshold,
+        adder._threshold_counter,
+        adder._threshold_counter_max,
+        adder._threshold_counter_min,
+        revert_margin,
+    )
+
+
 class _Group:
     """One group's shared state (and TAGE core) fanned into heads.
 
     ``indices`` are the members' batch positions; ``heads`` holds one
     ``(adder, revert_margin, sidecars)`` per member, in member order, every
     adder bound to ``state`` (``revert_margin`` is ignored without a TAGE
-    core, ``sidecars`` is a :class:`_Sidecars` or ``None``).  The engine
-    calls :meth:`run_block` with each sub-block of records, in order, and
-    gets one prediction column per member back.
+    core, ``sidecars`` is a :class:`_Sidecars` or ``None``).  Members whose
+    heads have equal content (:func:`_head_content`) share one head: only
+    the first of them runs, and the others get its prediction column, so
+    their own heads stay untrained.  Only a fresh group has more than one
+    head, and its heads are internal.  The engine calls :meth:`run_block`
+    with each sub-block of records, in order, and gets one prediction
+    column per member back.
     """
 
     kind = ""
@@ -395,17 +430,26 @@ class _Group:
         components, rows = _plan_heads([adder for adder, _, _ in heads])
         self._column_fns = [component.index_columns for component in components]
         corrector = tage is not None
-        self._heads = [
-            (
+        self._heads = []
+        #: Per member, the position in ``_heads`` of the head it reads.
+        self._member_heads = []
+        contents: list = []
+        for head_rows, head in zip(rows, heads):
+            content = _head_content(head_rows, head)
+            if content is not None and content in contents:
+                self._member_heads.append(contents.index(content))
+                continue
+            self._member_heads.append(len(self._heads))
+            contents.append(content)
+            adder, revert_margin, sidecars = head
+            self._heads.append((
                 head_kernel(len(head_rows), corrector),
                 [position for position, _ in head_rows],
                 [(table.values, table.maximum, table.minimum) for _, table in head_rows],
                 adder,
                 revert_margin,
                 sidecars,
-            )
-            for head_rows, (adder, revert_margin, sidecars) in zip(rows, heads)
-        ]
+            ))
 
     def run_block(self, block: tuple) -> List[bytearray]:
         """Run one ``(pc, target, taken, kind, gap)`` sub-block of records.
@@ -415,9 +459,10 @@ class _Group:
         key's index columns); the TAGE core
         (:meth:`TAGEEngine.predict_train_block`), whose prediction column
         picks each TAGE-bit bias index from its ``(not taken, taken)``
-        column pair; and every head's kernel (:func:`head_kernel`), then
-        its sidecars.  Returns each member's prediction column, one entry
-        per conditional record.
+        column pair; and every distinct head's kernel (:func:`head_kernel`),
+        then its sidecars.  Returns each member's prediction column, one
+        entry per conditional record; members that share a head share its
+        column.
         """
         columns = self.state.advance_block(*block[:4])
         flat = []
@@ -439,7 +484,7 @@ class _Group:
             if sidecars is not None:
                 head = _run_sidecars(sidecars, columns, head)
             predictions.append(head)
-        return predictions
+        return [predictions[head] for head in self._member_heads]
 
     def step_list(self, pc: int, target: int, taken: bool, gap: int) -> List[bool]:
         """Run one conditional branch; return per-head final predictions.

@@ -485,11 +485,7 @@ def write_chunked_trace(
         metadata=trace.metadata,
         chunk_branches=chunk_branches,
     )
-    total = len(trace)
-    for start in range(0, total, chunk_branches):
-        chunk = trace.slice(start, min(start + chunk_branches, total))
-        writer._buffer = chunk
-        writer._flush_chunk()
+    writer.extend_columns(*trace.columns())
     return writer.close()
 
 

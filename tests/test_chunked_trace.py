@@ -135,6 +135,11 @@ class TestLayout:
         assert appended.fingerprint() == bulk.fingerprint()
         assert appended.manifest["chunks"] == bulk.manifest["chunks"]
         assert appended.to_trace().columns() == trace.columns()
+        # One chunk cutter: the two writers also write the same bytes.
+        for index in range(bulk.chunk_count):
+            assert (
+                appended.chunk_path(index).read_bytes() == bulk.chunk_path(index).read_bytes()
+            )
 
     def test_load_any_trace(self, trace, chunked, tmp_path):
         assert is_chunked_dir(chunked.directory)

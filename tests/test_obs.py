@@ -264,6 +264,17 @@ class TestTimingLog:
         log.record(backend="serial", label="b", trace="t", phases={"simulate": 0.2})
         assert log.write_summary() is not None
 
+    def test_write_summary_skips_when_nothing_was_recorded(self, tmp_path):
+        # A later process that records nothing (an all-hit resume) keeps
+        # the earlier run's summary instead of writing an empty one.
+        earlier = TimingLog(tmp_path / "timings.jsonl", component="tester")
+        earlier.record(backend="serial", label="a", trace="t", phases={"simulate": 0.1})
+        target = earlier.write_summary()
+        kept = target.read_text()
+        idle = TimingLog(tmp_path / "timings.jsonl", component="tester")
+        assert idle.write_summary() is None
+        assert target.read_text() == kept
+
     def test_timing_log_for_gates(self, tmp_path, monkeypatch):
         assert timing_log_for(None, "x") is None
         monkeypatch.setenv("REPRO_TIMINGS", "0")
