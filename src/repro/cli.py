@@ -138,14 +138,20 @@ def _add_choice_argument(
     parser.add_argument(*flags, **kwargs).choices = _LazyChoices(choices)
 
 
+#: ``--length`` is a floor: generate_benchmark rounds up to whole kernel cycles.
+_LENGTH_HELP = (
+    "minimum conditional branches per benchmark trace; each trace is rounded up "
+    "to whole kernel cycles, so short lengths come out longer (at 300, up to 28x)"
+)
+
+
 def _add_workload_arguments(parser: argparse.ArgumentParser, length: int) -> None:
     _add_choice_argument(parser, "--suite", default="cbp4like", choices=_suite_names)
     parser.add_argument(
         "--benchmarks", default=None,
         help="comma-separated benchmark names (default: the whole suite)",
     )
-    parser.add_argument("--length", type=int, default=length,
-                        help="conditional branches per benchmark trace")
+    parser.add_argument("--length", type=int, default=length, help=_LENGTH_HELP)
     _add_choice_argument(parser, "--profile", default="small", choices=_profile_names)
     parser.add_argument(
         "--jobs", "-j", type=_positive_int, default=1,
@@ -223,8 +229,7 @@ def _add_suite_arguments(parser: argparse.ArgumentParser, length: int = 2500) ->
         "--benchmarks", default=None,
         help="comma-separated benchmark names (default: the whole suite)",
     )
-    parser.add_argument("--length", type=int, default=length,
-                        help="conditional branches per benchmark trace")
+    parser.add_argument("--length", type=int, default=length, help=_LENGTH_HELP)
     _add_choice_argument(parser, "--profile", default="small", choices=_profile_names)
     _add_trace_argument(parser)
 

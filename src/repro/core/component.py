@@ -72,13 +72,15 @@ class BlockColumns:
     slot column per registered
     :class:`~repro.common.history.FoldedHistory` of non-zero length; and
     ``reads``, what each trace-only structure's ``advance_block`` (or
-    its walk's ``advance_together``) returned.  ``pcs``, ``targets`` and
-    ``taken`` are the branches' own fields, ``taken`` as ``0``/``1``
-    bytes.  The columns reference no predictor or group.
+    its walk's ``advance_together``) returned; ``hashed``, index columns
+    that components of different keys may share, keyed by everything they
+    are computed from.  ``pcs``, ``targets`` and ``taken`` are the
+    branches' own fields, ``taken`` as ``0``/``1`` bytes.  The columns
+    reference no predictor or group.
     """
 
     __slots__ = (
-        "n", "lanes", "pc", "pc_round", "path", "imli", "folds", "reads",
+        "n", "lanes", "pc", "pc_round", "path", "imli", "folds", "reads", "hashed",
         "pcs", "targets", "taken",
     )
 
@@ -89,6 +91,7 @@ class BlockColumns:
         self.pc_round = swar.mix_round(self.lanes, self.lanes.of(MIX_ROUND_KEY), pc, 0)
         self.folds: Dict[FoldedHistory, int] = {}
         self.reads: Dict[Any, Any] = {}
+        self.hashed: Dict[tuple, array] = {}
 
     def index(self, index_mask: int, *fields: int) -> array:
         """``mix_hash(pc, *fields) & index_mask`` per branch, as an array."""

@@ -42,7 +42,8 @@ reproduces through its ``update_delay`` parameter.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from functools import lru_cache
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.common import swar
 from repro.common.bits import log2_exact, mask, mix_hash
@@ -175,9 +176,10 @@ class OuterHistory:
         # after that branch's reads and before its PIPE staging, as in
         # advance(); delay 0 writes right after the staging.  So at
         # position k a history of delay d >= 1 applies the write of branch
-        # k - d, looked up in ``writes`` (padded in front for k < d), and
-        # the pending writes it carried into the block where they fall due.
-        carried: List[list] = [[] for _ in range(n)]
+        # k - d (its lag column, ``records`` shifted by d), and the pending
+        # writes it carried into the block where they fall due.
+        carried: Dict[int, list] = {}
+        lag_bits = []
         lags = []
         zero_bits = 0
         cell_masks = 0
@@ -193,13 +195,16 @@ class OuterHistory:
                 if position >= n:
                     pending.append(entry)
                 else:
-                    carried[max(position, 0)].append((cell, 0xFF ^ bit, bit if outcome else 0))
+                    carried.setdefault(max(position, 0), []).append(
+                        (cell, 0xFF ^ bit, bit if outcome else 0)
+                    )
             delay = history.update_delay
             if delay == 0:
                 zero_bits |= bit
             else:
                 if delay < n:
-                    lags.append((delay, bit, 0xFF ^ bit))
+                    lag_bits.append(bit)
+                    lags.append([None] * delay + records[:n - delay])
                 pending.extend(
                     (*records[position], tick + position + 1 + delay)
                     for position in range(max(n - delay, 0), n)
@@ -208,30 +213,15 @@ class OuterHistory:
             pendings.append(pending)
             cell_masks |= int.from_bytes(bytes(history.history), "little") << bit_index
             pipe_masks |= int.from_bytes(bytes(history.pipe), "little") << bit_index
-        padding = max((delay for delay, _, _ in lags), default=0)
-        writes = [None] * padding + records
-        lags = [(padding - delay, bit, keep) for delay, bit, keep in lags]
         hist = bytearray(cell_masks.to_bytes(len(first.history), "little"))
         pipe = bytearray(pipe_masks.to_bytes(len(first.pipe), "little"))
-        zero_keep = 0xFF ^ zero_bits
-        same = bytearray(n)
-        previous = bytearray(n)
-        position = 0
-        for cell, slot, record, events in zip(cells, slots, records, carried):
-            same[position] = hist[cell]
-            previous[position] = pipe[slot]
-            for written, keep, value in events:
-                hist[written] = hist[written] & keep | value
-            for offset, bit, keep in lags:
-                write = writes[position + offset]
-                if write is not None:
-                    written, outcome = write
-                    hist[written] = hist[written] | bit if outcome else hist[written] & keep
-            position += 1
-            if record is not None:
-                pipe[slot] = value = hist[cell]
-                if zero_bits:
-                    hist[cell] = value | zero_bits if record[1] else value & zero_keep
+        if carried:
+            events = [None] * n
+            for position, writes in carried.items():
+                events[position] = writes
+            lags.append(events)
+        walk = _walk_loop(zero_bits, tuple(lag_bits), bool(carried))
+        same, previous = walk(hist, pipe, cells, slots, records, *lags)
         reads = []
         for bit_index, (history, pending) in enumerate(zip(histories, pendings)):
             bit = _BIT[bit_index]
@@ -241,6 +231,61 @@ class OuterHistory:
             history._tick += n
             reads.append((same.translate(bit), previous.translate(bit)))
         return reads
+
+
+@lru_cache(maxsize=None)
+def _walk_loop(zero_bits: int, lag_bits: Tuple[int, ...], carried: bool) -> Callable:
+    """The per-branch loop of :meth:`OuterHistory._walk`, generated per delay set.
+
+    ``loop(hist, pipe, cells, slots, records, *lags)`` walks one block over
+    the history-cell and PIPE bit masks ``hist`` and ``pipe`` (bytearrays,
+    updated in place) and returns the ``(same, previous)`` masks each
+    branch read, as bytes.  ``zero_bits`` marks the histories of delay 0,
+    which write right after the PIPE staging; ``lag_bits`` holds one bit
+    per delayed history whose write lands inside the block, and ``lags``
+    that history's lag column (the write landing at each position, or
+    ``None``), then, when ``carried``, the list of pending writes carried
+    into the block that land at each position (``(cell, keep, value)``
+    masks), or ``None``.  The lag writes are unrolled into straight-line
+    code, compiled once per delay set as
+    :func:`~repro.predictors.shared_core.head_kernel` is.
+    """
+    names = "".join(f"w{lag}, " for lag in range(len(lag_bits)))
+    if carried:
+        names += "events, "
+    body = ["same_append(hist[cell])", "previous_append(pipe[slot])"]
+    if carried:
+        body += [
+            "if events is not None:",
+            "    for written, keep, value in events:",
+            "        hist[written] = hist[written] & keep | value",
+        ]
+    for lag, bit in enumerate(lag_bits):
+        body += [
+            f"if w{lag} is not None:",
+            f"    written, outcome = w{lag}",
+            f"    hist[written] = hist[written] | {bit} if outcome"
+            f" else hist[written] & {0xFF ^ bit}",
+        ]
+    body += ["if record is not None:", "    pipe[slot] = value = hist[cell]"]
+    if zero_bits:
+        body.append(
+            f"    hist[cell] = value | {zero_bits} if record[1] else value & {0xFF ^ zero_bits}"
+        )
+    source = "\n".join([
+        f"def loop(hist, pipe, cells, slots, records, {names}):",
+        "    same = bytearray()",
+        "    previous = bytearray()",
+        "    same_append = same.append",
+        "    previous_append = previous.append",
+        f"    for cell, slot, record, {names}in zip(cells, slots, records, {names}):",
+        *(f"        {line}" for line in body),
+        "    return bytes(same), bytes(previous)",
+    ])
+    namespace: dict = {}
+    name = f"<outer-history walk {zero_bits} {lag_bits} {carried}>"
+    exec(compile(source, name, "exec"), namespace)
+    return namespace["loop"]
 
 
 #: ``_BIT[i]`` translates a byte of history masks to history ``i``'s bit.
@@ -343,12 +388,20 @@ class IMLIOuterHistoryComponent(IndexedComponent):
         return (type(self), self.prediction_index_bits, self.outer)
 
     def index_columns(self, block) -> list:
+        """The prediction-table index column, hashed once per distinct read.
+
+        Outer histories of different update delays often read the same
+        outcomes over a whole sub-block; components whose mask and reads
+        are equal then share one column object (``block.hashed``).
+        """
         same, previous = block.reads[self.outer]
-        return [
-            block.index(
+        key = (self.prediction_index_mask, same, previous)
+        column = block.hashed.get(key)
+        if column is None:
+            column = block.hashed[key] = block.index(
                 self.prediction_index_mask, swar.pack_bytes(same), swar.pack_bytes(previous) << 1
             )
-        ]
+        return [column]
 
     def storage_bits(self) -> int:
         prediction_bits = self.table.storage_bits()

@@ -17,9 +17,10 @@ member.  Two kinds of group form:
   from that info, so sweep grids that vary only corrector and sidecar
   knobs (``oh_update_delay``, IMLI components, local-history tables,
   loop/wormhole) pay the core -- on TAGE-class grids ~98% of the work --
-  once per branch.  Members whose heads have equal content (say
-  ``oh_update_delay`` variants with IMLI-OH off) share one head, so its
-  kernel runs once per sub-block.  The members' own instances are left
+  once per branch.  Heads of equal state form a class that runs one
+  kernel per sub-block until its members' index columns differ (say
+  ``oh_update_delay`` variants while their outer histories agree; with
+  IMLI-OH off, for good).  The members' own instances are left
   untouched;
 * a *group of one* serves every other groupable predictor (alone in its
   batch, trained, the only one with its key, or any with
@@ -78,11 +79,14 @@ construction*, not by tolerance:
 * the loop/wormhole sidecars never touch the shared state at all (they
   consume only branch fields, the head's main prediction and their own
   tables);
-* two heads with the same column positions, counter values and bounds,
-  threshold state and revert margin, and no sidecars, apply the same
-  deterministic rules to the same inputs, so one of them computes both
-  prediction columns; the other head, internal to its fresh group, is
-  never trained and never read.
+* two heads with the same counter values and bounds, threshold state
+  and revert margin, and no sidecars, that read equal index columns over
+  a sub-block apply the same deterministic rules to the same inputs, so
+  one of them computes both prediction columns and leaves the state
+  both would reach; by induction over sub-blocks one head stands for its
+  class until the columns differ, and a split first copies that state
+  into the new part's head.  The heads that do not run, internal to
+  their fresh group, are never read.
 """
 
 from __future__ import annotations
@@ -377,21 +381,19 @@ def head_kernel(rows: int, corrector: bool) -> Callable:
     return namespace["kernel"]
 
 
-def _head_content(head_rows: list, head: tuple) -> Optional[tuple]:
-    """What a head's predictions depend on besides the shared columns.
+def _head_state(head_rows: list, head: tuple) -> Optional[tuple]:
+    """What a head's predictions depend on besides its index columns.
 
-    The head's flat column positions, each row's counter bounds and
-    current values, its adder's threshold, threshold counter and counter
-    bounds, and its revert margin: two heads with equal content read the
-    same columns, start from the same state and apply the same rules, so
-    they produce equal prediction columns.  ``None`` for a head with
-    sidecars, which is never merged.
+    Each row's counter bounds and current values (so also the row count),
+    its adder's threshold, threshold counter and counter bounds, and its
+    revert margin; not its column positions.  ``None`` for a head with
+    sidecars, which always runs on its own.
     """
     adder, revert_margin, sidecars = head
     if sidecars is not None:
         return None
     return (
-        [(position, table.maximum, table.minimum, table.values) for position, table in head_rows],
+        [(table.maximum, table.minimum, table.values) for _, table in head_rows],
         adder.threshold,
         adder._threshold_counter,
         adder._threshold_counter_max,
@@ -407,12 +409,13 @@ class _Group:
     ``(adder, revert_margin, sidecars)`` per member, in member order, every
     adder bound to ``state`` (``revert_margin`` is ignored without a TAGE
     core, ``sidecars`` is a :class:`_Sidecars` or ``None``).  Members whose
-    heads have equal content (:func:`_head_content`) share one head: only
-    the first of them runs, and the others get its prediction column, so
-    their own heads stay untrained.  Only a fresh group has more than one
-    head, and its heads are internal.  The engine calls :meth:`run_block`
-    with each sub-block of records, in order, and gets one prediction
-    column per member back.
+    heads have equal state (:func:`_head_state`) form a *class*: only its
+    first member's head runs, and every member gets its prediction column,
+    while the columns of every member agree.  A sub-block on which they do
+    not splits the class (:meth:`_split`) for good.  Only a fresh group
+    has more than one head, and its heads are internal.  The engine calls
+    :meth:`run_block` with each sub-block of records, in order, and gets
+    one prediction column per member back.
     """
 
     kind = ""
@@ -430,17 +433,18 @@ class _Group:
         components, rows = _plan_heads([adder for adder, _, _ in heads])
         self._column_fns = [component.index_columns for component in components]
         corrector = tage is not None
+        #: Per member: its kernel, column positions, tables, adder, revert
+        #: margin and sidecars.
         self._heads = []
-        #: Per member, the position in ``_heads`` of the head it reads.
-        self._member_heads = []
-        contents: list = []
+        states: list = []
+        classes: List[List[int]] = []
         for head_rows, head in zip(rows, heads):
-            content = _head_content(head_rows, head)
-            if content is not None and content in contents:
-                self._member_heads.append(contents.index(content))
-                continue
-            self._member_heads.append(len(self._heads))
-            contents.append(content)
+            state = _head_state(head_rows, head)
+            if state is not None and state in states:
+                classes[states.index(state)].append(len(self._heads))
+            else:
+                states.append(state)
+                classes.append([len(self._heads)])
             adder, revert_margin, sidecars = head
             self._heads.append((
                 head_kernel(len(head_rows), corrector),
@@ -450,6 +454,53 @@ class _Group:
                 revert_margin,
                 sidecars,
             ))
+        #: ``(members, varying)`` per class: its members' positions in
+        #: ``_heads``, the first one running for all, and the rows whose
+        #: column positions differ among them.
+        self._classes = [(members, self._varying(members)) for members in classes]
+
+    def _varying(self, members: List[int]) -> List[int]:
+        """The rows whose column positions differ among ``members``."""
+        positions = [self._heads[member][1] for member in members]
+        return [row for row, read in enumerate(zip(*positions)) if len(set(read)) > 1]
+
+    def _split(self, flat: list) -> None:
+        """Split every class whose members' columns differ on this sub-block.
+
+        Members stay together while their columns at the ``varying`` rows
+        are equal (arrays compare in C; the same object short-circuits).
+        Each new part's first member takes a copy of the class's first
+        member's counter values, threshold and threshold counter, which
+        are where the class stands before this sub-block, and runs for
+        its part from here on.
+        """
+        classes = []
+        for members, varying in self._classes:
+            if not varying:
+                classes.append((members, varying))
+                continue
+            parts: List[Tuple[list, List[int]]] = []
+            for member in members:
+                positions = self._heads[member][1]
+                key = [flat[positions[row]] for row in varying]
+                for part_key, part in parts:
+                    if part_key == key:
+                        part.append(member)
+                        break
+                else:
+                    parts.append((key, [member]))
+            if len(parts) == 1:
+                classes.append((members, varying))
+                continue
+            _, _, tables, adder, _, _ = self._heads[members[0]]
+            for _, part in parts[1:]:
+                _, _, copies, copy, _, _ = self._heads[part[0]]
+                for (values, _, _), (target, _, _) in zip(tables, copies):
+                    target[:] = values
+                copy.threshold = adder.threshold
+                copy._threshold_counter = adder._threshold_counter
+            classes.extend((part, self._varying(part)) for _, part in parts)
+        self._classes = classes
 
     def run_block(self, block: tuple) -> List[bytearray]:
         """Run one ``(pc, target, taken, kind, gap)`` sub-block of records.
@@ -459,10 +510,10 @@ class _Group:
         key's index columns); the TAGE core
         (:meth:`TAGEEngine.predict_train_block`), whose prediction column
         picks each TAGE-bit bias index from its ``(not taken, taken)``
-        column pair; and every distinct head's kernel (:func:`head_kernel`),
-        then its sidecars.  Returns each member's prediction column, one
-        entry per conditional record; members that share a head share its
-        column.
+        column pair; and, once the classes are split on the columns
+        (:meth:`_split`), each class's kernel (:func:`head_kernel`), then
+        its sidecars.  Returns each member's prediction column, one entry
+        per conditional record; the members of a class share its column.
         """
         columns = self.state.advance_block(*block[:4])
         flat = []
@@ -474,17 +525,20 @@ class _Group:
             for position, column in enumerate(flat):
                 if isinstance(column, tuple):
                     flat[position] = array("Q", map(_pick, tage_predictions, *column))
+        self._split(flat)
         taken = columns.taken
-        predictions = []
-        for kernel, positions, tables, adder, revert_margin, sidecars in self._heads:
+        predictions: List[bytearray] = [None] * len(self._heads)
+        for members, _ in self._classes:
+            kernel, positions, tables, adder, revert_margin, sidecars = self._heads[members[0]]
             head = kernel(
                 [flat[position] for position in positions], tables, taken,
                 tage_predictions, adder, revert_margin,
             )
             if sidecars is not None:
                 head = _run_sidecars(sidecars, columns, head)
-            predictions.append(head)
-        return [predictions[head] for head in self._member_heads]
+            for member in members:
+                predictions[member] = head
+        return predictions
 
     def step_list(self, pc: int, target: int, taken: bool, gap: int) -> List[bool]:
         """Run one conditional branch; return per-head final predictions.

@@ -710,7 +710,9 @@ class TestBlockProtocol:
         # Per sub-block of _column_blocks: each solo's predict_update_block
         # runs once, the tage-gsc group's TAGE pass once, the standalone
         # TAGE's own TAGE pass once, and one generated kernel call per
-        # head; no group steps per branch (step_count and
+        # class of heads (delays 0 and 1 read the same outer history on
+        # this trace, so the two tage-gsc heads stay one class, and the
+        # gehl heads differ in shape); no group steps per branch (step_count and
         # step_list, which perfbench's shared_core.step layer wraps, are
         # never called).  Small sub-blocks cut the trace, and each chunk of
         # the chunked copy, several times.
@@ -768,7 +770,7 @@ class TestBlockProtocol:
             "BimodalPredictor": blocks,
             "group TAGE pass": blocks,
             "solo TAGE pass": blocks,
-            "tage-gsc head": 2 * blocks,
+            "tage-gsc head": blocks,
             "gehl head": 2 * blocks,
         }
 

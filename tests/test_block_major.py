@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from array import array
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -81,6 +82,54 @@ def test_one_walk_matches_per_delay_advance(extra, seed, length, cuts, warm_up):
     assert got == expected
     for history, twin in zip(walked, oracle):
         assert _outer_state(history) == _outer_state(twin), history.update_delay
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    delays=st.sets(
+        st.sampled_from([0, 1, 2, 3, 7, 63, 200, 511, 512, 513, 700, 1100]), min_size=1, max_size=9
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    length=st.integers(1, 3 * SUB_BLOCK_RECORDS),
+    cuts=st.lists(st.floats(0, 1), max_size=6),
+    warm_up=st.integers(0, 80),
+)
+def test_generated_walk_matches_bit_mask_walk(delays, seed, length, cuts, warm_up):
+    # Any delay set, over random sub-block cuts after a per-branch warm-up,
+    # so pending writes are carried into blocks and across them.  The
+    # walk's reads and every history's table, PIPE vector, pending writes
+    # and tick must match the bit-mask walk's and per-branch advance's.
+    delays = sorted(delays)
+    rng = random.Random(seed)
+    total = warm_up + length
+    pcs = [rng.randrange(1 << 12) for _ in range(total)]
+    targets = [rng.randrange(1 << 12) for _ in range(total)]
+    takens = [rng.random() < 0.6 for _ in range(total)]
+    counts = [rng.randrange(100) for _ in range(total)]
+    walked, frozen, stepped = ([OuterHistory(4, 8, delay) for delay in delays] for _ in range(3))
+    for position in range(warm_up):
+        for history in walked + frozen + stepped:
+            history.advance(pcs[position], targets[position], takens[position], counts[position])
+    bounds = sorted({warm_up, total} | {warm_up + int(cut * length) for cut in cuts})
+    for start, stop in zip(bounds, bounds[1:]):
+        block = (
+            pcs[start:stop], targets[start:stop],
+            array("b", takens[start:stop]), array("Q", counts[start:stop]),
+        )
+        reads = OuterHistory.advance_together(walked, *block)
+        for first in range(0, len(delays), 8):
+            expected = _bit_mask_walk(frozen[first:first + 8], *block)
+            assert reads[first:first + 8] == expected
+        for history, (same, previous) in zip(stepped, reads):
+            for position in range(start, stop):
+                pc, count = pcs[position], counts[position]
+                slot = history.slot(pc)
+                cell = slot * 8 + count % 8
+                k = position - start
+                assert (same[k], previous[k]) == (history.history[cell], history.pipe[slot])
+                history.advance(pc, targets[position], takens[position], count)
+        for history, twin, step in zip(walked, frozen, stepped):
+            assert _outer_state(history) == _outer_state(twin) == _outer_state(step)
 
 
 def test_head_kernel_is_generated_once_per_shape():
@@ -183,3 +232,95 @@ def test_one_record_sub_blocks_match_the_default_schedule(
     ]
     for result, expected in zip(default, reference):
         batch_tests._assert_identical(result, expected)
+
+
+#: ``_BIT_OF[i]`` translates a byte of history masks to history ``i``'s bit.
+_BIT_OF = [bytes((value >> bit) & 1 for value in range(256)) for bit in range(8)]
+
+
+def _bit_mask_walk(histories, pcs, targets, takens, imli_counts):
+    """The bit-mask walk before its per-branch loop was generated (the oracle)."""
+    first = histories[0]
+    n = len(pcs)
+    width = first.branch_index_bits
+    slot_mask = first.branch_index_mask
+    iterations = first.iterations_per_branch
+    slots = [(pc ^ (pc >> width) ^ (pc >> (2 * width))) & slot_mask for pc in pcs]
+    cells = [slot * iterations + count % iterations for slot, count in zip(slots, imli_counts)]
+    # Per branch: its history write ``(cell, outcome)``, or None for a
+    # backward branch (not recorded).
+    records = [
+        None if target < pc else (cell, 1 if taken else 0)
+        for pc, target, taken, cell in zip(pcs, targets, takens, cells)
+    ]
+    # History i's writes land in bit i of the masks.  A pending write is
+    # applied at the first position whose tick reaches its due tick,
+    # after that branch's reads and before its PIPE staging, as in
+    # advance(); delay 0 writes right after the staging.  So at
+    # position k a history of delay d >= 1 applies the write of branch
+    # k - d, looked up in ``writes`` (padded in front for k < d), and
+    # the pending writes it carried into the block where they fall due.
+    carried = [[] for _ in range(n)]
+    lags = []
+    zero_bits = 0
+    cell_masks = 0
+    pipe_masks = 0
+    pendings = []
+    for bit_index, history in enumerate(histories):
+        bit = 1 << bit_index
+        tick = history._tick
+        pending: deque = deque()
+        for entry in history._pending:
+            cell, outcome, due = entry
+            position = due - tick - 1
+            if position >= n:
+                pending.append(entry)
+            else:
+                carried[max(position, 0)].append((cell, 0xFF ^ bit, bit if outcome else 0))
+        delay = history.update_delay
+        if delay == 0:
+            zero_bits |= bit
+        else:
+            if delay < n:
+                lags.append((delay, bit, 0xFF ^ bit))
+            pending.extend(
+                (*records[position], tick + position + 1 + delay)
+                for position in range(max(n - delay, 0), n)
+                if records[position] is not None
+            )
+        pendings.append(pending)
+        cell_masks |= int.from_bytes(bytes(history.history), "little") << bit_index
+        pipe_masks |= int.from_bytes(bytes(history.pipe), "little") << bit_index
+    padding = max((delay for delay, _, _ in lags), default=0)
+    writes = [None] * padding + records
+    lags = [(padding - delay, bit, keep) for delay, bit, keep in lags]
+    hist = bytearray(cell_masks.to_bytes(len(first.history), "little"))
+    pipe = bytearray(pipe_masks.to_bytes(len(first.pipe), "little"))
+    zero_keep = 0xFF ^ zero_bits
+    same = bytearray(n)
+    previous = bytearray(n)
+    position = 0
+    for cell, slot, record, events in zip(cells, slots, records, carried):
+        same[position] = hist[cell]
+        previous[position] = pipe[slot]
+        for written, keep, value in events:
+            hist[written] = hist[written] & keep | value
+        for offset, bit, keep in lags:
+            write = writes[position + offset]
+            if write is not None:
+                written, outcome = write
+                hist[written] = hist[written] | bit if outcome else hist[written] & keep
+        position += 1
+        if record is not None:
+            pipe[slot] = value = hist[cell]
+            if zero_bits:
+                hist[cell] = value | zero_bits if record[1] else value & zero_keep
+    reads = []
+    for bit_index, (history, pending) in enumerate(zip(histories, pendings)):
+        bit = _BIT_OF[bit_index]
+        history.history[:] = hist.translate(bit)
+        history.pipe[:] = pipe.translate(bit)
+        history._pending = pending
+        history._tick += n
+        reads.append((same.translate(bit), previous.translate(bit)))
+    return reads
