@@ -965,48 +965,44 @@ def _serve(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(_error_message(error), file=sys.stderr)
         return 2
-    try:
-        coordinator.start()
-    except OSError as error:
-        print(f"cannot listen on {args.host}:{args.port}: {error}", file=sys.stderr)
-        return EXIT_BIND_FAILURE
-    if coordinator.recovered_jobs:
-        print(
-            f"journal recovery: re-admitted {len(coordinator.recovered_jobs)} "
-            "unfinished job(s)",
-            file=sys.stderr,
-        )
     status_server = None
-    if args.status_port is not None:
-        status_server = StatusServer(
-            coordinator,
-            store=store,
-            host=args.status_host,
-            port=args.status_port,
-        )
+    # From start() on, an interrupt anywhere is serve's stop, not a crash.
+    try:
         try:
-            status_server.start()
+            coordinator.start()
         except OSError as error:
-            coordinator.shutdown()
+            print(f"cannot listen on {args.host}:{args.port}: {error}", file=sys.stderr)
+            return EXIT_BIND_FAILURE
+        if coordinator.recovered_jobs:
             print(
-                f"cannot bind status server on "
-                f"{args.status_host}:{args.status_port}: {error}",
+                f"journal recovery: re-admitted {len(coordinator.recovered_jobs)} "
+                "unfinished job(s)",
                 file=sys.stderr,
             )
-            return EXIT_BIND_FAILURE
-        print(f"status endpoint: {status_server.url}/status", file=sys.stderr)
-    try:
+        if args.status_port is not None:
+            status_server = StatusServer(
+                coordinator,
+                store=store,
+                host=args.status_host,
+                port=args.status_port,
+            )
+            try:
+                status_server.start()
+            except OSError as error:
+                print(
+                    f"cannot bind status server on "
+                    f"{args.status_host}:{args.status_port}: {error}",
+                    file=sys.stderr,
+                )
+                return EXIT_BIND_FAILURE
+            print(f"status endpoint: {status_server.url}/status", file=sys.stderr)
         if args.base is None:
             # Idle service: accept `repro submit` jobs until Ctrl-C.
             print(
                 "serving submitted sweeps; stop with Ctrl-C", file=sys.stderr
             )
-            try:
-                while True:
-                    time.sleep(1.0)
-            except KeyboardInterrupt:
-                print("\ncoordinator stopped.", file=sys.stderr)
-            return 0
+            while True:
+                time.sleep(1.0)
         try:
             base_spec, specs = _expand_grid_specs(args)
             traces = _suite_traces(args)
@@ -1019,18 +1015,8 @@ def _serve(args: argparse.Namespace) -> int:
             f"(repro worker --connect {args.host}:{coordinator.address[1]})",
             file=sys.stderr,
         )
-        try:
-            while not job.wait(timeout=0.5):
-                pass
-        except KeyboardInterrupt:
-            print("\nserve interrupted.", file=sys.stderr)
-            if store is not None:
-                print(
-                    "completed cells are in the store; rerun the same "
-                    "`repro serve` command to resume from them",
-                    file=sys.stderr,
-                )
-            return 130
+        while not job.wait(timeout=0.5):
+            pass
         try:
             runs = job.runs()
         except JobFailed as error:
@@ -1040,6 +1026,18 @@ def _serve(args: argparse.Namespace) -> int:
         _print_sweep_results(args, results, specs)
         _report_store_use(store)
         return 0
+    except KeyboardInterrupt:
+        if args.base is None:
+            print("\ncoordinator stopped.", file=sys.stderr)
+            return 0
+        print("\nserve interrupted.", file=sys.stderr)
+        if store is not None:
+            print(
+                "completed cells are in the store; rerun the same "
+                "`repro serve` command to resume from them",
+                file=sys.stderr,
+            )
+        return 130
     finally:
         if status_server is not None:
             status_server.close()

@@ -194,6 +194,15 @@ class SweepJob:
 _Lease = Tuple[int, float]
 
 
+def _shut(sock: socket.socket) -> None:
+    """Shut ``sock`` down both ways and close it, ignoring socket errors."""
+    for stop in (lambda: sock.shutdown(socket.SHUT_RDWR), sock.close):
+        try:
+            stop()
+        except OSError:
+            pass
+
+
 class Coordinator:
     """Serves sweep cells to workers over line-delimited JSON TCP.
 
@@ -375,7 +384,6 @@ class Coordinator:
         self._listener = socket.create_server(
             (self._host, self._port), reuse_port=False
         )
-        self._listener.settimeout(0.2)
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name="repro-dist-accept", daemon=True
         )
@@ -434,10 +442,8 @@ class Coordinator:
         with self._cond:
             self._cond.notify_all()
         if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+            # Unlike a bare close(), this wakes the thread blocked in accept().
+            _shut(self._listener)
         if graceful and grace > 0:
             deadline = time.monotonic() + grace
             for thread in list(self._conn_threads):
@@ -448,14 +454,7 @@ class Coordinator:
         with self._lock:
             sockets = list(self._open_sockets.values())
         for sock in sockets:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                sock.close()
-            except OSError:
-                pass
+            _shut(sock)
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5)
         if graceful:
@@ -1186,10 +1185,8 @@ class Coordinator:
         while not self._stopping.is_set():
             try:
                 sock, _ = self._listener.accept()
-            except socket.timeout:
-                continue
             except OSError:
-                break  # listener closed by shutdown()
+                break  # listener shut down by shutdown()
             # Bounded idle timeout: a half-open peer (silent but never
             # closing) times out the blocking read and is dropped like a
             # dead connection, instead of pinning this thread forever.

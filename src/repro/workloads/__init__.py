@@ -9,8 +9,9 @@ correlation structures the paper analyses, composed into two named suites
 highlights (``SPEC2K6-04``, ``SPEC2K6-12``, ``MM-4``, ``CLIENT02``,
 ``MM07``, ``WS03``, ``WS04`` ...).
 
-* :mod:`repro.workloads.emitter` -- the :class:`KernelEmitter` that kernels
-  use to emit branch records with stable synthetic PCs.
+* :mod:`repro.workloads.emitter` -- the columnar :class:`KernelEmitter`
+  that kernels use to emit branches with stable synthetic PCs straight
+  into trace columns; ``drain()`` returns them as a ``Trace``.
 * :mod:`repro.workloads.kernels` -- the kernel classes (nested loops with
   same-iteration correlation, wormhole-style diagonal correlation,
   alternating outer-iteration correlation, local periodic patterns,

@@ -76,6 +76,10 @@ class Kernel(ABC):
     def _label(self, suffix: str) -> str:
         return f"{self.label_prefix}.{suffix}"
 
+    def _labels(self, stem: str, count: int) -> List[str]:
+        """Labels ``stem0`` .. ``stem{count-1}``, formatted once per round."""
+        return [self._label(f"{stem}{index}") for index in range(count)]
+
 
 def _random_bits(rng: random.Random, count: int) -> List[bool]:
     return [rng.random() < 0.5 for _ in range(count)]
@@ -136,19 +140,17 @@ class SameIterationKernel(Kernel):
         return self.rng.randint(low, self.max_trip)
 
     def emit_round(self, emitter: KernelEmitter) -> None:
+        noise = self._labels("noise", self.noise_branches)
+        target, inner_back = self._label("target"), self._label("inner_back")
+        outer_back = self._label("outer_back")
         for outer in range(self.outer_iterations):
             trip = self._trip_count()
             for inner in range(trip):
-                for noise_index in range(self.noise_branches):
-                    emitter.branch(
-                        self._label(f"noise{noise_index}"),
-                        self.rng.random() < self.noise_bias,
-                    )
-                emitter.branch(self._label("target"), self.pattern[inner])
-                emitter.loop_branch(self._label("inner_back"), inner < trip - 1)
-            emitter.loop_branch(
-                self._label("outer_back"), outer < self.outer_iterations - 1
-            )
+                for label in noise:
+                    emitter.branch(label, self.rng.random() < self.noise_bias)
+                emitter.branch(target, self.pattern[inner])
+                emitter.loop_branch(inner_back, inner < trip - 1)
+            emitter.loop_branch(outer_back, outer < self.outer_iterations - 1)
 
 
 class WormholeDiagonalKernel(Kernel):
@@ -183,6 +185,9 @@ class WormholeDiagonalKernel(Kernel):
         self.previous_row: List[bool] = _random_bits(self.rng, trip)
 
     def emit_round(self, emitter: KernelEmitter) -> None:
+        noise = self._labels("noise", self.noise_branches)
+        target, inner_back = self._label("target"), self._label("inner_back")
+        outer_back = self._label("outer_back")
         for outer in range(self.outer_iterations):
             current_row: List[bool] = [False] * self.trip
             for inner in range(self.trip):
@@ -191,17 +196,12 @@ class WormholeDiagonalKernel(Kernel):
                 else:
                     outcome = self.previous_row[inner - 1]
                 current_row[inner] = outcome
-                for noise_index in range(self.noise_branches):
-                    emitter.branch(
-                        self._label(f"noise{noise_index}"),
-                        self.rng.random() < self.noise_bias,
-                    )
-                emitter.branch(self._label("target"), outcome)
-                emitter.loop_branch(self._label("inner_back"), inner < self.trip - 1)
+                for label in noise:
+                    emitter.branch(label, self.rng.random() < self.noise_bias)
+                emitter.branch(target, outcome)
+                emitter.loop_branch(inner_back, inner < self.trip - 1)
             self.previous_row = current_row
-            emitter.loop_branch(
-                self._label("outer_back"), outer < self.outer_iterations - 1
-            )
+            emitter.loop_branch(outer_back, outer < self.outer_iterations - 1)
 
 
 class AlternatingOuterKernel(Kernel):
@@ -234,20 +234,18 @@ class AlternatingOuterKernel(Kernel):
         self.parity = False
 
     def emit_round(self, emitter: KernelEmitter) -> None:
+        noise = self._labels("noise", self.noise_branches)
+        target, inner_back = self._label("target"), self._label("inner_back")
+        outer_back = self._label("outer_back")
         for outer in range(self.outer_iterations):
             for inner in range(self.trip):
                 outcome = self.pattern[inner] ^ self.parity
-                for noise_index in range(self.noise_branches):
-                    emitter.branch(
-                        self._label(f"noise{noise_index}"),
-                        self.rng.random() < self.noise_bias,
-                    )
-                emitter.branch(self._label("target"), outcome)
-                emitter.loop_branch(self._label("inner_back"), inner < self.trip - 1)
+                for label in noise:
+                    emitter.branch(label, self.rng.random() < self.noise_bias)
+                emitter.branch(target, outcome)
+                emitter.loop_branch(inner_back, inner < self.trip - 1)
             self.parity = not self.parity
-            emitter.loop_branch(
-                self._label("outer_back"), outer < self.outer_iterations - 1
-            )
+            emitter.loop_branch(outer_back, outer < self.outer_iterations - 1)
 
 
 class LocalPeriodicKernel(Kernel):
@@ -293,19 +291,22 @@ class LocalPeriodicKernel(Kernel):
         self.positions: List[int] = [0] * branch_count
 
     def emit_round(self, emitter: KernelEmitter) -> None:
+        noise = [
+            self._labels(f"noise{branch_index}_", self.noise_branches)
+            for branch_index in range(self.branch_count)
+        ]
+        targets = self._labels("target", self.branch_count)
+        round_back = self._label("round_back")
         for _ in range(self.iterations_per_round):
             for branch_index in range(self.branch_count):
-                for noise_index in range(self.noise_branches):
-                    emitter.branch(
-                        self._label(f"noise{branch_index}_{noise_index}"),
-                        self.rng.random() < self.noise_bias,
-                    )
+                for label in noise[branch_index]:
+                    emitter.branch(label, self.rng.random() < self.noise_bias)
                 pattern = self.patterns[branch_index]
                 position = self.positions[branch_index]
-                emitter.branch(self._label(f"target{branch_index}"), pattern[position])
+                emitter.branch(targets[branch_index], pattern[position])
                 self.positions[branch_index] = (position + 1) % self.period
-            emitter.loop_branch(self._label("round_back"), True)
-        emitter.loop_branch(self._label("round_back"), False)
+            emitter.loop_branch(round_back, True)
+        emitter.loop_branch(round_back, False)
 
 
 class LoopExitKernel(Kernel):
@@ -336,14 +337,13 @@ class LoopExitKernel(Kernel):
         self.noise_bias = noise_bias
 
     def emit_round(self, emitter: KernelEmitter) -> None:
+        noise = self._labels("noise", self.noise_branches)
+        back = self._label("back")
         for _ in range(self.executions_per_round):
             for inner in range(self.trip):
-                for noise_index in range(self.noise_branches):
-                    emitter.branch(
-                        self._label(f"noise{noise_index}"),
-                        self.rng.random() < self.noise_bias,
-                    )
-                emitter.loop_branch(self._label("back"), inner < self.trip - 1)
+                for label in noise:
+                    emitter.branch(label, self.rng.random() < self.noise_bias)
+                emitter.loop_branch(back, inner < self.trip - 1)
 
 
 class GlobalCorrelatedKernel(Kernel):
@@ -381,12 +381,14 @@ class GlobalCorrelatedKernel(Kernel):
         self.source_bias = source_bias
 
     def emit_round(self, emitter: KernelEmitter) -> None:
+        source_labels = self._labels("source", self.depth)
+        sinks = self._labels("sink", self.sink_count)
         for _ in range(self.groups_per_round):
             sources: List[bool] = []
-            for source_index in range(self.depth):
+            for label in source_labels:
                 outcome = self.rng.random() < self.source_bias
                 sources.append(outcome)
-                emitter.branch(self._label(f"source{source_index}"), outcome)
+                emitter.branch(label, outcome)
             parity = False
             for value in sources:
                 parity ^= value
@@ -397,7 +399,7 @@ class GlobalCorrelatedKernel(Kernel):
                     outcome = sources[sink_index % self.depth]
                 else:
                     outcome = not sources[sink_index % self.depth]
-                emitter.branch(self._label(f"sink{sink_index}"), outcome)
+                emitter.branch(sinks[sink_index], outcome)
 
 
 class BiasedMixKernel(Kernel):
@@ -432,11 +434,10 @@ class BiasedMixKernel(Kernel):
             self.biases.append(bias)
 
     def emit_round(self, emitter: KernelEmitter) -> None:
+        branches = list(zip(self._labels("b", self.branch_count), self.biases))
         for _ in range(self.executions_per_round):
-            for branch_index, bias in enumerate(self.biases):
-                emitter.branch(
-                    self._label(f"b{branch_index}"), self.rng.random() < bias
-                )
+            for label, bias in branches:
+                emitter.branch(label, self.rng.random() < bias)
 
 
 class NoiseKernel(Kernel):
@@ -467,12 +468,10 @@ class NoiseKernel(Kernel):
         self.taken_probability = taken_probability
 
     def emit_round(self, emitter: KernelEmitter) -> None:
+        labels = self._labels("n", self.branch_count)
         for _ in range(self.executions_per_round):
-            for branch_index in range(self.branch_count):
-                emitter.branch(
-                    self._label(f"n{branch_index}"),
-                    self.rng.random() < self.taken_probability,
-                )
+            for label in labels:
+                emitter.branch(label, self.rng.random() < self.taken_probability)
 
 
 def build_kernel(name: str, seed: int, **params: object) -> Kernel:

@@ -421,7 +421,9 @@ def _generator_fingerprint() -> str:
 
     Any edit to kernel emission, the emitter or this module changes the
     fingerprint, so stale traces can never be served after a behavioural
-    change -- no manual version bump required.
+    change -- no manual version bump required.  An edit that changes no
+    trace still invalidates every entry once; the regenerated traces keep
+    their content fingerprints, so stored results stay valid.
     """
     global _generator_fingerprint_cache
     if _generator_fingerprint_cache is None:

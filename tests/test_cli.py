@@ -327,3 +327,30 @@ class TestServeSignals:
             if serve.poll() is None:
                 serve.kill()
                 serve.wait(timeout=15)
+
+    @pytest.mark.parametrize("base, expected", [(None, 0), ("gehl", 130)])
+    def test_sigint_right_after_start_stops_serve(self, monkeypatch, tmp_path, base, expected):
+        # The interrupt lands after "coordinator listening" is printed and
+        # before any wait loop: idle serve stops cleanly, --base reports 130.
+        from repro.cli import _command_serve
+        from repro.dist import Coordinator
+
+        real_start, real_shutdown = Coordinator.start, Coordinator.shutdown
+        shut_down = []
+
+        def start_then_interrupt(coordinator):
+            real_start(coordinator)
+            raise KeyboardInterrupt
+
+        def recording_shutdown(coordinator, *args, **kwargs):
+            real_shutdown(coordinator, *args, **kwargs)
+            shut_down.append(coordinator)
+
+        monkeypatch.setattr(Coordinator, "start", start_then_interrupt)
+        monkeypatch.setattr(Coordinator, "shutdown", recording_shutdown)
+        argv = ["serve", "--port", "0", "--store", str(tmp_path / "store")]
+        if base is not None:
+            argv += ["--base", base]
+        assert _command_serve(build_parser().parse_args(argv)) == expected
+        assert len(shut_down) == 1
+        assert not shut_down[0]._accept_thread.is_alive()

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -322,6 +323,19 @@ class TestEndToEnd:
         # ran one at a time inside the task, and the worker resubmitted
         # nothing.
         assert calls == [len(specs) + 1, len(specs)]
+
+    def test_idle_shutdown_wakes_the_accept_thread_at_once(self):
+        """Stopping does not wait for an accept poll to time out."""
+        for _ in range(5):
+            coordinator = Coordinator()
+            address = coordinator.start()
+            accept_thread = coordinator._accept_thread
+            started = time.monotonic()
+            coordinator.shutdown()
+            assert time.monotonic() - started < 0.1
+            assert not accept_thread.is_alive()
+            with pytest.raises(OSError):
+                socket.create_connection(address, timeout=1).close()
 
 
 class TestFaultTolerance:
