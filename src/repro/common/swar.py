@@ -45,6 +45,7 @@ __all__ = [
     "pack",
     "pack_bytes",
     "unpack",
+    "unpack_many",
     "windows",
 ]
 
@@ -54,6 +55,9 @@ SLOT_BITS = 128
 FIELD_BITS = 64
 
 _BIG_ENDIAN = sys.byteorder == "big"
+
+#: Array typecode of each lane width :func:`unpack_many` uses, in bits.
+_LANE_TYPECODES = {8 * array(code).itemsize: code for code in "QIHB"}
 
 
 class Lanes:
@@ -97,10 +101,37 @@ def pack_bytes(values: bytes) -> int:
 
 def unpack(column: int, n: int) -> array:
     """The low 64 bits of the first ``n`` slots of ``column``, as an array."""
-    slots = array("Q", (column & ((1 << (SLOT_BITS * n)) - 1)).to_bytes(16 * n, "little"))
-    if _BIG_ENDIAN:
-        slots.byteswap()
-    return slots[::2]
+    return unpack_many([column], n, FIELD_BITS)[0]
+
+
+def unpack_many(columns: Sequence[int], n: int, width: int) -> List[array]:
+    """:func:`unpack` of every column, several columns per ``int.to_bytes``.
+
+    Every slot of every column must hold a value below ``2**width``
+    (a single column may hold more; its low 64 bits are returned).  The
+    lane width is the smallest of 8, 16, 32 and 64 bits that holds
+    ``width``; column ``j`` of a batch of ``SLOT_BITS // lane`` columns
+    is shifted into lane ``j`` of each slot and the batch ORed into one
+    int, converted once and read back with a stride.  Entries come back
+    in an array of the lane's width.
+    """
+    lane = 8
+    while lane < width:
+        lane *= 2
+    per_slot = SLOT_BITS // lane
+    typecode = _LANE_TYPECODES[lane]
+    full = (1 << (SLOT_BITS * n)) - 1
+    unpacked = []
+    for start in range(0, len(columns), per_slot):
+        batch = columns[start:start + per_slot]
+        combined = batch[0]
+        for position in range(1, len(batch)):
+            combined |= batch[position] << (lane * position)
+        lanes = array(typecode, (combined & full).to_bytes(SLOT_BITS // 8 * n, "little"))
+        if _BIG_ENDIAN:
+            lanes.byteswap()
+        unpacked += [lanes[position::per_slot] for position in range(len(batch))]
+    return unpacked
 
 
 def mix_round(lanes: Lanes, acc: int, field: int, position: int) -> int:

@@ -74,7 +74,8 @@ class BlockColumns:
     ``reads``, what each trace-only structure's ``advance_block`` (or
     its walk's ``advance_together``) returned; ``hashed``, index columns
     that components of different keys may share, keyed by everything they
-    are computed from.  ``pcs``, ``targets`` and ``taken`` are the
+    are computed from.  ``index`` hashes slot columns and ``unpack``
+    turns a batch of them into arrays.  ``pcs``, ``targets`` and ``taken`` are the
     branches' own fields, ``taken`` as ``0``/``1`` bytes.  The columns
     reference no predictor or group.
     """
@@ -91,13 +92,20 @@ class BlockColumns:
         self.pc_round = swar.mix_round(self.lanes, self.lanes.of(MIX_ROUND_KEY), pc, 0)
         self.folds: Dict[FoldedHistory, int] = {}
         self.reads: Dict[Any, Any] = {}
-        self.hashed: Dict[tuple, array] = {}
+        self.hashed: Dict[tuple, Any] = {}
 
-    def index(self, index_mask: int, *fields: int) -> array:
-        """``mix_hash(pc, *fields) & index_mask`` per branch, as an array."""
+    def index(self, index_mask: int, *fields: int) -> int:
+        """``mix_hash(pc, *fields) & index_mask`` per branch, as a slot column."""
         lanes = self.lanes
-        hashed = swar.mix_tail(lanes, self.pc_round, *fields)
-        return swar.unpack(hashed & lanes.of(index_mask), self.n)
+        return swar.mix_tail(lanes, self.pc_round, *fields) & lanes.of(index_mask)
+
+    def unpack(self, columns: Sequence[int], index_mask: int) -> List[array]:
+        """Slot columns of values up to ``index_mask`` as arrays, in one batch.
+
+        ``index_mask`` is the widest mask of the batch; it sets the lane
+        width of :func:`repro.common.swar.unpack_many`.
+        """
+        return swar.unpack_many(columns, self.n, index_mask.bit_length())
 
 
 class SharedState:
@@ -197,9 +205,9 @@ class SharedState:
         read from it before each branch.  Structures that expose a
         ``walk_key`` instead are grouped by it and advanced together, in
         registration order, by the first one's ``advance_together(members,
-        pcs, targets, takens, imli_counts)``, which returns each member's
-        reads (the IMLI-OH outer histories of one geometry share one walk
-        for all their update delays).
+        block)``, which reads the block's columns (IMLI count included)
+        and returns each member's reads (the IMLI-OH outer histories of
+        one geometry share one walk for all their update delays).
         """
         structure = self._trace_only.get(key)
         if structure is None:
@@ -296,6 +304,7 @@ class SharedState:
             if target < pc:
                 count = (count + 1 if count < maximum else count) if taken else 0
         self._advance_folds(block)
+        block.imli = swar.pack(counts)
         walks: Dict[Any, list] = {}
         for structure in self._trace_only.values():
             key = getattr(structure, "walk_key", None)
@@ -304,11 +313,8 @@ class SharedState:
             else:
                 walks.setdefault(key, []).append(structure)
         for members in walks.values():
-            block.reads.update(
-                zip(members, members[0].advance_together(members, pcs, targets, takens, counts))
-            )
+            block.reads.update(zip(members, members[0].advance_together(members, block)))
         imli.count = count
-        block.imli = swar.pack(counts)
         return block
 
     def _advance_path(self, pcs, pc: int) -> int:

@@ -41,9 +41,11 @@ reproduces through its ``update_delay`` parameter.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from functools import lru_cache
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from operator import lt
+from typing import Callable, Deque, List, Optional, Tuple
 
 from repro.common import swar
 from repro.common.bits import log2_exact, mask, mix_hash
@@ -57,13 +59,23 @@ class OuterHistory:
     """The IMLI history table, the PIPE vector and the delayed writes.
 
     Parameters are those of :class:`IMLIOuterHistoryComponent` of the same
-    names.  :meth:`advance` records one resolved conditional branch; the
-    structure never reads a prediction.
+    names (``iterations_per_branch`` must be a power of two, as the table
+    of the paper is).  :meth:`advance` records one resolved conditional
+    branch and :meth:`advance_together` a block of them for several
+    histories; the structure never reads a prediction.
+
+    Between block walks the state lives packed in the histories' walk
+    (:class:`_PackedWalk`).  ``history``, ``pipe``, ``_pending`` and
+    ``_tick`` are derived from it when first read (as :meth:`advance`,
+    ``recovered_outcomes`` and the PIPE checkpoint helpers do); from then
+    on those views are the state, mutable in place, until the next walk
+    packs them again.
     """
 
     __slots__ = (
         "tracked_branches", "iterations_per_branch", "update_delay",
-        "branch_index_bits", "branch_index_mask", "history", "pipe", "_pending", "_tick",
+        "branch_index_bits", "branch_index_mask", "_history", "_pipe", "_writes", "_ticks",
+        "_packed", "_bit",
     )
 
     def __init__(
@@ -76,15 +88,53 @@ class OuterHistory:
         self.update_delay = update_delay
         self.branch_index_bits = log2_exact(tracked_branches)
         self.branch_index_mask = mask(self.branch_index_bits)
+        # The walk takes the iteration number modulo the row as a bit mask.
+        log2_exact(iterations_per_branch)
         # One outcome bit per (branch slot, inner iteration number).
-        self.history = [0] * (tracked_branches * iterations_per_branch)
+        self._history = [0] * (tracked_branches * iterations_per_branch)
         # PIPE vector: one staged bit per branch slot.
-        self.pipe = [0] * tracked_branches
+        self._pipe = [0] * tracked_branches
         # Pending history-table writes: (cell, outcome, due_tick).  The PIPE
         # vector is always updated immediately -- it is speculative,
         # checkpointed state, not a commit-time table (Section 4.3.2).
-        self._pending: Deque[Tuple[int, int, int]] = deque()
-        self._tick = 0
+        self._writes: Deque[Tuple[int, int, int]] = deque()
+        self._ticks = 0
+        # The walk holding this history's state, and its bit there.
+        self._packed: Optional[_PackedWalk] = None
+        self._bit = 0
+
+    def _unpacked(self) -> "OuterHistory":
+        if self._packed is not None:
+            self._packed.unpack(self)
+        return self
+
+    @property
+    def history(self) -> List[int]:
+        """One outcome bit per (branch slot, inner iteration number)."""
+        return self._unpacked()._history
+
+    @property
+    def pipe(self) -> List[int]:
+        """The PIPE vector: one staged outcome bit per branch slot."""
+        return self._unpacked()._pipe
+
+    @property
+    def _pending(self) -> Deque[Tuple[int, int, int]]:
+        """Pending history-table writes ``(cell, outcome, due tick)``, by due tick."""
+        return self._unpacked()._writes
+
+    @_pending.setter
+    def _pending(self, writes: Deque[Tuple[int, int, int]]) -> None:
+        self._unpacked()._writes = writes
+
+    @property
+    def _tick(self) -> int:
+        """Conditional branches advanced over so far."""
+        return self._unpacked()._ticks
+
+    @_tick.setter
+    def _tick(self, ticks: int) -> None:
+        self._unpacked()._ticks = ticks
 
     def slot(self, pc: int) -> int:
         """Branch slot of ``pc`` (:func:`~repro.common.bits.hash_pc`)."""
@@ -100,11 +150,13 @@ class OuterHistory:
         pollute the rows of the loop-body branches IMLI-OH targets.  They
         still advance the delayed-write clock.
         """
-        self._tick += 1
-        pending = self._pending
+        if self._packed is not None:
+            self._packed.unpack(self)
+        self._ticks += 1
+        history = self._history
+        pending = self._writes
         if pending:
-            history = self.history
-            tick = self._tick
+            tick = self._ticks
             while pending and pending[0][2] <= tick:
                 cell, outcome, _ = pending.popleft()
                 history[cell] = outcome
@@ -117,11 +169,11 @@ class OuterHistory:
         # before the cell is overwritten with the current outcome.  This is
         # the speculative, checkpointed part of the state and is never
         # delayed.
-        self.pipe[slot] = self.history[cell]
+        self._pipe[slot] = history[cell]
         if self.update_delay == 0:
-            self.history[cell] = 1 if taken else 0
+            history[cell] = 1 if taken else 0
         else:
-            pending.append((cell, 1 if taken else 0, self._tick + self.update_delay))
+            pending.append((cell, 1 if taken else 0, self._ticks + self.update_delay))
 
     @property
     def walk_key(self) -> tuple:
@@ -129,19 +181,19 @@ class OuterHistory:
         return (OuterHistory, self.tracked_branches, self.iterations_per_branch)
 
     @staticmethod
-    def advance_together(histories, pcs, targets, takens, imli_counts) -> List[Tuple[bytes, bytes]]:
+    def advance_together(histories, block) -> List[Tuple[bytes, bytes]]:
         """:meth:`advance` over a block for outer histories of one geometry.
 
-        ``histories`` share ``tracked_branches`` and
-        ``iterations_per_branch`` and differ in ``update_delay``.  Their
-        history cells and PIPE slots are a function of the branch alone,
-        and a write is the same outcome for every delay; only when it lands
-        differs.  So the branches are hashed once, and up to eight
-        histories run in one walk over bit masks, one bit per history: a
-        cell's mask holds that cell in every history, a slot's mask that
-        PIPE bit.  A read and a PIPE staging then serve every delay at
-        once, and only the delayed writes are applied one bit at a time,
-        bucketed by the position at which each history's write lands.
+        ``block`` is the :class:`~repro.core.component.BlockColumns` of
+        the conditional branches (its ``pc``, ``imli``, ``pcs``,
+        ``targets`` and ``taken``).  ``histories`` share
+        ``tracked_branches`` and ``iterations_per_branch`` and differ in
+        ``update_delay``.  Their history cells and PIPE slots are a
+        function of the branch alone, and a write is the same outcome for
+        every delay; only when it lands differs.  So the branches are
+        hashed once, in bulk, and up to eight histories run in one walk
+        over bit masks, one bit per history (:class:`_PackedWalk`), which
+        stays packed from one block to the next.
 
         Returns one ``(same, previous)`` pair per history, in order:
         ``same[k]`` and ``previous[k]`` are ``Out[N-1][M]`` and
@@ -150,146 +202,266 @@ class OuterHistory:
         every history's table, PIPE vector, pending writes and tick are
         exactly where its own per-branch :meth:`advance` calls leave them.
         """
+        columns = _walk_columns(histories[0], block)
         reads: List[Tuple[bytes, bytes]] = []
         for start in range(0, len(histories), 8):
-            reads += OuterHistory._walk(histories[start:start + 8], pcs, targets, takens, imli_counts)
+            members = histories[start:start + 8]
+            walk = members[0]._packed
+            if walk is None or not walk.holds(members):
+                walk = _PackedWalk(members)
+            reads += walk.advance(members, *columns)
         return reads
 
-    @staticmethod
-    def _walk(histories, pcs, targets, takens, imli_counts) -> List[Tuple[bytes, bytes]]:
-        """:meth:`advance_together` for at most eight histories."""
-        first = histories[0]
-        n = len(pcs)
-        width = first.branch_index_bits
-        slot_mask = first.branch_index_mask
-        iterations = first.iterations_per_branch
-        slots = [(pc ^ (pc >> width) ^ (pc >> (2 * width))) & slot_mask for pc in pcs]
-        cells = [slot * iterations + count % iterations for slot, count in zip(slots, imli_counts)]
-        # Per branch: its history write ``(cell, outcome)``, or None for a
-        # backward branch (not recorded).
-        records = [
-            None if target < pc else (cell, 1 if taken else 0)
-            for pc, target, taken, cell in zip(pcs, targets, takens, cells)
-        ]
-        # History i's writes land in bit i of the masks.  A pending write is
-        # applied at the first position whose tick reaches its due tick,
-        # after that branch's reads and before its PIPE staging, as in
-        # advance(); delay 0 writes right after the staging.  So at
-        # position k a history of delay d >= 1 applies the write of branch
-        # k - d (its lag column, ``records`` shifted by d), and the pending
-        # writes it carried into the block where they fall due.
-        carried: Dict[int, list] = {}
+
+def _walk_columns(history: OuterHistory, block) -> tuple:
+    """``(cells, slots, stage_slots, write_cells, outcomes)`` of a block.
+
+    Per conditional branch of ``block``, for histories of ``history``'s
+    geometry: the cell and PIPE slot it reads, as computed by
+    :meth:`OuterHistory.advance`, hashed in SWAR from the block's PC and
+    IMLI-count columns (exact: the slot hash reads PC bits below
+    ``3 * branch_index_bits`` only); the slot it stages and the cell it
+    writes, the same for a forward branch and in the scratch half of the
+    PIPE vector and table for a backward one, which records nothing; and
+    its outcome (``0``/``1`` bytes).
+    """
+    of = block.lanes.of
+    pc = block.pc
+    width = history.branch_index_bits
+    iteration_bits = log2_exact(history.iterations_per_branch)
+    cell_bits = width + iteration_bits
+    slot = (pc ^ (pc >> width) ^ (pc >> (2 * width))) & of(history.branch_index_mask)
+    cell = (slot << iteration_bits) | (block.imli & of(history.iterations_per_branch - 1))
+    backward = swar.pack_bytes(bytes(map(lt, block.targets, block.pcs)))
+    cells, slots, stage_slots, write_cells = swar.unpack_many(
+        [cell, slot, slot | (backward << width), cell | (backward << cell_bits)],
+        block.n, cell_bits + 1,
+    )
+    return cells, slots, stage_slots, write_cells, block.taken
+
+
+class _PackedWalk:
+    """The state of up to eight outer histories of one geometry, packed.
+
+    Member ``i``'s bits are bit ``i`` of the byte masks ``hist`` (one
+    byte per history cell) and ``pipe`` (one per PIPE slot); each is
+    followed by a scratch half as long, where backward branches stage
+    and write.  :meth:`OuterHistory.advance` queues one write per
+    branch, due ``delay`` ticks later, so a member's pending writes are
+    the writes of its last ``delay`` branches: ``writes[i]`` and
+    ``outcomes[i]`` hold their cells and outcomes, oldest first (a
+    scratch cell where no write is pending), and each block's lag column
+    continues from that tail.  ``ticks`` holds the members' ticks when
+    packed, and ``walked`` the branches walked since.
+
+    The members point to the walk (``_packed``, ``_bit``), not the walk
+    to them, so no reference cycle keeps a finished group's histories
+    alive.  The first member to derive its own views (:meth:`unpack`)
+    retires the walk: it advances no further, the other members derive
+    theirs from it when they need them, and the next block packs a new
+    walk.
+    """
+
+    __slots__ = ("size", "hist", "pipe", "writes", "outcomes", "ticks", "walked", "retired")
+
+    def __init__(self, members: List[OuterHistory]) -> None:
+        for member in members:
+            member._unpacked()
+        cells = len(members[0]._history)
+        slots = len(members[0]._pipe)
+        hist = pipe = 0
+        self.writes = []
+        self.outcomes = []
+        for bit, member in enumerate(members):
+            hist |= int.from_bytes(bytes(member._history), "little") << bit
+            pipe |= int.from_bytes(bytes(member._pipe), "little") << bit
+            writes = [cells] * member.update_delay
+            outcomes = bytearray(member.update_delay)
+            for cell, outcome, due in member._writes:
+                writes[due - member._ticks - 1] = cell
+                outcomes[due - member._ticks - 1] = outcome
+            self.writes.append(writes)
+            self.outcomes.append(bytes(outcomes))
+        self.size = len(members)
+        self.hist = bytearray(hist.to_bytes(cells, "little")) + bytes(cells)
+        self.pipe = bytearray(pipe.to_bytes(slots, "little")) + bytes(slots)
+        self.ticks = [member._ticks for member in members]
+        self.walked = 0
+        self.retired = False
+        for bit, member in enumerate(members):
+            member._packed = self
+            member._bit = bit
+            member._history = member._pipe = member._writes = None
+
+    def holds(self, members: List[OuterHistory]) -> bool:
+        """True when this live walk holds exactly ``members``, in order."""
+        return not self.retired and self.size == len(members) and all(
+            member._packed is self and member._bit == bit for bit, member in enumerate(members)
+        )
+
+    def advance(
+        self, members, cells, slots, stage_slots, write_cells, outcomes
+    ) -> List[Tuple[bytes, bytes]]:
+        """Walk one block (:func:`_walk_columns`); each member's reads.
+
+        A write's outcome goes in as a byte holding its history's bit
+        (or its delay-0 histories' bits) when taken, by one translation
+        per column.
+        """
+        n = len(cells)
+        zero_bits = 0
         lag_bits = []
         lags = []
-        zero_bits = 0
-        cell_masks = 0
-        pipe_masks = 0
-        pendings = []
-        for bit_index, history in enumerate(histories):
-            bit = 1 << bit_index
-            tick = history._tick
-            pending: Deque[Tuple[int, int, int]] = deque()
-            for entry in history._pending:
-                cell, outcome, due = entry
-                position = due - tick - 1
-                if position >= n:
-                    pending.append(entry)
-                else:
-                    carried.setdefault(max(position, 0), []).append(
-                        (cell, 0xFF ^ bit, bit if outcome else 0)
-                    )
-            delay = history.update_delay
-            if delay == 0:
-                zero_bits |= bit
-            else:
-                if delay < n:
-                    lag_bits.append(bit)
-                    lags.append([None] * delay + records[:n - delay])
-                pending.extend(
-                    (*records[position], tick + position + 1 + delay)
-                    for position in range(max(n - delay, 0), n)
-                    if records[position] is not None
-                )
-            pendings.append(pending)
-            cell_masks |= int.from_bytes(bytes(history.history), "little") << bit_index
-            pipe_masks |= int.from_bytes(bytes(history.pipe), "little") << bit_index
-        hist = bytearray(cell_masks.to_bytes(len(first.history), "little"))
-        pipe = bytearray(pipe_masks.to_bytes(len(first.pipe), "little"))
-        if carried:
-            events = [None] * n
-            for position, writes in carried.items():
-                events[position] = writes
-            lags.append(events)
-        walk = _walk_loop(zero_bits, tuple(lag_bits), bool(carried))
-        same, previous = walk(hist, pipe, cells, slots, records, *lags)
-        reads = []
-        for bit_index, (history, pending) in enumerate(zip(histories, pendings)):
-            bit = _BIT[bit_index]
-            history.history[:] = hist.translate(bit)
-            history.pipe[:] = pipe.translate(bit)
-            history._pending = pending
-            history._tick += n
-            reads.append((same.translate(bit), previous.translate(bit)))
-        return reads
+        for bit, member in enumerate(members):
+            if not member.update_delay:
+                zero_bits |= 1 << bit
+                continue
+            writes = self.writes[bit]
+            if not isinstance(writes, array):
+                writes = array(write_cells.typecode, writes)
+            writes += write_cells
+            stream = self.outcomes[bit] + outcomes
+            lag_bits.append(1 << bit)
+            lags += (writes[:n], stream[:n].translate(_spread(1 << bit)))
+            self.writes[bit] = writes[n:]
+            self.outcomes[bit] = stream[n:]
+        walk = _walk_loop(zero_bits, tuple(lag_bits))
+        same, previous = walk(
+            self.hist, self.pipe, cells, slots, stage_slots, write_cells,
+            outcomes.translate(_spread(zero_bits)), *lags,
+        )
+        self.walked += n
+        return [
+            (same.translate(_BIT[bit]), previous.translate(_BIT[bit]))
+            for bit in range(len(members))
+        ]
+
+    def unpack(self, member: OuterHistory) -> None:
+        """Give ``member`` its own history, PIPE vector, pending writes and tick."""
+        self.retired = True
+        bit = member._bit
+        cells = len(self.hist) // 2
+        ticks = self.ticks[bit] + self.walked
+        # The write of the branch ``delay - age`` back falls due at tick
+        # ``ticks + 1 + age``; scratch cells made no write.
+        member._writes = deque(
+            (cell, outcome, ticks + 1 + age)
+            for age, (cell, outcome) in enumerate(zip(self.writes[bit], self.outcomes[bit]))
+            if cell < cells
+        )
+        member._history = list(self.hist[:cells].translate(_BIT[bit]))
+        member._pipe = list(self.pipe[:len(self.pipe) // 2].translate(_BIT[bit]))
+        member._ticks = ticks
+        member._packed = None
 
 
 @lru_cache(maxsize=None)
-def _walk_loop(zero_bits: int, lag_bits: Tuple[int, ...], carried: bool) -> Callable:
-    """The per-branch loop of :meth:`OuterHistory._walk`, generated per delay set.
+def _walk_loop(zero_bits: int, lag_bits: Tuple[int, ...]) -> Callable:
+    """The per-branch loop of :meth:`_PackedWalk.advance`, generated per delay set.
 
-    ``loop(hist, pipe, cells, slots, records, *lags)`` walks one block over
-    the history-cell and PIPE bit masks ``hist`` and ``pipe`` (bytearrays,
-    updated in place) and returns the ``(same, previous)`` masks each
-    branch read, as bytes.  ``zero_bits`` marks the histories of delay 0,
-    which write right after the PIPE staging; ``lag_bits`` holds one bit
-    per delayed history whose write lands inside the block, and ``lags``
-    that history's lag column (the write landing at each position, or
-    ``None``), then, when ``carried``, the list of pending writes carried
-    into the block that land at each position (``(cell, keep, value)``
-    masks), or ``None``.  The lag writes are unrolled into straight-line
-    code, compiled once per delay set as
+    ``loop(hist, pipe, cells, slots, stage_slots, write_cells, fills,
+    *lags)`` walks one block over the history-cell and PIPE bit masks
+    ``hist`` and ``pipe`` (bytearrays, updated in place) and returns the
+    ``(same, previous)`` masks each branch read, as bytes.  Per branch:
+    the two reads; one write per delayed history, whose bit is in
+    ``lag_bits`` and whose ``lags`` pair holds the write cells and
+    outcomes (as that bit) of the branches ``delay`` back; the PIPE
+    staging; and the write of the histories of delay 0 (``zero_bits``),
+    whose outcomes ``fills`` holds as those bits.  Backward branches
+    stage and write into the scratch halves, so no step tests the branch
+    direction.  The writes are unrolled into straight-line code,
+    compiled once per delay set as
     :func:`~repro.predictors.shared_core.head_kernel` is.
     """
-    names = "".join(f"w{lag}, " for lag in range(len(lag_bits)))
-    if carried:
-        names += "events, "
+    names = "".join(f"w{lag}, f{lag}, " for lag in range(len(lag_bits)))
     body = ["same_append(hist[cell])", "previous_append(pipe[slot])"]
-    if carried:
-        body += [
-            "if events is not None:",
-            "    for written, keep, value in events:",
-            "        hist[written] = hist[written] & keep | value",
-        ]
     for lag, bit in enumerate(lag_bits):
-        body += [
-            f"if w{lag} is not None:",
-            f"    written, outcome = w{lag}",
-            f"    hist[written] = hist[written] | {bit} if outcome"
-            f" else hist[written] & {0xFF ^ bit}",
-        ]
-    body += ["if record is not None:", "    pipe[slot] = value = hist[cell]"]
+        body.append(f"hist[w{lag}] = hist[w{lag}] & {0xFF ^ bit} | f{lag}")
     if zero_bits:
-        body.append(
-            f"    hist[cell] = value | {zero_bits} if record[1] else value & {0xFF ^ zero_bits}"
-        )
+        body += [
+            "pipe[stage] = value = hist[cell]",
+            f"hist[write] = value & {0xFF ^ zero_bits} | fill",
+        ]
+        columns = "cell, slot, stage, write, fill, "
+        sources = "cells, slots, stage_slots, write_cells, fills, "
+    else:
+        body.append("pipe[stage] = hist[cell]")
+        columns = "cell, slot, stage, "
+        sources = "cells, slots, stage_slots, "
     source = "\n".join([
-        f"def loop(hist, pipe, cells, slots, records, {names}):",
+        f"def loop(hist, pipe, cells, slots, stage_slots, write_cells, fills, {names}):",
         "    same = bytearray()",
         "    previous = bytearray()",
         "    same_append = same.append",
         "    previous_append = previous.append",
-        f"    for cell, slot, record, {names}in zip(cells, slots, records, {names}):",
+        f"    for {columns}{names}in zip({sources}{names}):",
         *(f"        {line}" for line in body),
         "    return bytes(same), bytes(previous)",
     ])
     namespace: dict = {}
-    name = f"<outer-history walk {zero_bits} {lag_bits} {carried}>"
+    name = f"<outer-history walk {zero_bits} {lag_bits}>"
     exec(compile(source, name, "exec"), namespace)
     return namespace["loop"]
 
 
+def _read_columns(block, index_mask: int) -> dict:
+    """``mix_hash(pc, same, 2 * previous) & index_mask`` per distinct read.
+
+    Keys are the ``(same, previous)`` reads of the outer histories in
+    ``block.reads``.  A read hashed on its own costs two rounds and a
+    final.  The hash takes one of four values per branch, so from
+    :data:`_PAIR_READS` distinct reads on it is cheaper to hash the four
+    columns of constant ``(same, previous)`` once (six rounds and four
+    finals) and pick each read's column from them, per branch, with its
+    bits widened to ``index_mask``-wide masks.  Either way the columns
+    are unpacked in one batch.
+    """
+    reads = list(dict.fromkeys(
+        read for structure, read in block.reads.items() if isinstance(structure, OuterHistory)
+    ))
+    if len(reads) < _PAIR_READS:
+        columns = [
+            block.index(index_mask, swar.pack_bytes(same), swar.pack_bytes(previous) << 1)
+            for same, previous in reads
+        ]
+    else:
+        lanes = block.lanes
+        of = lanes.of
+        (h00, h01), (h10, h11) = (
+            [
+                swar.mix_final(lanes, swar.mix_round(lanes, acc, of(2 * previous), 2))
+                & of(index_mask)
+                for previous in (0, 1)
+            ]
+            for acc in (swar.mix_round(lanes, block.pc_round, of(same), 1) for same in (0, 1))
+        )
+        differs0 = h00 ^ h10
+        differs1 = h01 ^ h11
+        columns = []
+        for same, previous in reads:
+            same_mask = swar.pack_bytes(same) * index_mask
+            column0 = h00 ^ (differs0 & same_mask)
+            column1 = h01 ^ (differs1 & same_mask)
+            previous_mask = swar.pack_bytes(previous) * index_mask
+            columns.append(column0 ^ ((column0 ^ column1) & previous_mask))
+    return dict(zip(reads, block.unpack(columns, index_mask)))
+
+
+#: Distinct IMLI-OH reads per sub-block from which :func:`_read_columns`
+#: picks from the four hashed pair columns instead of hashing each read:
+#: hashing the pairs costs about what four reads' hashes do (measured on
+#: 512-branch sub-blocks).
+_PAIR_READS = 5
+
+
 #: ``_BIT[i]`` translates a byte of history masks to history ``i``'s bit.
 _BIT = [bytes((value >> bit) & 1 for value in range(256)) for bit in range(8)]
+
+
+@lru_cache(maxsize=None)
+def _spread(bits: int) -> bytes:
+    """Translation of outcome ``0``/``1`` bytes to ``0``/``bits``."""
+    return bytes([0, bits]) + bytes(254)
 
 
 class IMLIOuterHistoryComponent(IndexedComponent):
@@ -305,9 +477,9 @@ class IMLIOuterHistoryComponent(IndexedComponent):
         Number of distinct branch slots in the IMLI history table (16 in
         the paper -- the PIPE vector has one bit per slot).
     iterations_per_branch:
-        Inner-loop iteration numbers tracked per branch slot (64 in the
-        paper; ``tracked_branches * iterations_per_branch`` is the history
-        table size in bits, 1 Kbit in the paper).
+        Inner-loop iteration numbers tracked per branch slot, a power of
+        two (64 in the paper; ``tracked_branches * iterations_per_branch``
+        is the history table size in bits, 1 Kbit in the paper).
     update_delay:
         Number of subsequent conditional branches after which a branch's
         write into the IMLI history table becomes visible.  ``0`` models
@@ -388,20 +560,20 @@ class IMLIOuterHistoryComponent(IndexedComponent):
         return (type(self), self.prediction_index_bits, self.outer)
 
     def index_columns(self, block) -> list:
-        """The prediction-table index column, hashed once per distinct read.
+        """The prediction-table index column, selected per distinct read.
 
-        Outer histories of different update delays often read the same
-        outcomes over a whole sub-block; components whose mask and reads
-        are equal then share one column object (``block.hashed``).
+        The index hashes the PC with the two bits a branch read, so it
+        is one of four values per branch.  Once per sub-block and index
+        mask, :func:`_read_columns` hashes those four columns and selects
+        from them the column of every distinct read of the block's outer
+        histories; components whose reads are equal share one column
+        object.
         """
-        same, previous = block.reads[self.outer]
-        key = (self.prediction_index_mask, same, previous)
-        column = block.hashed.get(key)
-        if column is None:
-            column = block.hashed[key] = block.index(
-                self.prediction_index_mask, swar.pack_bytes(same), swar.pack_bytes(previous) << 1
-            )
-        return [column]
+        index_mask = self.prediction_index_mask
+        columns = block.hashed.get(("imli-oh", index_mask))
+        if columns is None:
+            columns = block.hashed[("imli-oh", index_mask)] = _read_columns(block, index_mask)
+        return [columns[block.reads[self.outer]]]
 
     def storage_bits(self) -> int:
         prediction_bits = self.table.storage_bits()

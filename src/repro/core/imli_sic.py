@@ -51,7 +51,7 @@ class IMLISameIterationComponent(IndexedComponent):
         return (type(self), self.index_bits)
 
     def index_columns(self, block) -> list:
-        return [block.index(self.index_mask, block.imli)]
+        return block.unpack([block.index(self.index_mask, block.imli)], self.index_mask)
 
     def storage_bits(self) -> int:
         return self.table.storage_bits()

@@ -114,10 +114,11 @@ class BiasComponent(IndexedComponent):
 
     def index_columns(self, block) -> list:
         columns = [block.index(self.index_mask)]
-        if self.tage_table is not None:
-            lanes = block.lanes
-            columns.append(tuple(block.index(self.index_mask, lanes.of(bit)) for bit in (0, 1)))
-        return columns
+        if self.tage_table is None:
+            return block.unpack(columns, self.index_mask)
+        columns += [block.index(self.index_mask, block.lanes.of(bit)) for bit in (0, 1)]
+        pc_column, not_taken, taken = block.unpack(columns, self.index_mask)
+        return [pc_column, (not_taken, taken)]
 
     def storage_bits(self) -> int:
         bits = self.pc_table.storage_bits()
@@ -192,10 +193,11 @@ class GlobalHistoryComponent(IndexedComponent):
         # column.
         path = block.path if self.use_path_history else 0
         of = block.lanes.of
-        return [
+        columns = [
             block.index(self.index_mask, block.folds.get(folded, 0), path & of(path_mask), *extra)
             for folded, path_mask in self._rows
         ]
+        return block.unpack(columns, self.index_mask)
 
     def storage_bits(self) -> int:
         return sum(table.storage_bits() for table in self.tables)
@@ -269,10 +271,11 @@ class LocalHistoryComponent(IndexedComponent):
     def index_columns(self, block) -> list:
         histories = swar.pack(block.reads[self.histories])
         of = block.lanes.of
-        return [
+        columns = [
             block.index(self.index_mask, histories & of(history_mask))
             for history_mask in self._history_masks
         ]
+        return block.unpack(columns, self.index_mask)
 
     def storage_bits(self) -> int:
         return sum(table.storage_bits() for table in self.tables)

@@ -92,8 +92,10 @@ construction*, not by tolerance:
 from __future__ import annotations
 
 from array import array
-from functools import lru_cache
+from functools import lru_cache, partial
 from inspect import unwrap
+from itertools import compress
+from operator import lt
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.predictors.base import BranchPredictor
@@ -217,13 +219,23 @@ def _sidecar_step(
 
 
 def _run_sidecars(sidecars: _Sidecars, block, main_predictions: bytearray) -> bytearray:
-    """A head's sidecars over a block's main predictions, in branch order."""
-    return bytearray(
-        _sidecar_step(sidecars, pc, target, taken, prediction)
-        for pc, target, taken, prediction in zip(
-            block.pcs, block.targets, block.taken, main_predictions
+    """A head's sidecars over a block's main predictions, in branch order.
+
+    A loop predictor predicts and trains on backward branches only, so
+    without a wormhole a forward branch keeps its main prediction and
+    runs no sidecar step.
+    """
+    pcs, targets, takens = block.pcs, block.targets, block.taken
+    if sidecars.wormhole is not None:
+        return bytearray(
+            map(partial(_sidecar_step, sidecars), pcs, targets, takens, main_predictions)
         )
-    )
+    predictions = bytearray(main_predictions)
+    for position in compress(range(block.n), map(lt, targets, pcs)):
+        predictions[position] = _sidecar_step(
+            sidecars, pcs[position], targets[position], takens[position], main_predictions[position]
+        )
+    return predictions
 
 
 #: Per-component hooks the head kernel replaces with its inline read and

@@ -24,7 +24,6 @@ from array import array
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.common import swar
 from repro.common.bits import MASK64, log2_exact, mask
 from repro.common.counters import UnsignedCounterArray
 from repro.common.history import FoldedHistory
@@ -255,12 +254,12 @@ class TAGEEngine:
         Column ``t`` holds :meth:`_table_index` / :meth:`_table_tag` of
         table ``t`` for every branch of the
         :class:`~repro.core.component.BlockColumns` ``block``, hashed in
-        bulk (:mod:`repro.common.swar`); a slot holds 64 PC bits, which
-        is exact because no index or tag reads a PC bit above
-        ``3 * index_bits`` or ``tag_bits + 7``.
+        bulk (:mod:`repro.common.swar`) and unpacked in one batch
+        (:meth:`~repro.core.component.BlockColumns.unpack`); a slot holds
+        64 PC bits, which is exact because no index or tag reads a PC bit
+        above ``3 * index_bits`` or ``tag_bits + 7``.
         """
         of = block.lanes.of
-        n = block.n
         mask64 = of(MASK64)
         pc = block.pc
         folds = block.folds
@@ -270,8 +269,7 @@ class TAGEEngine:
         tag_mask = of(self._tag_mask)
         pc_index = pc ^ ((pc >> (index_bits - 2)) & mask64)
         pc_tag = pc ^ ((pc >> 7) & mask64)
-        indices = []
-        tags = []
+        columns = []
         for table in range(self.config.num_tables):
             value = (
                 pc_index
@@ -279,11 +277,12 @@ class TAGEEngine:
                 ^ ((block.path & of(self._path_masks[table])) << 1)
                 ^ of(table << 3)
             )
-            indices.append(swar.unpack((value ^ (value >> index_bits)) & index_mask, n))
+            columns.append((value ^ (value >> index_bits)) & index_mask)
             value = pc_tag ^ folds[self.tag_folds[table]] ^ (folds[self.tag_folds_alt[table]] << 1)
-            tags.append(swar.unpack((value ^ (value >> tag_bits)) & tag_mask, n))
-        base = swar.unpack((pc ^ (pc >> self.base_index_bits)) & of(self._base_mask), n)
-        return indices, tags, base
+            columns.append((value ^ (value >> tag_bits)) & tag_mask)
+        columns.append((pc ^ (pc >> self.base_index_bits)) & of(self._base_mask))
+        columns = block.unpack(columns, self._index_mask | self._tag_mask | self._base_mask)
+        return columns[0:-1:2], columns[1:-1:2], columns[-1]
 
     def predict_train_block(self, block) -> bytearray:
         """Predict and train every branch of a block; the prediction column.

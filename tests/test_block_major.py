@@ -19,6 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import test_batch_engine as batch_tests
+from repro.common import swar
+from repro.core.component import BlockColumns
 from repro.core.imli_oh import OuterHistory
 from repro.predictors.composites import CompositeOptions, build
 from repro.predictors.shared_core import head_kernel, is_pristine, plan_groups
@@ -28,6 +30,14 @@ from repro.sim.engine import SUB_BLOCK_RECORDS, simulate, simulate_many
 #: Fixture of short mixed-kind traces with byte-granular PCs, monolithic
 #: and chunked (97 records a chunk).
 differential_traces = batch_tests.differential_traces
+
+
+def _block(pcs, targets, takens, counts):
+    """The :class:`BlockColumns` fields an outer-history walk reads."""
+    block = BlockColumns(len(pcs), swar.pack(pcs))
+    block.imli = swar.pack(counts)
+    block.pcs, block.targets, block.taken = pcs, targets, bytes(takens)
+    return block
 
 
 def _outer_state(history):
@@ -72,10 +82,8 @@ def test_one_walk_matches_per_delay_advance(extra, seed, length, cuts, warm_up):
     got = [([], []) for _ in delays]
     bounds = sorted({warm_up, total} | {warm_up + int(cut * length) for cut in cuts})
     for start, stop in zip(bounds, bounds[1:]):
-        reads = OuterHistory.advance_together(
-            walked, pcs[start:stop], targets[start:stop],
-            array("b", takens[start:stop]), array("Q", counts[start:stop]),
-        )
+        block = _block(pcs[start:stop], targets[start:stop], takens[start:stop], counts[start:stop])
+        reads = OuterHistory.advance_together(walked, block)
         for (same, previous), (same_column, previous_column) in zip(got, reads):
             same += same_column
             previous += previous_column
@@ -116,7 +124,7 @@ def test_generated_walk_matches_bit_mask_walk(delays, seed, length, cuts, warm_u
             pcs[start:stop], targets[start:stop],
             array("b", takens[start:stop]), array("Q", counts[start:stop]),
         )
-        reads = OuterHistory.advance_together(walked, *block)
+        reads = OuterHistory.advance_together(walked, _block(*block))
         for first in range(0, len(delays), 8):
             expected = _bit_mask_walk(frozen[first:first + 8], *block)
             assert reads[first:first + 8] == expected

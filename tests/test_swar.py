@@ -150,3 +150,28 @@ def test_fold_longer_than_history_capacity_rejected():
         state.new_folded_history(65, 11)
     with pytest.raises(ValueError, match="bits"):
         state.new_folded_history(10, swar.FIELD_BITS + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    width=st.integers(1, 64),
+    n=st.sampled_from([1, 2, 7, 511, 512]),
+    count=st.sampled_from([1, 3, 7, 9, 13, 17, 23]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_unpack_many_matches_unpack(width, n, count, seed):
+    # Columns of values below 2**width (edges included), in batches
+    # that leave a partial last group of lanes.
+    rng = random.Random(seed)
+    top = (1 << width) - 1
+    columns = [
+        swar.pack([rng.choice([0, top, rng.randrange(top + 1)]) for _ in range(n)])
+        for _ in range(count)
+    ]
+    unpacked = swar.unpack_many(columns, n, width)
+    assert [list(column) for column in unpacked] == [
+        list(swar.unpack(column, n)) for column in columns
+    ]
+    assert [list(column) for column in unpacked] == [
+        [(column >> (swar.SLOT_BITS * slot)) & top for slot in range(n)] for column in columns
+    ]
