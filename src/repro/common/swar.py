@@ -107,8 +107,9 @@ def unpack(column: int, n: int) -> array:
 def unpack_many(columns: Sequence[int], n: int, width: int) -> List[array]:
     """:func:`unpack` of every column, several columns per ``int.to_bytes``.
 
-    Every slot of every column must hold a value below ``2**width``
-    (a single column may hold more; its low 64 bits are returned).  The
+    Every slot of every column, a lone column's included, must hold a
+    value below ``2**width`` (:func:`unpack` passes ``FIELD_BITS`` to
+    get the low 64 bits of any column).  The
     lane width is the smallest of 8, 16, 32 and 64 bits that holds
     ``width``; column ``j`` of a batch of ``SLOT_BITS // lane`` columns
     is shifted into lane ``j`` of each slot and the batch ORed into one

@@ -123,18 +123,10 @@ class OuterHistory:
         """Pending history-table writes ``(cell, outcome, due tick)``, by due tick."""
         return self._unpacked()._writes
 
-    @_pending.setter
-    def _pending(self, writes: Deque[Tuple[int, int, int]]) -> None:
-        self._unpacked()._writes = writes
-
     @property
     def _tick(self) -> int:
         """Conditional branches advanced over so far."""
         return self._unpacked()._ticks
-
-    @_tick.setter
-    def _tick(self, ticks: int) -> None:
-        self._unpacked()._ticks = ticks
 
     def slot(self, pc: int) -> int:
         """Branch slot of ``pc`` (:func:`~repro.common.bits.hash_pc`)."""
@@ -256,13 +248,13 @@ class _PackedWalk:
 
     The members point to the walk (``_packed``, ``_bit``), not the walk
     to them, so no reference cycle keeps a finished group's histories
-    alive.  The first member to derive its own views (:meth:`unpack`)
-    retires the walk: it advances no further, the other members derive
-    theirs from it when they need them, and the next block packs a new
-    walk.
+    alive.  A member that derives its own views (:meth:`unpack`) leaves
+    the walk, so the walk no longer :meth:`holds` its members and
+    advances no further: the other members derive theirs from it when
+    they need them, and the next block packs a new walk.
     """
 
-    __slots__ = ("size", "hist", "pipe", "writes", "outcomes", "ticks", "walked", "retired")
+    __slots__ = ("size", "hist", "pipe", "writes", "outcomes", "ticks", "walked")
 
     def __init__(self, members: List[OuterHistory]) -> None:
         for member in members:
@@ -287,15 +279,14 @@ class _PackedWalk:
         self.pipe = bytearray(pipe.to_bytes(slots, "little")) + bytes(slots)
         self.ticks = [member._ticks for member in members]
         self.walked = 0
-        self.retired = False
         for bit, member in enumerate(members):
             member._packed = self
             member._bit = bit
             member._history = member._pipe = member._writes = None
 
     def holds(self, members: List[OuterHistory]) -> bool:
-        """True when this live walk holds exactly ``members``, in order."""
-        return not self.retired and self.size == len(members) and all(
+        """True when this walk holds exactly ``members``, in order."""
+        return self.size == len(members) and all(
             member._packed is self and member._bit == bit for bit, member in enumerate(members)
         )
 
@@ -338,7 +329,6 @@ class _PackedWalk:
 
     def unpack(self, member: OuterHistory) -> None:
         """Give ``member`` its own history, PIPE vector, pending writes and tick."""
-        self.retired = True
         bit = member._bit
         cells = len(self.hist) // 2
         ticks = self.ticks[bit] + self.walked
@@ -408,50 +398,17 @@ def _read_columns(block, index_mask: int) -> dict:
     """``mix_hash(pc, same, 2 * previous) & index_mask`` per distinct read.
 
     Keys are the ``(same, previous)`` reads of the outer histories in
-    ``block.reads``.  A read hashed on its own costs two rounds and a
-    final.  The hash takes one of four values per branch, so from
-    :data:`_PAIR_READS` distinct reads on it is cheaper to hash the four
-    columns of constant ``(same, previous)`` once (six rounds and four
-    finals) and pick each read's column from them, per branch, with its
-    bits widened to ``index_mask``-wide masks.  Either way the columns
+    ``block.reads``; each distinct read is hashed once and all of them
     are unpacked in one batch.
     """
     reads = list(dict.fromkeys(
         read for structure, read in block.reads.items() if isinstance(structure, OuterHistory)
     ))
-    if len(reads) < _PAIR_READS:
-        columns = [
-            block.index(index_mask, swar.pack_bytes(same), swar.pack_bytes(previous) << 1)
-            for same, previous in reads
-        ]
-    else:
-        lanes = block.lanes
-        of = lanes.of
-        (h00, h01), (h10, h11) = (
-            [
-                swar.mix_final(lanes, swar.mix_round(lanes, acc, of(2 * previous), 2))
-                & of(index_mask)
-                for previous in (0, 1)
-            ]
-            for acc in (swar.mix_round(lanes, block.pc_round, of(same), 1) for same in (0, 1))
-        )
-        differs0 = h00 ^ h10
-        differs1 = h01 ^ h11
-        columns = []
-        for same, previous in reads:
-            same_mask = swar.pack_bytes(same) * index_mask
-            column0 = h00 ^ (differs0 & same_mask)
-            column1 = h01 ^ (differs1 & same_mask)
-            previous_mask = swar.pack_bytes(previous) * index_mask
-            columns.append(column0 ^ ((column0 ^ column1) & previous_mask))
+    columns = [
+        block.index(index_mask, swar.pack_bytes(same), swar.pack_bytes(previous) << 1)
+        for same, previous in reads
+    ]
     return dict(zip(reads, block.unpack(columns, index_mask)))
-
-
-#: Distinct IMLI-OH reads per sub-block from which :func:`_read_columns`
-#: picks from the four hashed pair columns instead of hashing each read:
-#: hashing the pairs costs about what four reads' hashes do (measured on
-#: 512-branch sub-blocks).
-_PAIR_READS = 5
 
 
 #: ``_BIT[i]`` translates a byte of history masks to history ``i``'s bit.
@@ -560,14 +517,11 @@ class IMLIOuterHistoryComponent(IndexedComponent):
         return (type(self), self.prediction_index_bits, self.outer)
 
     def index_columns(self, block) -> list:
-        """The prediction-table index column, selected per distinct read.
+        """The prediction-table index column, hashed per distinct read.
 
-        The index hashes the PC with the two bits a branch read, so it
-        is one of four values per branch.  Once per sub-block and index
-        mask, :func:`_read_columns` hashes those four columns and selects
-        from them the column of every distinct read of the block's outer
-        histories; components whose reads are equal share one column
-        object.
+        Once per sub-block and index mask, :func:`_read_columns` hashes
+        the column of every distinct read of the block's outer histories;
+        components whose reads are equal share one column object.
         """
         index_mask = self.prediction_index_mask
         columns = block.hashed.get(("imli-oh", index_mask))

@@ -92,7 +92,7 @@ construction*, not by tolerance:
 from __future__ import annotations
 
 from array import array
-from functools import lru_cache, partial
+from functools import lru_cache
 from inspect import unwrap
 from itertools import compress
 from operator import lt
@@ -226,12 +226,12 @@ def _run_sidecars(sidecars: _Sidecars, block, main_predictions: bytearray) -> by
     runs no sidecar step.
     """
     pcs, targets, takens = block.pcs, block.targets, block.taken
-    if sidecars.wormhole is not None:
-        return bytearray(
-            map(partial(_sidecar_step, sidecars), pcs, targets, takens, main_predictions)
-        )
+    if sidecars.wormhole is None:
+        positions = compress(range(block.n), map(lt, targets, pcs))
+    else:
+        positions = range(block.n)
     predictions = bytearray(main_predictions)
-    for position in compress(range(block.n), map(lt, targets, pcs)):
+    for position in positions:
         predictions[position] = _sidecar_step(
             sidecars, pcs[position], targets[position], takens[position], main_predictions[position]
         )

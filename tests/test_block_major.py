@@ -328,7 +328,7 @@ def _bit_mask_walk(histories, pcs, targets, takens, imli_counts):
         bit = _BIT_OF[bit_index]
         history.history[:] = hist.translate(bit)
         history.pipe[:] = pipe.translate(bit)
-        history._pending = pending
-        history._tick += n
+        history._writes = pending
+        history._ticks += n
         reads.append((same.translate(bit), previous.translate(bit)))
     return reads

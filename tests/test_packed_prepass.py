@@ -3,8 +3,8 @@
 The IMLI-OH outer histories of one geometry stay packed between
 sub-blocks (one bit per history in byte masks, pending writes as the tail
 of the walked branches); their per-history views are derived only when
-read.  The IMLI-OH index column is selected from four hashed pair
-columns, index columns are unpacked in batches, and a head without a
+read.  The IMLI-OH index columns of a sub-block's distinct reads and
+other index columns are unpacked in batches, and a head without a
 wormhole runs its loop sidecar on backward branches only.  Each is
 checked here against the per-branch form it replaces:
 ``OuterHistory.advance``, ``mix_hash``, ``swar.unpack`` and the full
@@ -178,7 +178,7 @@ def test_packed_walks_form_no_reference_cycle():
         state = SharedState()
         histories = _register(state, (16, 64), [0, 1, 63])
         state.advance_block(*_columns(_records(random.Random(3), 600)))
-        assert histories[1].history is not None  # retires the walk
+        assert histories[1].history is not None  # leaves the walk
         state.advance_block(*_columns(_records(random.Random(4), 600)))
         del state, histories
         assert gc.collect() == 0
@@ -195,8 +195,7 @@ def test_packed_walks_form_no_reference_cycle():
 )
 def test_read_columns_match_mix_hash(seed, n, index_bits, outer):
     # Every outer history's column against the per-branch hash of its two
-    # read bits: hashed on its own below five distinct reads, picked from
-    # the four hashed pair columns from five on.
+    # read bits, for one to nine distinct reads.
     rng = random.Random(seed)
     pcs = [rng.choice([rng.randrange(1 << 20), -rng.randrange(1, 1 << 40)]) for _ in range(n)]
     block = BlockColumns(n, swar.pack(pcs))
