@@ -584,12 +584,10 @@ def experiment_fig15(runners: Runners) -> ExperimentResult:
 
 def experiment_delayed_update(runners: Runners) -> ExperimentResult:
     """Section 4.3.2: delayed update of the IMLI history table."""
-    traces = []
-    for suite in _ordered_suites(runners):
-        traces.extend(runners[suite].traces)
-    profile = next(iter(runners.values())).profile
     results = run_delayed_update_experiment(
-        traces, base="tage-gsc", delays=(63,), profile=profile
+        {suite: runners[suite] for suite in _ordered_suites(runners)},
+        base="tage-gsc",
+        delays=(63,),
     )
     rows = [
         (result.delay, result.immediate_mpki, result.delayed_mpki, result.mpki_loss)

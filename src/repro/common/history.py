@@ -223,18 +223,28 @@ class LocalHistoryTable:
         index = (pc ^ (pc >> width) ^ (pc >> (2 * width))) & self.index_mask
         entries[index] = ((entries[index] << 1) | (1 if taken else 0)) & self.history_mask
 
-    def advance_block(self, pcs, targets, takens, imli_counts) -> array:
-        """:meth:`advance` over a block; the history each branch read first."""
-        width = self._index_bits
-        index_mask = self.index_mask
-        history_mask = self.history_mask
-        entries = self.entries
-        reads = array("Q", bytes(8 * len(pcs)))
-        for position, (pc, taken) in enumerate(zip(pcs, takens)):
+    @property
+    def walk_key(self) -> "LocalHistoryTable":
+        """Each table walks alone (a state holds one table per geometry)."""
+        return self
+
+    @staticmethod
+    def advance_together(tables, block) -> List[array]:
+        """:meth:`advance` over a block's ``pcs`` and ``taken`` columns.
+
+        Returns, per table, the history each branch read first.
+        """
+        (table,) = tables
+        width = table._index_bits
+        index_mask = table.index_mask
+        history_mask = table.history_mask
+        entries = table.entries
+        reads = array("Q", bytes(8 * block.n))
+        for position, (pc, taken) in enumerate(zip(block.pcs, block.taken)):
             index = (pc ^ (pc >> width) ^ (pc >> (2 * width))) & index_mask
             history = reads[position] = entries[index]
-            entries[index] = ((history << 1) | (1 if taken else 0)) & history_mask
-        return reads
+            entries[index] = ((history << 1) | taken) & history_mask
+        return [reads]
 
     def reset(self) -> None:
         """Clear every local history."""

@@ -35,6 +35,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from array import array
 from itertools import compress
+from operator import lt
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common import swar
@@ -70,19 +71,22 @@ class BlockColumns:
     ``imli`` as :mod:`~repro.common.swar` slot columns over ``lanes``;
     ``pc_round``, the PC round every index hash shares; ``folds``, one
     slot column per registered
-    :class:`~repro.common.history.FoldedHistory` of non-zero length; and
-    ``reads``, what each trace-only structure's ``advance_block`` (or
-    its walk's ``advance_together``) returned; ``hashed``, index columns
+    :class:`~repro.common.history.FoldedHistory` of non-zero length;
+    ``reads``, what each trace-only structure's walk
+    (``advance_together``) returned for it; ``hashed``, index columns
     that components of different keys may share, keyed by everything they
     are computed from.  ``index`` hashes slot columns and ``unpack``
-    turns a batch of them into arrays.  ``pcs``, ``targets`` and ``taken`` are the
-    branches' own fields, ``taken`` as ``0``/``1`` bytes.  The columns
-    reference no predictor or group.
+    turns a batch of them into arrays.  ``pcs`` and ``taken`` are the
+    branches' own fields, and ``backward`` marks ``target < pc``, both
+    flags as ``0``/``1`` bytes.  ``tage``, set by a group with a TAGE core
+    once the core has run, is its prediction per branch as a slot column
+    (what :attr:`SharedState.tage_prediction` holds on the reference
+    path).  The columns reference no predictor or group.
     """
 
     __slots__ = (
         "n", "lanes", "pc", "pc_round", "path", "imli", "folds", "reads", "hashed",
-        "pcs", "targets", "taken",
+        "pcs", "taken", "backward", "tage",
     )
 
     def __init__(self, n: int, pc: int) -> None:
@@ -199,15 +203,14 @@ class SharedState:
         ``advance(pc, target, taken, imli_count)`` runs once per
         conditional branch in :meth:`update_conditional_fields`, after every
         component has read and trained for that branch and before the IMLI
-        count moves.  Its ``advance_block(pcs, targets, takens,
-        imli_counts)`` does the same for the conditional branches of a
-        sub-block in :meth:`advance_block` and returns what the components
-        read from it before each branch.  Structures that expose a
-        ``walk_key`` instead are grouped by it and advanced together, in
-        registration order, by the first one's ``advance_together(members,
-        block)``, which reads the block's columns (IMLI count included)
-        and returns each member's reads (the IMLI-OH outer histories of
-        one geometry share one walk for all their update delays).
+        count moves.  In :meth:`advance_block` the structures are grouped
+        by their ``walk_key`` and each group is advanced over the
+        sub-block, in registration order, by its first member's
+        ``advance_together(members, block)``, which reads the block's
+        columns (IMLI count included) and returns what each member's
+        components read from it before each branch (the IMLI-OH outer
+        histories of one geometry share one walk for all their update
+        delays).
         """
         structure = self._trace_only.get(key)
         if structure is None:
@@ -293,25 +296,22 @@ class SharedState:
         n = len(pcs)
         block = BlockColumns(n, pc)
         block.path = path_column & block.lanes.full
-        block.pcs, block.targets = pcs, targets
+        block.pcs = pcs
         block.taken = bytes(takens).translate(_TRUTH)
+        block.backward = bytes(map(lt, targets, pcs))
         imli = self.imli
         count = imli.count
         maximum = imli.maximum
         counts = array("Q", bytes(8 * n))
-        for position, (pc, target, taken) in enumerate(zip(pcs, targets, takens)):
+        for position, (backward, taken) in enumerate(zip(block.backward, takens)):
             counts[position] = count
-            if target < pc:
+            if backward:
                 count = (count + 1 if count < maximum else count) if taken else 0
         self._advance_folds(block)
         block.imli = swar.pack(counts)
         walks: Dict[Any, list] = {}
         for structure in self._trace_only.values():
-            key = getattr(structure, "walk_key", None)
-            if key is None:
-                block.reads[structure] = structure.advance_block(pcs, targets, takens, counts)
-            else:
-                walks.setdefault(key, []).append(structure)
+            walks.setdefault(structure.walk_key, []).append(structure)
         for members in walks.values():
             block.reads.update(zip(members, members[0].advance_together(members, block)))
         imli.count = count
@@ -539,7 +539,6 @@ class IndexedComponent(NeuralComponent):
 
         One ``array`` per table of ``counter_tables``: entry ``k`` of a
         column is the index :meth:`select` picks in that table for branch
-        ``k`` over the state :meth:`SharedState.advance_block` recorded.
-        A table indexed with the TAGE prediction has a ``(not taken,
-        taken)`` pair of columns instead, for the caller to pick from.
+        ``k`` over the state :meth:`SharedState.advance_block` recorded;
+        a table indexed with the TAGE prediction reads ``block.tage``.
         """

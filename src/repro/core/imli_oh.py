@@ -44,7 +44,6 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from functools import lru_cache
-from operator import lt
 from typing import Callable, Deque, List, Optional, Tuple
 
 from repro.common import swar
@@ -177,8 +176,8 @@ class OuterHistory:
         """:meth:`advance` over a block for outer histories of one geometry.
 
         ``block`` is the :class:`~repro.core.component.BlockColumns` of
-        the conditional branches (its ``pc``, ``imli``, ``pcs``,
-        ``targets`` and ``taken``).  ``histories`` share
+        the conditional branches (its ``pc``, ``imli``, ``backward`` and
+        ``taken``).  ``histories`` share
         ``tracked_branches`` and ``iterations_per_branch`` and differ in
         ``update_delay``.  Their history cells and PIPE slots are a
         function of the branch alone, and a write is the same outcome for
@@ -224,7 +223,7 @@ def _walk_columns(history: OuterHistory, block) -> tuple:
     cell_bits = width + iteration_bits
     slot = (pc ^ (pc >> width) ^ (pc >> (2 * width))) & of(history.branch_index_mask)
     cell = (slot << iteration_bits) | (block.imli & of(history.iterations_per_branch - 1))
-    backward = swar.pack_bytes(bytes(map(lt, block.targets, block.pcs)))
+    backward = swar.pack_bytes(block.backward)
     cells, slots, stage_slots, write_cells = swar.unpack_many(
         [cell, slot, slot | (backward << width), cell | (backward << cell_bits)],
         block.n, cell_bits + 1,

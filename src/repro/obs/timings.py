@@ -6,7 +6,7 @@ diagnosable *from its artifacts* after the fact (no re-run under a
 profiler).  Records are one JSON object per line in ``timings.jsonl``
 next to the :class:`~repro.store.ResultStore` the run writes to, plus an
 aggregated ``timings_summary.json`` with per-phase fixed-bucket
-histograms.
+histograms of every record in the file, whichever process wrote it.
 
 Record schema (one line per completed cell)::
 
@@ -69,7 +69,7 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Union
 
 from repro.common import diskguard
-from repro.obs.metrics import DEFAULT_TIME_BUCKETS, Histogram
+from repro.obs.metrics import Histogram
 
 __all__ = [
     "SHARED_PHASES",
@@ -100,7 +100,7 @@ def timings_enabled() -> bool:
 
 
 class TimingLog:
-    """Appends per-cell phase timings and aggregates them into histograms.
+    """Appends per-cell phase timings to ``timings.jsonl``.
 
     Parameters
     ----------
@@ -114,10 +114,8 @@ class TimingLog:
         self.path = Path(path)
         self.component = component
         self.records_written = 0
-        self._histograms: Dict[str, Histogram] = {}
         self._lock = threading.Lock()
         self._summary_stamp = 0
-        self._throughput = _Throughput()
 
     def record(
         self,
@@ -153,7 +151,6 @@ class TimingLog:
         per_cell = _cell_phases(clean, batch)
         if batch > 1:
             record["cell_phases"] = per_cell
-        simulate = 0.0
         if branches is not None:
             record["branches"] = branches = int(branches)
             simulate = per_cell.get("simulate", 0.0)
@@ -161,19 +158,8 @@ class TimingLog:
                 record["cell_branches_per_s"] = branches / simulate
         line = (json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8")
         with self._lock:
-            if branches is not None:
-                self._throughput.add(branches, simulate)
-            for name, value in per_cell.items():
-                histogram = self._histograms.get(name)
-                if histogram is None:
-                    histogram = Histogram(
-                        f"repro_phase_{_metric_safe(name)}_seconds",
-                        buckets=DEFAULT_TIME_BUCKETS,
-                    )
-                    self._histograms[name] = histogram
-                histogram.observe(value)
             if diskguard.is_critical(self.path.parent):
-                return  # histograms still updated; only the file write sheds
+                return
             try:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 with open(self.path, "ab") as handle:
@@ -182,26 +168,16 @@ class TimingLog:
             except OSError:
                 pass
 
-    def summary(self) -> Dict[str, Any]:
-        """Per-phase aggregates of everything recorded by this instance."""
-        with self._lock:
-            return {
-                "component": self.component,
-                "records": self.records_written,
-                "phases": {
-                    name: histogram.snapshot()
-                    for name, histogram in sorted(self._histograms.items())
-                },
-                **self._throughput.summary(),
-            }
-
     def write_summary(self, path: Union[str, Path, None] = None) -> Optional[Path]:
-        """Persist :meth:`summary` as JSON next to the timings file.
+        """Write :func:`summarize_timings` of the timings file as JSON next to it.
 
-        Skipped (returns ``None``) when nothing new was recorded since
-        the last write, so callers can flush at every natural boundary
-        without rewriting an unchanged file; a log that recorded nothing
-        at all never writes, so it leaves an earlier run's summary alone.
+        The summary covers every writer of the file, this log's and any
+        other process's.  It is written to a temporary file and renamed
+        into place, so a reader never sees a partial summary.  Skipped
+        (returns ``None``) when this log wrote nothing new since its last
+        summary, so callers can flush at every natural boundary without
+        rewriting an unchanged file; a log that wrote nothing at all never
+        writes, so it leaves an earlier run's summary alone.
         """
         with self._lock:
             if self.records_written == self._summary_stamp:
@@ -212,13 +188,14 @@ class TimingLog:
             if path is not None
             else self.path.with_name(TIMINGS_SUMMARY_FILE)
         )
+        staging = target.with_name(f".{target.name}.{os.getpid()}.{threading.get_ident()}")
         try:
+            text = json.dumps(summarize_timings(self.path), indent=2, sort_keys=True) + "\n"
             target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(
-                json.dumps(self.summary(), indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
+            staging.write_text(text, encoding="utf-8")
+            os.replace(staging, target)
         except OSError:
+            staging.unlink(missing_ok=True)
             return None
         return target
 
@@ -237,11 +214,10 @@ def timing_log_for(
 
 
 def summarize_timings(path: Union[str, Path]) -> Dict[str, Any]:
-    """Offline aggregation of a ``timings.jsonl`` file (any writers).
+    """Aggregation of a ``timings.jsonl`` file (any writers).
 
-    Unlike :meth:`TimingLog.summary` (this process's records only), this
-    reads the file back, so it covers every component that appended to
-    it.  Each record counts with its per-cell phase shares (``cell_phases``,
+    It reads the file back, so it covers every component and process
+    that appended to it.  Each record counts with its per-cell phase shares (``cell_phases``,
     or the shared phases divided by ``batch`` for records written without
     them).  Malformed lines are skipped and counted.
     """

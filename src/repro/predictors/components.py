@@ -114,11 +114,9 @@ class BiasComponent(IndexedComponent):
 
     def index_columns(self, block) -> list:
         columns = [block.index(self.index_mask)]
-        if self.tage_table is None:
-            return block.unpack(columns, self.index_mask)
-        columns += [block.index(self.index_mask, block.lanes.of(bit)) for bit in (0, 1)]
-        pc_column, not_taken, taken = block.unpack(columns, self.index_mask)
-        return [pc_column, (not_taken, taken)]
+        if self.tage_table is not None:
+            columns.append(block.index(self.index_mask, block.tage))
+        return block.unpack(columns, self.index_mask)
 
     def storage_bits(self) -> int:
         bits = self.pc_table.storage_bits()

@@ -85,23 +85,29 @@ class SidecarPredictor(BranchPredictor):
     def predict(self, record: BranchRecord) -> bool:
         prediction = self.main.predict(record)
         self._main_prediction = prediction
+        if not record.is_conditional:
+            return prediction
+        backward = record.is_backward
         if self.loop_predictor is not None and self.use_loop_prediction:
-            loop_prediction = self.loop_predictor.predict(record)
+            loop_prediction = self.loop_predictor.predict(record.pc, backward)
             if loop_prediction is not None:
                 prediction = loop_prediction
         if self.wormhole is not None:
-            wormhole_prediction = self.wormhole.predict(record)
+            wormhole_prediction = self.wormhole.predict(record.pc, backward)
             if wormhole_prediction is not None:
                 prediction = wormhole_prediction
         return prediction
 
     def update(self, record: BranchRecord, prediction: bool) -> None:
         self.main.update(record, self._main_prediction)
+        if not record.is_conditional:
+            return
+        pc, backward, taken = record.pc, record.is_backward, record.taken
         if self.loop_predictor is not None:
-            self.loop_predictor.update(record)
+            self.loop_predictor.update(pc, backward, taken)
         if self.wormhole is not None:
             self.wormhole.update(
-                record, main_mispredicted=self._main_prediction != record.taken
+                pc, backward, taken, main_mispredicted=self._main_prediction != taken
             )
 
     def observe_unconditional(self, record: BranchRecord) -> None:

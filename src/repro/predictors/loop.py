@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.common.bits import hash_pc, log2_exact, mask
-from repro.trace.branch import BranchRecord
 
 __all__ = ["LoopPredictorConfig", "LoopPredictor"]
 
@@ -81,16 +80,16 @@ class LoopPredictor:
     # Prediction interface
     # ------------------------------------------------------------------ #
 
-    def predict(self, record: BranchRecord) -> Optional[bool]:
-        """Return a confident loop prediction for ``record`` or ``None``.
+    def predict(self, pc: int, backward: bool) -> Optional[bool]:
+        """Return a confident loop prediction for a conditional branch, or ``None``.
 
-        Only backward conditional branches (loop back-edges) are predicted.
-        The prediction is "taken" (continue looping) except on the iteration
+        Only backward branches (loop back-edges) are predicted.  The
+        prediction is "taken" (continue looping) except on the iteration
         matching the learned trip count, where it is "not taken" (exit).
         """
-        if not record.is_conditional or not record.is_backward:
+        if not backward:
             return None
-        entry = self._lookup(record.pc)
+        entry = self._lookup(pc)
         if entry is None or entry.confidence < self.config.confidence_threshold:
             return None
         return entry.current_count + 1 < entry.trip_count
@@ -118,12 +117,12 @@ class LoopPredictor:
     # Update interface
     # ------------------------------------------------------------------ #
 
-    def update(self, record: BranchRecord) -> None:
-        """Observe the resolved outcome of a (possibly loop-back) branch."""
-        if not record.is_conditional or not record.is_backward:
+    def update(self, pc: int, backward: bool, taken: bool) -> None:
+        """Observe the resolved outcome of a conditional branch."""
+        if not backward:
             return
-        index = self._index(record.pc)
-        tag = self._tag(record.pc)
+        index = self._index(pc)
+        tag = self._tag(pc)
         entry = self.entries[index]
         if not entry.valid or entry.tag != tag:
             # Allocate only on a loop exit (a not-taken backward branch would
@@ -134,11 +133,11 @@ class LoopPredictor:
             entry.valid = True
             entry.tag = tag
             entry.trip_count = 0
-            entry.current_count = 1 if record.taken else 0
+            entry.current_count = 1 if taken else 0
             entry.confidence = 0
             return
 
-        if record.taken:
+        if taken:
             if entry.current_count < self._max_count:
                 entry.current_count += 1
             return

@@ -42,8 +42,10 @@ Either way:
   computes each distinct key's index columns once per sub-block
   (``index_columns``, planned by :func:`_plan_heads`);
 * the TAGE core runs over the whole sub-block
-  (:meth:`~repro.predictors.tage.TAGEEngine.predict_train_block`), and its
-  prediction column picks every TAGE-bit bias index in bulk;
+  (:meth:`~repro.predictors.tage.TAGEEngine.predict_train_block`) before
+  any head index column, and leaves its prediction column on the block
+  (``block.tage``), which the TAGE-bit bias index hashes like any other
+  column;
 * each head is one call of a kernel generated for its shape
   (:func:`head_kernel`), which reads, decides on and trains the head's
   counters over the whole sub-block; its sidecars follow, in branch
@@ -65,9 +67,9 @@ construction*, not by tolerance:
   a write lands differs, so one walk over per-delay bit masks leaves each
   of them where its own walk would;
 * every index input (PC, histories, folds, IMLI count, local and outer
-  history, the TAGE prediction) is read from that state, so equal keys give
-  equal indices; the TAGE-bit bias index has a column per TAGE prediction,
-  picked once the prediction is known;
+  history, the TAGE prediction) is read from that state or the block, so
+  equal keys give equal indices; the TAGE prediction column depends on
+  no head, so the head index columns can wait for it;
 * heads only *read* the columns and the TAGE prediction column, and write
   only their own tables, so the TAGE core can predict and train the
   whole sub-block before any head starts, and each head can run the
@@ -77,8 +79,8 @@ construction*, not by tolerance:
   and :class:`~repro.predictors.adder.AdderTree` to the same counters in
   the same order, and keeps each head's threshold on its ``AdderTree``;
 * the loop/wormhole sidecars never touch the shared state at all (they
-  consume only branch fields, the head's main prediction and their own
-  tables);
+  consume only branch fields -- PC, the backward bit, the outcome --, the
+  head's main prediction and their own tables);
 * two heads with the same counter values and bounds, threshold state
   and revert margin, and no sidecars, that read equal index columns over
   a sub-block apply the same deterministic rules to the same inputs, so
@@ -95,9 +97,9 @@ from array import array
 from functools import lru_cache
 from inspect import unwrap
 from itertools import compress
-from operator import lt
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.common import swar
 from repro.predictors.base import BranchPredictor
 from repro.predictors.composites import (
     SharedCoreInfo,
@@ -112,7 +114,7 @@ from repro.predictors.statistical_corrector import StatisticalCorrector
 from repro.predictors.tage import TAGEEngine
 from repro.predictors.tage_gsc import TAGEGSCConfig, TAGEGSCPredictor
 from repro.core.component import IndexedComponent, NeuralComponent, SharedState
-from repro.trace.branch import CONDITIONAL_CODE, BranchKind
+from repro.trace.branch import CONDITIONAL_CODE
 
 __all__ = ["plan_groups", "is_groupable", "is_pristine"]
 
@@ -143,97 +145,49 @@ def is_pristine(predictor: BranchPredictor) -> bool:
         return False
 
 
-class _MutableBranchView:
-    """Reusable, mutable record-shaped view of one head's current branch.
-
-    The loop and wormhole side predictors consume the record protocol
-    (``pc``/``target``/``taken``/``is_conditional``/``is_backward``) but
-    never retain the record, so one mutable instance per head's
-    :class:`_Sidecars` replaces a fresh
-    :class:`~repro.trace.branch.BranchRecord` allocation per branch.  Heads
-    step only conditional branches, hence the constant ``is_conditional``.
-    """
-
-    __slots__ = ("pc", "target", "taken")
-
-    is_conditional = True
-    kind = BranchKind.CONDITIONAL
-
-    def __init__(self) -> None:
-        self.pc = 0
-        self.target = 0
-        self.taken = False
-
-    @property
-    def is_backward(self) -> bool:
-        return self.target < self.pc
-
-
-class _Sidecars:
-    """One head's loop/wormhole side predictors and their branch view."""
-
-    __slots__ = ("loop", "wormhole", "use_loop", "view")
-
-    def __init__(self, loop, wormhole, use_loop: bool) -> None:
-        self.loop = loop
-        self.wormhole = wormhole
-        self.use_loop = use_loop
-        self.view = _MutableBranchView()
-
-
-def _sidecars_for(info: SharedCoreInfo) -> Optional[_Sidecars]:
-    parts = _sidecar_parts(info.options, info.sizes)
-    return None if parts is None else _Sidecars(*parts)
-
-
 def _sidecar_step(
-    sidecars: _Sidecars, pc: int, target: int, taken: bool, main_prediction: bool
+    sidecars: tuple, pc: int, backward: int, taken: int, main_prediction: int
 ) -> bool:
-    """Run a head's loop/wormhole sidecars over its main prediction.
+    """Run a head's ``(loop, wormhole, use_loop)`` sidecars over its main prediction.
 
     Keeps the order of :class:`~repro.predictors.composites.SidecarPredictor`
     (loop predict, wormhole predict, loop update, wormhole update) and its
     override policy; the main predictor has already trained, which is safe
     because neither side predictor reads its state.
     """
+    loop, wormhole, use_loop = sidecars
     prediction = main_prediction
-    view = sidecars.view
-    view.pc = pc
-    view.target = target
-    view.taken = taken
-    loop = sidecars.loop
-    wormhole = sidecars.wormhole
-    if loop is not None and sidecars.use_loop:
-        loop_prediction = loop.predict(view)
+    if loop is not None and use_loop:
+        loop_prediction = loop.predict(pc, backward)
         if loop_prediction is not None:
             prediction = loop_prediction
     if wormhole is not None:
-        wormhole_prediction = wormhole.predict(view)
+        wormhole_prediction = wormhole.predict(pc, backward)
         if wormhole_prediction is not None:
             prediction = wormhole_prediction
     if loop is not None:
-        loop.update(view)
+        loop.update(pc, backward, taken)
     if wormhole is not None:
-        wormhole.update(view, main_mispredicted=main_prediction != taken)
+        wormhole.update(pc, backward, taken, main_mispredicted=main_prediction != taken)
     return prediction
 
 
-def _run_sidecars(sidecars: _Sidecars, block, main_predictions: bytearray) -> bytearray:
+def _run_sidecars(sidecars: tuple, block, main_predictions: bytearray) -> bytearray:
     """A head's sidecars over a block's main predictions, in branch order.
 
     A loop predictor predicts and trains on backward branches only, so
     without a wormhole a forward branch keeps its main prediction and
     runs no sidecar step.
     """
-    pcs, targets, takens = block.pcs, block.targets, block.taken
-    if sidecars.wormhole is None:
-        positions = compress(range(block.n), map(lt, targets, pcs))
-    else:
-        positions = range(block.n)
+    pcs, backwards, takens = block.pcs, block.backward, block.taken
+    positions = range(block.n)
+    if sidecars[1] is None:
+        positions = compress(positions, backwards)
     predictions = bytearray(main_predictions)
     for position in positions:
         predictions[position] = _sidecar_step(
-            sidecars, pcs[position], targets[position], takens[position], main_predictions[position]
+            sidecars, pcs[position], backwards[position], takens[position],
+            main_predictions[position],
         )
     return predictions
 
@@ -420,7 +374,7 @@ class _Group:
     ``indices`` are the members' batch positions; ``heads`` holds one
     ``(adder, revert_margin, sidecars)`` per member, in member order, every
     adder bound to ``state`` (``revert_margin`` is ignored without a TAGE
-    core, ``sidecars`` is a :class:`_Sidecars` or ``None``).  Members whose
+    core, ``sidecars`` a ``(loop, wormhole, use_loop)`` tuple or ``None``).  Members whose
     heads have equal state (:func:`_head_state`) form a *class*: only its
     first member's head runs, and every member gets its prediction column,
     while the columns of every member agree.  A sub-block on which they do
@@ -437,7 +391,7 @@ class _Group:
         indices: Sequence[int],
         state: SharedState,
         tage: Optional[TAGEEngine],
-        heads: Sequence[Tuple[AdderTree, int, Optional[_Sidecars]]],
+        heads: Sequence[Tuple[AdderTree, int, Optional[tuple]]],
     ) -> None:
         self.indices = list(indices)
         self.state = state
@@ -518,25 +472,22 @@ class _Group:
         """Run one ``(pc, target, taken, kind, gap)`` sub-block of records.
 
         Three stages, each over the whole sub-block: the trace-only
-        pre-pass (:meth:`SharedState.advance_block`, then every distinct
-        key's index columns); the TAGE core
+        pre-pass (:meth:`SharedState.advance_block`); the TAGE core
         (:meth:`TAGEEngine.predict_train_block`), whose prediction column
-        picks each TAGE-bit bias index from its ``(not taken, taken)``
-        column pair; and, once the classes are split on the columns
+        it leaves on the block as ``tage``, then every distinct key's
+        index columns; and, once the classes are split on the columns
         (:meth:`_split`), each class's kernel (:func:`head_kernel`), then
         its sidecars.  Returns each member's prediction column, one entry
         per conditional record; the members of a class share its column.
         """
         columns = self.state.advance_block(*block[:4])
-        flat = []
-        for index_columns in self._column_fns:
-            flat += index_columns(columns)
         tage_predictions = None
         if self.tage is not None:
             tage_predictions = self.tage.predict_train_block(columns)
-            for position, column in enumerate(flat):
-                if isinstance(column, tuple):
-                    flat[position] = array("Q", map(_pick, tage_predictions, *column))
+            columns.tage = swar.pack_bytes(tage_predictions)
+        flat = []
+        for index_columns in self._column_fns:
+            flat += index_columns(columns)
         self._split(flat)
         taken = columns.taken
         predictions: List[bytearray] = [None] * len(self._heads)
@@ -565,10 +516,6 @@ class _Group:
         """Run one conditional branch (:meth:`step_list`, dropping its
         predictions); the engine never calls it."""
         self.step_list(pc, target, taken, gap)
-
-
-def _pick(tage_prediction: int, not_taken: int, taken: int) -> int:
-    return taken if tage_prediction else not_taken
 
 
 #: The kind column of a one-record block of one conditional branch.
@@ -612,9 +559,7 @@ def _own_parts(predictor: BranchPredictor) -> Optional[tuple]:
         return None
     sidecars = None
     if main is not predictor:
-        sidecars = _Sidecars(
-            predictor.loop_predictor, predictor.wormhole, predictor.use_loop_prediction
-        )
+        sidecars = (predictor.loop_predictor, predictor.wormhole, predictor.use_loop_prediction)
     return kind, main.state, tage, (adder, revert_margin, sidecars)
 
 
@@ -644,7 +589,7 @@ def _fresh_group(members: Sequence[Tuple[int, SharedCoreInfo]]) -> _Group:
             adder, revert_margin = gehl_adder(info.sizes.gehl, state, extra_components), 0
         if info.options.imli_global_tables:
             adder.components.append(_imli_hashed_global(info.options, info.sizes, state))
-        heads.append((adder, revert_margin, _sidecars_for(info)))
+        heads.append((adder, revert_margin, _sidecar_parts(info.options, info.sizes)))
     return _GROUP_KINDS[kind]([index for index, _ in members], state, tage, heads)
 
 

@@ -24,7 +24,6 @@ from typing import Dict, List, Optional
 
 from repro.common.bits import mask
 from repro.predictors.loop import LoopPredictor
-from repro.trace.branch import BranchRecord
 
 __all__ = ["WormholePredictorConfig", "WormholePredictor"]
 
@@ -104,11 +103,11 @@ class WormholePredictor:
         previous_iteration = (entry.history >> trip_count) & 1
         return (same_iteration << 1) | previous_iteration
 
-    def predict(self, record: BranchRecord) -> Optional[bool]:
-        """Return a high-confidence wormhole prediction or ``None``."""
-        if not record.is_conditional or record.is_backward:
+    def predict(self, pc: int, backward: bool) -> Optional[bool]:
+        """Return a high-confidence prediction for a conditional branch, or ``None``."""
+        if backward:
             return None
-        entry = self.entries.get(record.pc)
+        entry = self.entries.get(pc)
         if entry is None or self._current_loop_pc is None:
             return None
         trip_count = self.loop_predictor.trip_count_for(self._current_loop_pc)
@@ -126,21 +125,19 @@ class WormholePredictor:
     # Update
     # ------------------------------------------------------------------ #
 
-    def update(self, record: BranchRecord, main_mispredicted: bool) -> None:
+    def update(self, pc: int, backward: bool, taken: bool, main_mispredicted: bool) -> None:
         """Observe a resolved conditional branch.
 
         ``main_mispredicted`` tells the predictor whether the main (non-WH)
         prediction for this branch was wrong, which is the allocation
         trigger of the original design.
         """
-        if not record.is_conditional:
-            return
-        if record.is_backward:
+        if backward:
             # Track the inner-most loop currently executing.
-            self._current_loop_pc = record.pc
+            self._current_loop_pc = pc
             return
 
-        entry = self.entries.get(record.pc)
+        entry = self.entries.get(pc)
         trip_count = (
             self.loop_predictor.trip_count_for(self._current_loop_pc)
             if self._current_loop_pc is not None
@@ -149,18 +146,18 @@ class WormholePredictor:
 
         if entry is None:
             if main_mispredicted and trip_count is not None:
-                self._allocate(record.pc)
-                entry = self.entries.get(record.pc)
+                self._allocate(pc)
+                entry = self.entries.get(pc)
             if entry is None:
                 return
 
         if trip_count is not None:
             counter_index = self._counter_index(entry, trip_count)
             if counter_index is not None:
-                self._train_counter(entry, counter_index, record.taken)
+                self._train_counter(entry, counter_index, taken)
 
         # Record the outcome in the entry's long local history.
-        entry.history = ((entry.history << 1) | int(record.taken)) & mask(
+        entry.history = ((entry.history << 1) | int(taken)) & mask(
             self.config.local_history_bits
         )
         if entry.history_length < self.config.local_history_bits:

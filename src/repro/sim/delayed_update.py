@@ -15,11 +15,12 @@ difference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 from repro.predictors.composites import CompositeOptions
+from repro.sim.metrics import average_mpki
+from repro.sim.result import SimulationResult
 from repro.sim.runner import SuiteRunner
-from repro.trace.trace import Trace
 
 __all__ = ["DelayedUpdateResult", "run_delayed_update_experiment"]
 
@@ -40,54 +41,60 @@ class DelayedUpdateResult:
 
 
 def run_delayed_update_experiment(
-    traces: Sequence[Trace],
+    runners: Mapping[str, SuiteRunner],
     base: str = "tage-gsc",
     delays: Sequence[int] = (63,),
-    profile: str = "default",
 ) -> List[DelayedUpdateResult]:
     """Run the Section 4.3.2 delayed-update experiment.
 
     The immediate configuration and every delayed one differ only in
     their IMLI heads, so one :meth:`~repro.sim.runner.SuiteRunner.run_specs`
-    call runs them as one shared-core group per trace.
+    call per runner runs them as one shared-core group per trace.  The
+    cells are ordinary store and memo cells of the runners; the immediate
+    one is the cell of ``{base}+imli``.
 
     Parameters
     ----------
-    traces:
-        Traces to evaluate on.
+    runners:
+        Per-suite runners, as every experiment takes them; each runs its
+        traces at its own profile, and the averages are over every
+        runner's traces, in the mapping's order.
     base:
         Base predictor (``"tage-gsc"`` or ``"gehl"``).
     delays:
         Update delays (in conditional branches) to evaluate; the paper uses
         63.
-    profile:
-        Predictor size profile.
     """
     from repro.api.specs import PredictorSpec
 
     for delay in delays:
         if delay <= 0:
             raise ValueError(f"delays must be positive, got {delay}")
-    specs = [
-        PredictorSpec(
-            base=CompositeOptions(
-                base=base, imli_sic=True, imli_oh=True, oh_update_delay=delay
-            ),
-            profile=profile,
-            name=f"{base}+imli(delay={delay})",
-        )
-        for delay in (0, *delays)
-    ]
-    runs = SuiteRunner(traces, profile=profile, store=False).run_specs(specs)
-    immediate = runs[specs[0].label].average_mpki
+    every_delay = (0, *delays)
+    results: List[List[SimulationResult]] = [[] for _ in every_delay]
+    for runner in runners.values():
+        specs = [
+            PredictorSpec(
+                base=CompositeOptions(
+                    base=base, imli_sic=True, imli_oh=True, oh_update_delay=delay
+                ),
+                profile=runner.profile,
+                name=f"{base}+imli(delay={delay})",
+            )
+            for delay in every_delay
+        ]
+        runs = runner.run_specs(specs)
+        for collected, spec in zip(results, specs):
+            collected += runs[spec.label].results
+    immediate = average_mpki(results[0])
     return [
         DelayedUpdateResult(
             base=base,
             delay=delay,
             immediate_mpki=immediate,
-            delayed_mpki=runs[spec.label].average_mpki,
+            delayed_mpki=average_mpki(collected),
         )
-        for delay, spec in zip(delays, specs[1:])
+        for delay, collected in zip(delays, results[1:])
     ]
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from array import array
 from collections import deque
+from operator import lt
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +37,8 @@ def _block(pcs, targets, takens, counts):
     """The :class:`BlockColumns` fields an outer-history walk reads."""
     block = BlockColumns(len(pcs), swar.pack(pcs))
     block.imli = swar.pack(counts)
-    block.pcs, block.targets, block.taken = pcs, targets, bytes(takens)
+    block.pcs, block.taken = pcs, bytes(takens)
+    block.backward = bytes(map(lt, targets, pcs))
     return block
 
 

@@ -468,7 +468,7 @@ class TestDiskGuard:
         assert "survives_low" in text
         assert "shed_at_critical" not in text
 
-    def test_timing_log_sheds_file_but_keeps_histograms(self, tmp_path, monkeypatch):
+    def test_timing_log_sheds_file_and_its_summary(self, tmp_path, monkeypatch):
         timings = TimingLog(tmp_path / "timings.jsonl", component="test")
         monkeypatch.setenv(diskguard.ENV_VAR, "1t,1t")
         diskguard.reset()
@@ -476,7 +476,16 @@ class TestDiskGuard:
             backend="serial", label="l", trace="t", phases={"simulate": 0.5}
         )
         assert not timings.path.exists()  # the file write shed...
-        assert timings.summary()["phases"]  # ...the in-memory aggregate did not
+        assert timings.write_summary() is None  # ...so the summary has nothing new
+        monkeypatch.delenv(diskguard.ENV_VAR)
+        diskguard.reset()
+        timings.record(
+            backend="serial", label="m", trace="t", phases={"simulate": 0.25}
+        )
+        summary = json.loads(timings.write_summary().read_text())
+        # The summary is the file's aggregate: the shed record is not in it.
+        assert summary["records"] == 1
+        assert summary["phases"]["simulate"]["count"] == 1
 
 
 class TestWorkerSpoolHygiene:

@@ -6,9 +6,11 @@ import random
 
 import pytest
 
+from repro.predictors.composites import SidecarPredictor
 from repro.predictors.loop import LoopPredictor, LoopPredictorConfig
+from repro.predictors.simple import AlwaysTakenPredictor
 from repro.predictors.wormhole import WormholePredictor, WormholePredictorConfig
-from repro.trace.branch import BranchRecord, conditional_branch
+from repro.trace.branch import BranchKind, BranchRecord, conditional_branch
 
 
 def _loop_back(pc: int, taken: bool) -> BranchRecord:
@@ -21,12 +23,12 @@ def _run_loop(predictor, pc, trip, executions):
     total = 0
     for _ in range(executions):
         for iteration in range(trip):
-            record = _loop_back(pc, iteration < trip - 1)
-            prediction = predictor.predict(record)
+            taken = iteration < trip - 1
+            prediction = predictor.predict(pc, True)
             if prediction is not None:
                 total += 1
-                correct += prediction == record.taken
-            predictor.update(record)
+                correct += prediction == taken
+            predictor.update(pc, True, taken)
     return correct, total
 
 
@@ -49,20 +51,19 @@ class TestLoopPredictor:
         for _ in range(20):
             trip = rng.randint(5, 12)
             for iteration in range(trip):
-                predictor.update(_loop_back(0x800, iteration < trip - 1))
+                predictor.update(0x800, True, iteration < trip - 1)
         assert predictor.trip_count_for(0x800) is None
 
     def test_only_backward_branches_are_tracked(self):
         predictor = LoopPredictor()
-        forward = conditional_branch(0x800, 0x900, taken=True)
-        assert predictor.predict(forward) is None
-        predictor.update(forward)
+        assert predictor.predict(0x800, False) is None
+        predictor.update(0x800, False, True)
         assert predictor.trip_count_for(0x800) is None
 
     def test_current_iteration_tracking(self):
         predictor = LoopPredictor()
         for iteration in range(4):
-            predictor.update(_loop_back(0x800, True))
+            predictor.update(0x800, True, True)
         assert predictor.current_iteration_for(0x800) >= 4
 
     def test_unknown_pc(self):
@@ -75,8 +76,8 @@ class TestLoopPredictor:
 
     def test_no_prediction_before_confidence(self):
         predictor = LoopPredictor()
-        record = _loop_back(0x800, True)
-        assert predictor.predict(record) is None
+        predictor.update(0x800, True, True)
+        assert predictor.predict(0x800, True) is None
 
 
 class TestWormholePredictor:
@@ -105,7 +106,8 @@ class TestWormholePredictor:
         correct = 0
         target_total = 0
         for record, is_target in records:
-            prediction = wormhole.predict(record)
+            pc, backward, taken = record.pc, record.is_backward, record.taken
+            prediction = wormhole.predict(pc, backward)
             if is_target:
                 target_total += 1
                 if prediction is not None:
@@ -113,8 +115,8 @@ class TestWormholePredictor:
                     correct += prediction == record.taken
             # A weak main predictor: always predict taken.
             main_mispredicted = record.taken is False
-            loop_predictor.update(record)
-            wormhole.update(record, main_mispredicted)
+            loop_predictor.update(pc, backward, taken)
+            wormhole.update(pc, backward, taken, main_mispredicted)
         return used, correct, target_total
 
     def test_captures_diagonal_correlation(self):
@@ -143,19 +145,37 @@ class TestWormholePredictor:
         for outer in range(40):
             for inner in range(8):
                 pc = 0x9000 + 0x40 * (outer % 10)
-                record = conditional_branch(pc, pc + 0x40, rng.random() < 0.5)
-                wormhole.update(record, main_mispredicted=True)
-                back = _loop_back(0xA000, inner < 7)
-                loop_predictor.update(back)
-                wormhole.update(back, main_mispredicted=False)
+                wormhole.update(pc, False, rng.random() < 0.5, main_mispredicted=True)
+                loop_predictor.update(0xA000, True, inner < 7)
+                wormhole.update(0xA000, True, inner < 7, main_mispredicted=False)
         assert len(wormhole.entries) <= 4
 
     def test_no_prediction_for_backward_branches(self):
         loop_predictor = LoopPredictor()
         wormhole = WormholePredictor(loop_predictor)
-        assert wormhole.predict(_loop_back(0xA000, True)) is None
+        assert wormhole.predict(0xA000, True) is None
 
     def test_storage_bits_scale_with_entries(self):
         small = WormholePredictor(LoopPredictor(), WormholePredictorConfig(entries=4))
         large = WormholePredictor(LoopPredictor(), WormholePredictorConfig(entries=8))
         assert large.storage_bits() == 2 * small.storage_bits()
+
+
+def test_sidecar_predictor_feeds_only_conditional_branches_to_its_sidecars():
+    # The side predictors take branch fields and trust that the branch is
+    # conditional; SidecarPredictor checks it for them.
+    loop_predictor = LoopPredictor()
+    wormhole = WormholePredictor(loop_predictor)
+    predictor = SidecarPredictor(AlwaysTakenPredictor(), loop_predictor, wormhole)
+    for kind in BranchKind:
+        if kind is BranchKind.CONDITIONAL:
+            continue
+        record = BranchRecord(pc=0xA000, target=0x9000, taken=True, kind=kind)
+        assert predictor.predict(record) is True
+        predictor.update(record, True)
+    assert not any(entry.valid for entry in loop_predictor.entries)
+    assert wormhole._current_loop_pc is None
+    back_edge = BranchRecord(pc=0xA000, target=0x9000, taken=False)
+    predictor.update(back_edge, predictor.predict(back_edge))
+    assert loop_predictor.entries[loop_predictor._index(0xA000)].valid
+    assert wormhole._current_loop_pc == 0xA000

@@ -238,7 +238,7 @@ class TestTimingLog:
         assert lines[0]["phases"] == {"simulate": 0.25, "store_write": 0.01}
         assert lines[0]["batch"] == 1
         assert lines[1]["batch"] == 4
-        summary = log.summary()
+        summary = summarize_timings(log.path)
         assert summary["records"] == 2
         assert summary["phases"]["simulate"]["count"] == 2
         assert summary["phases"]["store_write"]["count"] == 1
@@ -274,6 +274,30 @@ class TestTimingLog:
         idle = TimingLog(tmp_path / "timings.jsonl", component="tester")
         assert idle.write_summary() is None
         assert target.read_text() == kept
+
+    def test_summary_counts_every_writer_of_the_file(self, tmp_path):
+        # Two logs (two processes of one store, say a sweep and a later
+        # resume) append to one timings.jsonl: the summary that either writes
+        # covers both, and replaces the file whole.
+        path = tmp_path / "timings.jsonl"
+        first = TimingLog(path, component="runner")
+        first.record(backend="serial", label="a", trace="t", phases={"simulate": 0.1},
+                     branches=100)
+        first.record(backend="serial", label="b", trace="t", phases={"simulate": 0.3},
+                     branches=300)
+        assert json.loads(first.write_summary().read_text())["records"] == 2
+        second = TimingLog(path, component="worker")
+        second.record(backend="dist", label="c", trace="t", phases={"simulate": 0.6},
+                      branches=600)
+        summary = json.loads(second.write_summary().read_text())
+        assert summary == summarize_timings(path)
+        assert summary["records"] == 3
+        assert summary["by_component"] == {"runner": 2, "worker": 1}
+        assert summary["phases"]["simulate"]["count"] == 3
+        assert summary["branches"] == 1000
+        assert sorted(entry.name for entry in tmp_path.iterdir()) == [
+            "timings.jsonl", "timings_summary.json",
+        ]
 
     def test_timing_log_for_gates(self, tmp_path, monkeypatch):
         assert timing_log_for(None, "x") is None
@@ -379,7 +403,7 @@ class TestBranchThroughput:
         # A batched cell divides by its share of the group's wall.
         assert lines[1]["cell_branches_per_s"] == pytest.approx(3000 / 0.5)
         assert "branches" not in lines[2]
-        for summary in (log.summary(), summarize_timings(path)):
+        for summary in (json.loads(log.write_summary().read_text()), summarize_timings(path)):
             assert summary["branches"] == 4000
             assert summary["branches_per_s"] == pytest.approx(4000 / 1.0)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import gc
 import random
 from array import array
+from operator import lt
 from types import SimpleNamespace
 
 from hypothesis import given, settings
@@ -26,9 +27,11 @@ from repro.common.bits import mix_hash
 from repro.core.component import BlockColumns, SharedState
 from repro.core.imli_oh import IMLIOuterHistoryComponent, OuterHistory, _read_columns
 from repro.predictors import shared_core
+from repro.predictors.base import BranchPredictor
+from repro.predictors.composites import SidecarPredictor
 from repro.predictors.loop import LoopPredictor, LoopPredictorConfig
 from repro.predictors.wormhole import WormholePredictor, WormholePredictorConfig
-from repro.trace.branch import CONDITIONAL_CODE
+from repro.trace.branch import CONDITIONAL_CODE, KIND_FROM_CODE, BranchRecord
 
 
 def _records(rng: random.Random, count: int) -> list:
@@ -37,7 +40,8 @@ def _records(rng: random.Random, count: int) -> list:
     Most PCs are small, so branches share slots; some are wide or
     negative (a PC column is signed).  About a quarter of the records are
     not conditional; about half of the conditional branches are backward,
-    and most of those are taken, so the IMLI count climbs and resets.
+    and most of those are taken, so the IMLI count climbs and resets; a
+    few branch to themselves, which is not backward.
     """
     records = []
     for _ in range(count):
@@ -47,7 +51,7 @@ def _records(rng: random.Random, count: int) -> list:
             kind = CONDITIONAL_CODE + rng.randrange(1, 4)
             records.append((pc, rng.randrange(1 << 12), True, kind))
         elif rng.random() < 0.5:
-            target = pc - rng.randrange(1, 64)
+            target = pc - rng.randrange(64)
             records.append((pc, target, rng.random() < 0.85, CONDITIONAL_CODE))
         else:
             records.append((pc, pc + rng.randrange(1, 64), rng.random() < 0.6, CONDITIONAL_CODE))
@@ -211,19 +215,17 @@ def test_read_columns_match_mix_hash(seed, n, index_bits, outer):
         ]
 
 
-def _sidecars(wormhole: bool, use_loop: bool) -> shared_core._Sidecars:
+def _sidecars(wormhole: bool, use_loop: bool) -> tuple:
+    """Fresh ``(loop, wormhole, use_loop)`` sidecars of a head."""
     loop = LoopPredictor(LoopPredictorConfig(entries=64))
-    return shared_core._Sidecars(
-        loop, WormholePredictor(loop, WormholePredictorConfig()) if wormhole else None, use_loop
-    )
+    return loop, WormholePredictor(loop, WormholePredictorConfig()) if wormhole else None, use_loop
 
 
-def _sidecar_state(sidecars: shared_core._Sidecars) -> tuple:
+def _sidecar_state(loop, wormhole) -> tuple:
     loop = [
         (entry.tag, entry.trip_count, entry.current_count, entry.confidence, entry.valid)
-        for entry in sidecars.loop.entries
+        for entry in loop.entries
     ]
-    wormhole = sidecars.wormhole
     if wormhole is None:
         return loop, None
     return loop, (
@@ -246,17 +248,116 @@ def test_run_sidecars_matches_the_full_step(wormhole_trace, seed, wormhole, use_
     run, full = _sidecars(wormhole, use_loop), _sidecars(wormhole, use_loop)
     overridden = 0
     for start in range(0, len(pcs), 512):
+        block_pcs, block_targets = pcs[start:start + 512], targets[start:start + 512]
         block = SimpleNamespace(
-            pcs=pcs[start:start + 512], targets=targets[start:start + 512],
-            taken=bytes(takens[start:start + 512]), n=len(pcs[start:start + 512]),
+            pcs=block_pcs, backward=bytes(map(lt, block_targets, block_pcs)),
+            taken=bytes(takens[start:start + 512]), n=len(block_pcs),
         )
         main = bytearray(rng.random() < 0.8 for _ in range(block.n))
         expected = bytearray(
-            shared_core._sidecar_step(full, pc, target, taken, prediction)
-            for pc, target, taken, prediction in zip(block.pcs, block.targets, block.taken, main)
+            shared_core._sidecar_step(full, pc, backward, taken, prediction)
+            for pc, backward, taken, prediction in zip(block.pcs, block.backward, block.taken, main)
         )
         assert shared_core._run_sidecars(run, block, main) == expected
-        assert _sidecar_state(run) == _sidecar_state(full)
+        assert _sidecar_state(*run[:2]) == _sidecar_state(*full[:2])
         overridden += sum(1 for got, was in zip(expected, main) if got != was)
     # Without a wormhole or a loop prediction in use, the sidecars only train.
     assert (overridden > 0) == (wormhole or use_loop)
+
+
+class _Scripted(BranchPredictor):
+    """A main predictor that predicts a given column and learns nothing."""
+
+    def __init__(self, predictions) -> None:
+        self.predictions = iter(predictions)
+
+    def predict(self, record) -> bool:
+        return bool(next(self.predictions))
+
+    def update(self, record, prediction) -> None:
+        pass
+
+    def storage_bits(self) -> int:
+        return 0
+
+
+@st.composite
+def _loop_nests(draw) -> list:
+    """Mixed-kind ``(pc, target, taken, kind)`` records of a few loop nests.
+
+    Each nest runs ``outer`` times an inner loop of ``trip`` iterations
+    (a constant trip count, so the loop predictor grows confident), whose
+    body holds one to three forward branches, each random, alternating
+    or repeating the previous outer iteration's outcome of the iteration
+    before (the wormhole's correlation); non-conditional records fall in
+    between.  PCs are byte-granular.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    records = []
+    for _ in range(draw(st.integers(1, 3))):
+        base = draw(st.integers(1, 1 << 16))
+        trip = draw(st.integers(2, 12))
+        outer = draw(st.integers(1, 24))
+        shapes = st.sampled_from(["random", "alternate", "diagonal"])
+        body = draw(st.lists(shapes, min_size=1, max_size=3))
+        rows = [[rng.random() < 0.5 for _ in range(trip)] for _ in body]
+        for _ in range(outer):
+            previous_rows, rows = rows, [[] for _ in body]
+            for inner in range(trip):
+                for offset, (shape, previous, row) in enumerate(zip(body, previous_rows, rows)):
+                    pc = base + 3 * offset + 1
+                    if shape == "random" or (shape == "diagonal" and not inner):
+                        taken = rng.random() < 0.5
+                    elif shape == "alternate":
+                        taken = inner % 2 == 0
+                    else:
+                        taken = previous[inner - 1]
+                    row.append(taken)
+                    records.append((pc, pc + 40, taken, CONDITIONAL_CODE))
+                    if rng.random() < 0.2:
+                        kind = CONDITIONAL_CODE + rng.randrange(1, 4)
+                        records.append((pc + 2, rng.randrange(1 << 16), True, kind))
+                back = base + 3 * len(body) + 1
+                records.append((back, base, inner < trip - 1, CONDITIONAL_CODE))
+    return records
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    records=_loop_nests(),
+    seed=st.integers(0, 2**32 - 1),
+    sub_block=st.sampled_from([5, 64, 512]),
+)
+def test_run_sidecars_matches_the_sidecar_predictor(records, seed, sub_block):
+    # The block form of every sidecar shape -- loop only, wormhole only
+    # (the loop predictor supplies trip counts) and both -- against
+    # SidecarPredictor stepped record by record with its own instances:
+    # predictions and every loop and wormhole entry after every block.
+    rng = random.Random(seed)
+    conditional = sum(1 for record in records if record[3] == CONDITIONAL_CODE)
+    main = bytes(rng.random() < 0.8 for _ in range(conditional))
+    for wormhole, use_loop in [(False, True), (True, False), (True, True)]:
+        state = SharedState()
+        run = _sidecars(wormhole, use_loop)
+        loop, wormhole_predictor, _ = _sidecars(wormhole, use_loop)
+        reference = SidecarPredictor(
+            _Scripted(main), loop_predictor=loop, wormhole=wormhole_predictor,
+            use_loop_prediction=use_loop,
+        )
+        done = 0
+        for start in range(0, len(records), sub_block):
+            chunk = records[start:start + sub_block]
+            block = state.advance_block(*_columns(chunk))
+            got = shared_core._run_sidecars(run, block, bytearray(main[done:done + block.n]))
+            expected = bytearray()
+            for pc, target, taken, kind in chunk:
+                record = BranchRecord(pc, target, taken, KIND_FROM_CODE[kind])
+                if not record.is_conditional:
+                    reference.observe_unconditional(record)
+                    continue
+                prediction = reference.predict(record)
+                reference.update(record, prediction)
+                expected.append(prediction)
+            assert got == expected, (wormhole, use_loop, start)
+            assert _sidecar_state(*run[:2]) == _sidecar_state(loop, wormhole_predictor)
+            done += block.n

@@ -13,6 +13,7 @@ leave it.
 from __future__ import annotations
 
 import gc
+import random
 import weakref
 
 import pytest
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import test_batch_engine as batch_tests
+from repro.common import swar
 from repro.common.history import LocalHistoryTable
 from repro.core.component import IndexedComponent, SharedState
 from repro.core.imli_oh import OuterHistory
@@ -89,13 +91,23 @@ def test_block_columns_match_per_branch_upkeep(
     block_state, step_state = block_group.state, step_group.state
     pairs = list(zip(_components(block_group), _components(step_group)))
     assert len(pairs) >= 6
+    rng = random.Random(sub_block)
     for block in engine._column_blocks(trace):
         assert len(block[0]) <= sub_block
         columns = block_state.advance_block(*block[:4])
         tage_columns = (
             block_group.tage.index_columns(columns) if block_group.tage is not None else None
         )
-        index_columns = [component.index_columns(columns) for component, _ in pairs]
+        # The TAGE-bit bias index hashes the group's TAGE prediction column:
+        # all not taken, all taken and a random mix.
+        settings = [bytes(columns.n), b"\x01" * columns.n, rng.randbytes(columns.n)]
+        index_columns = []
+        for setting in settings:
+            setting = bytes(bit & 1 for bit in setting)
+            columns.tage = swar.pack_bytes(setting)
+            index_columns.append(
+                (setting, [component.index_columns(columns) for component, _ in pairs])
+            )
         position = 0
         for pc, target, taken, kind, _ in zip(*block):
             if kind != CONDITIONAL_CODE:
@@ -111,14 +123,11 @@ def test_block_columns_match_per_branch_upkeep(
                     tage._table_tag(pc, table) for table in range(len(tags))
                 ]
                 assert base_index[position] == tage._base_index(pc)
-            for bit in (False, True):
-                step_state.tage_prediction = bit
-                for (_, component), component_columns in zip(pairs, index_columns):
+            for setting, setting_columns in index_columns:
+                step_state.tage_prediction = bool(setting[position])
+                for (_, component), component_columns in zip(pairs, setting_columns):
                     expected = [index for _, index in component.select(pc, step_state)]
-                    got = [
-                        (column[bit] if isinstance(column, tuple) else column)[position]
-                        for column in component_columns
-                    ]
+                    got = [column[position] for column in component_columns]
                     assert got == expected, (type(component).__name__, position)
             step_state.update_conditional_fields(pc, target, taken)
             position += 1

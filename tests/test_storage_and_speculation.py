@@ -11,6 +11,7 @@ from repro.sim.checkpointing import (
     total_checkpoint_storage_bits,
 )
 from repro.sim.delayed_update import run_delayed_update_experiment, summarize
+from repro.sim.runner import SuiteRunner
 from repro.sim.storage import (
     imli_component_cost_bits,
     speculative_state_report,
@@ -85,10 +86,19 @@ class TestSpeculativeStateReport:
         assert 0 < imli_bits - base_bits <= 32
 
 
+def _runners(*traces, store=False, suites=("one",)):
+    """One in-process runner per suite name, the traces spread over them."""
+    share = -(-len(traces) // len(suites))
+    return {
+        suite: SuiteRunner(traces[start:start + share], profile="small", store=store)
+        for suite, start in zip(suites, range(0, len(traces), share))
+    }
+
+
 class TestDelayedUpdateExperiment:
     def test_delay_costs_very_little(self, sic_trace, wormhole_trace):
         results = run_delayed_update_experiment(
-            [sic_trace, wormhole_trace], base="tage-gsc", delays=(16,), profile="small"
+            _runners(sic_trace, wormhole_trace), base="tage-gsc", delays=(16,)
         )
         assert len(results) == 1
         result = results[0]
@@ -100,7 +110,7 @@ class TestDelayedUpdateExperiment:
 
     def test_invalid_delay_rejected(self, sic_trace):
         with pytest.raises(ValueError):
-            run_delayed_update_experiment([sic_trace], delays=(0,), profile="small")
+            run_delayed_update_experiment(_runners(sic_trace), delays=(0,))
 
     def test_invalid_delay_rejected_before_simulating(self, sic_trace, monkeypatch):
         import repro.sim.engine as engine_module
@@ -112,9 +122,7 @@ class TestDelayedUpdateExperiment:
         monkeypatch.setattr(engine_module, "simulate_many", _no_simulation)
         monkeypatch.setattr(runner_module, "simulate_many", _no_simulation)
         with pytest.raises(ValueError, match="positive"):
-            run_delayed_update_experiment(
-                [sic_trace], delays=(63, 0), profile="small"
-            )
+            run_delayed_update_experiment(_runners(sic_trace), delays=(63, 0))
 
     def test_matches_per_cell_simulation(self, sic_trace, wormhole_trace):
         from repro.predictors.composites import CompositeOptions, build
@@ -131,13 +139,42 @@ class TestDelayedUpdateExperiment:
                 [simulate(build(options, profile="small"), trace) for trace in traces]
             )
 
+        # Two suites: the averages run over both, in order.
         results = run_delayed_update_experiment(
-            traces, base="gehl", delays=(63, 7), profile="small"
+            _runners(*traces, suites=("first", "second")), base="gehl", delays=(63, 7)
         )
         assert [result.delay for result in results] == [63, 7]
         for result in results:
             assert result.immediate_mpki == _alone(0)
             assert result.delayed_mpki == _alone(result.delay)
+
+    def test_second_run_against_the_same_store_simulates_nothing(
+        self, tmp_path, monkeypatch, sic_trace, wormhole_trace
+    ):
+        # The experiment's cells are ordinary store cells: a new process
+        # (fresh runners) over the same store reads every one of them
+        # back, immediate delay included, and reports the same text.
+        import repro.sim.engine as engine_module
+        import repro.sim.runner as runner_module
+        from repro.analysis.experiments import run_experiment
+        from repro.api.specs import PredictorSpec
+
+        suites = ("cbp4like", "cbp3like")
+        store = tmp_path / "store"
+        first = run_experiment(
+            "delayed-update", _runners(sic_trace, wormhole_trace, store=store, suites=suites)
+        ).report()
+
+        def _no_simulation(*args, **kwargs):
+            raise AssertionError("simulated a cell the store holds")
+
+        monkeypatch.setattr(engine_module, "simulate_many", _no_simulation)
+        monkeypatch.setattr(runner_module, "simulate_many", _no_simulation)
+        runners = _runners(sic_trace, wormhole_trace, store=store, suites=suites)
+        assert run_experiment("delayed-update", runners).report() == first
+        # Delay 0 is the cell of tage-gsc+imli.
+        for runner in runners.values():
+            runner.run_specs([PredictorSpec.from_named("tage-gsc+imli", profile="small")])
 
 
 class TestCheckpointRecovery:
