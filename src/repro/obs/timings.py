@@ -217,12 +217,14 @@ def summarize_timings(path: Union[str, Path]) -> Dict[str, Any]:
     """Aggregation of a ``timings.jsonl`` file (any writers).
 
     It reads the file back, so it covers every component and process
-    that appended to it.  Each record counts with its per-cell phase shares (``cell_phases``,
-    or the shared phases divided by ``batch`` for records written without
-    them).  Malformed lines are skipped and counted.
+    that appended to it.  Each record counts with its per-cell phase
+    shares (``cell_phases``, or the shared phases divided by ``batch`` for
+    records written without them).  Malformed lines are skipped and
+    counted.
     """
     histograms: Dict[str, Histogram] = {}
-    throughput = _Throughput()
+    branches_total = 0
+    simulate_total = 0.0
     records = 0
     skipped = 0
     by_component: Dict[str, int] = {}
@@ -249,7 +251,8 @@ def summarize_timings(path: Union[str, Path]) -> Dict[str, Any]:
             branches = record.get("branches")
             simulate = cell_phases.get("simulate", 0.0)
             if isinstance(branches, int) and isinstance(simulate, (int, float)):
-                throughput.add(branches, simulate)
+                branches_total += branches
+                simulate_total += simulate
             for name, value in cell_phases.items():
                 if not isinstance(value, (int, float)):
                     continue
@@ -268,28 +271,9 @@ def summarize_timings(path: Union[str, Path]) -> Dict[str, Any]:
             name: histogram.snapshot()
             for name, histogram in sorted(histograms.items())
         },
-        **throughput.summary(),
+        "branches": branches_total,
+        "branches_per_s": branches_total / simulate_total if simulate_total > 0.0 else 0.0,
     }
-
-
-class _Throughput:
-    """Simulated branches and the ``simulate`` seconds they took, summed."""
-
-    __slots__ = ("branches", "seconds")
-
-    def __init__(self) -> None:
-        self.branches = 0
-        self.seconds = 0.0
-
-    def add(self, branches: int, seconds: float) -> None:
-        self.branches += branches
-        self.seconds += seconds
-
-    def summary(self) -> Dict[str, Any]:
-        return {
-            "branches": self.branches,
-            "branches_per_s": self.branches / self.seconds if self.seconds > 0.0 else 0.0,
-        }
 
 
 def _cell_phases(phases: Mapping[str, Any], batch: int) -> Dict[str, Any]:

@@ -374,10 +374,10 @@ class _Group:
     ``indices`` are the members' batch positions; ``heads`` holds one
     ``(adder, revert_margin, sidecars)`` per member, in member order, every
     adder bound to ``state`` (``revert_margin`` is ignored without a TAGE
-    core, ``sidecars`` a ``(loop, wormhole, use_loop)`` tuple or ``None``).  Members whose
-    heads have equal state (:func:`_head_state`) form a *class*: only its
-    first member's head runs, and every member gets its prediction column,
-    while the columns of every member agree.  A sub-block on which they do
+    core, ``sidecars`` a ``(loop, wormhole, use_loop)`` tuple or
+    ``None``).  Members whose heads have equal state (:func:`_head_state`)
+    form a *class*: only its first member's head runs, and every member
+    gets its prediction column, while the columns of every member agree.  A sub-block on which they do
     not splits the class (:meth:`_split`) for good.  Only a fresh group
     has more than one head, and its heads are internal.  The engine calls
     :meth:`run_block` with each sub-block of records, in order, and gets
