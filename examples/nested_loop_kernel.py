@@ -40,7 +40,7 @@ def show_imli_counter(trace: Trace) -> None:
         if record.is_conditional:
             samples.append((hex(record.pc), "backward" if record.is_backward else "forward",
                             "T" if record.taken else "N", imli.count))
-            imli.update(record)
+            imli.observe(record.is_backward, record.taken)
     print(format_table(
         ["pc", "kind", "outcome", "IMLI count at fetch"],
         samples[:18],

@@ -396,6 +396,6 @@ class Experiment:
         return self._runner
 
     def close(self) -> None:
-        """Shut down the runner's worker pool (no-op when none exists)."""
+        """Shut down the runner's worker pool and write its timings summary."""
         if self._runner is not None:
             self._runner.close()

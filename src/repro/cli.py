@@ -704,6 +704,7 @@ def _command_simulate(args: argparse.Namespace) -> int:
         print("no configurations selected", file=sys.stderr)
         return 2
     store = _resolve_store(args.store)
+    experiment: Optional[Experiment] = None
     try:
         experiment = Experiment(
             specs,
@@ -721,6 +722,9 @@ def _command_simulate(args: argparse.Namespace) -> int:
     except (KeyError, TypeError, ValueError) as error:
         print(_error_message(error), file=sys.stderr)
         return 2
+    finally:
+        if experiment is not None:
+            experiment.close()
     print(results.report(title=f"MPKI on {_workload_description(args)}"))
     _report_store_use(store)
     return 0
@@ -817,8 +821,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         # Completed cells were flushed to the store as they finished;
         # hand the user the exact command that picks the sweep back up.
-        if experiment is not None:
-            experiment.close()
         print("\nsweep interrupted.", file=sys.stderr)
         if store is not None:
             _report_store_use(store)
@@ -832,6 +834,9 @@ def _command_sweep(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         return 130
+    finally:
+        if experiment is not None:
+            experiment.close()
     print(results.report(
         title=f"Sweep over {base_spec.label} on {_workload_description(args)} "
               f"({len(specs)} specs)"
@@ -1171,7 +1176,11 @@ def _command_experiment(args: argparse.Namespace) -> int:
     if not runners:
         print("no benchmarks selected", file=sys.stderr)
         return 2
-    result = run_experiment(args.experiment_id, runners)
+    try:
+        result = run_experiment(args.experiment_id, runners)
+    finally:
+        for runner in runners.values():
+            runner.close()
     print(result.report())
     return 0
 

@@ -43,7 +43,7 @@ from repro.common.bits import MIX_ROUND_KEY, mask
 from repro.common.counters import SignedCounterArray
 from repro.common.history import FoldedHistory, GlobalHistory, LocalHistoryTable, PathHistory
 from repro.core.imli import IMLIState
-from repro.trace.branch import CONDITIONAL_CODE, BranchRecord
+from repro.trace.branch import CONDITIONAL_CODE
 
 __all__ = [
     "BlockColumns", "CounterSelection", "IndexedComponent", "NeuralComponent", "SharedState",
@@ -115,10 +115,12 @@ class BlockColumns:
 class SharedState:
     """Fetch-time state shared by all components of one predictor.
 
-    The owning predictor creates a single :class:`SharedState`, hands it to
-    every component, and calls :meth:`update_conditional` /
-    :meth:`update_unconditional` exactly once per dynamic branch *after*
-    the components have been trained for that branch.
+    The owning predictor creates a single :class:`SharedState` and hands it
+    to every component.  Per branch, it calls
+    :meth:`update_conditional_fields` (a conditional branch) or
+    :meth:`observe_pc` (any other) exactly once, *after* the components
+    have been trained for that branch; a shared-core group instead calls
+    :meth:`advance_block` once per sub-block, *before* its heads read.
 
     Components that use folded global history must register their
     :class:`~repro.common.history.FoldedHistory` registers through
@@ -224,17 +226,12 @@ class SharedState:
             ("local", size, history_bits), lambda: LocalHistoryTable(size, history_bits)
         )
 
-    def update_conditional(self, record: BranchRecord) -> None:
-        """Advance all shared histories with a resolved conditional branch."""
-        self.update_conditional_fields(record.pc, record.target, record.taken)
-
     def update_conditional_fields(self, pc: int, target: int, taken: bool) -> None:
-        """Field-based equivalent of :meth:`update_conditional`.
+        """Advance all shared histories with a resolved conditional branch.
 
-        This is the per-branch hot path: the folded-history maintenance is
-        inlined (rather than calling :meth:`FoldedHistory.update` per
-        register) because a large composite carries several dozen folded
-        registers.
+        The folded-history maintenance is inlined (rather than calling
+        :meth:`FoldedHistory.update` per register) because a large
+        composite carries several dozen folded registers.
         """
         new_bit = 1 if taken else 0
         global_history = self.global_history
@@ -376,12 +373,8 @@ class SharedState:
         ) & global_history.capacity_mask
         global_history.length = min(global_history.capacity, global_history.length + n)
 
-    def update_unconditional(self, record: BranchRecord) -> None:
-        """Advance the path history with a non-conditional branch."""
-        self.path_history.push(record.pc)
-
     def observe_pc(self, pc: int) -> None:
-        """Field-based equivalent of :meth:`update_unconditional`."""
+        """Advance the path history with a non-conditional branch at ``pc``."""
         self.path_history.push(pc)
 
     def storage_bits(self) -> int:
@@ -479,22 +472,16 @@ class NeuralComponent(ABC):
                 if value > table.minimum:
                     values[index] = value - 1
 
-    def on_outcome(self, record: BranchRecord, state: SharedState) -> None:
-        """Bookkeeping hook invoked once per conditional branch outcome.
-
-        Called after :meth:`train` and before the shared histories advance.
-        Delegates to :meth:`on_outcome_fields`; components that maintain
-        private, learned bookkeeping override that method so the
-        record-based and field-based call paths share one implementation.
-        Trace-only structures do not use this hook: they are registered on
-        the state (:meth:`SharedState.trace_only`), which advances them.
-        """
-        self.on_outcome_fields(record.pc, record.target, record.taken, state)
-
     def on_outcome_fields(
         self, pc: int, target: int, taken: bool, state: SharedState
     ) -> None:
-        """Field-based form of :meth:`on_outcome` (default: no bookkeeping)."""
+        """Bookkeeping hook invoked once per conditional branch outcome.
+
+        Called after :meth:`train` and before the shared histories advance;
+        the default does nothing.  Trace-only structures do not use this
+        hook: they are registered on the state
+        (:meth:`SharedState.trace_only`), which advances them.
+        """
 
     @abstractmethod
     def storage_bits(self) -> int:

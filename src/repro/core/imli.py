@@ -17,8 +17,6 @@ which is the key practicality argument of the paper.
 
 from __future__ import annotations
 
-from repro.trace.branch import BranchRecord
-
 __all__ = ["IMLIState"]
 
 
@@ -42,18 +40,8 @@ class IMLIState:
         self.maximum = (1 << counter_bits) - 1
         self.count = 0
 
-    def update(self, record: BranchRecord) -> None:
-        """Apply the IMLI heuristic for one resolved conditional branch."""
-        if not record.is_conditional or not record.is_backward:
-            return
-        if record.taken:
-            if self.count < self.maximum:
-                self.count += 1
-        else:
-            self.count = 0
-
     def observe(self, is_backward: bool, taken: bool) -> None:
-        """Apply the heuristic from raw fields (used by speculative tracking)."""
+        """Apply the IMLI heuristic for one resolved conditional branch."""
         if not is_backward:
             return
         if taken:

@@ -92,7 +92,7 @@ __all__ = [
     "sweep_orphan_spools",
 ]
 
-#: Default ceiling on decoded traces a worker keeps in memory.  A
+#: Ceiling on decoded traces a worker keeps in memory, read at use.  A
 #: long-lived worker serving many jobs would otherwise accumulate every
 #: trace it has ever simulated; least-recently-used traces are evicted
 #: beyond this bound and simply re-fetched if a later lease needs them.
@@ -215,9 +215,6 @@ class Worker:
         many cells sharing one trace, which the worker simulates in one
         :func:`~repro.sim.engine.simulate_many` traversal; ``1`` restores
         strict cell-at-a-time leasing.
-    trace_cache:
-        Decoded traces kept in memory (least-recently-used eviction
-        beyond the bound; evicted traces are re-fetched on demand).
     log:
         Optional ``(message: str)`` callable for lifecycle events.
     """
@@ -232,14 +229,11 @@ class Worker:
         connect_retry: float = 10.0,
         reconnect: float = DEFAULT_RECONNECT,
         batch: int = DEFAULT_BATCH_CELLS,
-        trace_cache: int = DEFAULT_TRACE_CACHE,
         log: Optional[Callable[[str], None]] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be positive, got {jobs}")
         check_batch(batch)
-        if trace_cache < 1:
-            raise ValueError(f"trace_cache must be positive, got {trace_cache}")
         if reconnect < 0:
             raise ValueError(f"reconnect must be non-negative, got {reconnect}")
         self.host = host
@@ -250,7 +244,6 @@ class Worker:
         self.connect_retry = float(connect_retry)
         self.reconnect = float(reconnect)
         self.batch = batch
-        self.trace_cache = int(trace_cache)
         self.log = log or (lambda message: None)
         self.completed = 0
         #: Reconnect attempts that succeeded (visible to tests/operators).
@@ -416,7 +409,7 @@ class Worker:
             trace = self._chunked_trace(fingerprint, reply.get("manifest"))
         self._last_fetch_seconds = time.monotonic() - fetch_started
         self._traces[fingerprint] = trace
-        while len(self._traces) > self.trace_cache:
+        while len(self._traces) > DEFAULT_TRACE_CACHE:
             self._traces.popitem(last=False)  # evict least recently used
         return trace
 
@@ -874,7 +867,6 @@ def run_worker(
     connect_retry: float = 10.0,
     reconnect: float = DEFAULT_RECONNECT,
     batch: int = DEFAULT_BATCH_CELLS,
-    trace_cache: int = DEFAULT_TRACE_CACHE,
     log: Optional[Callable[[str], None]] = None,
 ) -> int:
     """Run one worker against ``"host:port"`` until the coordinator closes.
@@ -890,7 +882,6 @@ def run_worker(
         connect_retry=connect_retry,
         reconnect=reconnect,
         batch=batch,
-        trace_cache=trace_cache,
         log=log,
     )
     return worker.run()

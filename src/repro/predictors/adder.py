@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.component import CounterSelection, NeuralComponent, SharedState
-from repro.trace.branch import BranchRecord
 
 __all__ = ["AdderTree"]
 
@@ -56,9 +55,9 @@ class AdderTree:
         self.components: List[NeuralComponent] = list(components)
         for component in self.components:
             component.bind(state)
-        # Components whose on_outcome hook actually does something; resolved
-        # lazily (and re-resolved whenever the component list grows, since
-        # callers may append components after construction).
+        # Components whose on_outcome_fields hook actually does something;
+        # resolved lazily (and re-resolved whenever the component list
+        # grows, since callers may append components after construction).
         self._outcome_components: Optional[List[NeuralComponent]] = None
         self._outcome_scan_size = -1
         self.threshold = initial_threshold
@@ -125,9 +124,11 @@ class AdderTree:
     # Training
     # ------------------------------------------------------------------ #
 
-    def train(
+    def train_fields(
         self,
-        record: BranchRecord,
+        pc: int,
+        target: int,
+        taken: bool,
         total: int,
         all_selections: List[List[CounterSelection]],
         state: SharedState,
@@ -140,21 +141,6 @@ class AdderTree:
         prediction was wrong even though the adder tree itself looked
         confident.
         """
-        self.train_fields(
-            record.pc, record.target, record.taken, total, all_selections, state, force
-        )
-
-    def train_fields(
-        self,
-        pc: int,
-        target: int,
-        taken: bool,
-        total: int,
-        all_selections: List[List[CounterSelection]],
-        state: SharedState,
-        force: bool = False,
-    ) -> None:
-        """Field-based form of :meth:`train`."""
         adder_prediction = total >= 0
         mispredicted = adder_prediction != taken
         if force or mispredicted or abs(total) <= self.threshold:
@@ -168,26 +154,13 @@ class AdderTree:
             component.on_outcome_fields(pc, target, taken, state)
 
     def _scan_outcome_components(self) -> List[NeuralComponent]:
-        """Resolve which components need the per-branch outcome hook.
-
-        A component that overrides the record-based ``on_outcome`` without
-        overriding ``on_outcome_fields`` would be silently skipped on both
-        call paths (the record path delegates to the field path), so that
-        is rejected loudly here.
-        """
-        outcome_components = []
-        base_fields_hook = NeuralComponent.on_outcome_fields
-        base_record_hook = NeuralComponent.on_outcome
-        for component in self.components:
-            kind = type(component)
-            if kind.on_outcome_fields is not base_fields_hook:
-                outcome_components.append(component)
-            elif kind.on_outcome is not base_record_hook:
-                raise TypeError(
-                    f"{kind.__name__} overrides on_outcome() but not "
-                    "on_outcome_fields(); override on_outcome_fields() so the "
-                    "hook runs on both the record and the columnar call paths"
-                )
+        """Resolve which components override the per-branch outcome hook."""
+        base_hook = NeuralComponent.on_outcome_fields
+        outcome_components = [
+            component
+            for component in self.components
+            if type(component).on_outcome_fields is not base_hook
+        ]
         self._outcome_components = outcome_components
         self._outcome_scan_size = len(self.components)
         return outcome_components

@@ -132,11 +132,14 @@ class GEHLPredictor(BranchPredictor):
         return total >= 0
 
     def update(self, record: BranchRecord, prediction: bool) -> None:
-        self.adder.train(record, self._ctx.total, self._ctx.selections, self.state)
-        self.state.update_conditional(record)
+        pc, target, taken = record.pc, record.target, record.taken
+        self.adder.train_fields(
+            pc, target, taken, self._ctx.total, self._ctx.selections, self.state
+        )
+        self.state.update_conditional_fields(pc, target, taken)
 
     def observe_unconditional(self, record: BranchRecord) -> None:
-        self.state.update_unconditional(record)
+        self.state.observe_pc(record.pc)
 
     def storage_bits(self) -> int:
         return self.adder.storage_bits() + self.state.storage_bits()

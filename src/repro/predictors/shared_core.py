@@ -196,7 +196,7 @@ def _run_sidecars(sidecars: tuple, block, main_predictions: bytearray) -> bytear
 #: train; a component overriding one would be silently mis-executed.  A
 #: transparent wrapper around the inherited hook (``functools.wraps``, as a
 #: profiler installs) still counts as the inherited hook.
-_KERNEL_HOOKS = ("train", "on_outcome", "on_outcome_fields")
+_KERNEL_HOOKS = ("train", "on_outcome_fields")
 
 
 def _plan_heads(adders: Sequence[AdderTree]) -> Tuple[list, List[list]]:

@@ -28,7 +28,6 @@ from typing import List, Optional, Sequence
 from repro.core.component import NeuralComponent, SharedState
 from repro.predictors.adder import AdderTree
 from repro.predictors.components import BiasComponent, GlobalHistoryComponent
-from repro.trace.branch import BranchRecord
 
 __all__ = ["StatisticalCorrectorConfig", "StatisticalCorrector", "CorrectorContext"]
 
@@ -156,22 +155,10 @@ class StatisticalCorrector:
             context.reverted = False
         return context
 
-    def train(self, record: BranchRecord, context: CorrectorContext) -> None:
-        """Train the corrector with the resolved outcome."""
-        force = context.final_prediction != record.taken
-        self.adder.train(
-            record, context.total, context.selections, self.state, force=force
-        )
-
     def train_fields(
         self, pc: int, target: int, taken: bool, context: CorrectorContext
     ) -> None:
-        """Field-based form of :meth:`train`.
-
-        No engine path calls it: composites run as shared-core groups
-        (:mod:`repro.predictors.shared_core`).  It stays because
-        ``perfbench/layers.py`` wraps it (the ``sc.train`` layer).
-        """
+        """Train the corrector with the resolved outcome."""
         self.adder.train_fields(
             pc,
             target,

@@ -418,12 +418,8 @@ class TAGEEngine:
     # Update
     # ------------------------------------------------------------------ #
 
-    def train(self, record: BranchRecord, prediction: TAGEPrediction) -> None:
-        """Update TAGE state with the resolved outcome of ``record``."""
-        self.train_fields(record.pc, record.taken, prediction)
-
     def train_fields(self, pc: int, taken: bool, prediction: TAGEPrediction) -> None:
-        """Field-based equivalent of :meth:`train` (the per-branch hot path)."""
+        """Update TAGE state with the resolved outcome of the branch at ``pc``."""
         cfg = self.config
         provider = prediction.provider
         mispredicted = prediction.prediction != taken
@@ -549,11 +545,11 @@ class TAGEPredictor(BranchPredictor):
     def update(self, record: BranchRecord, prediction: bool) -> None:
         if self._last is None:
             raise RuntimeError("update() called before predict()")
-        self.engine.train(record, self._last)
-        self.state.update_conditional(record)
+        self.engine.train_fields(record.pc, record.taken, self._last)
+        self.state.update_conditional_fields(record.pc, record.target, record.taken)
 
     def observe_unconditional(self, record: BranchRecord) -> None:
-        self.state.update_unconditional(record)
+        self.state.observe_pc(record.pc)
 
     def predict_update_block(self, pcs, targets, takens, kinds, gaps) -> bytearray:
         """Block step: consume a column sub-block, return its predictions.

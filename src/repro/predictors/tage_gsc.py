@@ -86,12 +86,13 @@ class TAGEGSCPredictor(BranchPredictor):
     def update(self, record: BranchRecord, prediction: bool) -> None:
         if self._tage_ctx is None or self._sc_ctx is None:
             raise RuntimeError("update() called before predict()")
-        self.tage.train(record, self._tage_ctx)
-        self.corrector.train(record, self._sc_ctx)
-        self.state.update_conditional(record)
+        pc, target, taken = record.pc, record.target, record.taken
+        self.tage.train_fields(pc, taken, self._tage_ctx)
+        self.corrector.train_fields(pc, target, taken, self._sc_ctx)
+        self.state.update_conditional_fields(pc, target, taken)
 
     def observe_unconditional(self, record: BranchRecord) -> None:
-        self.state.update_unconditional(record)
+        self.state.observe_pc(record.pc)
 
     def storage_bits(self) -> int:
         return (

@@ -88,7 +88,7 @@ def run_checkpoint_recovery(
         prediction = predictor.predict(record)
         tracker.speculate(record.is_backward, prediction)
         predictor.update(record, prediction)
-        committed.update(record)
+        committed.observe(record.is_backward, record.taken)
         if prediction != record.taken:
             mispredictions += 1
             recoveries += 1

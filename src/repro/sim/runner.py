@@ -622,15 +622,11 @@ class SuiteRunner:
                     "give one an explicit name"
                 )
         self._progress_begin(len(unique) * len(self.traces))
-        try:
-            return self._run_batch_specs(
-                {label: spec.resolve(registry) for label, spec in unique.items()},
-                track_per_pc,
-                registry,
-            )
-        finally:
-            if self.timings is not None:
-                self.timings.write_summary()
+        return self._run_batch_specs(
+            {label: spec.resolve(registry) for label, spec in unique.items()},
+            track_per_pc,
+            registry,
+        )
 
     def _get_pool(self) -> ProcessPoolExecutor:
         """Worker pool, created on first use and reused across runs.
@@ -645,7 +641,12 @@ class SuiteRunner:
         return self._pool
 
     def close(self) -> None:
-        """Shut down the worker pool (no-op when none was created)."""
+        """Shut down the worker pool and write the timings summary.
+
+        The summary (:meth:`TimingLog.write_summary`) re-reads the whole
+        timings file, so it is written here, once per runner, rather than
+        after every :meth:`run_specs` call.
+        """
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None

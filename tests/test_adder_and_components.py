@@ -16,7 +16,6 @@ from repro.predictors.components import (
     LocalHistoryComponent,
     geometric_history_lengths,
 )
-from repro.trace.branch import conditional_branch
 
 
 class TestGeometricHistoryLengths:
@@ -86,9 +85,7 @@ class TestGlobalHistoryComponent:
         component = GlobalHistoryComponent(state, history_lengths=[8], entries=512)
         indices = {component.select(0x99, state)[0][1]}
         for index in range(24):
-            state.update_conditional(
-                conditional_branch(0x10 + index, 0x20, taken=bool(index % 3))
-            )
+            state.update_conditional_fields(0x10 + index, 0x20, bool(index % 3))
             indices.add(component.select(0x99, state)[0][1])
         assert len(indices) > 8
 
@@ -140,7 +137,7 @@ class TestLocalHistoryComponent:
         component.bind(state)
         before = component.select(0x99, state)[0][1]
         for _ in range(5):
-            state.update_conditional(conditional_branch(0x99, 0x120, taken=True))
+            state.update_conditional_fields(0x99, 0x120, True)
         after = component.select(0x99, state)[0][1]
         assert before != after
 
@@ -153,7 +150,7 @@ class TestLocalHistoryComponent:
             component = LocalHistoryComponent([2, 8], table_geometry=(64, 16), entries=512)
             component.bind(state)
             for taken in outcomes:
-                state.update_conditional(conditional_branch(0x99, 0x120, taken=taken))
+                state.update_conditional_fields(0x99, 0x120, taken)
             indices.append([index for _, index in component.select(0x99, state)])
         (short, long), (other_short, other_long) = indices
         assert short == other_short
@@ -296,55 +293,43 @@ class TestAdderTree:
 
     def test_training_moves_counters_toward_outcome(self):
         adder, state = self._make()
-        record = conditional_branch(0x77, 0x90, taken=False)
         total, selections = adder.compute(0x77, state)
-        adder.train(record, total, selections, state)
+        adder.train_fields(0x77, 0x90, False, total, selections, state)
         table, index = selections[0][0]
         assert table.values[index] == -1
 
     def test_training_skipped_when_confident_and_correct(self):
         adder, state = self._make()
-        record = conditional_branch(0x77, 0x90, taken=True)
+        branch = (0x77, 0x90, True)
         # Saturate the counter well above the threshold.
         for _ in range(30):
             total, selections = adder.compute(0x77, state)
-            adder.train(record, total, selections, state)
+            adder.train_fields(*branch, total, selections, state)
         table, index = selections[0][0]
         value_before = table.values[index]
         total, selections = adder.compute(0x77, state)
         assert abs(total) > adder.threshold
-        adder.train(record, total, selections, state)
+        adder.train_fields(*branch, total, selections, state)
         assert table.values[index] == value_before
 
     def test_force_training(self):
         adder, state = self._make()
-        record = conditional_branch(0x77, 0x90, taken=True)
+        branch = (0x77, 0x90, True)
         for _ in range(30):
             total, selections = adder.compute(0x77, state)
-            adder.train(record, total, selections, state)
+            adder.train_fields(*branch, total, selections, state)
         total, selections = adder.compute(0x77, state)
         value_before = selections[0][0][0].values[selections[0][0][1]]
-        adder.train(record, total, selections, state, force=True)
+        adder.train_fields(*branch, total, selections, state, force=True)
         # Forced training still saturates upward (no change at the rail) but
         # must not decrease the counter.
         assert selections[0][0][0].values[selections[0][0][1]] >= value_before
 
-    def test_rejects_old_style_on_outcome_override(self):
-        class LegacyComponent(BiasComponent):
-            def on_outcome(self, record, state):  # pragma: no cover - hook
-                pass
-
-        adder, state = self._make(extra=[LegacyComponent(entries=64)])
-        record = conditional_branch(0x77, 0x90, taken=True)
-        total, selections = adder.compute(0x77, state)
-        with pytest.raises(TypeError, match="on_outcome_fields"):
-            adder.train(record, total, selections, state)
-
     def test_components_appended_after_first_train_get_outcome_hook(self):
         adder, state = self._make()
-        record = conditional_branch(0x77, 0x90, taken=True)
+        branch = (0x77, 0x90, True)
         total, selections = adder.compute(0x77, state)
-        adder.train(record, total, selections, state)
+        adder.train_fields(*branch, total, selections, state)
 
         calls = []
 
@@ -354,7 +339,7 @@ class TestAdderTree:
 
         adder.components.append(Observer(entries=64))
         total, selections = adder.compute(0x77, state)
-        adder.train(record, total, selections, state)
+        adder.train_fields(*branch, total, selections, state)
         assert calls == [0x77]
 
     def test_threshold_adapts_upward_under_mispredictions(self):
@@ -364,9 +349,9 @@ class TestAdderTree:
 
         rng = random.Random(3)
         for _ in range(4000):
-            record = conditional_branch(0x77, 0x90, taken=rng.random() < 0.5)
+            branch = (0x77, 0x90, rng.random() < 0.5)
             total, selections = adder.compute(0x77, state)
-            adder.train(record, total, selections, state)
+            adder.train_fields(*branch, total, selections, state)
         assert adder.threshold >= initial_threshold
 
     def test_learns_imli_correlation_through_extra_component(self):
@@ -378,15 +363,15 @@ class TestAdderTree:
         total_branches = 0
         for outer in range(20):
             for inner in range(12):
-                record = conditional_branch(0x5000, 0x5040, taken=pattern[inner])
+                branch = (0x5000, 0x5040, pattern[inner])
                 total, selections = adder.compute(0x5000, state)
                 if outer >= 10:
                     total_branches += 1
                     correct += (total >= 0) == pattern[inner]
-                adder.train(record, total, selections, state)
-                state.update_conditional(record)
-                back = conditional_branch(0x6000, 0x5000, taken=inner < 11)
-                state.update_conditional(back)
+                adder.train_fields(*branch, total, selections, state)
+                state.update_conditional_fields(*branch)
+                back = (0x6000, 0x5000, inner < 11)
+                state.update_conditional_fields(*back)
         assert correct / total_branches > 0.9
 
     def test_storage_and_breakdown(self):

@@ -23,6 +23,7 @@ from repro.api.experiment import Experiment
 from repro.api.registry import default_registry
 from repro.api.specs import PredictorSpec
 from repro.dist import Coordinator, protocol
+from repro.dist import worker as worker_module
 from repro.dist.worker import Worker
 from repro.predictors.composites import CompositeOptions, build
 from repro.predictors import shared_core
@@ -1089,12 +1090,13 @@ class TestWorkerTraceCache:
         protocol.write_frame(buffer, frame)
         return buffer.getvalue()
 
-    def test_decoded_traces_are_lru_bounded(self, traces):
+    def test_decoded_traces_are_lru_bounded(self, traces, monkeypatch):
         extra = generate_suite(
             "cbp4like", target_conditional_branches=LENGTH,
             benchmarks=["SPEC2K6-04"],
         )
-        worker = Worker("127.0.0.1", 1, trace_cache=2)
+        monkeypatch.setattr(worker_module, "DEFAULT_TRACE_CACHE", 2)
+        worker = Worker("127.0.0.1", 1)
         all_traces = list(traces) + extra
         for trace in all_traces:
             rfile = io.BytesIO(
@@ -1115,8 +1117,9 @@ class TestWorkerTraceCache:
             trace.fingerprint() for trace in all_traces[-2:]
         ]
 
-    def test_cache_hit_refreshes_recency(self, traces):
-        worker = Worker("127.0.0.1", 1, trace_cache=2)
+    def test_cache_hit_refreshes_recency(self, traces, monkeypatch):
+        monkeypatch.setattr(worker_module, "DEFAULT_TRACE_CACHE", 2)
+        worker = Worker("127.0.0.1", 1)
         for trace in traces:
             worker._traces[trace.fingerprint()] = trace
         # Touch the older entry through the cache path (no fetch needed).
@@ -1124,8 +1127,6 @@ class TestWorkerTraceCache:
         assert list(worker._traces)[-1] == traces[0].fingerprint()
 
     def test_trace_cache_validation(self):
-        with pytest.raises(ValueError):
-            Worker("127.0.0.1", 1, trace_cache=0)
         with pytest.raises(ValueError):
             Worker("127.0.0.1", 1, batch=0)
 

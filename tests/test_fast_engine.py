@@ -12,14 +12,19 @@ never produce), plus the protocol edge cases.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+from repro.core.component import SharedState
+from repro.predictors.adder import AdderTree
 from repro.predictors.composites import build_named, configuration_names
 from repro.predictors.simple import (
     AlwaysTakenPredictor,
     BimodalPredictor,
 )
-from repro.predictors.tage import TAGEConfig, TAGEPredictor
+from repro.predictors.statistical_corrector import StatisticalCorrector
+from repro.predictors.tage import TAGEConfig, TAGEEngine, TAGEPredictor
 from repro.sim.engine import simulate, supports_fast_path
 from repro.trace.branch import BranchKind
 from repro.workloads.suites import generate_benchmark, get_benchmark
@@ -74,6 +79,40 @@ class TestCompositeEquivalence:
             build_named(configuration, profile="small"), trace, use_fast_path=True
         )
         _assert_identical(reference, fast)
+
+
+@pytest.mark.parametrize("configuration", ["tage-gsc+imli", "gehl+imli+l"])
+def test_reference_path_steps_through_the_field_forms(
+    suite_traces, monkeypatch, configuration
+):
+    """The reference loop trains and advances through the field forms.
+
+    Once per conditional record: the shared state's update, the adder
+    tree's training and, under TAGE-GSC, TAGE's and the corrector's
+    training; once per other record: the path-history push.
+    """
+    trace = suite_traces[_MIXED]
+    calls = Counter()
+    hooks = [
+        (SharedState, "update_conditional_fields"),
+        (SharedState, "observe_pc"),
+        (AdderTree, "train_fields"),
+    ]
+    if configuration.startswith("tage-gsc"):
+        hooks += [(TAGEEngine, "train_fields"), (StatisticalCorrector, "train_fields")]
+    for owner, name in hooks:
+        def counted(*args, _inherited=getattr(owner, name), _key=f"{owner.__name__}.{name}",
+                    **kwargs):
+            calls[_key] += 1
+            return _inherited(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    simulate(build_named(configuration, profile="small"), trace, use_fast_path=False)
+    conditional = trace.conditional_count
+    assert 0 < conditional < len(trace)
+    expected = {f"{owner.__name__}.{name}": conditional for owner, name in hooks}
+    expected["SharedState.observe_pc"] = len(trace) - conditional
+    assert calls == expected
 
 
 class TestFastPathProtocol:

@@ -135,8 +135,8 @@ class TestStatisticalCorrector:
         for _ in range(40):
             state.tage_prediction = True
             context = corrector.predict(0x1234, tage_prediction=True)
-            corrector.train(record, context)
-            state.update_conditional(record)
+            corrector.train_fields(record.pc, record.target, record.taken, context)
+            state.update_conditional_fields(record.pc, record.target, record.taken)
         state.tage_prediction = True
         context = corrector.predict(0x1234, tage_prediction=True)
         assert context.reverted

@@ -8,15 +8,16 @@ from repro.common.bits import mix_hash
 from repro.core.component import SharedState
 from repro.core.imli_oh import IMLIOuterHistoryComponent
 from repro.core.imli_sic import IMLISameIterationComponent
-from repro.trace.branch import BranchRecord
 
 
-def _body_branch(pc: int, taken: bool) -> BranchRecord:
-    return BranchRecord(pc=pc, target=pc + 32, taken=taken)
+def _body_branch(pc: int, taken: bool) -> tuple:
+    """``(pc, target, taken)`` of a forward conditional branch."""
+    return pc, pc + 32, taken
 
 
-def _loop_back(pc: int, taken: bool) -> BranchRecord:
-    return BranchRecord(pc=pc, target=pc - 64, taken=taken)
+def _loop_back(pc: int, taken: bool) -> tuple:
+    """``(pc, target, taken)`` of a loop's backward conditional branch."""
+    return pc, pc - 64, taken
 
 
 def _run_nested_loop(components, state, pattern_for, outer_iterations, trip, target_pc=0x1000):
@@ -33,7 +34,7 @@ def _run_nested_loop(components, state, pattern_for, outer_iterations, trip, tar
     for outer in range(outer_iterations):
         for inner in range(trip):
             outcome = pattern_for(outer, inner)
-            record = _body_branch(target_pc, outcome)
+            body = _body_branch(target_pc, outcome)
             # Prediction step: sum the component counters.
             total = 0
             selections = []
@@ -48,13 +49,13 @@ def _run_nested_loop(components, state, pattern_for, outer_iterations, trip, tar
             # Update step.
             for component, component_selection in zip(components, selections):
                 component.train(target_pc, outcome, component_selection, state)
-                component.on_outcome(record, state)
-            state.update_conditional(record)
+                component.on_outcome_fields(*body, state)
+            state.update_conditional_fields(*body)
             # Inner loop back-edge.
             back = _loop_back(back_pc, inner < trip - 1)
             for component in components:
-                component.on_outcome(back, state)
-            state.update_conditional(back)
+                component.on_outcome_fields(*back, state)
+            state.update_conditional_fields(*back)
     return observations
 
 
@@ -130,13 +131,12 @@ class TestIMLIOuterHistoryComponent:
         component = IMLIOuterHistoryComponent()
         state = SharedState()
         component.bind(state)
-        record = _body_branch(0x1000, True)
         slot = component._slot(0x1000)
         cell = component._cell(slot, state.imli.count)
-        state.update_conditional(record)
+        state.update_conditional_fields(*_body_branch(0x1000, True))
         assert component.history[cell] == 1
         assert component.pipe[slot] == 0  # the old history value was staged
-        state.update_conditional(_body_branch(0x1000, False))
+        state.update_conditional_fields(*_body_branch(0x1000, False))
         assert component.history[cell] == 0
         assert component.pipe[slot] == 1
 
@@ -144,7 +144,7 @@ class TestIMLIOuterHistoryComponent:
         component = IMLIOuterHistoryComponent()
         state = SharedState()
         component.bind(state)
-        state.update_conditional(_loop_back(0x2000, True))
+        state.update_conditional_fields(*_loop_back(0x2000, True))
         assert all(bit == 0 for bit in component.history)
 
     def test_recovers_previous_outer_iteration_outcomes(self):
@@ -169,10 +169,10 @@ class TestIMLIOuterHistoryComponent:
                 if outer >= 2:
                     same, previous = component.recovered_outcomes(target_pc, state.imli.count)
                     recovered.append((outer, inner, same, previous))
-                state.update_conditional(_body_branch(target_pc, rows[outer][inner]))
-                state.update_conditional(_loop_back(back_pc, inner < trip - 1))
+                state.update_conditional_fields(*_body_branch(target_pc, rows[outer][inner]))
+                state.update_conditional_fields(*_loop_back(back_pc, inner < trip - 1))
             # The outer loop back edge.
-            state.update_conditional(_loop_back(0x3000, outer < 3))
+            state.update_conditional_fields(*_loop_back(0x3000, outer < 3))
         for outer, inner, same, previous in recovered:
             assert bool(same) == rows[outer - 1][inner]
             if inner > 0:
@@ -205,20 +205,20 @@ class TestIMLIOuterHistoryComponent:
         component.bind(state)
         slot = component._slot(0x1000)
         cell = component._cell(slot, 0)
-        state.update_conditional(_body_branch(0x1000, True))
+        state.update_conditional_fields(*_body_branch(0x1000, True))
         assert component.history[cell] == 0  # not yet visible
         # Backward branches advance the delay clock without writing history.
         for _ in range(4):
-            state.update_conditional(_loop_back(0x2000, True))
+            state.update_conditional_fields(*_loop_back(0x2000, True))
         assert component.history[cell] == 1  # drained after the delay
 
     def test_pipe_snapshot_restore(self):
         component = IMLIOuterHistoryComponent()
         state = SharedState()
         component.bind(state)
-        state.update_conditional(_body_branch(0x1000, True))
+        state.update_conditional_fields(*_body_branch(0x1000, True))
         snapshot = component.snapshot_pipe()
-        state.update_conditional(_body_branch(0x1000, False))
+        state.update_conditional_fields(*_body_branch(0x1000, False))
         component.restore_pipe(snapshot)
         assert component.snapshot_pipe() == snapshot
 
@@ -233,9 +233,9 @@ class TestIMLIOuterHistoryComponent:
             component.bind(state)
         assert first.outer is second.outer and delayed.outer is not first.outer
         cell = first._cell(first._slot(0x1000), state.imli.count)
-        first.on_outcome(_body_branch(0x1000, True), state)
+        first.on_outcome_fields(*_body_branch(0x1000, True), state)
         assert first.history[cell] == 0
-        state.update_conditional(_body_branch(0x1000, True))
+        state.update_conditional_fields(*_body_branch(0x1000, True))
         assert first.history[cell] == 1 and second.history[cell] == 1
         assert delayed.history[cell] == 0  # still pending
         assert first.storage_bits() == IMLIOuterHistoryComponent().storage_bits()

@@ -8,15 +8,6 @@ from hypothesis import given, strategies as st
 from repro.common.bits import fold_bits
 from repro.core.component import SharedState
 from repro.core.imli import IMLIState
-from repro.trace.branch import BranchKind, BranchRecord, conditional_branch
-
-
-def _backward(taken: bool) -> BranchRecord:
-    return BranchRecord(pc=0x200, target=0x100, taken=taken)
-
-
-def _forward(taken: bool) -> BranchRecord:
-    return BranchRecord(pc=0x200, target=0x300, taken=taken)
 
 
 class TestIMLIState:
@@ -26,47 +17,30 @@ class TestIMLIState:
     def test_heuristic_matches_paper(self):
         """if backward: taken -> count += 1, not taken -> count = 0."""
         imli = IMLIState()
-        imli.update(_backward(True))
-        imli.update(_backward(True))
+        imli.observe(True, True)
+        imli.observe(True, True)
         assert imli.count == 2
-        imli.update(_backward(False))
+        imli.observe(True, False)
         assert imli.count == 0
 
     def test_forward_branches_are_ignored(self):
         imli = IMLIState()
-        imli.update(_backward(True))
-        imli.update(_forward(True))
-        imli.update(_forward(False))
-        assert imli.count == 1
-
-    def test_non_conditional_branches_are_ignored(self):
-        imli = IMLIState()
-        imli.update(_backward(True))
-        imli.update(
-            BranchRecord(pc=0x400, target=0x100, taken=True, kind=BranchKind.UNCONDITIONAL)
-        )
+        imli.observe(True, True)
+        imli.observe(False, True)
+        imli.observe(False, False)
         assert imli.count == 1
 
     def test_saturation(self):
         imli = IMLIState(counter_bits=3)
         for _ in range(20):
-            imli.update(_backward(True))
+            imli.observe(True, True)
         assert imli.count == 7
-
-    def test_observe_matches_update(self):
-        a, b = IMLIState(), IMLIState()
-        sequence = [(True, True), (True, False), (False, True), (True, True)]
-        for backward, taken in sequence:
-            record = _backward(taken) if backward else _forward(taken)
-            a.update(record)
-            b.observe(backward, taken)
-        assert a.count == b.count
 
     def test_snapshot_restore(self):
         imli = IMLIState()
-        imli.update(_backward(True))
+        imli.observe(True, True)
         snapshot = imli.snapshot()
-        imli.update(_backward(True))
+        imli.observe(True, True)
         imli.restore(snapshot)
         assert imli.count == 1
 
@@ -76,7 +50,7 @@ class TestIMLIState:
 
     def test_reset_and_storage(self):
         imli = IMLIState(counter_bits=10)
-        imli.update(_backward(True))
+        imli.observe(True, True)
         imli.reset()
         assert imli.count == 0
         assert imli.storage_bits() == 10
@@ -90,7 +64,8 @@ class TestIMLIState:
         imli = IMLIState()
         seen_maximum = 0
         for record in simple_loop_records:
-            imli.update(record)
+            if record.is_conditional:
+                imli.observe(record.is_backward, record.taken)
             seen_maximum = max(seen_maximum, imli.count)
         assert seen_maximum == 4
         assert imli.count == 0  # the trace ends on a loop exit
@@ -114,16 +89,15 @@ class TestSharedState:
     def test_conditional_update_advances_everything(self):
         state = SharedState()
         local_histories = state.new_local_history(64, 8)
-        record = BranchRecord(pc=0x300, target=0x200, taken=True)
-        state.update_conditional(record)
+        state.update_conditional_fields(0x300, 0x200, True)
         assert state.global_history.value(1) == 1
         assert state.imli.count == 1
         assert local_histories.read(0x300) == 1
 
     def test_unconditional_update_only_touches_path(self):
         state = SharedState()
-        record = BranchRecord(pc=0x300, target=0x400, taken=True, kind=BranchKind.CALL)
-        state.update_unconditional(record)
+        state.observe_pc(0x303)
+        assert state.path_history.bits == 0x303 & state.path_history.branch_mask
         assert state.global_history.value(8) == 0
         assert state.imli.count == 0
 
@@ -132,8 +106,7 @@ class TestSharedState:
         folded = state.new_folded_history(length=13, width=5)
         outcomes = [True, False, True, True, False, True, False, False] * 5
         for index, taken in enumerate(outcomes):
-            record = conditional_branch(pc=0x100 + index, target=0x200 + index, taken=taken)
-            state.update_conditional(record)
+            state.update_conditional_fields(0x100 + index, 0x200 + index, taken)
         expected = fold_bits(state.global_history.value(13), 13, 5)
         assert folded.value() == expected
 

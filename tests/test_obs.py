@@ -375,6 +375,29 @@ class TestRunnerTimings:
         experiment.close()
         assert not (store_dir / "timings.jsonl").exists()
 
+    def test_summary_is_written_once_at_close(self, tmp_path, specs, traces, monkeypatch):
+        from repro.obs import timings as timings_module
+        from repro.sim.runner import SuiteRunner
+
+        calls = []
+
+        def counted(path):
+            calls.append(path)
+            return summarize_timings(path)
+
+        monkeypatch.setattr(timings_module, "summarize_timings", counted)
+        store_dir = tmp_path / "store"
+        runner = SuiteRunner(traces, profile="small", store=str(store_dir))
+        runner.run_specs(specs[:1])
+        runner.run_specs(specs[1:])
+        assert calls == []
+        runner.close()
+        assert len(calls) == 1
+        lines = (store_dir / "timings.jsonl").read_text().splitlines()
+        assert len(lines) == len(specs) * len(traces)
+        summary = json.loads((store_dir / "timings_summary.json").read_text())
+        assert summary["records"] == len(lines)
+
     def test_results_identical_with_and_without_timings(
         self, tmp_path, specs, traces, serial_results
     ):

@@ -70,8 +70,8 @@ class TestTAGEEngine:
         )
         for _ in range(8):
             prediction = engine.predict(record.pc)
-            engine.train(record, prediction)
-            state.update_conditional(record)
+            engine.train_fields(record.pc, record.taken, prediction)
+            state.update_conditional_fields(record.pc, record.target, record.taken)
         allocated_after = sum(
             1 for table in engine.tables for index in range(table.entries)
             if table.tag[index] or table.ctr[index]
